@@ -4,43 +4,47 @@ Usage::
 
     python -m benchmarks.parallel_speedup --preset default --jobs 4
 
-Runs the (a)/(b) sweep twice on the same preset — once with the
-implicit-semantics simulator fast path disabled and no worker pool
-(the seed's configuration), once with the fast path active and
-``--jobs`` workers — and writes the wall times, speedup, and worker
-utilization to ``benchmarks/out/parallel_speedup_<preset>_ab.json``.
+Runs the (a)/(b) sweep twice on the same preset — once with every
+replication forced through the per-replication reference simulator and
+no worker pool (the seed's configuration), once with the batched
+replay tiers and ``--jobs`` workers — and writes the wall times,
+speedup, and worker utilization to
+``benchmarks/out/parallel_speedup_<preset>_ab.json``.
 
 The two runs cover the same workload (same preset, same pre-derived
-per-graph seeds); their simulated series differ only in the uniform
-draw sequence, which the fast path inlines.  The speedup multiplies the
-single-core simulator gain with the process-level parallel gain; on a
-single-CPU host the latter is ~1x and the report's ``cpus`` field says
-so.
+per-graph seeds) and produce identical simulated series, since every
+tier is byte-identical to the simulator.  The speedup multiplies the
+single-core batched-replay gain with the process-level parallel gain;
+on a single-CPU host the latter is ~1x and the report's ``cpus`` field
+says so.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-import repro.sim.engine as engine
+from repro.api import AnalysisSession
 from repro.experiments.fig6 import run_fig6_ab_timed
 
 
 def measure_speedup(config, *, jobs: int = 4) -> dict:
-    """Baseline (seed-equivalent serial) vs optimized (fast loop + pool)."""
-    original = engine.Simulator._run_events_implicit
-    engine.Simulator._run_events_implicit = engine.Simulator._run_events_general
+    """Baseline (seed-equivalent serial) vs optimized (batched + pool)."""
+    original = AnalysisSession.observed_disparity
+    AnalysisSession.observed_disparity = functools.partialmethod(
+        original, engine="simulator"
+    )
     try:
         started = time.perf_counter()
         run_fig6_ab_timed(config, jobs=1)
         baseline_s = time.perf_counter() - started
     finally:
-        engine.Simulator._run_events_implicit = original
+        AnalysisSession.observed_disparity = original
 
     started = time.perf_counter()
     _, timing = run_fig6_ab_timed(config, jobs=jobs)

@@ -4,8 +4,9 @@ The batched replication engine (:mod:`repro.sim.batch`) compiles a
 scenario once and replays it per replication, where the pre-batch path
 re-did the setup inside every ``simulate()`` call.  The same pairing
 is measured twice — under implicit semantics (vs the per-sim
-``simulate()`` path) and under LET (vs the general event loop, the
-pre-fast-path LET baseline).  Two guards each:
+``simulate()`` path) and under LET (vs sequential
+``simulate(semantics="let")`` runs of the general event loop).  Two
+guards each:
 
 * **Structural** — machine independent, properties of one run: the
   batched arm of the paired measurement must beat the sequential arm
@@ -81,9 +82,9 @@ def test_committed_batch_gate(benchmark):
 def test_let_batched_beats_general_loop(benchmark):
     """LET compiled replay must outrun sequential general-loop runs.
 
-    The sequential arm is the only LET path that existed before the
-    fast-path/batch work reached LET; ``bench_let_kernel`` asserts both
-    arms produce identical per-replication disparities.
+    The sequential arm runs the reference simulator per replication;
+    ``bench_let_kernel`` asserts both arms produce identical
+    per-replication disparities.
     """
     result = benchmark.pedantic(
         bench_let_kernel,

@@ -1,11 +1,10 @@
 """Kernel-throughput benchmarks and the committed-baseline gate.
 
-The hot-path work (two-phase fast path in the engine, DAG-shared
-backward bounds) is guarded by two kinds of assertion:
+The hot-path work (DAG-shared backward bounds, batched replay) is
+guarded by two kinds of assertion:
 
 * **Structural** — properties of the current run alone, machine
-  independent: the fast path must beat the classic loop on the same
-  scenario, and the per-chain analysis cost must fall as the chain
+  independent: the per-chain analysis cost must fall as the chain
   count grows (prefix sharing + fixed-cost amortization).
 * **Regression gate** — the quick benchmark document compared against
   the committed ``BENCH_kernel.json`` via
@@ -18,14 +17,10 @@ backward bounds) is guarded by two kinds of assertion:
 from __future__ import annotations
 
 import os
-import random
-import time
 from pathlib import Path
 
 import pytest
 
-from repro.gen import generate_random_scenario
-from repro.model.system import System
 from repro.profile import (
     bench_analysis_scaling,
     bench_sim_kernel,
@@ -33,9 +28,6 @@ from repro.profile import (
     load_baseline,
     run_benchmarks,
 )
-from repro.sim.engine import Simulator, randomize_offsets
-from repro.sim.metrics import DisparityMonitor
-from repro.units import seconds
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 
@@ -49,43 +41,6 @@ def test_sim_kernel_throughput(benchmark):
         f"-> {result['jobs_per_s']:,.0f} jobs/s"
     )
     assert result["jobs"] > 0
-
-
-@pytest.mark.benchmark(group="kernel")
-def test_fastpath_beats_classic_loop(benchmark):
-    """The specialized loop must outrun the reference loop (same run)."""
-    rng = random.Random(2023)
-    scenario = generate_random_scenario(30, rng)
-    graph = randomize_offsets(scenario.system.graph, rng)
-    system = System(
-        graph=graph, response_times=scenario.system.response_times
-    )
-    duration = seconds(2)
-
-    def run(loop: str) -> float:
-        best = None
-        for _ in range(3):
-            monitor = DisparityMonitor([scenario.sink], warmup=duration // 4)
-            started = time.perf_counter()
-            Simulator(
-                system, duration, seed=7, observers=[monitor], loop=loop
-            ).run()
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None else min(best, elapsed)
-        return best
-
-    times = benchmark.pedantic(
-        lambda: {"fast": run("fast"), "classic": run("classic")},
-        rounds=1,
-        iterations=1,
-    )
-    print()
-    print(
-        f"fast {times['fast']*1000:.1f} ms vs "
-        f"classic {times['classic']*1000:.1f} ms "
-        f"({times['classic']/times['fast']:.2f}x)"
-    )
-    assert times["fast"] < times["classic"]
 
 
 @pytest.mark.benchmark(group="kernel")

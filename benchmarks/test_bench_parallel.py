@@ -2,15 +2,15 @@
 
 Measures the full Fig. 6 (a)/(b) sweep two ways on the same preset:
 
-* **baseline** — the harness as shipped in the seed: the
-  general-semantics event loop (the implicit-semantics fast path
-  disabled) driven serially (``jobs=1``);
-* **optimized** — the specialized implicit-semantics simulator loop
+* **baseline** — the harness as shipped in the seed: every
+  replication through the per-replication reference simulator, driven
+  serially (``jobs=1``);
+* **optimized** — the batched replay tiers (:func:`repro.sim.batch.run_batch`)
   with per-graph work fanned across 4 worker processes.
 
 The optimized run must be at least 2x faster.  Two independent factors
-multiply into that number: the simulator fast path (~2.4x on one core)
-and process-level parallelism (near-linear on real multicore; ~1x on a
+multiply into that number: batched replay on one core and
+process-level parallelism (near-linear on real multicore; ~1x on a
 single-CPU container, where the pool can only time-slice).  Measuring
 end-to-end keeps the claim honest either way — the committed result in
 ``out/parallel_speedup_ab.json`` records both wall times plus the

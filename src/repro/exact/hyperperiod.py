@@ -46,11 +46,6 @@ class _WindowedDisparity(Observer):
         if disparity > self.per_window.get(index, -1):
             self.per_window[index] = disparity
 
-    @property
-    def interested_tasks(self) -> frozenset:
-        """Only the measured task (engine fast-path dispatch filter)."""
-        return frozenset((self._task,))
-
 
 @dataclass(frozen=True)
 class SteadyStateResult:

@@ -19,8 +19,9 @@ Two structural properties make the search fast and parallel:
   the steady-state probe runs through the compiled replication loop
   (results are pinned equal to
   :func:`~repro.exact.hyperperiod.steady_state_disparity`); systems
-  the compiled loop cannot handle fall back to the reference
-  implementation per evaluation.
+  the compiled loop cannot handle fall back to the unoptimized
+  reference :class:`~repro.sim.engine.Simulator` per evaluation, which
+  costs several times more per evaluation.
 
 * **Independent restarts.** Each restart runs from its own seed,
   derived up front from the caller's ``rng``, so restarts can fan out

@@ -4,9 +4,9 @@ LET decouples data-flow timing from scheduling: jobs read at release
 and publish at their deadline.  The analysis here retargets the
 paper's disparity theorems to LET by swapping the per-chain
 backward-time bounds; the simulator supports LET via
-``simulate(..., semantics="let")``, which resolves to the two-phase
-fast path (LET data flow is pure release/deadline arithmetic — see
-``docs/performance.md``).
+``simulate(..., semantics="let")`` (the reference loop; campaigns
+replay LET through the batch tiers, where LET data flow is pure
+release/deadline arithmetic — see ``docs/performance.md``).
 
 For both sides of a LET study in one object, construct the session
 with the matching pair::
@@ -22,7 +22,7 @@ with the matching pair::
 
 ``observed_batch`` then replays LET replications through the compiled
 batch engine (byte-identical to sequential ``simulate`` calls, several
-times faster than the general loop).  :func:`semantics_tradeoff` runs
+times faster than the reference loop).  :func:`semantics_tradeoff` runs
 the full paired implicit/LET study (bound + observed per semantics) on
 such sessions.
 """

@@ -8,7 +8,9 @@ optimization work:
   on ``fig6``/``analyze``/``diagnose`` is a thin shim over it.
 * :func:`bench_sim_kernel` measures raw simulator throughput
   (completed jobs per wall-clock second) on a fixed WATERS-style
-  scenario — the quantity the two-phase fast path optimizes.
+  scenario.  This is the unoptimized reference loop
+  (:class:`~repro.sim.engine.Simulator`); campaigns replay through the
+  batch tiers measured below.
 * :func:`bench_batch_kernel` measures the batched replication engine
   (:mod:`repro.sim.batch`) against the same replications run as
   independent simulations — a paired, in-process comparison whose
@@ -17,8 +19,7 @@ optimization work:
   columnar engine's gain over it is reported separately
   (``columnar_speedup``).
 * :func:`bench_let_kernel` is the same paired comparison under LET
-  semantics, with the sequential side pinned to the general loop (the
-  pre-fast-path LET baseline) and the same third replay arm.
+  semantics, with the same third replay arm.
 * :func:`bench_columnar_kernel` is the dedicated columnar-vs-replay
   pair: the same replications through the columnar lockstep engine
   and through the per-replication compiled loop, asserted identical;
@@ -26,8 +27,8 @@ optimization work:
 * :func:`bench_fault_kernel` is the paired comparison for faulted
   runs: a dropout plan compiled to release masks and replayed through
   the batched tiers versus the same replications as independent
-  general-loop simulations (the pre-mask fault path), disparities
-  asserted identical; its ratio gates the faulted fast path.
+  simulator runs (the pre-mask fault path), disparities asserted
+  identical; its ratio gates the faulted batched replay.
 * :func:`bench_delta_kernel` measures delta compilation: many offset
   candidates on one system, evaluated as cheap
   :meth:`~repro.sim.batch.CompiledScenario.with_offsets` views of one
@@ -275,13 +276,11 @@ def bench_let_kernel(
     seed: int = 2023,
     repeats: int = 3,
 ) -> Dict[str, Any]:
-    """LET compiled batch engine vs N general-loop runs, paired.
+    """LET compiled batch engine vs N simulator runs, paired.
 
     The LET twin of :func:`bench_batch_kernel`: the sequential side
     replays ``sims`` replications as independent
-    ``simulate(semantics="let", loop="general")`` calls — the only LET
-    path that existed before the fast-path/batch work reached LET — and
-    the batched side routes the same replications through
+    ``simulate(semantics="let")`` calls and the batched side routes the same replications through
     ``run_batch`` with ``semantics="let"`` (compile once per batch,
     replicate many).  Both
     start from identical generator states, the per-replication
@@ -327,7 +326,6 @@ def bench_let_kernel(
                 seed=run_seed,
                 observers=[monitor],
                 semantics="let",
-                loop="general",
             ).run()
             sequential.append(monitor.disparity(sink))
         elapsed = time.perf_counter() - start
@@ -470,16 +468,16 @@ def bench_fault_kernel(
     seed: int = 2023,
     repeats: int = 3,
 ) -> Dict[str, Any]:
-    """Faulted batched replay vs per-replication general loop, paired.
+    """Faulted batched replay vs per-replication simulator runs, paired.
 
-    Fault plans used to force the general event loop — the one
+    Fault plans used to force the per-replication simulator — the one
     workload that stressed the provenance machinery never benefited
     from the batched tiers.  With dropouts compiled to boolean release
     masks over the pre-drawn release tables, faulted runs replay
     through the fastest eligible batched tier.  This kernel measures
     that gain on a periodic scenario with a mid-horizon dropout of one
     source: the sequential arm runs ``sims`` replications as
-    independent ``simulate(loop="general")`` calls (the pre-mask fault
+    independent ``simulate()`` calls (the pre-mask fault
     path), the batched arm routes the same replications — same
     generator state, same fault plan — through
     :func:`repro.sim.batch.run_batch`; per-replication disparities are
@@ -523,7 +521,6 @@ def bench_fault_kernel(
                 seed=run_seed,
                 observers=[monitor],
                 faults=faults,
-                loop="general",
             ).run()
             sequential.append(monitor.disparity(sink))
         elapsed = time.perf_counter() - start
@@ -542,7 +539,7 @@ def bench_fault_kernel(
         engine = result.engine
         if list(result.disparities) != sequential:
             raise AssertionError(
-                "faulted batched replications diverged from the general loop"
+                "faulted batched replications diverged from the simulator"
             )
     return {
         "n_tasks": n_tasks,
@@ -1334,7 +1331,7 @@ def format_benchmarks(results: Dict[str, Any]) -> str:
     if let is not None:
         lines.append(
             f"let batch    {let['sims']:>9} sims"
-            f"  {let['sequential_s']:.2f}s general loop ->"
+            f"  {let['sequential_s']:.2f}s sequential ->"
             f" {let['batched_s']:.2f}s batched"
             f"  ({let['speedup']:.2f}x, {let['sims_per_s']:,.1f} sims/s)"
         )
@@ -1352,7 +1349,7 @@ def format_benchmarks(results: Dict[str, Any]) -> str:
     if fault is not None:
         lines.append(
             f"fault        {fault['sims']:>9} sims"
-            f"  {fault['sequential_s']:.2f}s general loop ->"
+            f"  {fault['sequential_s']:.2f}s sequential ->"
             f" {fault['batched_s']:.2f}s masked batched"
             f"  ({fault['speedup']:.2f}x, "
             f"{fault['sims_per_s']:,.1f} sims/s, "

@@ -205,7 +205,7 @@ static int dispatch(Sim *s, int64_t u, int32_t tid, int64_t now, int32_t nb)
  * same-instant release and finish before dispatching idle units, and
  * sibling finishes at a finish instant all complete before any
  * replacement dispatch (zero-time replacements cascade with depth
- * cur_batch + 1, replayed by the fast path's side table). */
+ * cur_batch + 1, recorded in the cascade-depth side table). */
 static void run_sim(Sim *s, const int64_t *rt, const int32_t *rd,
                     int32_t *touched, int32_t *fin2)
 {

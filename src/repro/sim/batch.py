@@ -11,10 +11,10 @@ changes the scenario), all of that is loop-invariant.
 :class:`CompiledScenario` hoists it: the scenario is compiled once
 into immutable tables, and each replication varies only the RNG-drawn
 inputs.  The per-replication schedule is then produced by a loop that
-is strictly cheaper than the engine's fast path:
+is strictly cheaper than the reference :class:`~repro.sim.engine.Simulator`:
 
 * the whole release stream is *precomputed*.  Within one instant the
-  fast path pops releases from its heap in the order of the static key
+  simulator pops releases from its heap in the order of the static key
   ``(time, k > 0, -period, -offset, tid)`` (initial releases carry the
   heapify order, i.e. plain ``tid``), which holds whenever offsets lie
   in ``[0, T]`` — so one vectorized sort per replication replaces every
@@ -33,22 +33,24 @@ is strictly cheaper than the engine's fast path:
   requires unique priorities per unit), with per-task pending counters
   carrying FIFO multiplicity;
 * only the backward closure of the monitored task records start and
-  finish times, and provenance is resolved by a specialized memoized
-  DP equal to the engine's ``_FastFlow`` resolver.
+  finish times, and provenance is resolved by a memoized DP over
+  them that yields exactly the tokens the simulator's channels carry.
 
 Both communication semantics compile: under ``semantics="implicit"``
-data flow is resolved from recorded finish times (with the same
-cascade-depth side table the engine's fast path uses for zero-BCET
-compute tasks), under ``semantics="let"`` from the time-deterministic
-LET publication/read instants, with an inline deadline check per
-finish.  The result is **byte-identical** to N independent
-:func:`simulate` calls under the same derived seeds (pinned by
-``tests/test_sim_batch.py`` and ``tests/test_let_fastpath.py``);
+data flow is resolved from recorded finish times (with a
+cascade-depth side table that replays the simulator's same-instant
+finish cascades of zero-BCET compute tasks), under
+``semantics="let"`` from the time-deterministic LET publication/read
+instants, with an inline deadline check per finish.  The result is
+**byte-identical** to N independent :func:`simulate` calls under the
+same derived seeds (pinned by ``tests/test_sim_batch.py``,
+``tests/test_engine_fastpath.py`` and ``tests/test_let_fastpath.py``);
 scenarios the compiled loop cannot handle — duplicate priorities on
-one unit, unmapped compute tasks, offsets outside ``[0, T]`` —
-transparently fall back to the plain
-:class:`~repro.sim.engine.Simulator` under the same semantics,
-preserving identity at the cost of the speedup.
+one unit, offsets outside ``[0, T]`` — transparently fall back to the
+plain :class:`~repro.sim.engine.Simulator` under the same semantics,
+preserving identity at the cost of the speedup.  An unmapped compute
+task reaches the same fallback, whose constructor rejects it with a
+:class:`~repro.model.task.ModelError` naming the task.
 
 Delta compilation generalizes beyond offsets to **structural edits**:
 :meth:`CompiledScenario.edit` (and the ``with_period`` /
@@ -318,9 +320,8 @@ class CompiledScenario:
     fallback cause at once.  Ineligible scenarios (and replications
     whose offsets leave ``[0, T]``) run through the plain simulator
     instead — same results, no speedup.  Zero-BCET compute tasks are
-    eligible: the loop records the same cascade-depth side table the
-    engine's fast path uses, so same-instant sub-batch visibility
-    replays exactly.
+    eligible: the loop records a cascade-depth side table, so the
+    simulator's same-instant sub-batch visibility replays exactly.
 
     ``semantics`` selects the communication model the replications
     reproduce: ``"implicit"`` (read at start / write at finish) or
@@ -628,7 +629,7 @@ class CompiledScenario:
     def _release_stream(
         self, offsets: Sequence[Time], duration: Time
     ) -> Tuple[List[Time], List[int]]:
-        """All releases in exactly the fast path's pop order.
+        """All releases in exactly the simulator's pop order.
 
         Initial releases (``k = 0``) enter the release heap in task
         order at heapify time, so they tie-break by ``tid`` alone;
@@ -691,7 +692,7 @@ class CompiledScenario:
         """Table-mode release stream plus per-task kept-release tables.
 
         Returns ``(rel_times, rel_tids, rels)``: the CPU release stream
-        in exactly the fast path's heap pop order, restricted to
+        in exactly the simulator's heap pop order, restricted to
         releases the fault plan keeps, and per task (instantaneous ones
         included) the sorted kept-release instants — the job-``k`` ->
         release mapping the provenance resolver and LET deadlines read.
@@ -699,10 +700,10 @@ class CompiledScenario:
         The static ``(time, k > 0, -period, -offset, tid)`` sort key of
         :meth:`_release_stream` does not extend to drawn tables, so the
         pop order is reproduced directly: a k-way merge with the same
-        seq discipline the fast path's release heap uses (initial
+        seq discipline the simulator's event heap uses (initial
         entries in task order, a successor entered at its predecessor's
         pop).  Suppressed releases ride through the merge and are
-        filtered at pop — the fast path advances its heap on them too,
+        filtered at pop — the simulator advances its heap on them too,
         so the faulted pop order is the fault-free order filtered.
         """
         tables: List[List[Time]] = []
@@ -766,11 +767,12 @@ class CompiledScenario:
 
         Returns ``(starts, fins, completed, casc, rels)`` for the kept
         tasks; the RNG stream (and hence every execution-time draw) is
-        identical to the engine loops under the same seed.  ``casc``
+        identical to the simulator's under the same seed.  ``casc``
         is the cascade-depth side table for zero-BCET scenarios
         (implicit semantics only, ``None`` otherwise): per kept job
         dispatched by a zero-time finish at the same instant, the
-        sub-batch depth the engine's fast path would record.  Under
+        depth of the simulator's same-instant finish cascade that
+        dispatches it.  Under
         LET the loop instead checks each finish against its job's
         deadline, raising the engine's ``LET violation`` error.
         ``rels`` is ``None`` on the arithmetic (periodic fault-free)
@@ -1115,11 +1117,11 @@ class CompiledScenario:
     ):
         """Memoized packed-provenance DP over one recorded schedule.
 
-        Mirrors ``_FastFlow._prov_of``/``reads_of``/``_writes_upto``
-        folded into one closure.  Under implicit semantics writes at
+        Answers "what did job ``k`` of task ``g`` read?" from the
+        schedule alone.  Under implicit semantics writes at
         ``t`` are visible to reads at ``t`` (``casc`` replays the
         sub-batch order of same-instant zero-time finishes, exactly as
-        the engine's fast path does), the FIFO head among ``m``
+        the simulator processes them), the FIFO head among ``m``
         visible writes on a capacity-``c`` channel is write
         ``max(0, m - c)``, and provenance folds bottom-up as interned
         bitmask + stamp pairs.  Under LET both sides are
@@ -1132,7 +1134,7 @@ class CompiledScenario:
         ``offset + k * period``; in table mode job ``k`` of task ``g``
         releases at ``rels[g][k]`` and counting a producer's releases
         or publications up to an instant becomes a bisect over its
-        kept table (exactly ``_FastFlow._writes_upto``).
+        kept table.
         """
         periods = self.periods
         inst = self.inst

@@ -42,21 +42,15 @@ from __future__ import annotations
 
 import heapq
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.model.graph import CauseEffectGraph
 from repro.model.system import System
 from repro.model.task import ModelError, Task
 from repro.sim.channels import ChannelState
 from repro.sim.exec_time import ExecTimePolicy, uniform_policy
-from repro.sim.provenance import (
-    ProvenancePacker,
-    Token,
-    merge_provenance,
-    source_token,
-)
+from repro.sim.provenance import Token, merge_provenance, source_token
 from repro.sim.release import kept_mask, needs_tables, release_table
 from repro.units import Time
 
@@ -65,7 +59,6 @@ _PHASE_RELEASE = 1
 _PHASE_FINISH = 2
 
 _SEMANTICS = ("implicit", "let")
-_LOOPS = ("auto", "fast", "classic", "general")
 
 
 class Job:
@@ -99,16 +92,6 @@ class Observer:
 
     def on_end(self, now: Time) -> None:  # pragma: no cover
         pass
-
-    @property
-    def interested_tasks(self) -> Optional[frozenset]:
-        """Tasks whose completions this observer needs, ``None`` for all.
-
-        The engine's fast path skips ``on_job_complete`` for tasks no
-        observer is interested in; monitors that filter internally
-        expose their filter here so the engine can pre-dispatch.
-        """
-        return None
 
 
 class _UnitState:
@@ -154,6 +137,14 @@ class SimulationResult:
 class Simulator:
     """Event-driven simulator for one cause-effect system.
 
+    This is the unoptimized semantic reference for both semantics: one
+    event loop over jobs, tokens and channel buffers, with every
+    observer notified on every completion.  It is kept plain on
+    purpose.  Campaigns, sweeps and searches replay through
+    :func:`repro.sim.batch.run_batch` (the compiled batch loop and the
+    columnar C kernel), whose differential suites compare them against
+    this loop.
+
     Args:
         system: The validated system (or use :meth:`from_graph`).
         duration: Simulated horizon in nanoseconds; events beyond it are
@@ -169,21 +160,11 @@ class Simulator:
         faults: Optional release-dropout schedule
             (:class:`repro.sim.faults.FaultPlan`); suppressed releases
             produce no job, so consumers keep reading stale data.
-        loop: Event-loop selection, primarily a testing aid.  ``"auto"``
-            (default) picks the fastest exact loop for the run: the
-            two-phase fast path for implicit *and* LET semantics
-            (zero-BCET CPU tasks included — their same-instant finish
-            cascades are replayed from a recorded depth table).  Fault
-            plans and non-periodic release models compile to per-task
-            release tables consumed by every loop, so they stay
-            fast-path eligible; only unmapped CPU tasks fall back to
-            the general loop.  ``"fast"``, ``"classic"`` and
-            ``"general"`` force a specific loop; all loops produce
-            identical results.  The loop/semantics/faults combination
-            is validated here in the constructor, so a misconfigured
-            run (``loop="classic"`` with LET, a fault plan, or a
-            non-periodic release model) raises :class:`ModelError` at
-            construction, not at :meth:`run`.
+
+    Raises:
+        ModelError: At construction, for a non-positive ``duration``,
+            an unknown ``semantics``, a fault plan naming unknown
+            tasks, or a compute task without a unit assignment.
     """
 
     def __init__(
@@ -196,7 +177,6 @@ class Simulator:
         observers: Sequence[Observer] = (),
         semantics: str = "implicit",
         faults=None,
-        loop: str = "auto",
     ) -> None:
         if duration <= 0:
             raise ModelError(f"duration must be positive, got {duration}")
@@ -204,19 +184,24 @@ class Simulator:
             raise ModelError(
                 f"unknown semantics {semantics!r}; choose from {_SEMANTICS}"
             )
-        if loop not in _LOOPS:
-            raise ModelError(f"unknown loop {loop!r}; choose from {_LOOPS}")
-        self._loop = loop
-        self._fastflow: Optional["_FastFlow"] = None
-        self._fast_channels_done: Set[Tuple[str, str]] = set()
+        unmapped = [
+            task.name
+            for task in system.graph.tasks
+            if not task.is_instantaneous and task.ecu is None
+        ]
+        if unmapped:
+            raise ModelError(
+                "; ".join(
+                    f"compute task {name!r} has no unit assignment"
+                    for name in unmapped
+                )
+            )
         self._semantics = semantics
         self._faults = faults
         if faults is not None:
             faults.validate(system.graph.task_names)
-        self._system = system
         self._graph = system.graph
         self._duration = duration
-        self._seed = seed
         self._rng = random.Random(seed)
         self._policy = policy
         self._observers: Tuple[Observer, ...] = tuple(observers)
@@ -246,10 +231,10 @@ class Simulator:
         self._stats = SimulationStats(duration=duration)
         # Release tables: when any task releases non-periodically or a
         # fault plan is active, every release instant (and its "kept"
-        # flag) is pre-drawn here and all loops consume the table —
-        # the one source of truth that keeps the tiers byte-identical.
+        # flag) is pre-drawn here.  The batch tiers consume the same
+        # tables, which keeps every tier byte-identical to this loop.
         # Strictly periodic fault-free runs skip the tables entirely
-        # and keep the original arithmetic release paths.
+        # and release arithmetically.
         self._use_tables = needs_tables(self._graph.tasks, faults)
         self._rel_full: Dict[str, List[Time]] = {}
         self._rel_keep: Dict[str, List[bool]] = {}
@@ -260,10 +245,6 @@ class Simulator:
                 self._rel_full[task.name] = full
                 self._rel_keep[task.name] = kept_mask(faults, task.name, full)
                 self._rel_idx[task.name] = 0
-        # Resolve (and validate) the loop now: a misconfigured
-        # loop/semantics/faults combination should fail at
-        # construction, not midway through a sweep.
-        self._resolved_loop = self._select_loop()
 
     # ------------------------------------------------------------------
     # public API
@@ -280,106 +261,28 @@ class Simulator:
         return cls(System.build(graph), duration, **kwargs)
 
     def channel_state(self, src: str, dst: str) -> ChannelState:
-        """Inspect a channel's run-time state (tests/debugging).
-
-        After a fast-path run the channel contents are reconstructed
-        lazily on first access (the fast path never materializes
-        per-channel buffers during the run).
-        """
-        state = self._channels[(src, dst)]
-        if self._fastflow is not None and (src, dst) not in self._fast_channels_done:
-            self._fast_channels_done.add((src, dst))
-            self._fastflow.fill_channel(state)
-        return state
-
-    def _select_loop(self) -> str:
-        """Resolve the ``loop`` argument against this run's features.
-
-        Called from ``__init__`` so misconfiguration raises at
-        construction (the resolved loop is cached for :meth:`run`).
-        """
-        choice = self._loop
-        if choice == "general":
-            return "general"
-        # The two-phase fast path resolves data flow after the fact:
-        # under implicit semantics by "writes at t are visible to
-        # reads at t" bisection over recorded finish times (with a
-        # cascade-depth side table replaying same-instant zero-BCET
-        # sub-batches), under LET from the time-deterministic
-        # publication/read instants.  Scheduling never depends on
-        # data under either semantics, so phase 1 is shared.  The
-        # only requirement is a unit assignment for every CPU task.
-        eligible = all(
-            task.ecu is not None
-            for task in self._graph.tasks
-            if not task.is_instantaneous
-        )
-        if self._semantics == "let":
-            if choice == "classic":
-                raise ModelError(
-                    "loop 'classic' requires implicit semantics; LET "
-                    "runs use the fast or general loop"
-                )
-            if choice == "fast":
-                if not eligible:
-                    raise ModelError(
-                        "loop 'fast' requires every CPU task to have "
-                        "a unit assignment"
-                    )
-                return "fast"
-            return "fast" if eligible else "general"
-        if choice == "classic":
-            # The classic loop derives releases arithmetically and has
-            # no fault hook; table runs use the fast or general loop.
-            if self._use_tables:
-                raise ModelError(
-                    "loop 'classic' requires strictly periodic releases "
-                    "and no fault plan; this run uses release tables"
-                )
-            return "classic"
-        if choice == "fast":
-            if not eligible:
-                raise ModelError(
-                    "loop 'fast' requires every CPU task to have "
-                    "a unit assignment"
-                )
-            return "fast"
-        if self._use_tables:
-            return "fast" if eligible else "general"
-        return "fast" if eligible else "classic"
+        """Inspect a channel's run-time state (tests/debugging)."""
+        return self._channels[(src, dst)]
 
     def run(self) -> SimulationResult:
         """Run to the horizon and return stats plus the observers."""
-        loop = self._resolved_loop
-        if loop == "fast":
-            # The Fig. 6 harness spends >99% of its wall time in the
-            # simulator, so the common case (implicit or LET
-            # semantics, no fault plan) runs on a two-phase fast
-            # path: a schedule-only event loop over integer tuples,
-            # then lazy data-flow reconstruction for the jobs
-            # observers actually monitor.
-            self._run_fastpath()
-        else:
-            for task in self._graph.tasks:
-                if self._use_tables:
-                    table = self._rel_full[task.name]
-                    if table:
-                        self._rel_idx[task.name] = 1
-                        self._push(table[0], _PHASE_RELEASE, task)
-                else:
-                    self._push(task.offset, _PHASE_RELEASE, task)
-            if loop == "classic":
-                self._run_events_implicit()
+        for task in self._graph.tasks:
+            if self._use_tables:
+                table = self._rel_full[task.name]
+                if table:
+                    self._rel_idx[task.name] = 1
+                    self._push(table[0], _PHASE_RELEASE, task)
             else:
-                self._run_events_general()
+                self._push(task.offset, _PHASE_RELEASE, task)
+        self._run_events()
         for unit in self._units.values():
             self._stats.busy_time[unit.name] = unit.busy_time
         for observer in self._observers:
-            observer.on_end(min(self._duration, self._now_or_duration()))
+            observer.on_end(self._duration)
         return SimulationResult(stats=self._stats, observers=self._observers)
 
-    def _run_events_general(self) -> None:
-        """Event loop handling every semantics/fault combination."""
+    def _run_events(self) -> None:
+        """The event loop, for every semantics/fault combination."""
         let_mode = self._semantics == "let"
         while self._events:
             now = self._events[0][0]
@@ -445,837 +348,9 @@ class Simulator:
             for unit_name in touched:
                 self._dispatch(self._units[unit_name], now)
 
-    def _run_events_implicit(self) -> None:
-        """Specialized event loop: implicit semantics, no fault plan.
-
-        Semantically identical to :meth:`_run_events_general` (same
-        per-instant phase ordering: releases queue, finishes write,
-        instantaneous jobs emit in topological order, then idle units
-        dispatch), with hot lookups bound to locals and the per-event
-        helpers collapsed into closures.  Deliberate fast paths:
-
-        * instants carrying a single event (the overwhelmingly common
-          case) skip the batching scaffolding entirely — with one event
-          the phase ordering is trivially preserved;
-        * a job with a single input reuses its parent token's
-          provenance dict instead of merging a copy — provenance
-          mappings are immutable by convention (see
-          :mod:`repro.sim.provenance`), so sharing is safe;
-        * the default :func:`uniform_policy` draw is inlined from
-          precomputed ``[BCET, WCET]`` spans, skipping the per-job
-          range re-validation (the range holds by construction);
-        * observers are pre-dispatched per task via
-          :attr:`Observer.interested_tasks`, so completions nobody
-          monitors skip the notification loop entirely.
-        """
-        events = self._events
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        duration = self._duration
-        units = self._units
-        in_channels = self._in_channels
-        out_channels = self._out_channels
-        job_counters = self._job_counters
-        policy = self._policy
-        rng = self._rng
-        rng_random = rng.random
-        fast_uniform = policy is uniform_policy
-        sources = set(self._graph.sources())
-        instantaneous_flag = {
-            task.name: task.is_instantaneous for task in self._graph.tasks
-        }
-        exec_span = {
-            task.name: (task.bcet, task.wcet - task.bcet + 1)
-            for task in self._graph.tasks
-        }
-        notify_for: Dict[str, Tuple[Observer, ...]] = {
-            task.name: tuple(
-                observer
-                for observer in self._observers
-                if observer.interested_tasks is None
-                or task.name in observer.interested_tasks
-            )
-            for task in self._graph.tasks
-        }
-        topo_key = self._topo_index.__getitem__
-        seq = self._seq
-        events_processed = 0
-        jobs_released = 0
-        jobs_completed = 0
-
-        def dispatch(unit, now):
-            """Start the highest-priority ready job on an idle unit."""
-            nonlocal seq
-            _, _, job = heappop(unit.ready)
-            job.start = now
-            task = job.task
-            name = task.name
-            reads = []
-            for channel in in_channels[name]:
-                buffer = channel._buffer
-                if buffer:
-                    reads.append(buffer[0])
-            job.reads = tuple(reads)
-            if fast_uniform:
-                bcet, span = exec_span[name]
-                exec_time = bcet + int(rng_random() * span) if span > 1 else bcet
-            else:
-                exec_time = policy(task, job.index, rng)
-                if not task.bcet <= exec_time <= task.wcet:
-                    raise ModelError(
-                        f"policy returned execution time {exec_time} outside "
-                        f"[{task.bcet}, {task.wcet}] for {name!r}"
-                    )
-            job.exec_time = exec_time
-            unit.running = job
-            unit.busy_time += exec_time
-            unit.dispatches += 1
-            seq += 1
-            heappush(
-                events, (now + exec_time, _PHASE_FINISH, seq, (unit.name, job))
-            )
-
-        def complete(job, now):
-            """Finish a CPU job: write its token, notify observers."""
-            nonlocal jobs_completed
-            job.finish = now
-            reads = job.reads
-            if len(reads) == 1:
-                provenance = reads[0].provenance
-            elif not reads:
-                provenance = {}
-            else:
-                provenance = merge_provenance(t.provenance for t in reads)
-            name = job.task.name
-            token = Token(now, name, job.release, provenance)
-            for channel in out_channels[name]:
-                buffer = channel._buffer
-                if len(buffer) == channel.capacity:
-                    buffer.popleft()
-                    channel.evictions += 1
-                buffer.append(token)
-                channel.writes += 1
-            jobs_completed += 1
-            for observer in notify_for[name]:
-                observer.on_job_complete(job, token)
-
-        def run_instantaneous(job, now):
-            """Source / zero-WCET job: read, produce, finish at ``now``."""
-            nonlocal jobs_completed
-            job.start = now
-            job.finish = now
-            job.exec_time = 0
-            name = job.task.name
-            if name in sources:
-                release = job.release
-                token = Token(release, name, release, {name: (release, release)})
-            else:
-                reads = []
-                for channel in in_channels[name]:
-                    buffer = channel._buffer
-                    if buffer:
-                        reads.append(buffer[0])
-                job.reads = tuple(reads)
-                if len(reads) == 1:
-                    provenance = reads[0].provenance
-                elif not reads:
-                    provenance = {}
-                else:
-                    provenance = merge_provenance(t.provenance for t in reads)
-                token = Token(now, name, job.release, provenance)
-            for channel in out_channels[name]:
-                buffer = channel._buffer
-                if len(buffer) == channel.capacity:
-                    buffer.popleft()
-                    channel.evictions += 1
-                buffer.append(token)
-                channel.writes += 1
-            jobs_completed += 1
-            for observer in notify_for[name]:
-                observer.on_job_complete(job, token)
-
-        def release_job(task, now):
-            """Schedule the next release and materialize this one's job."""
-            nonlocal seq, jobs_released
-            next_release = now + task.period
-            if next_release <= duration:
-                seq += 1
-                heappush(events, (next_release, _PHASE_RELEASE, seq, task))
-            name = task.name
-            index = job_counters.get(name, 0)
-            job_counters[name] = index + 1
-            jobs_released += 1
-            return Job(task, index, now)
-
-        while events:
-            head = events[0]
-            now = head[0]
-            if now > duration:
-                break
-            heappop(events)
-            events_processed += 1
-
-            if not events or events[0][0] != now:
-                # Single-event instant: with one event the phase
-                # ordering is trivially preserved, so skip the batching.
-                if head[1] == _PHASE_RELEASE:
-                    task = head[3]
-                    job = release_job(task, now)
-                    if instantaneous_flag[task.name]:
-                        run_instantaneous(job, now)
-                    else:
-                        unit = units[task.ecu]
-                        seq += 1
-                        heappush(unit.ready, (task.priority or 0, seq, job))
-                        if unit.running is None:
-                            dispatch(unit, now)
-                else:
-                    unit_name, job = head[3]
-                    complete(job, now)
-                    unit = units[unit_name]
-                    unit.running = None
-                    if unit.ready:
-                        dispatch(unit, now)
-                continue
-
-            # Multi-event instant: gather and process by phase, exactly
-            # as the general loop does.
-            releases: List[Task] = []
-            finishes: List[Tuple[str, Job]] = []
-            if head[1] == _PHASE_RELEASE:
-                releases.append(head[3])
-            else:
-                finishes.append(head[3])
-            while events and events[0][0] == now:
-                _, phase, _, payload = heappop(events)
-                events_processed += 1
-                if phase == _PHASE_RELEASE:
-                    releases.append(payload)
-                else:
-                    finishes.append(payload)
-
-            touched: List[str] = []
-            instantaneous: List[Job] = []
-            for task in releases:
-                job = release_job(task, now)
-                if instantaneous_flag[task.name]:
-                    instantaneous.append(job)
-                else:
-                    unit = units[task.ecu]
-                    seq += 1
-                    heappush(unit.ready, (task.priority or 0, seq, job))
-                    touched.append(task.ecu)
-
-            for unit_name, job in finishes:
-                complete(job, now)
-                units[unit_name].running = None
-                touched.append(unit_name)
-
-            if instantaneous:
-                if len(instantaneous) > 1:
-                    instantaneous.sort(key=lambda j: topo_key(j.task.name))
-                for job in instantaneous:
-                    run_instantaneous(job, now)
-
-            for unit_name in touched:
-                unit = units[unit_name]
-                if unit.running is None and unit.ready:
-                    dispatch(unit, now)
-
-        self._seq = seq
-        self._stats.events_processed += events_processed
-        self._stats.jobs_released += jobs_released
-        self._stats.jobs_completed += jobs_completed
-
-    def _run_fastpath(self) -> None:
-        """Two-phase fast path: schedule first, data flow lazily after.
-
-        Under both implicit and LET communication, scheduling never
-        depends on data (reads never block), so phase 1 simulates the
-        schedule alone —
-        an event loop over plain integer tuples with no jobs, tokens,
-        channels or provenance, and with the release streams of
-        off-CPU instantaneous tasks (sources, zero-WCET relays) taken
-        out of the event queue entirely and generated arithmetically.
-        Execution times are drawn at dispatch in the same global
-        chronological order as the classic loop, so the schedule is
-        bit-identical for any policy and seed.
-
-        Phase 2 (:class:`_FastFlow`) reconstructs data flow only where
-        something observes it: the write visible to a read at time
-        ``t`` is found by bisecting the producer's completion times
-        (FIFO head = ``max(0, writes - capacity)``), and provenance is
-        merged as interned bitmasks (:class:`ProvenancePacker`),
-        memoized over the backward closure of the monitored jobs.
-        Channel states are rebuilt on first :meth:`channel_state`
-        access.
-
-        Zero-BCET CPU tasks are handled with a cascade-depth side
-        table: a job that executes in zero time finishes at its own
-        start instant, so its write lands in a later sub-batch of that
-        instant and must stay invisible to jobs dispatched in earlier
-        sub-batches.  Phase 1 records, per dispatched job, the number
-        of zero-time finishes on its unit that chained into this
-        dispatch at the same instant (``casc``); phase 2 turns those
-        depths into intra-instant ordering keys so the bisection
-        replays the classic loop's sub-batch visibility exactly.
-        Systems where every CPU task has BCET >= 1 never populate the
-        table and skip the extra checks entirely.
-
-        Under LET semantics phase 1 is the same schedule-only loop
-        plus an inline deadline check at every finish (a LET job must
-        finish by release + period; the general loop raises the same
-        :class:`ModelError`).  The cascade table is not needed: LET
-        data flow depends only on publication/read *instants*
-        (deadline / release), never on same-instant finish ordering.
-        Phase 2 resolves LET reads arithmetically (see
-        :class:`_FastFlow`).
-
-        The loop exploits three structural invariants for speed, all
-        order-preserving (the execution-time draws stay in the exact
-        global chronological dispatch order of the classic loop):
-
-        * popping an event and pushing its successor (a release
-          reschedules the next release; a finish on a unit with a
-          non-empty ready queue dispatches the next job) collapse into
-          one ``heapreplace`` sift;
-        * a unit that is idle between instants always has an empty
-          ready queue (whenever a unit goes idle the loop immediately
-          dispatches from its queue if possible), so a single release
-          arriving at an idle unit dispatches directly, skipping the
-          ready-heap round-trip entirely;
-        * a finish event at an instant is only ever followed by other
-          finish events at that instant (releases sort first at equal
-          times), and same-instant finishes on *other* units cannot
-          change this unit's ready queue — so the head finish can
-          complete and re-dispatch before its siblings are drained.
-
-        The completion stream handed to observers is filtered *during*
-        the run to the tasks any observer is interested in; most
-        completions are then a counter increment and nothing else.
-        """
-        graph = self._graph
-        duration = self._duration
-        tasks = tuple(graph.tasks)
-        n = len(tasks)
-        inst = [task.is_instantaneous for task in tasks]
-        periods = [task.period for task in tasks]
-        offsets = [task.offset for task in tasks]
-        prios = [task.priority or 0 for task in tasks]
-        bcets = [task.bcet for task in tasks]
-        spans = [task.wcet - task.bcet + 1 for task in tasks]
-
-        unit_names = sorted(self._units)
-        unit_index = {name: i for i, name in enumerate(unit_names)}
-        unit_of = [
-            unit_index[task.ecu] if task.ecu is not None else -1
-            for task in tasks
-        ]
-        n_units = len(unit_names)
-        ready: List[List[Tuple[int, int, int]]] = [[] for _ in range(n_units)]
-        running = [-1] * n_units
-        busy = [0] * n_units
-        unit_dispatches = [0] * n_units
-
-        # Zero-BCET support: when any CPU task can execute in zero
-        # time, same-instant finish->dispatch cascades become possible
-        # and intra-instant ordering matters to data flow.  ``casc``
-        # maps (gid, job index) -> cascade depth (>= 1) for jobs whose
-        # dispatch was triggered by a zero-time finish at the same
-        # instant; ``cur_batch`` holds the depth of each unit's most
-        # recent dispatch.  Systems with BCET >= 1 everywhere skip all
-        # of this (``track`` is False and ``casc`` stays None), and so
-        # do LET runs: LET visibility depends only on publication and
-        # read instants, never on same-instant finish ordering.
-        let_mode = self._semantics == "let"
-        track = not let_mode and any(
-            bcets[tid] == 0 for tid in range(n) if not inst[tid]
-        )
-        casc: Optional[Dict[Tuple[int, int], int]] = {} if track else None
-        cur_batch = [0] * n_units
-
-        names = [task.name for task in tasks]
-
-        # Release tables (fault plans / non-periodic release models):
-        # the full instant list feeds the release heap, the keep mask
-        # suppresses jobs, and the kept list (the instants that *did*
-        # produce a job) is what phase 2 and the deadline check index
-        # by job number.  ``rel_tab is None`` keeps the strictly
-        # periodic arithmetic paths byte-for-byte untouched.
-        rel_tab: Optional[List[List[Time]]] = None
-        keep_tab: List[List[bool]] = []
-        kept_rel: List[List[Time]] = []
-        if self._use_tables:
-            rel_tab = [self._rel_full[name] for name in names]
-            keep_tab = [self._rel_keep[name] for name in names]
-            kept_rel = [
-                [at for at, ok in zip(full, keep) if ok]
-                for full, keep in zip(rel_tab, keep_tab)
-            ]
-        rel_ptr = [1] * n  # next table index to push, per task
-
-        def check_deadline(tid: int, now: Time) -> None:
-            """LET deadline check at a finish, mirroring ``_complete``."""
-            k = len(starts[tid]) - 1
-            if rel_tab is None:
-                deadline = offsets[tid] + (k + 1) * periods[tid]
-            else:
-                deadline = kept_rel[tid][k] + periods[tid]
-            if now > deadline:
-                raise ModelError(
-                    f"LET violation: job {names[tid]}#{k} "
-                    f"finished at {now} past its deadline {deadline}"
-                )
-
-        starts: List[List[Time]] = [[] for _ in range(n)]
-        execs: List[List[Time]] = [[] for _ in range(n)]
-        completed = [0] * n
-        comp_times: List[Time] = []
-        comp_gids: List[int] = []
-        ct_append = comp_times.append
-        cg_append = comp_gids.append
-
-        # Which tasks' completions any observer wants: the completion
-        # stream is filtered while the run is hot instead of afterwards.
-        monitored: Optional[Set[str]] = set()
-        for observer in self._observers:
-            interested = observer.interested_tasks
-            if interested is None:
-                monitored = None
-                break
-            monitored.update(interested)
-        if not self._observers:
-            record = [False] * n
-        elif monitored is None:
-            record = [True] * n
-        else:
-            record = [task.name in monitored for task in tasks]
-
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        heapreplace = heapq.heapreplace
-        policy = self._policy
-        rng = self._rng
-        rng_random = rng.random
-        fast_uniform = policy is uniform_policy
-        seq = 0
-
-        # Releases and finishes live in separate heaps: the release
-        # heap holds one entry per CPU task, the finish heap one entry
-        # per *busy unit* (usually just a handful), so finish sifts are
-        # near-free.  "Releases before finishes at equal times" — the
-        # phase ordering the single-heap loops encode in the tuple —
-        # becomes the ``<=`` in the head comparison below; the shared
-        # ``seq`` counter keeps every same-phase tie in the exact order
-        # the classic loop would process.  A sentinel beyond the
-        # horizon keeps both heaps non-empty (no emptiness checks).
-        sentinel = duration + 1
-        rel_heap: List[Tuple[Time, int, int]] = []
-        for tid in range(n):
-            if not inst[tid]:
-                if rel_tab is None:
-                    seq += 1
-                    rel_heap.append((offsets[tid], seq, tid))
-                elif rel_tab[tid]:
-                    seq += 1
-                    rel_heap.append((rel_tab[tid][0], seq, tid))
-        rel_heap.append((sentinel, 0, -1))
-        heapq.heapify(rel_heap)
-        fin_heap: List[Tuple[Time, int, int]] = [(sentinel, 0, -1)]
-
-        def draw(tid: int, index: int) -> Time:
-            """Non-default policy draw, with the range re-check."""
-            task = tasks[tid]
-            exec_time = policy(task, index, rng)
-            if not task.bcet <= exec_time <= task.wcet:
-                raise ModelError(
-                    f"policy returned execution time {exec_time} outside "
-                    f"[{task.bcet}, {task.wcet}] for {task.name!r}"
-                )
-            return exec_time
-
-        def dispatch(u: int, now: Time, nb: int = 0) -> None:
-            """Start the next ready job (multi-event instants only).
-
-            ``nb`` is the cascade depth of this dispatch: 0 when it
-            follows a release or a positive-time finish, depth + 1
-            when a zero-time finish at the same instant triggered it.
-            """
-            nonlocal seq
-            _, _, tid = heappop(ready[u])
-            task_starts = starts[tid]
-            task_starts.append(now)
-            if fast_uniform:
-                span = spans[tid]
-                exec_time = (
-                    bcets[tid] + int(rng_random() * span)
-                    if span > 1
-                    else bcets[tid]
-                )
-            else:
-                exec_time = draw(tid, len(task_starts) - 1)
-            execs[tid].append(exec_time)
-            if track:
-                cur_batch[u] = nb
-                if nb:
-                    casc[(tid, len(task_starts) - 1)] = nb
-            running[u] = tid
-            seq += 1
-            heappush(fin_heap, (now + exec_time, seq, u))
-
-        while True:
-            head = rel_heap[0]
-            now = head[0]
-            if now <= fin_heap[0][0]:
-                # Release event (at equal times releases go first).
-                if now > duration:
-                    break
-                tid = head[2]
-                if rel_tab is None:
-                    next_release = now + periods[tid]
-                    if next_release <= duration:
-                        seq += 1
-                        heapreplace(rel_heap, (next_release, seq, tid))
-                    else:
-                        heappop(rel_heap)
-                else:
-                    table = rel_tab[tid]
-                    nxt = rel_ptr[tid]
-                    rel_ptr[tid] = nxt + 1
-                    if nxt < len(table):
-                        seq += 1
-                        heapreplace(rel_heap, (table[nxt], seq, tid))
-                    else:
-                        heappop(rel_heap)
-                    if not keep_tab[tid][nxt - 1]:
-                        # Suppressed release: the heap advanced, no job
-                        # exists — same-instant siblings are handled by
-                        # the following iterations (intra-instant order
-                        # among releases never affects the schedule).
-                        continue
-                u = unit_of[tid]
-                if rel_heap[0][0] == now or fin_heap[0][0] == now:
-                    # Multi-event instant: queue this release and fall
-                    # through to the batched path (it may be outranked
-                    # by a same-instant higher-priority release).
-                    seq += 1
-                    heappush(ready[u], (prios[tid], seq, tid))
-                    touched = [u]
-                    while rel_heap[0][0] == now:
-                        tid2 = heappop(rel_heap)[2]
-                        if rel_tab is None:
-                            nr = now + periods[tid2]
-                            if nr <= duration:
-                                seq += 1
-                                heappush(rel_heap, (nr, seq, tid2))
-                        else:
-                            table = rel_tab[tid2]
-                            nxt = rel_ptr[tid2]
-                            rel_ptr[tid2] = nxt + 1
-                            if nxt < len(table):
-                                seq += 1
-                                heappush(rel_heap, (table[nxt], seq, tid2))
-                            if not keep_tab[tid2][nxt - 1]:
-                                continue  # suppressed: queue nothing
-                        u2 = unit_of[tid2]
-                        seq += 1
-                        heappush(ready[u2], (prios[tid2], seq, tid2))
-                        touched.append(u2)
-                    while fin_heap[0][0] == now:
-                        u2 = heappop(fin_heap)[2]
-                        tid2 = running[u2]
-                        if let_mode:
-                            check_deadline(tid2, now)
-                        if record[tid2]:
-                            ct_append(now)
-                            cg_append(tid2)
-                        running[u2] = -1
-                        touched.append(u2)
-                    for u2 in touched:
-                        if running[u2] < 0 and ready[u2]:
-                            dispatch(u2, now)
-                elif running[u] < 0:
-                    # Idle unit => empty ready queue (the loop always
-                    # drains the queue when a unit goes idle), so this
-                    # release dispatches directly — no heap round-trip.
-                    task_starts = starts[tid]
-                    task_starts.append(now)
-                    if fast_uniform:
-                        span = spans[tid]
-                        exec_time = (
-                            bcets[tid] + int(rng_random() * span)
-                            if span > 1
-                            else bcets[tid]
-                        )
-                    else:
-                        exec_time = draw(tid, len(task_starts) - 1)
-                    execs[tid].append(exec_time)
-                    if track:
-                        cur_batch[u] = 0
-                    running[u] = tid
-                    seq += 1
-                    heappush(fin_heap, (now + exec_time, seq, u))
-                else:
-                    seq += 1
-                    heappush(ready[u], (prios[tid], seq, tid))
-            else:
-                # Finish event.  Any same-instant siblings are finishes
-                # too (releases sort first), and they cannot touch this
-                # unit's ready queue — complete and re-dispatch here,
-                # folding the pop + next-finish push into one sift.
-                head = fin_heap[0]
-                now = head[0]
-                if now > duration:
-                    break
-                u = head[2]
-                tid = running[u]
-                if let_mode:
-                    check_deadline(tid, now)
-                if record[tid]:
-                    ct_append(now)
-                    cg_append(tid)
-                rq = ready[u]
-                if rq:
-                    if track:
-                        nb = (
-                            cur_batch[u] + 1 if execs[tid][-1] == 0 else 0
-                        )
-                    _, _, tid = heappop(rq)
-                    task_starts = starts[tid]
-                    task_starts.append(now)
-                    if fast_uniform:
-                        span = spans[tid]
-                        exec_time = (
-                            bcets[tid] + int(rng_random() * span)
-                            if span > 1
-                            else bcets[tid]
-                        )
-                    else:
-                        exec_time = draw(tid, len(task_starts) - 1)
-                    execs[tid].append(exec_time)
-                    if track:
-                        cur_batch[u] = nb
-                        if nb:
-                            casc[(tid, len(task_starts) - 1)] = nb
-                    running[u] = tid
-                    seq += 1
-                    heapreplace(fin_heap, (now + exec_time, seq, u))
-                else:
-                    running[u] = -1
-                    heappop(fin_heap)
-                if fin_heap[0][0] == now:
-                    # Remaining same-instant finishes, batched: complete
-                    # all (their writes land at ``now`` regardless of
-                    # processing order), then dispatch idle units in the
-                    # same order the classic loop would.
-                    fin2: List[int] = []
-                    while fin_heap[0][0] == now:
-                        fin2.append(heappop(fin_heap)[2])
-                    if track:
-                        nbs: List[int] = []
-                        for u2 in fin2:
-                            tid2 = running[u2]
-                            nbs.append(
-                                cur_batch[u2] + 1
-                                if execs[tid2][-1] == 0
-                                else 0
-                            )
-                            if record[tid2]:
-                                ct_append(now)
-                                cg_append(tid2)
-                            running[u2] = -1
-                        for u2, nb2 in zip(fin2, nbs):
-                            if running[u2] < 0 and ready[u2]:
-                                dispatch(u2, now, nb2)
-                    else:
-                        for u2 in fin2:
-                            tid2 = running[u2]
-                            if let_mode:
-                                check_deadline(tid2, now)
-                            if record[tid2]:
-                                ct_append(now)
-                                cg_append(tid2)
-                            running[u2] = -1
-                        for u2 in fin2:
-                            if running[u2] < 0 and ready[u2]:
-                                dispatch(u2, now)
-
-        # Every per-event counter the live loops maintain is derivable
-        # from the recorded schedule, so the hot loop skips them all:
-        # per-task finish times are monotonic (jobs of one task execute
-        # sequentially on one unit), hence only the *last* dispatched
-        # job of a task can outlive the horizon, and busy time /
-        # dispatch counts are plain sums over the start/exec arrays.
-        releases_processed = 0
-        jobs_released = 0
-        jobs_dropped = 0
-        finishes_processed = 0
-        for tid in range(n):
-            if inst[tid]:
-                continue
-            if rel_tab is None:
-                offset = offsets[tid]
-                if offset <= duration:
-                    count = (duration - offset) // periods[tid] + 1
-                    releases_processed += count
-                    jobs_released += count
-            else:
-                releases_processed += len(rel_tab[tid])
-                jobs_released += len(kept_rel[tid])
-                jobs_dropped += len(rel_tab[tid]) - len(kept_rel[tid])
-            task_starts = starts[tid]
-            task_execs = execs[tid]
-            done = len(task_starts)
-            if done and task_starts[-1] + task_execs[-1] > duration:
-                done -= 1
-            completed[tid] = done
-            finishes_processed += done
-            u = unit_of[tid]
-            busy[u] += sum(task_execs)
-            unit_dispatches[u] += len(task_starts)
-
-        for name, u in unit_index.items():
-            state = self._units[name]
-            state.busy_time = busy[u]
-            state.dispatches = unit_dispatches[u]
-
-        # Instantaneous tasks never entered the event queue; their
-        # release/completion counters are pure arithmetic (or table
-        # lengths under release tables).
-        inst_releases = 0
-        inst_jobs = 0
-        for tid in range(n):
-            if not inst[tid]:
-                continue
-            if rel_tab is None:
-                if offsets[tid] <= duration:
-                    count = (duration - offsets[tid]) // periods[tid] + 1
-                    inst_releases += count
-                    inst_jobs += count
-            else:
-                inst_releases += len(rel_tab[tid])
-                inst_jobs += len(kept_rel[tid])
-                jobs_dropped += len(rel_tab[tid]) - len(kept_rel[tid])
-
-        # Under LET the general loop also processes one publication
-        # event per completed non-source job whose deadline falls
-        # within the horizon; mirror that in the event counter.
-        pubs_processed = 0
-        if let_mode:
-            for tid in range(n):
-                if graph.is_source(names[tid]):
-                    continue
-                if rel_tab is None:
-                    offset = offsets[tid]
-                    if offset > duration:
-                        continue
-                    horizon_pubs = (duration - offset) // periods[tid]
-                else:
-                    horizon_pubs = bisect_right(
-                        kept_rel[tid], duration - periods[tid]
-                    )
-                if inst[tid]:
-                    pubs_processed += horizon_pubs
-                else:
-                    done = completed[tid]
-                    pubs_processed += (
-                        done if done < horizon_pubs else horizon_pubs
-                    )
-        self._stats.events_processed += (
-            releases_processed + finishes_processed + inst_releases
-            + pubs_processed
-        )
-        self._stats.jobs_released += jobs_released + inst_jobs
-        self._stats.jobs_dropped += jobs_dropped
-        self._stats.jobs_completed += finishes_processed + inst_jobs
-
-        self._fastflow = flow = _FastFlow(
-            graph=graph,
-            duration=duration,
-            tasks=tasks,
-            inst=inst,
-            periods=periods,
-            offsets=offsets,
-            starts=starts,
-            execs=execs,
-            completed=completed,
-            topo_index=self._topo_index,
-            casc=casc,
-            semantics=self._semantics,
-            rels=kept_rel if rel_tab is not None else None,
-        )
-        if self._observers:
-            self._fastpath_notify(flow, comp_times, comp_gids)
-
-    def _fastpath_notify(
-        self,
-        flow: "_FastFlow",
-        comp_times: List[Time],
-        comp_gids: List[int],
-    ) -> None:
-        """Replay the completion stream of monitored tasks, in order.
-
-        The classic loop notifies per completion in global chronological
-        order — positive-time CPU finishes in processed order first,
-        then same-instant instantaneous completions in topological
-        order, then zero-time CPU finishes (which the classic loop
-        only processes in later sub-batches of the instant) in cascade
-        order.  Restricting that stream to the tasks any observer is
-        interested in preserves the relative order the observers would
-        have seen.
-        """
-        tasks = flow.tasks
-        name_of = [task.name for task in tasks]
-        monitored: Optional[Set[str]] = set()
-        for observer in self._observers:
-            interested = observer.interested_tasks
-            if interested is None:
-                monitored = None
-                break
-            monitored.update(interested)
-        notify_for: Dict[str, Tuple[Observer, ...]] = {
-            task.name: tuple(
-                observer
-                for observer in self._observers
-                if observer.interested_tasks is None
-                or task.name in observer.interested_tasks
-            )
-            for task in tasks
-        }
-
-        # (time, 0=CPU/1=instantaneous/2=zero-time CPU, tie-break,
-        # gid, job index)
-        stream: List[Tuple[Time, int, int, int, int]] = []
-        counters = [0] * len(tasks)
-        execs = flow._execs
-        for order, gid in enumerate(comp_gids):
-            index = counters[gid]
-            counters[gid] = index + 1
-            if monitored is None or name_of[gid] in monitored:
-                sub = 0 if execs[gid][index] else 2
-                stream.append((comp_times[order], sub, order, gid, index))
-        topo = flow.topo_index
-        for gid, task in enumerate(tasks):
-            if not flow.inst[gid]:
-                continue
-            if monitored is not None and task.name not in monitored:
-                continue
-            key = topo[task.name]
-            for index in range(flow.n_releases(gid)):
-                stream.append((flow.release_of(gid, index), 1, key, gid, index))
-        stream.sort()
-
-        for _, _, _, gid, index in stream:
-            job, token = flow.materialize(gid, index)
-            for observer in notify_for[name_of[gid]]:
-                observer.on_job_complete(job, token)
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-
-    def _now_or_duration(self) -> Time:
-        return self._duration
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -1400,336 +475,6 @@ class Simulator:
             observer.on_job_complete(job, token)
 
 
-class _FastFlow:
-    """Lazy data-flow reconstruction over a completed fast-path run.
-
-    Phase 1 recorded, per task, the start/execution times of every
-    dispatched job (CPU tasks) or nothing at all (instantaneous tasks,
-    whose behaviour is pure arithmetic over ``offset + k * period``).
-    This resolver answers "what did job ``k`` of task ``v`` read?"
-    after the fact:
-
-    * under implicit semantics the number of writes of producer ``u``
-      visible to a read at time ``s`` is
-      ``bisect_right(finish_times(u), s)`` (writes at ``t`` are
-      visible to reads at ``t``, matching the per-instant phase
-      ordering of the live loops);
-    * under LET semantics both sides are arithmetic: job ``k`` of a
-      consumer reads at its release ``offset + k * period``, and a
-      non-source producer's ``j``-th publication lands at its deadline
-      ``offset + (j + 1) * period`` (sources still publish at
-      release); a CPU producer only publishes jobs it completed within
-      the horizon, so the count is capped by ``completed``;
-    * the FIFO head among ``m`` visible writes on a channel of
-      capacity ``c`` is write ``max(0, m - c)`` — eviction only ever
-      removes the oldest token;
-    * provenance is folded bottom-up over that read relation as
-      interned bitmask + stamp-array values
-      (:class:`~repro.sim.provenance.ProvenancePacker`), memoized per
-      ``(task, job)``, so only the backward closure of the jobs
-      somebody observes is ever resolved.
-
-    Tokens and jobs are materialized (with plain dict provenance) only
-    at the observer/channel boundary, keeping observer and test
-    compatibility with the live loops.
-    """
-
-    __slots__ = (
-        "tasks",
-        "inst",
-        "periods",
-        "offsets",
-        "topo_index",
-        "duration",
-        "_names",
-        "_gid",
-        "_starts",
-        "_execs",
-        "_completed",
-        "_finishes",
-        "_in_ch",
-        "_is_source",
-        "_packer",
-        "_prov",
-        "_reads",
-        "_tokens",
-        "_casc",
-        "_let",
-        "_rels",
-    )
-
-    def __init__(
-        self,
-        *,
-        graph: CauseEffectGraph,
-        duration: Time,
-        tasks: Tuple[Task, ...],
-        inst: List[bool],
-        periods: List[Time],
-        offsets: List[Time],
-        starts: List[List[Time]],
-        execs: List[List[Time]],
-        completed: List[int],
-        topo_index: Dict[str, int],
-        casc: Optional[Dict[Tuple[int, int], int]] = None,
-        semantics: str = "implicit",
-        rels: Optional[List[List[Time]]] = None,
-    ) -> None:
-        self.tasks = tasks
-        self.inst = inst
-        self.periods = periods
-        self.offsets = offsets
-        self.topo_index = topo_index
-        self.duration = duration
-        self._names = [task.name for task in tasks]
-        self._gid = {task.name: i for i, task in enumerate(tasks)}
-        self._starts = starts
-        self._execs = execs
-        self._completed = completed
-        self._finishes: List[Optional[List[Time]]] = [None] * len(tasks)
-        gid = self._gid
-        self._in_ch: List[List[Tuple[int, int]]] = [
-            [
-                (gid[p], graph.channel(p, task.name).capacity)
-                for p in graph.predecessors(task.name)
-            ]
-            for task in tasks
-        ]
-        sources = graph.sources()
-        self._is_source = [task.name in set(sources) for task in tasks]
-        self._packer = ProvenancePacker(sources)
-        self._prov: Dict[Tuple[int, int], tuple] = {}
-        self._reads: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
-        self._tokens: Dict[Tuple[int, int], Token] = {}
-        self._casc = casc
-        self._let = semantics == "let"
-        # Kept release instants per task under release tables (fault
-        # plans / non-periodic models); None keeps every geometry
-        # question arithmetic over ``offset + k * period``.
-        self._rels = rels
-
-    # -- write/read geometry -------------------------------------------
-
-    def n_releases(self, gid: int) -> int:
-        """Releases of task ``gid`` producing a job within the horizon."""
-        rels = self._rels
-        if rels is not None:
-            return len(rels[gid])
-        offset = self.offsets[gid]
-        if offset > self.duration:
-            return 0
-        return (self.duration - offset) // self.periods[gid] + 1
-
-    def release_of(self, gid: int, index: int) -> Time:
-        """Release instant of job ``index`` of task ``gid``."""
-        rels = self._rels
-        if rels is not None:
-            return rels[gid][index]
-        return self.offsets[gid] + index * self.periods[gid]
-
-    def _finish_times(self, gid: int) -> List[Time]:
-        found = self._finishes[gid]
-        if found is None:
-            starts = self._starts[gid]
-            execs = self._execs[gid]
-            found = [
-                starts[k] + execs[k] for k in range(self._completed[gid])
-            ]
-            self._finishes[gid] = found
-        return found
-
-    def _writes_upto(self, gid: int, time: Time, rkey: int = 2) -> int:
-        """Writes of ``gid`` visible to a read at ``time``.
-
-        Writes strictly before ``time`` are always visible.  At
-        ``time`` itself the intra-instant sub-batch order decides:
-        every event carries an ordering key — 0 for positive-time CPU
-        finishes (processed in the instant's first batch), 1 for
-        instantaneous-task emissions (after those finishes, before any
-        dispatch), ``3 * depth + 2`` for a CPU read dispatched at
-        cascade depth ``depth``, and ``3 * (depth + 1)`` for the write
-        of a zero-time job dispatched at depth ``depth`` (its finish
-        is processed one batch later).  A same-instant write is
-        visible iff its key does not exceed the reader's ``rkey``.
-        Without zero-BCET tasks (``casc`` is None) every same-instant
-        write has key <= 1 and the plain bisection stands.
-
-        Under LET the count is arithmetic instead: sources publish at
-        release (``offset + j * period``), every other producer at its
-        deadline (``offset + (j + 1) * period``), a publication at
-        ``t`` being visible to a read at ``t``; CPU producers publish
-        only jobs they completed within the horizon.
-        """
-        rels = self._rels
-        if self._let:
-            if rels is not None:
-                # Sources publish at release; every other producer at
-                # its deadline (release + period), counted over the
-                # *kept* releases.
-                if self._is_source[gid]:
-                    return bisect_right(rels[gid], time)
-                m = bisect_right(rels[gid], time - self.periods[gid])
-            else:
-                offset = self.offsets[gid]
-                if time < offset:
-                    return 0
-                if self._is_source[gid]:
-                    return (time - offset) // self.periods[gid] + 1
-                m = (time - offset) // self.periods[gid]
-            if not self.inst[gid]:
-                done = self._completed[gid]
-                if m > done:
-                    m = done
-            return m
-        if self.inst[gid]:
-            if rels is not None:
-                return bisect_right(rels[gid], time)
-            offset = self.offsets[gid]
-            if time < offset:
-                return 0
-            return (time - offset) // self.periods[gid] + 1
-        fts = self._finish_times(gid)
-        i = bisect_right(fts, time)
-        casc = self._casc
-        if casc is not None:
-            execs = self._execs[gid]
-            while (
-                i
-                and fts[i - 1] == time
-                and execs[i - 1] == 0
-                and 3 * (casc.get((gid, i - 1), 0) + 1) > rkey
-            ):
-                i -= 1
-        return i
-
-    def total_writes(self, gid: int) -> int:
-        """All writes of ``gid`` within the horizon."""
-        if self._let and not self._is_source[gid]:
-            # Publications processed within the horizon: deadlines
-            # ``release + period <= duration``, capped by the
-            # completed count for CPU producers.
-            rels = self._rels
-            if rels is not None:
-                m = bisect_right(rels[gid], self.duration - self.periods[gid])
-            else:
-                offset = self.offsets[gid]
-                if self.duration < offset:
-                    return 0
-                m = (self.duration - offset) // self.periods[gid]
-            if not self.inst[gid]:
-                done = self._completed[gid]
-                if m > done:
-                    m = done
-            return m
-        if self.inst[gid]:
-            return self.n_releases(gid)
-        return self._completed[gid]
-
-    def reads_of(self, gid: int, index: int) -> Tuple[Tuple[int, int], ...]:
-        """``(producer gid, producer write index)`` read by job ``index``."""
-        key = (gid, index)
-        found = self._reads.get(key)
-        if found is None:
-            if self._let:
-                # LET jobs read at release, CPU and relay alike.
-                at = self.release_of(gid, index)
-                rkey = 2  # unused: LET visibility ignores sub-batches
-            elif self.inst[gid]:
-                at = self.release_of(gid, index)
-                rkey = 1
-            else:
-                at = self._starts[gid][index]
-                casc = self._casc
-                rkey = (
-                    3 * casc.get(key, 0) + 2 if casc is not None else 2
-                )
-            reads = []
-            for producer, capacity in self._in_ch[gid]:
-                m = self._writes_upto(producer, at, rkey)
-                if m:
-                    reads.append(
-                        (producer, m - capacity if m > capacity else 0)
-                    )
-            found = tuple(reads)
-            self._reads[key] = found
-        return found
-
-    # -- provenance / materialization ----------------------------------
-
-    def _prov_of(self, gid: int, index: int) -> tuple:
-        key = (gid, index)
-        found = self._prov.get(key)
-        if found is None:
-            if self._is_source[gid]:
-                stamp = self.release_of(gid, index)
-                found = self._packer.source(self._names[gid], stamp)
-            else:
-                reads = self.reads_of(gid, index)
-                if not reads:
-                    found = self._packer.empty
-                elif len(reads) == 1:
-                    found = self._prov_of(*reads[0])
-                else:
-                    found = self._packer.merge(
-                        self._prov_of(p, k) for p, k in reads
-                    )
-            self._prov[key] = found
-        return found
-
-    def token(self, gid: int, index: int) -> Token:
-        """The output token of completed job ``index`` of task ``gid``."""
-        key = (gid, index)
-        found = self._tokens.get(key)
-        if found is None:
-            name = self._names[gid]
-            release = self.release_of(gid, index)
-            if self._is_source[gid]:
-                found = Token(release, name, release, {name: (release, release)})
-            else:
-                produced_at = (
-                    release
-                    if self.inst[gid]
-                    else self._finish_times(gid)[index]
-                )
-                found = Token(
-                    produced_at,
-                    name,
-                    release,
-                    self._packer.unpack(self._prov_of(gid, index)),
-                )
-            self._tokens[key] = found
-        return found
-
-    def materialize(self, gid: int, index: int) -> Tuple[Job, Token]:
-        """A ``(job, token)`` pair as the live loops hand to observers."""
-        task = self.tasks[gid]
-        release = self.release_of(gid, index)
-        job = Job(task, index, release)
-        if self.inst[gid]:
-            job.start = release
-            job.finish = release
-            job.exec_time = 0
-        else:
-            job.start = self._starts[gid][index]
-            job.exec_time = self._execs[gid][index]
-            job.finish = job.start + job.exec_time
-        if not self._is_source[gid]:
-            job.reads = tuple(
-                self.token(p, k) for p, k in self.reads_of(gid, index)
-            )
-        return job, self.token(gid, index)
-
-    def fill_channel(self, state: ChannelState) -> None:
-        """Rebuild a channel's counters and final buffer contents."""
-        gid = self._gid[state.src]
-        total = self.total_writes(gid)
-        state.writes = total
-        capacity = state.capacity
-        state.evictions = total - capacity if total > capacity else 0
-        for k in range(total - capacity if total > capacity else 0, total):
-            state._buffer.append(self.token(gid, k))
-
-
 def randomize_offsets(
     graph: CauseEffectGraph, rng: random.Random
 ) -> CauseEffectGraph:
@@ -1753,7 +498,6 @@ def simulate(
     observers: Sequence[Observer] = (),
     semantics: str = "implicit",
     faults=None,
-    loop: str = "auto",
 ) -> SimulationResult:
     """Convenience wrapper: build a :class:`Simulator` and run it."""
     return Simulator(
@@ -1764,5 +508,4 @@ def simulate(
         observers=observers,
         semantics=semantics,
         faults=faults,
-        loop=loop,
     ).run()

@@ -34,8 +34,8 @@ def uniform_policy(task: Task, job_index: int, rng: random.Random) -> Time:
     """Uniform draw from ``[B(tau), W(tau)]`` (the default).
 
     The draw is ``bcet + int(rng.random() * span)`` — the exact stream
-    the optimized loops inline — so every loop (classic, fast, general,
-    compiled batch) consumes the same number of RNG states and produces
+    the compiled batch loop inlines — so the simulator and the batch
+    tiers consume the same number of RNG states and produce
     identical schedules for the same seed.  Degenerate ranges
     (``bcet == wcet``) consume no randomness at all.
     """

@@ -79,11 +79,6 @@ class DisparityMonitor(Observer):
         """Max observed disparity of ``task`` (0 if never observed)."""
         return self.max_disparity.get(task, 0)
 
-    @property
-    def interested_tasks(self) -> Optional[frozenset]:
-        """Monitored tasks (engine fast-path dispatch filter)."""
-        return frozenset(self._tasks) if self._tasks is not None else None
-
 
 @dataclass
 class ObservedRange:
@@ -134,11 +129,6 @@ class BackwardTimeMonitor(Observer):
     def range_for(self, tail: str, source: str) -> ObservedRange:
         return self.ranges.get((tail, source), ObservedRange())
 
-    @property
-    def interested_tasks(self) -> Optional[frozenset]:
-        """Monitored tails (engine fast-path dispatch filter)."""
-        return frozenset(self._tails) if self._tails is not None else None
-
 
 class DataAgeMonitor(Observer):
     """Observed data age per (tail task, source task).
@@ -166,11 +156,6 @@ class DataAgeMonitor(Observer):
 
     def range_for(self, tail: str, source: str) -> ObservedRange:
         return self.ranges.get((tail, source), ObservedRange())
-
-    @property
-    def interested_tasks(self) -> Optional[frozenset]:
-        """Monitored tails (engine fast-path dispatch filter)."""
-        return frozenset(self._tails) if self._tails is not None else None
 
 
 @dataclass

@@ -6,8 +6,9 @@ arithmetic inline.  The jitter and sporadic release models
 (:class:`repro.model.task.ReleaseModel`) replace the arithmetic with a
 **pre-drawn release table** per ``(seed, task)``: a sorted list of
 release instants within the horizon, drawn from a deterministic RNG
-stream derived here.  Every tier — the general event loop, the scalar
-fast path, the compiled batch loop, and the columnar C kernel — builds
+stream derived here.  Every tier — the reference event loop
+(:class:`~repro.sim.engine.Simulator`), the compiled batch loop, and
+the columnar C kernel — builds
 the same table from the same ``(seed, task name)`` pair, so they stay
 byte-identical without sharing any runtime state.
 

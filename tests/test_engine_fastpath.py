@@ -1,9 +1,11 @@
-"""Equivalence of the two-phase fast path with the classic event loop.
+"""Equivalence of the batched fast paths with the general event loop.
 
-Every observable of a run — job tables, stats counters, channel
-states, disparity/backward-time/data-age metrics — must be identical
-between ``loop="fast"`` (schedule-only phase + lazy data-flow
-reconstruction) and ``loop="classic"`` (the reference inlined loop).
+``Simulator`` is the one reference loop (the general loop).  Every
+batched replay tier — the compiled batch loop and, where it loads, the
+columnar C kernel — must reproduce it exactly under implicit
+semantics: per-replication disparities of every fused task over
+randomized replications, and job-by-job provenance of the monitored
+task at the system's own offsets (see ``tests/tiers.py``).
 """
 
 from __future__ import annotations
@@ -14,110 +16,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dataclasses import replace
-
-from repro.gen import generate_random_scenario
+from repro.model.graph import CauseEffectGraph
 from repro.model.system import System
-from repro.model.task import ModelError
-from repro.sim.engine import Simulator, randomize_offsets
-from repro.sim.exec_time import bcet_policy, extremes_policy, wcet_policy
-from repro.sim.metrics import (
-    BackwardTimeMonitor,
-    DataAgeMonitor,
-    DisparityMonitor,
-    JobTableMonitor,
+from repro.model.task import ModelError, Task
+from repro.sim.batch import run_batch
+from repro.sim.engine import Simulator
+from repro.sim.exec_time import (
+    bcet_policy,
+    extremes_policy,
+    uniform_policy,
+    wcet_policy,
 )
-
-
-def _random_system(seed: int, n_tasks: int) -> System:
-    rng = random.Random(seed)
-    scenario = generate_random_scenario(n_tasks, rng)
-    graph = randomize_offsets(scenario.system.graph, rng)
-    return System(graph=graph, response_times=scenario.system.response_times)
-
-
-def _zero_bcet_system(seed: int, n_tasks: int) -> System:
-    """A random system where some CPU tasks can execute in zero time.
-
-    Response times depend on WCETs only, so the analyzed table carries
-    over unchanged when BCETs are lowered.
-    """
-    rng = random.Random(seed)
-    scenario = generate_random_scenario(n_tasks, rng)
-    graph = randomize_offsets(scenario.system.graph, rng)
-    zeroed = graph.copy()
-    hit = False
-    for task in graph.tasks:
-        if task.is_instantaneous:
-            continue
-        if not hit or rng.random() < 0.5:
-            zeroed.replace_task(replace(task, bcet=0))
-            hit = True
-    return System(
-        graph=zeroed, response_times=scenario.system.response_times
-    )
-
-
-def _run(system, duration, seed, loop, policy=None):
-    job_table = JobTableMonitor()
-    disparity = DisparityMonitor(warmup=duration // 4)
-    backward = BackwardTimeMonitor()
-    age = DataAgeMonitor()
-    kwargs = {} if policy is None else {"policy": policy}
-    sim = Simulator(
-        system,
-        duration,
-        seed=seed,
-        observers=[job_table, disparity, backward, age],
-        loop=loop,
-        **kwargs,
-    )
-    result = sim.run()
-    return sim, result, job_table, disparity, backward, age
-
-
-def _assert_equivalent(system, duration, seed, policy=None):
-    fast = _run(system, duration, seed, "fast", policy)
-    classic = _run(system, duration, seed, "classic", policy)
-    sim_f, res_f, jobs_f, disp_f, back_f, age_f = fast
-    sim_c, res_c, jobs_c, disp_c, back_c, age_c = classic
-
-    # Stats counters.
-    assert res_f.stats.jobs_released == res_c.stats.jobs_released
-    assert res_f.stats.jobs_completed == res_c.stats.jobs_completed
-    assert res_f.stats.events_processed == res_c.stats.events_processed
-    assert res_f.stats.busy_time == res_c.stats.busy_time
-
-    # Full job table, in notification order.
-    assert jobs_f.jobs == jobs_c.jobs
-    instantaneous = {
-        task.name for task in system.graph.tasks if task.is_instantaneous
-    }
-    jobs_f.check_invariants(instantaneous)
-
-    # Metrics.
-    assert disp_f.max_disparity == disp_c.max_disparity
-    assert disp_f.samples == disp_c.samples
-    assert back_f.ranges.keys() == back_c.ranges.keys()
-    for key in back_f.ranges:
-        assert back_f.ranges[key] == back_c.ranges[key]
-    for key in age_f.ranges:
-        assert age_f.ranges[key] == age_c.ranges[key]
-
-    # Channel states (lazily reconstructed on the fast path).
-    for channel in system.graph.channels:
-        state_f = sim_f.channel_state(channel.src, channel.dst)
-        state_c = sim_c.channel_state(channel.src, channel.dst)
-        assert state_f.writes == state_c.writes
-        assert state_f.evictions == state_c.evictions
-        snap_f, snap_c = state_f.snapshot(), state_c.snapshot()
-        assert len(snap_f) == len(snap_c)
-        for tok_f, tok_c in zip(snap_f, snap_c):
-            assert tok_f.produced_at == tok_c.produced_at
-            assert tok_f.producer == tok_c.producer
-            assert tok_f.producer_release == tok_c.producer_release
-            assert tok_f.provenance == tok_c.provenance
-        state_f.validate_fifo_order()
+from repro.sim.faults import FaultPlan
+from repro.units import ms
+from tests.tiers import (
+    assert_equivalent,
+    assert_provenance_matches,
+    random_system,
+    zero_bcet_system,
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,23 +42,23 @@ def _assert_equivalent(system, duration, seed, policy=None):
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     n_tasks=st.integers(min_value=5, max_value=14),
 )
-def test_fastpath_matches_classic_uniform(seed, n_tasks):
-    system = _random_system(seed, n_tasks)
+def test_fastpath_matches_general_uniform(seed, n_tasks):
+    system = random_system(seed, n_tasks)
     duration = 3 * max(task.period for task in system.graph.tasks)
-    _assert_equivalent(system, duration, seed)
+    assert_equivalent(system, duration, seed)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-def test_fastpath_matches_classic_other_policies(seed):
-    system = _random_system(seed, 8)
+def test_fastpath_matches_general_other_policies(seed):
+    system = random_system(seed, 8)
     duration = 3 * max(task.period for task in system.graph.tasks)
-    _assert_equivalent(system, duration, seed, policy=wcet_policy)
-    _assert_equivalent(system, duration, seed, policy=extremes_policy)
+    assert_equivalent(system, duration, seed, policy=wcet_policy)
+    assert_equivalent(system, duration, seed, policy=extremes_policy)
 
 
-def test_fastpath_matches_classic_with_buffers():
-    system = _random_system(123, 10)
+def test_fastpath_matches_general_with_buffers():
+    system = random_system(123, 10)
     # Enlarge every channel into a small FIFO (Lemma 6 territory).
     plan = {
         (c.src, c.dst): 1 + (i % 3)
@@ -149,57 +66,27 @@ def test_fastpath_matches_classic_with_buffers():
     }
     buffered = system.with_buffer_plan(plan)
     duration = 4 * max(task.period for task in buffered.graph.tasks)
-    _assert_equivalent(buffered, duration, 123)
+    assert_equivalent(buffered, duration, 123)
 
 
 def test_loop_validation_happens_at_construction():
-    """Misconfigured loop/semantics/faults combinations fail in __init__.
+    """A run the event loop cannot execute fails in ``__init__``.
 
-    LET is fast-path eligible (``loop="fast"`` works, ``"classic"``
-    does not reconstruct LET data flow).  Fault plans compile to
-    release tables, so faulted runs are fast-path eligible too; only
-    the classic loop (arithmetic releases, no fault hook) rejects
-    them.  Every rejection must fire at construction, before
-    ``.run()``.
+    Every rejection fires at construction, before ``.run()``, so a
+    misconfigured run in a sweep fails before any simulated time (the
+    unmapped-compute-task rejection is pinned in
+    ``tests/test_sim_batch.py``).
     """
-    system = _random_system(5, 6)
-    assert Simulator(system, 10**9, semantics="let")._resolved_loop == "fast"
-    assert (
-        Simulator(system, 10**9, semantics="let", loop="fast")._resolved_loop
-        == "fast"
-    )
-    with pytest.raises(ModelError):
-        Simulator(system, 10**9, semantics="let", loop="classic")
-    from repro.sim.faults import FaultPlan
-
-    task = next(t.name for t in system.graph.tasks)
-    plan = FaultPlan().drop(task, 0, 10**8)
-    assert Simulator(system, 10**9, faults=plan)._resolved_loop == "fast"
-    assert (
-        Simulator(system, 10**9, faults=plan, loop="fast")._resolved_loop
-        == "fast"
-    )
-    with pytest.raises(ModelError):
-        Simulator(system, 10**9, faults=plan, loop="classic")
-    # Non-periodic release models follow the same rule.
-    from repro.model.task import ReleaseModel
-
-    jittered = system.graph.copy()
-    for t in system.graph.tasks:
-        jittered.replace_task(
-            t.with_release_model(ReleaseModel.jittered(max(1, t.period // 8)))
-        )
-    jsys = System(graph=jittered, response_times=system.response_times)
-    assert Simulator(jsys, 10**9, seed=1)._resolved_loop == "fast"
-    with pytest.raises(ModelError):
-        Simulator(jsys, 10**9, seed=1, loop="classic")
+    system = random_system(5, 6)
+    with pytest.raises(ModelError, match="duration must be positive"):
+        Simulator(system, 0)
+    with pytest.raises(ModelError, match="unknown semantics"):
+        Simulator(system, 10**9, semantics="lett")
+    with pytest.raises(ModelError, match="ghost"):
+        Simulator(system, 10**9, faults=FaultPlan().drop("ghost", 0, 10))
 
 
-def test_auto_uses_fastpath_for_zero_bcet():
-    from repro.model.graph import CauseEffectGraph
-    from repro.model.task import Task
-    from repro.units import ms
-
+def _zero_bcet_pair() -> System:
     graph = CauseEffectGraph()
     graph.add_task(
         Task("s", period=ms(10), wcet=0, bcet=0, offset=ms(1), ecu="e", priority=2)
@@ -216,13 +103,19 @@ def test_auto_uses_fastpath_for_zero_bcet():
         )
     )
     graph.add_channel("s", "t")
-    system = System.build(graph)
-    sim = Simulator(system, ms(100))
-    assert sim._select_loop() == "fast"
-    _assert_equivalent(system, ms(100), 7)
+    return System.build(graph)
+
+
+def test_auto_uses_fastpath_for_zero_bcet():
+    system = _zero_bcet_pair()
+    result = run_batch(
+        system, "t", sims=3, duration=ms(100), rng=random.Random(7)
+    )
+    assert result.engine in ("columnar", "compiled")
+    assert_equivalent(system, ms(100), 7)
     # All-zero execution times: every CPU finish cascades at its own
     # release instant — the worst case for sub-instant ordering.
-    _assert_equivalent(system, ms(100), 7, policy=bcet_policy)
+    assert_equivalent(system, ms(100), 7, policy=bcet_policy)
 
 
 def test_fastpath_cascade_chain_on_one_unit():
@@ -230,13 +123,9 @@ def test_fastpath_cascade_chain_on_one_unit():
 
     Under ``bcet_policy`` every job executes in zero time, so each
     release instant processes the whole chain as a cascade of
-    finish-triggered dispatches; the sub-instant visibility keys must
-    replay the classic loop's sub-batch order exactly.
+    finish-triggered dispatches; the compiled loop's cascade-depth
+    side table must replay the general loop's sub-batch order exactly.
     """
-    from repro.model.graph import CauseEffectGraph
-    from repro.model.task import Task
-    from repro.units import ms
-
     graph = CauseEffectGraph()
     graph.add_task(
         Task(
@@ -267,8 +156,11 @@ def test_fastpath_cascade_chain_on_one_unit():
         names.append(name)
     system = System.build(graph)
     for seed in (0, 1, 2):
-        _assert_equivalent(system, ms(60), seed, policy=bcet_policy)
-        _assert_equivalent(system, ms(60), seed)
+        for task in names[1:]:
+            for policy in (bcet_policy, uniform_policy):
+                assert_provenance_matches(
+                    system, task, seed=seed, duration=ms(60), policy=policy
+                )
 
 
 @settings(max_examples=40, deadline=None)
@@ -276,10 +168,10 @@ def test_fastpath_cascade_chain_on_one_unit():
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     n_tasks=st.integers(min_value=5, max_value=12),
 )
-def test_fastpath_matches_classic_zero_bcet(seed, n_tasks):
-    system = _zero_bcet_system(seed, n_tasks)
+def test_fastpath_matches_general_zero_bcet(seed, n_tasks):
+    system = zero_bcet_system(seed, n_tasks)
     duration = 3 * max(task.period for task in system.graph.tasks)
-    _assert_equivalent(system, duration, seed)
+    assert_equivalent(system, duration, seed)
     # bcet_policy pins every draw to zero for the zeroed tasks,
     # maximizing same-instant cascades.
-    _assert_equivalent(system, duration, seed, policy=bcet_policy)
+    assert_equivalent(system, duration, seed, policy=bcet_policy)

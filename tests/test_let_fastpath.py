@@ -1,18 +1,17 @@
-"""Equivalence of the LET fast path and LET batch replay with the
-general loop.
+"""Equivalence of LET batch replay with the general loop.
 
 Under LET semantics jobs read at *release* and publish at their
 *deadline* (release + period), so data flow is fully determined by the
-schedule — exactly the structure the two-phase fast path and the
-compiled batch engine exploit.  The general event loop remains the
-untouched semantic reference: every observable of a LET run — job
-tables, stats counters, channel states, disparity/backward-time/
-data-age metrics — must be identical between ``loop="fast"`` and
-``loop="general"``, and ``run_batch(semantics="let")`` must be
-byte-identical to N sequential ``simulate(semantics="let")`` calls
-under the same generator (the ``AnalysisSession.observed_disparity``
-discipline: per replication an execution-time seed is drawn first,
-then one offset in ``[1, T]`` per task in graph order).
+schedule — exactly the structure the batched fast paths (the compiled
+batch loop and the columnar C kernel) exploit.  ``Simulator``, the
+general event loop, is the untouched semantic reference: every batched
+tier must reproduce its per-replication disparities and, job by job,
+its token provenance (see ``tests/tiers.py``), and
+``run_batch(semantics="let")`` must be byte-identical to N sequential
+``simulate(semantics="let")`` calls under the same generator (the
+``AnalysisSession.observed_disparity`` discipline: per replication an
+execution-time seed is drawn first, then one offset in ``[1, T]`` per
+task in graph order).
 """
 
 from __future__ import annotations
@@ -31,104 +30,17 @@ from repro.model.task import ModelError
 from repro.sim.batch import CompiledScenario, run_batch
 from repro.sim.engine import Simulator, randomize_offsets
 from repro.sim.exec_time import bcet_policy, extremes_policy, wcet_policy
-from repro.sim.metrics import (
-    BackwardTimeMonitor,
-    DataAgeMonitor,
-    DisparityMonitor,
-    JobTableMonitor,
+from repro.sim.metrics import DisparityMonitor
+from tests.tiers import (
+    BATCH_TIERS,
+    assert_equivalent,
+    random_system,
+    zero_bcet_system,
 )
 
 
-def _random_system(seed: int, n_tasks: int) -> System:
-    rng = random.Random(seed)
-    scenario = generate_random_scenario(n_tasks, rng)
-    graph = randomize_offsets(scenario.system.graph, rng)
-    return System(graph=graph, response_times=scenario.system.response_times)
-
-
-def _zero_bcet_system(seed: int, n_tasks: int) -> System:
-    """A random system where some CPU tasks can execute in zero time."""
-    rng = random.Random(seed)
-    scenario = generate_random_scenario(n_tasks, rng)
-    graph = randomize_offsets(scenario.system.graph, rng)
-    zeroed = graph.copy()
-    hit = False
-    for task in graph.tasks:
-        if task.is_instantaneous:
-            continue
-        if not hit or rng.random() < 0.5:
-            zeroed.replace_task(replace(task, bcet=0))
-            hit = True
-    return System(
-        graph=zeroed, response_times=scenario.system.response_times
-    )
-
-
-def _run(system, duration, seed, loop, policy=None):
-    job_table = JobTableMonitor()
-    disparity = DisparityMonitor(warmup=duration // 4)
-    backward = BackwardTimeMonitor()
-    age = DataAgeMonitor()
-    kwargs = {} if policy is None else {"policy": policy}
-    sim = Simulator(
-        system,
-        duration,
-        seed=seed,
-        observers=[job_table, disparity, backward, age],
-        semantics="let",
-        loop=loop,
-        **kwargs,
-    )
-    result = sim.run()
-    return sim, result, job_table, disparity, backward, age
-
-
-def _assert_equivalent(system, duration, seed, policy=None):
-    fast = _run(system, duration, seed, "fast", policy)
-    general = _run(system, duration, seed, "general", policy)
-    sim_f, res_f, jobs_f, disp_f, back_f, age_f = fast
-    sim_g, res_g, jobs_g, disp_g, back_g, age_g = general
-
-    # Stats counters.
-    assert res_f.stats.jobs_released == res_g.stats.jobs_released
-    assert res_f.stats.jobs_completed == res_g.stats.jobs_completed
-    assert res_f.stats.events_processed == res_g.stats.events_processed
-    assert res_f.stats.busy_time == res_g.stats.busy_time
-
-    # Full job table, in notification order.
-    assert jobs_f.jobs == jobs_g.jobs
-    instantaneous = {
-        task.name for task in system.graph.tasks if task.is_instantaneous
-    }
-    jobs_f.check_invariants(instantaneous)
-
-    # Metrics.
-    assert disp_f.max_disparity == disp_g.max_disparity
-    assert disp_f.samples == disp_g.samples
-    assert back_f.ranges.keys() == back_g.ranges.keys()
-    for key in back_f.ranges:
-        assert back_f.ranges[key] == back_g.ranges[key]
-    for key in age_f.ranges:
-        assert age_f.ranges[key] == age_g.ranges[key]
-
-    # Channel states (lazily reconstructed on the fast path).
-    for channel in system.graph.channels:
-        state_f = sim_f.channel_state(channel.src, channel.dst)
-        state_g = sim_g.channel_state(channel.src, channel.dst)
-        assert state_f.writes == state_g.writes
-        assert state_f.evictions == state_g.evictions
-        snap_f, snap_g = state_f.snapshot(), state_g.snapshot()
-        assert len(snap_f) == len(snap_g)
-        for tok_f, tok_g in zip(snap_f, snap_g):
-            assert tok_f.produced_at == tok_g.produced_at
-            assert tok_f.producer == tok_g.producer
-            assert tok_f.producer_release == tok_g.producer_release
-            assert tok_f.provenance == tok_g.provenance
-        state_f.validate_fifo_order()
-
-
 # ----------------------------------------------------------------------
-# fast path vs general loop
+# batched fast paths vs general loop
 # ----------------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -137,18 +49,18 @@ def _assert_equivalent(system, duration, seed, policy=None):
     n_tasks=st.integers(min_value=5, max_value=14),
 )
 def test_let_fastpath_matches_general_uniform(seed, n_tasks):
-    system = _random_system(seed, n_tasks)
+    system = random_system(seed, n_tasks)
     duration = 3 * max(task.period for task in system.graph.tasks)
-    _assert_equivalent(system, duration, seed)
+    assert_equivalent(system, duration, seed, semantics="let")
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_let_fastpath_matches_general_other_policies(seed):
-    system = _random_system(seed, 8)
+    system = random_system(seed, 8)
     duration = 3 * max(task.period for task in system.graph.tasks)
-    _assert_equivalent(system, duration, seed, policy=wcet_policy)
-    _assert_equivalent(system, duration, seed, policy=extremes_policy)
+    assert_equivalent(system, duration, seed, policy=wcet_policy, semantics="let")
+    assert_equivalent(system, duration, seed, policy=extremes_policy, semantics="let")
 
 
 @settings(max_examples=20, deadline=None)
@@ -159,26 +71,26 @@ def test_let_fastpath_matches_general_other_policies(seed):
 def test_let_fastpath_matches_general_zero_bcet(seed, n_tasks):
     """Zero-BCET cascades: LET visibility is deadline-driven, so even
     same-instant finish pileups must not perturb the reconstruction."""
-    system = _zero_bcet_system(seed, n_tasks)
+    system = zero_bcet_system(seed, n_tasks)
     duration = 3 * max(task.period for task in system.graph.tasks)
-    _assert_equivalent(system, duration, seed)
-    _assert_equivalent(system, duration, seed, policy=bcet_policy)
+    assert_equivalent(system, duration, seed, semantics="let")
+    assert_equivalent(system, duration, seed, policy=bcet_policy, semantics="let")
 
 
 def test_let_fastpath_matches_general_with_buffers():
-    system = _random_system(321, 10)
+    system = random_system(321, 10)
     plan = {
         (c.src, c.dst): 1 + (i % 3)
         for i, c in enumerate(system.graph.channels)
     }
     buffered = system.with_buffer_plan(plan)
     duration = 4 * max(task.period for task in buffered.graph.tasks)
-    _assert_equivalent(buffered, duration, 321)
+    assert_equivalent(buffered, duration, 321, semantics="let")
 
 
 def test_let_deadline_violation_parity():
-    """Both loops raise the same ModelError when a job misses its LET
-    deadline.
+    """The general loop and every batched tier raise the same
+    ModelError when a job misses its LET deadline.
 
     The generator only produces schedulable systems, so the overload is
     built by surgery: analyze a light system, then inflate the
@@ -203,15 +115,26 @@ def test_let_deadline_violation_parity():
     overloaded = System(
         graph=overloaded_graph, response_times=built.response_times
     )
-    messages = []
-    for loop in ("fast", "general"):
+    with pytest.raises(ModelError) as err:
+        Simulator(overloaded, ms(100), seed=9, semantics="let").run()
+    expected = str(err.value)
+    assert "LET violation" in expected
+    compiled = CompiledScenario(overloaded, "late", semantics="let")
+    view = compiled.with_offsets(
+        {t.name: t.offset for t in overloaded.graph.tasks}
+    )
+    with pytest.raises(ModelError) as err:
+        view.disparity(9, ms(100))
+    assert str(err.value) == expected
+    if "columnar" in BATCH_TIERS:
+        from repro.sim.columnar import run_columnar
+        from repro.sim.exec_time import uniform_policy
+
         with pytest.raises(ModelError) as err:
-            Simulator(
-                overloaded, ms(100), seed=9, semantics="let", loop=loop
-            ).run()
-        messages.append(str(err.value))
-    assert "LET violation" in messages[0]
-    assert messages[0] == messages[1]
+            run_columnar(
+                compiled, [(9, view.offsets)], ms(100), 0, uniform_policy
+            )
+        assert str(err.value) == expected
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +142,7 @@ def test_let_deadline_violation_parity():
 # ----------------------------------------------------------------------
 
 def _sequential_let(system, task, *, sims, duration, warmup, rng,
-                    policy="uniform", loop="general"):
+                    policy="uniform"):
     """N independent LET simulator runs, shared generator."""
     from repro.sim.exec_time import named_policy
 
@@ -240,7 +163,6 @@ def _sequential_let(system, task, *, sims, duration, warmup, rng,
             policy=policy,
             observers=[monitor],
             semantics="let",
-            loop=loop,
         ).run()
         out.append(monitor.disparity(task))
     return tuple(out)

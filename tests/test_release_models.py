@@ -6,10 +6,10 @@ Covers the bounded-jitter and sporadic release models end to end:
   (determinism, name-keyed streams, job-count bounds, fault masks);
 * :class:`FaultPlan` window normalization and the half-open boundary
   rule — a release at exactly ``DropoutWindow.end`` survives in every
-  simulation tier, and :class:`StalenessMonitor` ages agree across
-  loops at the boundary;
-* the differential identity: fast loop, compiled batch loop and
-  columnar C kernel versus the general event loop (the semantic
+  simulation tier, and :class:`StalenessMonitor` ages agree at the
+  boundary;
+* the differential identity: the compiled batch loop and the columnar
+  C kernel versus the general event loop (``Simulator``, the semantic
   reference), under implicit and LET semantics, with zero-BCET
   cascades and fault plans in the mix;
 * the analysis-regime gate: Theorems 1-3 / Lemmas 4-6 raise a
@@ -39,9 +39,9 @@ from repro.model.system import System
 from repro.model.task import ModelError, ReleaseModel, Task, source_task
 from repro.sim.batch import run_batch
 from repro.sim.engine import Simulator, simulate
-from repro.sim.exec_time import bcet_policy, wcet_policy
+from repro.sim.exec_time import bcet_policy, uniform_policy, wcet_policy
 from repro.sim.faults import DropoutWindow, FaultPlan, StalenessMonitor
-from repro.sim.metrics import DisparityMonitor, JobTableMonitor
+from repro.sim.metrics import JobTableMonitor
 from repro.sim.release import (
     kept_mask,
     max_jobs,
@@ -51,6 +51,7 @@ from repro.sim.release import (
     split_kept,
 )
 from repro.units import ms
+from tests.tiers import assert_provenance_matches, fused_tasks
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +223,7 @@ class TestBoundarySemantics:
         assert kept == [ms(90), ms(200), ms(210)]
         assert dropped == 2
 
-    @pytest.mark.parametrize("loop", ["fast", "general"])
-    def test_release_at_window_end_not_suppressed(self, loop):
+    def test_release_at_window_end_not_suppressed(self):
         plan = FaultPlan().drop("cam", ms(100), ms(200))
         table = JobTableMonitor()
         Simulator(
@@ -233,7 +233,6 @@ class TestBoundarySemantics:
             faults=plan,
             policy=wcet_policy,
             observers=[table],
-            loop=loop,
         ).run()
         releases = {j.release for j in table.by_task("cam")}
         assert ms(200) in releases
@@ -243,23 +242,18 @@ class TestBoundarySemantics:
     def test_boundary_identical_across_loops_and_batch_tiers(self):
         system = _fusion_system()
         plan = FaultPlan().drop("cam", ms(100), ms(200))
-        results = {}
-        for loop in ("fast", "general"):
-            monitor = DisparityMonitor(["fuse"])
-            res = Simulator(
-                system,
-                ms(300),
-                seed=9,
-                faults=plan,
-                policy=wcet_policy,
-                observers=[monitor],
-                loop=loop,
-            ).run()
-            results[loop] = (monitor.disparity("fuse"), res.stats.jobs_dropped)
-        assert results["fast"] == results["general"]
+        res = Simulator(
+            system, ms(300), seed=9, faults=plan, policy=wcet_policy
+        ).run()
         # Exactly 10 suppressed cam releases: 100, 110, ..., 190 —
         # NOT the one at 200.
-        assert results["fast"][1] == 10
+        assert res.stats.jobs_dropped == 10
+        # At the system's own offsets the compiled loop resolves the
+        # same tokens as the simulator.
+        assert_provenance_matches(
+            system, "fuse", seed=9, duration=ms(300), policy=wcet_policy,
+            faults=plan,
+        )
         # Batched tiers agree replication for replication.
         per_engine = {}
         for engine in ("simulator", "compiled", "auto"):
@@ -279,26 +273,21 @@ class TestBoundarySemantics:
     def test_staleness_ages_agree_at_boundary(self):
         # Ending the window exactly at a release must restore freshness
         # just like ending it one instant earlier: both keep the
-        # release at ms(200), so the observed max ages are identical —
-        # in both loops.
+        # release at ms(200), so the observed max ages are identical.
         system = _fusion_system()
         ages = {}
         for label, end in (("at-release", ms(200)), ("just-before", ms(200) - 1)):
-            for loop in ("fast", "general"):
-                monitor = StalenessMonitor(["fuse"])
-                Simulator(
-                    system,
-                    ms(450),
-                    seed=3,
-                    faults=FaultPlan().drop("cam", ms(100), end),
-                    policy=wcet_policy,
-                    observers=[monitor],
-                    loop=loop,
-                ).run()
-                ages[(label, loop)] = monitor.age_for("fuse", "cam")
-        assert ages[("at-release", "fast")] == ages[("at-release", "general")]
-        assert ages[("just-before", "fast")] == ages[("just-before", "general")]
-        assert ages[("at-release", "fast")] == ages[("just-before", "fast")]
+            monitor = StalenessMonitor(["fuse"])
+            Simulator(
+                system,
+                ms(450),
+                seed=3,
+                faults=FaultPlan().drop("cam", ms(100), end),
+                policy=wcet_policy,
+                observers=[monitor],
+            ).run()
+            ages[label] = monitor.age_for("fuse", "cam")
+        assert ages["at-release"] == ages["just-before"]
 
 
 # ---------------------------------------------------------------------------
@@ -332,40 +321,14 @@ def _with_release_models(system: System, seed: int, *, zero_bcet=False) -> Syste
     return System(graph=graph, response_times=system.response_times)
 
 
-def _loop_run(system, duration, seed, loop, *, semantics, faults=None, policy=None):
-    job_table = JobTableMonitor()
-    disparity = DisparityMonitor(warmup=duration // 4)
-    kwargs = {} if policy is None else {"policy": policy}
-    result = Simulator(
-        system,
-        duration,
-        seed=seed,
-        observers=[job_table, disparity],
-        loop=loop,
-        semantics=semantics,
-        faults=faults,
-        **kwargs,
-    ).run()
-    return result, job_table, disparity
-
-
 def _assert_loops_agree(system, duration, seed, *, semantics, faults=None,
-                        policy=None):
-    res_f, jobs_f, disp_f = _loop_run(
-        system, duration, seed, "fast",
-        semantics=semantics, faults=faults, policy=policy,
-    )
-    res_g, jobs_g, disp_g = _loop_run(
-        system, duration, seed, "general",
-        semantics=semantics, faults=faults, policy=policy,
-    )
-    assert res_f.stats.jobs_released == res_g.stats.jobs_released
-    assert res_f.stats.jobs_completed == res_g.stats.jobs_completed
-    assert res_f.stats.jobs_dropped == res_g.stats.jobs_dropped
-    assert res_f.stats.busy_time == res_g.stats.busy_time
-    assert jobs_f.jobs == jobs_g.jobs
-    assert disp_f.max_disparity == disp_g.max_disparity
-    assert disp_f.samples == disp_g.samples
+                        policy=uniform_policy):
+    """The batched loops resolve the general loop's tokens, job by job."""
+    for task in fused_tasks(system) or system.graph.sinks():
+        assert_provenance_matches(
+            system, task, seed=seed, duration=duration, policy=policy,
+            semantics=semantics, faults=faults,
+        )
 
 
 def _assert_batch_matches_general(system, sink, *, duration, seed, semantics,

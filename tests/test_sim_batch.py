@@ -118,9 +118,9 @@ def test_batch_pure_python_release_stream(monkeypatch):
 def test_zero_bcet_replays_through_compiled_loop():
     """Zero-BCET scenarios are compiled-eligible via the cascade table.
 
-    The compiled loop carries the same cascade-depth side table as the
-    fast path's phase 2, so instantaneous finish-cascades order
-    identically and the per-replication simulator fallback is no longer
+    The compiled loop records a cascade-depth side table that replays
+    the simulator's same-instant finish cascades, so they order
+    identically and the per-replication simulator fallback is not
     needed here.
     """
     system, sink = _scenario(13, 8)
@@ -176,6 +176,46 @@ def test_ineligible_reason_collects_all_failed_rules():
     joined = compiled.ineligible_reason
     for reason in compiled.ineligible_reasons:
         assert reason in joined
+
+
+@pytest.mark.parametrize("semantics", ["implicit", "let"])
+def test_unmapped_compute_task_fails_loudly(semantics):
+    """A compute task without a unit raises ``ModelError`` naming it.
+
+    The compiled tiers list it as an ineligibility reason and fall
+    back to the simulator, so ``run_batch`` reaches the simulator's
+    construction-time check too.
+    """
+    from repro.model.graph import CauseEffectGraph
+    from repro.model.task import Task, source_task
+    from repro.sim.engine import Simulator
+    from repro.units import ms
+
+    graph = CauseEffectGraph()
+    graph.add_task(source_task("src", ms(10), ecu="e", priority=0))
+    graph.add_task(Task("a", ms(10), ms(2), ms(1), ecu="e", priority=1))
+    graph.add_task(Task("c", ms(20), ms(1), ms(1), ecu="f", priority=1))
+    graph.add_task(Task("d", ms(20), ms(1), ms(1), ecu="f", priority=2))
+    graph.add_channel("src", "a")
+    graph.add_channel("a", "c")
+    graph.add_channel("c", "d")
+    built = System.build(graph)
+    mangled = built.graph.copy()
+    mangled.replace_task(replace(mangled.task("c"), ecu=None))
+    mangled.replace_task(replace(mangled.task("d"), ecu=None))
+    system = System(graph=mangled, response_times=built.response_times)
+    message = (
+        "compute task 'c' has no unit assignment; "
+        "compute task 'd' has no unit assignment"
+    )
+    with pytest.raises(ModelError) as err:
+        Simulator(system, ms(100), semantics=semantics)
+    assert str(err.value) == message
+    with pytest.raises(ModelError) as err:
+        run_batch(
+            system, "d", sims=2, duration=ms(100), semantics=semantics
+        )
+    assert str(err.value) == message
 
 
 def test_ineligible_duplicate_priorities_falls_back_identically():

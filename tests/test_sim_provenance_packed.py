@@ -1,6 +1,6 @@
 """Property-based equivalence: packed provenance == dict provenance.
 
-The engine's fast path merges provenance as interned bitmask + stamp
+The batched replay tiers merge provenance as interned bitmask + stamp
 arrays (:class:`repro.sim.provenance.ProvenancePacker`); these tests
 pin it to the reference dict implementation (:func:`merge_provenance`)
 over randomized inputs, including full simulated DAG runs.
@@ -8,20 +8,15 @@ over randomized inputs, including full simulated DAG runs.
 
 from __future__ import annotations
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gen import generate_random_scenario
-from repro.sim.engine import Simulator, randomize_offsets
-from repro.sim.metrics import DisparityMonitor
 from repro.sim.provenance import (
     ProvenancePacker,
     disparity_of,
     merge_provenance,
 )
-from repro.model.system import System
+from tests.tiers import assert_provenance_matches, random_system
 
 SOURCES = tuple(f"s{i}" for i in range(9))
 
@@ -75,29 +70,15 @@ def test_source_token_packed(name, timestamp):
     n_tasks=st.integers(min_value=5, max_value=12),
 )
 def test_dag_run_provenance_matches_reference_loop(seed, n_tasks):
-    """Fast-path provenance on a random DAG run == classic-loop dicts.
+    """Compiled-loop packed provenance on a random DAG run == the
+    simulator's dict tokens.
 
-    Runs the same scenario through the specialized engine (packed
-    provenance) and the classic inlined loop (dict provenance) and
-    compares every monitored token's provenance mapping.
+    Runs the same scenario through the compiled batch loop (packed
+    provenance resolved from its recorded schedule) and the reference
+    ``Simulator`` (dict provenance), and compares every sink job's
+    provenance mapping.
     """
-    rng = random.Random(seed)
-    scenario = generate_random_scenario(n_tasks, rng)
-    graph = randomize_offsets(scenario.system.graph, rng)
-    system = System(
-        graph=graph, response_times=scenario.system.response_times
-    )
-    duration = 4 * max(task.period for task in graph.tasks)
-
-    tokens = {}
-    for loop in ("fast", "classic"):
-        monitor = DisparityMonitor(track_pairs=True)
-        Simulator(
-            system, duration, seed=seed, observers=[monitor], loop=loop
-        ).run()
-        tokens[loop] = (
-            monitor.max_disparity,
-            monitor.samples,
-            monitor.pair_max,
-        )
-    assert tokens["fast"] == tokens["classic"]
+    system = random_system(seed, n_tasks)
+    duration = 4 * max(task.period for task in system.graph.tasks)
+    for sink in system.graph.sinks():
+        assert_provenance_matches(system, sink, seed=seed, duration=duration)
