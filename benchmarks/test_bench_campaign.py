@@ -1,92 +1,43 @@
-"""Streaming-campaign benchmarks and their committed-baseline gate.
+"""Streaming-campaign benchmark: bounded peak residency.
 
 The streaming campaign engine replaces the legacy per-point loop (one
 pool barrier and one linear task filter per point, one whole-document
 checkpoint rewrite per completed point — both quadratic in the point
 count) with a single adaptive map feeding bounded accumulators and an
-append-only JSONL checkpoint.  Its paired benchmark
-(:func:`repro.profile.bench_campaign_kernel`) runs the same
-points-heavy synthetic campaign through both engines with
-checkpointing enabled, asserts the rows identical, and records the
-streaming arm's *measured* peak result residency next to the legacy
-arm's whole-campaign row dict.  Two guards:
+append-only JSONL checkpoint.  The ``campaign`` spec of
+:mod:`repro.bench` runs the same points-heavy synthetic campaign
+through both engines with checkpointing enabled, asserts the rows
+identical, and records the streaming arm's *measured* peak result
+residency next to the legacy arm's whole-campaign row dict.
 
-* **Structural** — machine independent: the streaming arm must beat
-  the legacy loop on the same run (the bench itself asserts identical
-  rows, so the win cannot come from doing less work), and the
-  accumulator's peak residency must stay O(points in flight) — a
-  handful of results — rather than growing with the campaign.
-* **Regression gate** — the measurement compared against the
-  ``campaign`` entry of the committed ``BENCH_kernel.json``.  The
-  legacy loop's overhead is quadratic in the point count, so
-  :func:`repro.profile.compare_to_baseline` only compares the ratio at
-  matching campaign shapes (the committed entry is the full shape;
-  quick-shape runs skip the comparison, exactly like the analysis
-  ladder rows).  Shared-runner timing is noisy, so a regression only
-  *warns* by default; set ``BENCH_STRICT=1`` to fail hard.
+This file pins the residency bound: it must stay O(points in flight) —
+a handful of results — rather than growing with the campaign.  The
+streaming-beats-legacy check, the committed-entry evidence and the
+regression gate live in ``test_bench_kernel.py`` with the other specs.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
 import pytest
 
-from repro.profile import (
-    SCHEMA_VERSION,
-    bench_campaign_kernel,
-    compare_to_baseline,
-    load_baseline,
-)
+from repro.bench import SPECS, measure
 
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
-
-QUICK = {"points": 120, "sims_per_graph": 2}
+SPEC = next(spec for spec in SPECS if spec.kernel == "campaign")
 
 
 @pytest.mark.benchmark(group="campaign")
-def test_streaming_beats_legacy_loop(benchmark):
-    """Streaming engine must outrun the per-point loop (same campaign)."""
+def test_streaming_residency_is_bounded(benchmark):
+    """Peak residency stays a couple of results on one worker."""
     result = benchmark.pedantic(
-        bench_campaign_kernel, kwargs=QUICK, rounds=1, iterations=1
+        measure, (SPEC, SPEC.quick), rounds=1, iterations=1
     )
     print()
     print(
-        f"campaign: {result['scenarios']} scenarios "
-        f"{result['legacy_s']:.3f}s legacy -> "
-        f"{result['streaming_s']:.3f}s streaming "
-        f"({result['speedup']:.2f}x; peak {result['peak_in_flight_results']} "
-        f"results in flight vs {result['legacy_resident_rows']} resident rows)"
+        f"campaign: {result['scenarios']} scenarios, peak "
+        f"{result['peak_in_flight_results']} results in flight vs "
+        f"{result['legacy_resident_rows']} resident rows"
     )
-    assert result["streaming_s"] < result["legacy_s"]
-    # Bounded memory: residency must not scale with the campaign.  On
-    # one worker at one graph per point, at most a couple of results
+    # On one worker at one graph per point, at most a couple of results
     # and open points exist at any instant.
     assert result["peak_in_flight_results"] <= 2
     assert result["peak_points_open"] <= 2
-
-
-@pytest.mark.benchmark(group="campaign")
-def test_committed_campaign_gate(benchmark):
-    """Quick campaign run vs BENCH_kernel.json; warns unless BENCH_STRICT."""
-    baseline = load_baseline(BASELINE_PATH)
-    assert baseline is not None, f"missing {BASELINE_PATH}"
-    assert "campaign" in baseline, f"no campaign entry in {BASELINE_PATH}"
-    # The committed entry must carry the acceptance evidence: >= 10^4
-    # scenarios, >= 1.3x over the legacy loop, bounded peak residency.
-    committed = baseline["campaign"]
-    assert committed["scenarios"] >= 10_000
-    assert committed["speedup"] >= 1.3
-    assert (
-        committed["peak_in_flight_results"] < committed["legacy_resident_rows"]
-    )
-    campaign = benchmark.pedantic(
-        bench_campaign_kernel, kwargs=QUICK, rounds=1, iterations=1
-    )
-    current = {"schema": SCHEMA_VERSION, "quick": True, "campaign": campaign}
-    regressions = compare_to_baseline(current, baseline)
-    for message in regressions:
-        print(f"::warning::benchmark regression: {message}")
-    if os.environ.get("BENCH_STRICT", "") not in ("", "0"):
-        assert not regressions, "; ".join(regressions)

@@ -1,58 +1,39 @@
-"""Cluster-coordinator benchmarks and their committed-baseline gate.
+"""Cluster-coordinator benchmark: bounded overhead.
 
 The cluster coordinator (:func:`repro.parallel.cluster.run_cluster`)
 buys crash tolerance — shard JSONL resume logs, liveness watchdog,
 dead-shard re-issue, incremental merge — and pays for it with worker
 subprocess launches and file-tail polling that a plain in-process pool
-does not have.  Its paired benchmark
-(:func:`repro.profile.bench_cluster_kernel`) runs the same synthetic
-campaign through :func:`repro.parallel.campaign.run_campaign` on a
-process pool and through the coordinator on the same worker count,
-asserts the rows identical (the byte-identity contract) and zero
-deaths, and records the coordinator's **overhead ratio**.  Two guards:
+does not have.  The ``cluster`` spec of :mod:`repro.bench` runs the
+same synthetic campaign through
+:func:`repro.parallel.campaign.run_campaign` on a process pool and
+through the coordinator on the same worker count, asserts the rows
+identical (the byte-identity contract) and zero deaths, and records the
+coordinator's **overhead ratio**.
 
-* **Structural** — machine independent: the paired run must complete
-  with identical rows (asserted inside the bench itself) and the
-  overhead must stay within a generous constant bound — the
-  coordinator's fixed costs (subprocess spawn, poll interval) dominate
-  at quick shapes, so the bound is loose; it exists to catch
-  accidental serialization (e.g. overhead growing with the scenario
-  count would blow far past it).
-* **Regression gate** — the measurement compared against the
-  ``cluster`` entry of the committed ``BENCH_kernel.json``.  Launch
-  cost amortizes with campaign size, so
-  :func:`repro.profile.compare_to_baseline` only compares overhead at
-  matching shapes (points, sims per graph, shard count); quick-shape
-  runs skip the comparison, exactly like the campaign gate.
-  Shared-runner timing is noisy, so a regression only *warns* by
-  default; set ``BENCH_STRICT=1`` to fail hard.
+This file bounds that overhead by a generous constant: the
+coordinator's fixed costs (subprocess spawn, poll interval) dominate at
+quick shapes, so the bound is loose; it exists to catch accidental
+serialization (e.g. overhead growing with the scenario count would blow
+far past it).  The committed-entry evidence and the regression gate
+live in ``test_bench_kernel.py``; launch cost amortizes with campaign
+size, so the gate only compares overhead at matching shapes.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
 import pytest
 
-from repro.profile import (
-    SCHEMA_VERSION,
-    bench_cluster_kernel,
-    compare_to_baseline,
-    load_baseline,
-)
+from repro.bench import SPECS, measure
 
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
-
-QUICK = {"points": 24, "sims_per_graph": 2}
+SPEC = next(spec for spec in SPECS if spec.kernel == "cluster")
 
 
 @pytest.mark.benchmark(group="cluster")
 def test_coordinator_pays_bounded_overhead(benchmark):
     """Coordinator completes with identical rows at bounded overhead."""
-    result = benchmark.pedantic(
-        bench_cluster_kernel, kwargs=QUICK, rounds=1, iterations=1
-    )
+    quick = SPEC.quick
+    result = benchmark.pedantic(measure, (SPEC, quick), rounds=1, iterations=1)
     print()
     print(
         f"cluster: {result['scenarios']} scenarios "
@@ -61,36 +42,13 @@ def test_coordinator_pays_bounded_overhead(benchmark):
         f"({result['overhead']:.2f}x overhead, "
         f"{result['shards']} shards on {result['workers']} workers)"
     )
-    # bench_cluster_kernel itself asserts rows identical and zero
-    # deaths; here we pin the shape and bound the fixed-cost overhead.
-    assert result["scenarios"] == QUICK["points"] * QUICK["sims_per_graph"]
+    # The cluster arm itself asserts zero deaths and measure() asserts
+    # rows identical; here we pin the shape and bound the fixed-cost
+    # overhead.
+    assert result["scenarios"] == quick["points"] * quick["sims_per_graph"]
     assert result["shards"] == 2 and result["workers"] == 2
     assert result["cluster_s"] > 0 and result["pool_s"] > 0
     # At 48 scenarios the subprocess launches dominate, so the ratio is
     # large but fixed; a coordinator that serialized the campaign or
     # spun on its poll loop would blow far past this.
     assert result["overhead"] < 30.0
-
-
-@pytest.mark.benchmark(group="cluster")
-def test_committed_cluster_gate(benchmark):
-    """Quick cluster run vs BENCH_kernel.json; warns unless BENCH_STRICT."""
-    baseline = load_baseline(BASELINE_PATH)
-    assert baseline is not None, f"missing {BASELINE_PATH}"
-    assert "cluster" in baseline, f"no cluster entry in {BASELINE_PATH}"
-    # The committed entry must carry the acceptance evidence: a real
-    # multi-shard full-shape run whose fault-tolerance tax stays small
-    # enough to be worth paying on a single machine.
-    committed = baseline["cluster"]
-    assert committed["scenarios"] >= 400
-    assert committed["shards"] >= 2
-    assert committed["overhead"] <= 5.0
-    cluster = benchmark.pedantic(
-        bench_cluster_kernel, kwargs=QUICK, rounds=1, iterations=1
-    )
-    current = {"schema": SCHEMA_VERSION, "quick": True, "cluster": cluster}
-    regressions = compare_to_baseline(current, baseline)
-    for message in regressions:
-        print(f"::warning::benchmark regression: {message}")
-    if os.environ.get("BENCH_STRICT", "") not in ("", "0"):
-        assert not regressions, "; ".join(regressions)

@@ -7,13 +7,12 @@ structural assertions guard it (machine independent, current run only):
 
 * evaluating many offset candidates through delta-replayed views must
   beat compiling a fresh scenario per candidate — with byte-identical
-  per-candidate disparities (asserted inside the paired bench);
+  per-candidate disparities (the ``delta`` spec of :mod:`repro.bench`,
+  checked with the other specs in ``test_bench_kernel.py``, which also
+  holds the committed-baseline gate);
 * constructing a view must be orders of magnitude cheaper than a
-  compile, so sweeps can create one view per candidate without budget.
-
-The committed-baseline regression gate for the ``delta`` section lives
-with the other sections in ``test_bench_kernel.py``
-(``BENCH_kernel.json`` / ``repro bench --check``).
+  compile, so sweeps can create one view per candidate without budget
+  (this file).
 """
 
 from __future__ import annotations
@@ -24,23 +23,7 @@ import time
 import pytest
 
 from repro.gen import generate_random_scenario
-from repro.profile import bench_delta_kernel
 from repro.sim.batch import CompiledScenario
-
-
-@pytest.mark.benchmark(group="delta")
-def test_delta_replay_beats_fresh_compile(benchmark):
-    """Paired sweep: delta-replayed views outrun per-candidate compiles."""
-    result = benchmark.pedantic(bench_delta_kernel, rounds=1, iterations=1)
-    print()
-    print(
-        f"delta: {result['candidates']} candidates, "
-        f"{result['fresh_s']:.3f}s recompiled -> "
-        f"{result['delta_s']:.3f}s delta-replayed "
-        f"({result['speedup']:.2f}x)"
-    )
-    assert result["delta_replay"], "candidates fell off the delta path"
-    assert result["delta_s"] < result["fresh_s"]
 
 
 @pytest.mark.benchmark(group="delta")

@@ -1,14 +1,19 @@
-"""Kernel-throughput benchmarks and the committed-baseline gate.
+"""Kernel-ratio benchmarks (:mod:`repro.bench`) and the committed gate.
 
-The hot-path work (DAG-shared backward bounds, batched replay) is
-guarded by two kinds of assertion:
+Every kernel is a spec measured by one paired-arm primitive, which
+itself asserts that all arms of a run produce identical outputs, so a
+win can never come from doing less work.  On top of that:
 
 * **Structural** — properties of the current run alone, machine
-  independent: the per-chain analysis cost must fall as the chain
-  count grows (prefix sharing + fixed-cost amortization).
+  independent: each spec's winning arm must beat its reference arm,
+  and the per-chain analysis cost must fall as the chain count grows
+  (prefix sharing + fixed-cost amortization).
+* **Committed document** — ``BENCH_kernel.json`` must hold every
+  section, and the campaign and cluster entries must carry their
+  acceptance evidence.
 * **Regression gate** — the quick benchmark document compared against
   the committed ``BENCH_kernel.json`` via
-  :func:`repro.profile.compare_to_baseline`.  Timing on shared CI
+  :func:`repro.bench.compare_to_baseline`.  Timing on shared CI
   runners is noisy, so a regression only *warns* by default
   (``::warning::`` annotation); set ``BENCH_STRICT=1`` (e.g. on a
   quiet dedicated box) to turn it into a failure.
@@ -21,20 +26,33 @@ from pathlib import Path
 
 import pytest
 
-from repro.profile import (
-    bench_analysis_scaling,
-    bench_sim_kernel,
+import repro.sim.batch as batch_mod
+from repro.bench import (
+    KERNELS,
+    SPECS,
     compare_to_baseline,
     load_baseline,
+    measure,
     run_benchmarks,
 )
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
+SPEC = {spec.kernel: spec for spec in SPECS}
+
+
+def _columnar_available() -> bool:
+    if batch_mod._np is None:
+        return False
+    from repro.sim import ckernel
+
+    kernel, _why = ckernel.load_kernel()
+    return kernel is not None
 
 
 @pytest.mark.benchmark(group="kernel")
 def test_sim_kernel_throughput(benchmark):
-    result = benchmark.pedantic(bench_sim_kernel, rounds=1, iterations=1)
+    spec = SPEC["sim"]
+    result = benchmark.pedantic(measure, (spec, spec.full), rounds=1, iterations=1)
     print()
     print(
         f"kernel: {result['jobs']} jobs in {result['wall_s']:.2f}s "
@@ -46,7 +64,8 @@ def test_sim_kernel_throughput(benchmark):
 @pytest.mark.benchmark(group="kernel")
 def test_analysis_per_chain_cost_falls(benchmark):
     """Prefix sharing: per-chain cost at 15625 chains < cost at 1."""
-    rows = benchmark.pedantic(bench_analysis_scaling, rounds=1, iterations=1)
+    spec = SPEC["analysis"]
+    rows = benchmark.pedantic(measure, (spec, spec.full), rounds=1, iterations=1)
     print()
     for row in rows:
         print(
@@ -54,6 +73,54 @@ def test_analysis_per_chain_cost_falls(benchmark):
         )
     assert rows[-1]["chains"] > rows[0]["chains"]
     assert rows[-1]["per_chain_us"] < rows[0]["per_chain_us"]
+
+
+@pytest.mark.benchmark(group="kernel")
+@pytest.mark.parametrize(
+    "kernel", [spec.kernel for spec in SPECS if spec.winner is not None]
+)
+def test_winning_arm_beats_reference(benchmark, kernel):
+    """Each spec's optimized arm outruns its reference arm (same run)."""
+    spec = SPEC[kernel]
+    if kernel == "columnar" and not _columnar_available():
+        pytest.skip("columnar engine unavailable (numpy or C toolchain missing)")
+    row = benchmark.pedantic(measure, (spec, spec.quick), rounds=1, iterations=1)
+    reference = spec.arms[0]
+    print()
+    print(
+        f"{kernel}: {row[f'{reference}_s']:.3f}s {reference} -> "
+        f"{row[f'{spec.winner}_s']:.3f}s {spec.winner} "
+        f"({row[spec.columns[0].name]:.2f}x)"
+    )
+    assert row[f"{spec.winner}_s"] < row[f"{reference}_s"]
+    if kernel == "columnar":
+        # Otherwise the pairing compares the compiled loop with itself.
+        assert row["engine"] == "columnar"
+    elif "engine" in row:
+        assert row["engine"] in ("columnar", "compiled")
+    if "delta_replay" in row:
+        assert row["delta_replay"], "candidates fell off the delta path"
+
+
+def test_committed_document():
+    """BENCH_kernel.json holds every section and its acceptance evidence."""
+    baseline = load_baseline(BASELINE_PATH)
+    assert baseline is not None, f"missing {BASELINE_PATH}"
+    for spec in SPECS:
+        assert spec.section in baseline, f"no {spec.section} entry"
+    assert [spec.kernel for spec in SPECS] == list(KERNELS)
+    # Streaming campaign: >= 10^4 scenarios, >= 1.3x over the legacy
+    # loop, bounded peak residency.
+    campaign = baseline["campaign"]
+    assert campaign["scenarios"] >= 10_000
+    assert campaign["speedup"] >= 1.3
+    assert campaign["peak_in_flight_results"] < campaign["legacy_resident_rows"]
+    # Cluster: a real multi-shard full-shape run whose fault-tolerance
+    # tax stays small enough to be worth paying on a single machine.
+    cluster = baseline["cluster"]
+    assert cluster["scenarios"] >= 400
+    assert cluster["shards"] >= 2
+    assert cluster["overhead"] <= 5.0
 
 
 @pytest.mark.benchmark(group="kernel")

@@ -12,13 +12,13 @@ it (machine independent, current run only):
 
 * a mixed period/capacity sweep evaluated through views must beat
   compiling a fresh scenario per candidate — with byte-identical
-  per-candidate disparities (asserted inside the paired bench);
+  per-candidate disparities (the ``structural`` spec of
+  :mod:`repro.bench`, checked with the other specs in
+  ``test_bench_kernel.py``, which also holds the committed-baseline
+  gate);
 * a capacity view evaluated at draws its base has already scheduled
-  must hit the shared schedule memo instead of re-simulating.
-
-The committed-baseline regression gate for the ``structural`` section
-lives with the other sections in ``test_bench_kernel.py``
-(``BENCH_kernel.json`` / ``repro bench --check``).
+  must hit the shared schedule memo instead of re-simulating (this
+  file).
 """
 
 from __future__ import annotations
@@ -29,29 +29,9 @@ import time
 import pytest
 
 from repro.gen import generate_random_scenario
-from repro.profile import bench_structural_kernel
 from repro.sim.batch import CompiledScenario
 from repro.sim.exec_time import wcet_policy
 from repro.units import seconds
-
-
-@pytest.mark.benchmark(group="structural")
-def test_structural_views_beat_fresh_compiles(benchmark):
-    """Paired sweep: structural views outrun per-candidate compiles."""
-    result = benchmark.pedantic(
-        bench_structural_kernel, rounds=1, iterations=1
-    )
-    print()
-    print(
-        f"structural: {result['candidates']} edits "
-        f"({result['period_candidates']} period, "
-        f"{result['capacity_candidates']} capacity), "
-        f"{result['fresh_s']:.3f}s recompiled -> "
-        f"{result['view_s']:.3f}s via views "
-        f"({result['speedup']:.2f}x)"
-    )
-    assert result["delta_replay"], "candidates fell off the delta path"
-    assert result["view_s"] < result["fresh_s"]
 
 
 @pytest.mark.benchmark(group="structural")

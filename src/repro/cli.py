@@ -481,7 +481,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from repro.profile import (
+    from repro.bench import (
+        DEFAULT_TOLERANCE,
         KERNELS,
         compare_to_baseline,
         format_benchmarks,
@@ -495,10 +496,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.write:
         path = Path(args.write)
-        # Keep the hand-recorded campaign numbers across re-measurements.
-        existing = load_baseline(path)
-        if existing and "recorded" in existing:
-            results["recorded"] = existing["recorded"]
         path.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {path}")
 
@@ -507,13 +504,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if baseline is None:
             print(f"no benchmark baseline at {args.check}; nothing to check")
             return 0
-        regressions = compare_to_baseline(
-            results, baseline, tolerance=args.tolerance
-        )
+        regressions = compare_to_baseline(results, baseline)
         if not regressions:
             print(
                 f"benchmark gate: OK "
-                f"(within {args.tolerance:.0%} of {args.check})"
+                f"(within {DEFAULT_TOLERANCE:.0%} of {args.check})"
             )
             return 0
         strict = os.environ.get("BENCH_STRICT", "") not in ("", "0")
@@ -857,11 +852,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     clrun.set_defaults(func=_cmd_cluster_run)
 
+    from repro.bench import KERNELS, SPECS
+
     bench = subparsers.add_parser(
         "bench",
-        help="measure simulator-kernel, batch-engine (implicit and LET), "
-        "columnar, faulted-batch, delta-replay, structural-view and "
-        "analysis throughput",
+        help="measure kernel ratios: "
+        + ", ".join(spec.gate.label for spec in SPECS),
     )
     bench.add_argument(
         "--quick",
@@ -870,10 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--kernel",
-        choices=(
-            "sim", "batch", "let", "columnar", "fault", "delta",
-            "structural", "analysis", "campaign", "cluster", "all",
-        ),
+        choices=KERNELS + ("all",),
         default="all",
         help="measure only one benchmark section (default: all; "
         "--check skips sections absent from the run)",
@@ -888,12 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="compare against a committed baseline JSON; prints "
         "::warning:: lines on regression (exit 1 with BENCH_STRICT=1)",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="relative slowdown tolerated by --check (default 0.25)",
     )
     bench.set_defaults(func=_cmd_bench)
 
