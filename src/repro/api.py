@@ -35,11 +35,7 @@ from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.analysis_regime import AnalysisRegime, regime_of
-from repro.chains.backward import (
-    BackwardBounds,
-    BackwardBoundsCache,
-    BackwardBoundsTable,
-)
+from repro.chains.backward import BackwardBounds, BackwardBoundsCache
 from repro.core.disparity import (
     TaskDisparityResult,
     normalize_method,
@@ -49,12 +45,7 @@ from repro.model.chain import Chain, enumerate_source_chains
 from repro.model.graph import CauseEffectGraph
 from repro.model.system import System
 from repro.sched.response_time import ResponseTimeTable
-from repro.sim.batch import (
-    BatchResult,
-    CompiledScenario,
-    ScenarioView,
-    run_batch,
-)
+from repro.sim.batch import BatchResult, CompiledScenario, run_batch
 from repro.sim.engine import Observer, SimulationResult, randomize_offsets, simulate
 from repro.sim.exec_time import ExecTimePolicy, named_policy
 from repro.sim.metrics import DisparityMonitor  # noqa: F401  (re-export)
@@ -62,6 +53,10 @@ from repro.units import Time
 
 #: A policy given either by CLI name or as a callable.
 PolicyLike = Union[str, ExecTimePolicy]
+
+#: Bound on the per-``(task, semantics)`` compiled-scenario memo of a
+#: session (see :meth:`AnalysisSession.compiled_scenario`).
+COMPILED_CACHE_SIZE = 8
 
 
 class AnalysisSession:
@@ -86,12 +81,6 @@ class AnalysisSession:
             :meth:`observed_disparity` and :meth:`observed_batch`
             replay LET data flow; per-call ``semantics=`` overrides
             remain available.
-        compiled_cache_size: Bound on the per-``(task, semantics)``
-            compiled-scenario memo (see :meth:`compiled_scenario`).
-            Least-recently-used entries are evicted past the bound, so
-            a long-lived session sweeping many monitored tasks holds at
-            most this many compiled cores; :meth:`compiled_cache_stats`
-            exposes the eviction counter.
     """
 
     def __init__(
@@ -100,27 +89,21 @@ class AnalysisSession:
         *,
         bounds_strategy=None,
         semantics: str = "implicit",
-        compiled_cache_size: int = 8,
     ) -> None:
         if semantics not in ("implicit", "let"):
             raise ValueError(
                 f"unknown semantics {semantics!r}; "
                 f"choose from ('implicit', 'let')"
             )
-        if compiled_cache_size < 1:
-            raise ValueError(
-                f"compiled_cache_size must be >= 1, got {compiled_cache_size}"
-            )
         self._system = system
         self._semantics = semantics
         self._regime = regime_of(system)
-        self._cache = BackwardBoundsTable(system, strategy=bounds_strategy)
+        self._cache = BackwardBoundsCache(system, strategy=bounds_strategy)
         self._chains: Dict[str, Tuple[Chain, ...]] = {}
         self._results: Dict[Tuple[str, str, bool], TaskDisparityResult] = {}
         self._compiled: "OrderedDict[Tuple[str, str], CompiledScenario]" = (
             OrderedDict()
         )
-        self._compiled_cache_size = compiled_cache_size
         self._compiled_hits = 0
         self._compiled_misses = 0
         self._compiled_evictions = 0
@@ -382,8 +365,12 @@ class AnalysisSession:
         tables), so one core per ``(task, semantics)`` serves every
         replication and every offset candidate of this session:
         :meth:`observed_batch` replays it per replication and callers
-        can derive per-candidate views directly via
-        ``compiled_scenario(task).with_offsets(offsets)``.
+        evaluate candidates directly via
+        ``compiled_scenario(task).disparity(offsets, ...)`` or derive
+        edited siblings with ``compiled_scenario(task).edit(...)``.
+        Least-recently-used cores are evicted past
+        :data:`COMPILED_CACHE_SIZE`, so a long-lived session sweeping
+        many monitored tasks holds a bounded number of them.
         """
         sem = self._semantics if semantics is None else semantics
         key = (task, sem)
@@ -392,7 +379,7 @@ class AnalysisSession:
             self._compiled_misses += 1
             compiled = CompiledScenario(self._system, task, semantics=sem)
             self._compiled[key] = compiled
-            if len(self._compiled) > self._compiled_cache_size:
+            if len(self._compiled) > COMPILED_CACHE_SIZE:
                 self._compiled.popitem(last=False)
                 self._compiled_evictions += 1
         else:
@@ -411,29 +398,11 @@ class AnalysisSession:
         """
         return {
             "size": len(self._compiled),
-            "maxsize": self._compiled_cache_size,
+            "maxsize": COMPILED_CACHE_SIZE,
             "hits": self._compiled_hits,
             "misses": self._compiled_misses,
             "evictions": self._compiled_evictions,
         }
-
-    def edit_scenario(
-        self, task: str, *, semantics: Optional[str] = None, **changes
-    ) -> ScenarioView:
-        """A delta view of this session's compiled core of ``task``.
-
-        Session-level entry to :meth:`CompiledScenario.edit`: the
-        compiled core is fetched from (or admitted to) the bounded
-        memo, then the edit derives a view that shares every table the
-        edit does not touch.  Accepted edit keys are ``offsets``,
-        ``periods``, ``priorities``, and ``capacities``; unknown keys
-        raise ``ValueError`` listing the choices, mirroring the
-        method-name validation of :meth:`disparity`.
-
-            view = session.edit_scenario("sink", periods={"cam": ms(40)})
-            observed = view.disparity(seed=3, duration=seconds(2))
-        """
-        return self.compiled_scenario(task, semantics=semantics).edit(**changes)
 
     def observed_batch(
         self,

@@ -27,7 +27,7 @@ from typing import (
 )
 
 from repro.api import AnalysisSession
-from repro.chains.backward import BackwardBoundsTable
+from repro.chains.backward import BackwardBoundsCache
 from repro.experiments.fig6 import StageTiming, graph_tasks
 from repro.gen import generate_random_scenario
 from repro.model.chain import enumerate_source_chains
@@ -298,16 +298,17 @@ def _edited_system(system: System, edit: Dict[str, Any]) -> System:
 
 
 def _sweep_arms(rng, *, n_tasks: int, candidates: int, duration_s: float, edits):
-    """Candidate views of one compiled scenario vs a compile per candidate.
+    """Candidates derived from one compiled scenario vs a compile each.
 
     ``fresh`` compiles the edited system per candidate (the cost model
     before delta compilation: every grid, rank table and schedule
     rebuilt); ``delta`` / ``view`` (one arm, named per section) compiles
     the base once and derives each candidate through
     :meth:`~repro.sim.batch.CompiledScenario.edit`, which rebuilds only
-    what the edit invalidates (capacity views even share the schedule
-    memo).  The WCET policy with one fixed seed makes every
-    per-candidate disparity deterministic.
+    what the edit invalidates (capacity edits even share the schedule
+    memo); offset-only candidates replay the base directly.  The WCET
+    policy with one fixed seed makes every per-candidate disparity
+    deterministic.
     """
     scenario = generate_random_scenario(n_tasks, rng)
     system, sink = scenario.system, scenario.sink
@@ -317,22 +318,29 @@ def _sweep_arms(rng, *, n_tasks: int, candidates: int, duration_s: float, edits)
 
     def fresh(note):
         return [
-            CompiledScenario(_edited_system(system, edit), sink)
-            .with_offsets(edit["offsets"])
-            .disparity(SEED, duration, warmup, wcet_policy)
+            CompiledScenario(_edited_system(system, edit), sink).disparity(
+                edit["offsets"], SEED, duration, warmup, wcet_policy
+            )
             for edit in sweep
         ]
 
-    def views(note):
+    def shared(note):
         base = CompiledScenario(system, sink)
-        derived = [base.edit(**edit) for edit in sweep]
+        derived = []
+        for edit in sweep:
+            changes = {key: value for key, value in edit.items() if key != "offsets"}
+            derived.append((base.edit(**changes) if changes else base, edit["offsets"]))
         disparities = [
-            view.disparity(SEED, duration, warmup, wcet_policy) for view in derived
+            compiled.disparity(offsets, SEED, duration, warmup, wcet_policy)
+            for compiled, offsets in derived
         ]
-        note["delta_replay"] = all(view.delta_replay for view in derived)
+        note["delta_replay"] = all(
+            compiled.eligible and compiled.in_domain(offsets)
+            for compiled, offsets in derived
+        )
         return disparities
 
-    return {"fresh": fresh, "delta": views, "view": views}, info
+    return {"fresh": fresh, "delta": shared, "view": shared}, info
 
 
 @dataclass(frozen=True)
@@ -560,8 +568,8 @@ def _diamond_ladder(levels: int, width: int = 2):
 def _analysis_arms(rng, *, levels: int, width: int):
     """One full backward-bounds pass over every chain of a ladder.
 
-    A fresh :class:`BackwardBoundsTable` computes WCBT/BCBT for all
-    ``width**levels`` chains.  The table interns per-edge and per-task
+    A fresh :class:`BackwardBoundsCache` computes WCBT/BCBT for all
+    ``width**levels`` chains.  The cache interns per-edge and per-task
     ingredients once and accumulates along shared prefixes, so the
     per-chain cost *falls* as chains multiply — the point of the
     DAG-shared DP.
@@ -571,9 +579,9 @@ def _analysis_arms(rng, *, levels: int, width: int):
     chains = enumerate_source_chains(system.graph, sink)
 
     def wall(note):
-        table = BackwardBoundsTable(system)
+        cache = BackwardBoundsCache(system)
         for chain in chains:
-            table.bounds(chain)
+            cache.bounds(chain)
 
     return {"wall": wall}, {"chains": len(chains)}
 

@@ -159,7 +159,7 @@ class MultiChainDesign:
     ``observed_before`` / ``observed_after`` are the max observed
     disparities of the undesigned and designed systems over paired
     batched replications (same seeds and offset draws, the designed
-    side a ``capacities`` delta view of the base compiled scenario);
+    side a ``capacities`` edit of the base compiled scenario);
     ``None`` unless requested via ``observed_sims``.
     """
 
@@ -183,9 +183,11 @@ def _observed_pair(
     """Paired observed disparities of the base and buffered systems.
 
     Capacity edits are the cheapest structural delta: the designed
-    side shares the base's release streams *and* its schedule memo
-    (buffer sizes never affect scheduling), so the paired replications
-    compute every schedule once and re-resolve only the data flow.
+    side shares the base's release streams and its schedule memo
+    (buffer sizes never affect scheduling).  Only the per-replication
+    compiled tier reads that memo, so there the paired replications
+    compute every schedule once; the columnar tier advances both sides
+    (one batched kernel call each) and re-resolves the data flow.
     """
     if duration is None or duration <= 0:
         raise ModelError(
@@ -193,9 +195,9 @@ def _observed_pair(
         )
     import random
 
-    from repro.sim.batch import compile_scenario, run_batch
+    from repro.sim.batch import CompiledScenario, run_batch
 
-    base = compile_scenario(system, task)
+    base = CompiledScenario(system, task)
     before = run_batch(
         system,
         task,
@@ -206,9 +208,7 @@ def _observed_pair(
         compiled=base,
     ).max_disparity
     buffered = system.with_buffer_plan(plan)
-    after_compiled = (
-        base.edit(capacities=dict(plan)).compiled if plan else base
-    )
+    after_compiled = base.edit(capacities=dict(plan)) if plan else base
     after = run_batch(
         buffered,
         task,
@@ -246,8 +246,8 @@ def design_buffers_greedy(
     the cost of one full analysis per round.  With ``observed_sims >
     0`` the final plan is additionally measured by paired batched
     replications against the undesigned system, the designed side a
-    ``capacities`` delta view of the base compiled scenario (shared
-    schedules — see :func:`_observed_pair`).
+    ``capacities`` edit of the base compiled scenario (see
+    :func:`_observed_pair`).
     """
     from repro.core.disparity import worst_case_disparity
 

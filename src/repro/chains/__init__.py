@@ -3,7 +3,6 @@
 from repro.chains.backward import (
     BackwardBounds,
     BackwardBoundsCache,
-    BackwardBoundsTable,
     backward_bounds,
     bcbt_lower,
     hop_budget,
@@ -24,7 +23,6 @@ from repro.chains.latency import (
 __all__ = [
     "BackwardBounds",
     "BackwardBoundsCache",
-    "BackwardBoundsTable",
     "backward_bounds",
     "bcbt_lower",
     "hop_budget",

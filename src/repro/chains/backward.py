@@ -145,73 +145,14 @@ def backward_bounds(chain: Chain, system: System) -> BackwardBounds:
 
 
 class BackwardBoundsCache:
-    """Memoized per-chain backward bounds.
-
-    The disparity analysis of a task evaluates ``W``/``B`` for every
-    sub-chain of every pair of chains in ``P``; sub-chains repeat
-    heavily across pairs (common prefixes through the fork-join
-    structure), so memoization is a large constant-factor win at Fig. 6
-    scale.
-
-    ``strategy`` computes the bounds for one chain and defaults to the
-    paper's non-preemptive bounds (:func:`backward_bounds`).  Passing a
-    different strategy retargets *every* disparity theorem to another
-    communication/scheduling model — e.g.
-    :func:`repro.let.backward_bounds_let` for Logical Execution Time —
-    because Theorems 1-3 only consume the per-chain ``[B, W]``
-    intervals plus task periodicity.
-    """
-
-    def __init__(self, system: System, strategy=None) -> None:
-        self._system = system
-        self._strategy = strategy if strategy is not None else backward_bounds
-        self._cache: Dict[Tuple[str, ...], BackwardBounds] = {}
-
-    @property
-    def system(self) -> System:
-        """The system the cached bounds were computed against."""
-        return self._system
-
-    def bounds(self, chain: Chain) -> BackwardBounds:
-        """Bounds of ``chain``, computed once and memoized."""
-        key = chain.tasks
-        found = self._cache.get(key)
-        if found is None:
-            found = self._strategy(chain, self._system)
-            self._cache[key] = found
-        return found
-
-    def wcbt(self, chain: Chain) -> Time:
-        """Memoized ``W(chain)``."""
-        return self.bounds(chain).wcbt
-
-    def bcbt(self, chain: Chain) -> Time:
-        """Memoized ``B(chain)``."""
-        return self.bounds(chain).bcbt
-
-    def register(self, chains: Iterable[Chain]) -> None:
-        """Pre-compute the bounds of ``chains`` (and their prefixes).
-
-        A no-op beyond warming the memo: callers that are about to
-        evaluate an all-pairs loop (``worst_case_disparity``) register
-        the enumerated chains up front so the loop itself only performs
-        dictionary hits.
-        """
-        for chain in chains:
-            self.bounds(chain)
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-
-class BackwardBoundsTable(BackwardBoundsCache):
-    """DAG-shared backward bounds: a prefix-sharing dynamic program.
+    """Memoized backward bounds, shared across the chains of one DAG.
 
     The disparity analysis evaluates ``W``/``B`` for every sub-chain of
     every decomposition of every chain pair, and those sub-chains share
-    almost all of their prefixes (they are paths through one DAG).  The
-    plain :class:`BackwardBoundsCache` memoizes whole chains but still
-    pays ``O(len(chain))`` per *distinct* chain; this table instead
+    almost all of their prefixes (they are paths through one DAG).
+    With the default ``strategy`` (the paper's non-preemptive bounds,
+    :func:`backward_bounds`) the cache runs a prefix-sharing dynamic
+    program that
 
     * computes each per-hop ingredient exactly once per **edge**
       (``theta_i`` of Lemma 4 plus the Lemma 6 capacity shift folded
@@ -229,16 +170,23 @@ class BackwardBoundsTable(BackwardBoundsCache):
         B(pi)        = SB(pi) - R(pi.tail)          (len > 1)
 
     with ``W = B = 0`` for single-task chains, matching
-    :func:`wcbt_upper` / :func:`bcbt_lower` bit for bit.
+    :func:`wcbt_upper` / :func:`bcbt_lower` bit for bit, invalid chains
+    included (same :class:`~repro.model.task.ModelError`).
 
-    A non-default ``strategy`` (e.g. LET retargeting) bypasses the DP
-    and behaves exactly like the base cache — the recurrence above is
-    only known to be sound for the paper's additive bounds.
+    Passing a different ``strategy`` (one function computing the bounds
+    of one chain) retargets *every* disparity theorem to another
+    communication/scheduling model — e.g.
+    :func:`repro.let.backward_bounds_let` for Logical Execution Time —
+    because Theorems 1-3 only consume the per-chain ``[B, W]``
+    intervals plus task periodicity.  Such a strategy bypasses the DP
+    (the recurrence is only known to be sound for the paper's additive
+    bounds) and is memoized per whole chain.
     """
 
     def __init__(self, system: System, strategy=None) -> None:
-        super().__init__(system, strategy=strategy)
-        self._shared_dp = strategy is None
+        self._system = system
+        self._strategy = strategy
+        self._cache: Dict[Tuple[str, ...], BackwardBounds] = {}
         # Classified once; checked lazily in bounds() so a session over
         # a non-periodic system can still simulate — only the first
         # analytical query raises.
@@ -249,6 +197,11 @@ class BackwardBoundsTable(BackwardBoundsCache):
         self._edge_weight: Dict[Tuple[str, str], Tuple[Time, Time]] = {}
         self._task_b: Dict[str, Time] = {}
         self._task_r: Dict[str, Time] = {}
+
+    @property
+    def system(self) -> System:
+        """The system the cached bounds were computed against."""
+        return self._system
 
     def _edge(self, producer: str, consumer: str) -> Tuple[Time, Time]:
         """Interned ``(theta + shift, B(consumer) + shift)`` of one hop."""
@@ -305,21 +258,25 @@ class BackwardBoundsTable(BackwardBoundsCache):
         return (w_acc, sb_acc)
 
     def bounds(self, chain: Chain) -> BackwardBounds:
-        """Bounds of ``chain`` via the prefix DP (memoized)."""
-        if not self._shared_dp:
-            return super().bounds(chain)
-        # The DP inlines Lemmas 4/5 without calling wcbt_upper /
-        # bcbt_lower, so it must repeat their periodic-release gate.
-        self._regime.require_analytical("backward bounds (Lemmas 4-5)")
+        """Bounds of ``chain``, computed once and memoized."""
         key = chain.tasks
         found = self._cache.get(key)
-        if found is None:
+        if found is not None:
+            return found
+        if self._strategy is not None:
+            found = self._strategy(chain, self._system)
+        else:
+            # The DP inlines Lemmas 4/5 without calling wcbt_upper /
+            # bcbt_lower, so it must repeat their periodic-release gate
+            # and their chain validation.
+            self._regime.require_analytical("backward bounds (Lemmas 4-5)")
             if len(key) == 1:
+                chain.validate(self._system.graph)
                 found = BackwardBounds(chain=chain, wcbt=0, bcbt=0)
             else:
                 try:
                     w_acc, sb_acc = self._accumulators(key)
-                except KeyError as exc:
+                except (KeyError, ModelError) as exc:
                     # Unknown edge or task: surface the same diagnostic
                     # the per-chain path produces.
                     chain.validate(self._system.graph)
@@ -329,5 +286,27 @@ class BackwardBoundsTable(BackwardBoundsCache):
                 found = BackwardBounds(
                     chain=chain, wcbt=w_acc, bcbt=sb_acc - self._r(key[-1])
                 )
-            self._cache[key] = found
+        self._cache[key] = found
         return found
+
+    def wcbt(self, chain: Chain) -> Time:
+        """Memoized ``W(chain)``."""
+        return self.bounds(chain).wcbt
+
+    def bcbt(self, chain: Chain) -> Time:
+        """Memoized ``B(chain)``."""
+        return self.bounds(chain).bcbt
+
+    def register(self, chains: Iterable[Chain]) -> None:
+        """Pre-compute the bounds of ``chains`` (and their prefixes).
+
+        A no-op beyond warming the memo: callers that are about to
+        evaluate an all-pairs loop (``worst_case_disparity``) register
+        the enumerated chains up front so the loop itself only performs
+        dictionary hits.
+        """
+        for chain in chains:
+            self.bounds(chain)
+
+    def __len__(self) -> int:
+        return len(self._cache)

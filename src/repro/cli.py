@@ -342,7 +342,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return code
 
     from repro.buffers import design_buffers_multi
-    from repro.chains import BackwardBoundsTable
+    from repro.chains import BackwardBoundsCache
     from repro.core import worst_case_disparity
     from repro.gen import generate_random_scenario
     from repro.model.chain import enumerate_source_chains
@@ -371,7 +371,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if _regime_note(system, sink, args):
         return 0
 
-    cache = BackwardBoundsTable(system)
+    cache = BackwardBoundsCache(system)
     chains = enumerate_source_chains(system.graph, sink)
     print(f"chains into {sink!r}: {len(chains)}")
     for chain in chains:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from repro.chains.backward import BackwardBoundsCache, BackwardBoundsTable
+from repro.chains.backward import BackwardBoundsCache
 from repro.core.pairwise import (
     PairwiseResult,
     disparity_bound_forkjoin,
@@ -155,10 +155,10 @@ def worst_case_disparity(
     method = normalize_method(method)
     if cache is None:
         # Standalone call: hoist everything shareable out of the
-        # all-pairs loop — one DAG-shared bounds table instead of a
-        # per-chain cache, warmed for every enumerated chain up front
-        # so the pair loop below performs dictionary hits only.
-        cache = BackwardBoundsTable(system)
+        # all-pairs loop — one DAG-shared bounds cache, warmed for
+        # every enumerated chain up front so the pair loop below
+        # performs dictionary hits only.
+        cache = BackwardBoundsCache(system)
     if chains is None:
         chains = enumerate_source_chains(system.graph, task)
     cache.register(chains)
@@ -205,8 +205,8 @@ def all_sink_disparities(
     method: Method = "forkjoin",
     truncate_suffix: bool = True,
 ) -> Dict[str, TaskDisparityResult]:
-    """Disparity bounds of every sink task, sharing one bounds table."""
-    cache = BackwardBoundsTable(system)
+    """Disparity bounds of every sink task, sharing one bounds cache."""
+    cache = BackwardBoundsCache(system)
     return {
         sink: worst_case_disparity(
             system, sink, method=method, truncate_suffix=truncate_suffix, cache=cache

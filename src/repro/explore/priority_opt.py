@@ -84,7 +84,7 @@ def _observed_pair(
     """Paired observed disparities of the start and final assignments.
 
     The base scenario is compiled once; the final assignment is a
-    ``priorities`` delta view of it (only the per-unit rank tables are
+    ``priorities`` edit of it (only the per-unit rank tables are
     rebuilt — release grids, stream tables, the provenance domain and
     the monitored closure stay shared).  Both sides replay the same
     ``(seed, offsets)`` draws, so the pair isolates the effect of the
@@ -94,9 +94,9 @@ def _observed_pair(
         raise ModelError(
             "observed_sims > 0 requires a positive observed_duration"
         )
-    from repro.sim.batch import compile_scenario, run_batch
+    from repro.sim.batch import CompiledScenario, run_batch
 
-    base = compile_scenario(system, task)
+    base = CompiledScenario(system, task)
     before = run_batch(
         system,
         task,
@@ -111,9 +111,7 @@ def _observed_pair(
         for t in final.graph.tasks
         if t.priority != system.graph.task(t.name).priority
     }
-    after_compiled = (
-        base.edit(priorities=changed).compiled if changed else base
-    )
+    after_compiled = base.edit(priorities=changed) if changed else base
     after = run_batch(
         final,
         task,
@@ -144,7 +142,7 @@ def optimize_priorities(
     design lever).  With ``observed_sims > 0`` the start and final
     assignments are additionally measured by paired batched
     replications (``observed_duration`` horizon, shared draws), the
-    final one evaluated through a priority delta view of the start's
+    final one evaluated through a ``priorities`` edit of the start's
     compiled scenario — see :class:`PriorityOptResult`.
     """
     if max_rounds < 1:

@@ -21,14 +21,14 @@ incremental approximations.  Each sweep can additionally measure an
 replications through :func:`repro.sim.batch.run_batch` — within a
 candidate every replication is an offset-delta replay of shared
 compiled tables).  With ``jobs=1`` the base scenario is compiled
-**once** and every candidate becomes a structural delta view of it
+**once** and every candidate becomes a structural edit of it
 (:meth:`repro.sim.batch.CompiledScenario.edit`): a period candidate
 invalidates only the edited task's release grids, a capacity candidate
 only the channel tables, everything else stays shared.  Worker
 processes (``jobs > 1``) compile per candidate instead (compiled
 scenarios do not cross process boundaries); per-candidate seeds are
 derived up front from ``seed`` in input order, so the observed column
-is identical for any ``jobs`` and for views on vs. off.
+is identical for any ``jobs`` and whether or not the base is shared.
 
 Both sweeps accept ``semantics="let"`` to retarget the candidate
 analysis to the LET backward bounds (:mod:`repro.let`) *and* replay
@@ -109,7 +109,7 @@ def _observe(
 def _base_scenario(
     system: System, analyzed_task: str, semantics: str, sims: int, jobs: int
 ):
-    """The sweep's shared base scenario, when views can be threaded.
+    """The sweep's shared base scenario, when it can be threaded.
 
     Compiled scenarios stay within one process, so candidates can only
     share the base when the sweep runs inline (``jobs=1``, the
@@ -119,9 +119,9 @@ def _base_scenario(
     """
     if jobs != 1 or sims <= 0:
         return None
-    from repro.sim.batch import compile_scenario
+    from repro.sim.batch import CompiledScenario
 
-    return compile_scenario(system, analyzed_task, semantics=semantics)
+    return CompiledScenario(system, analyzed_task, semantics=semantics)
 
 
 def _check_semantics(semantics: str) -> None:
@@ -180,8 +180,8 @@ def _period_point(
     """One candidate of :func:`period_sensitivity` (pool-safe).
 
     ``base`` is the sweep's shared compiled scenario when running
-    inline: the candidate's replications then go through a
-    ``base.edit(periods={task: period})`` view instead of a fresh
+    inline: the candidate's replications then replay
+    ``base.edit(periods={task: period})`` instead of a fresh
     compile (never sent to pool workers, hence a bound argument rather
     than part of the picklable ``params``).
     """
@@ -194,7 +194,7 @@ def _period_point(
         bound = _candidate_bound(candidate, analyzed_task, method, semantics)
         compiled = None
         if base is not None and spec is not None:
-            compiled = base.edit(periods={task: period}).compiled
+            compiled = base.edit(periods={task: period})
         observed = _observe(candidate, analyzed_task, spec, compiled)
         return SweepPoint(
             value=period, bound=bound, schedulable=True, observed=observed
@@ -228,7 +228,7 @@ def period_sensitivity(
     many batched replications of ``observed_duration`` (warmup
     ``observed_warmup``) and reports the max observed disparity; at
     ``jobs=1`` those replications share one base compiled scenario,
-    each candidate a ``periods`` delta view of it.
+    each candidate a ``periods`` edit of it.
     ``semantics="let"`` evaluates both the bound (LET backward bounds)
     and the observed replications under LET data flow.
     """
@@ -262,16 +262,17 @@ def _capacity_point(
     """One candidate of :func:`buffer_capacity_sweep` (pool-safe).
 
     Inline sweeps thread the shared ``base`` scenario through a
-    ``capacities`` delta view — the cheapest structural edit (buffer
-    sizes never affect scheduling, so even the schedule memo stays
-    shared across every capacity candidate).
+    ``capacities`` edit — the cheapest structural edit: only the
+    channel tables are rebuilt.  Each candidate draws its own seeds
+    (``point_seed``), so the aliased schedule memo never hits across
+    candidates; what is shared is the compiled tables.
     """
     system, src, dst, analyzed_task, capacity, method, semantics, spec = params
     candidate = system.with_channel_capacity(src, dst, capacity)
     bound = _candidate_bound(candidate, analyzed_task, method, semantics)
     compiled = None
     if base is not None and spec is not None:
-        compiled = base.edit(capacities={(src, dst): capacity}).compiled
+        compiled = base.edit(capacities={(src, dst): capacity})
     observed = _observe(candidate, analyzed_task, spec, compiled)
     return SweepPoint(
         value=capacity, bound=bound, schedulable=True, observed=observed
@@ -302,8 +303,8 @@ def buffer_capacity_sweep(
     ``jobs > 1`` evaluates the capacities across worker processes.
     With ``observed_sims > 0`` every capacity additionally reports the
     max observed disparity over that many batched replications; at
-    ``jobs=1`` the candidates are ``capacities`` delta views of one
-    shared compiled scenario.
+    ``jobs=1`` the candidates are ``capacities`` edits of one shared
+    compiled scenario.
     ``semantics="let"`` evaluates both the bound (LET backward bounds)
     and the observed replications under LET data flow.
     """

@@ -77,7 +77,10 @@ class Chain:
         return tuple(zip(self.tasks, self.tasks[1:]))
 
     def validate(self, graph: CauseEffectGraph) -> None:
-        """Check that every consecutive pair is an edge of ``graph``."""
+        """Check that ``graph`` has every task and every consecutive edge."""
+        for name in self.tasks:
+            if name not in graph:
+                raise ModelError(f"chain {self.tasks} uses unknown task {name!r}")
         for src, dst in self.edges():
             if not graph.has_channel(src, dst):
                 raise ModelError(

@@ -26,9 +26,7 @@ is strictly cheaper than the reference :class:`~repro.sim.engine.Simulator`:
   ``argsort``) instead of regenerating, slicing and re-concatenating
   per-task grids — the per-candidate cost of an offset-only sweep
   (``exact.search``, the Fig. 6 replications, the buffer/period
-  sweeps' observed columns) is the shift and the replay, nothing else.
-  :meth:`CompiledScenario.with_offsets` exposes one candidate as a
-  cheap bound view;
+  sweeps' observed columns) is the shift and the replay, nothing else;
 * per-unit ready queues become priority-rank bitmasks (eligibility
   requires unique priorities per unit), with per-task pending counters
   carrying FIFO multiplicity;
@@ -53,21 +51,17 @@ task reaches the same fallback, whose constructor rejects it with a
 :class:`~repro.model.task.ModelError` naming the task.
 
 Delta compilation generalizes beyond offsets to **structural edits**:
-:meth:`CompiledScenario.edit` (and the ``with_period`` /
-``with_capacity`` / ``with_priority`` accessors) derive a sibling
-compiled scenario that invalidates only the tables the edit actually
-touches — release-stream tables on period edits, per-unit
-priority-rank tables on priority edits, channel tables on capacity
-edits — while everything else (zero-offset release grids keyed by
-``(period, horizon)``, the provenance domain, the backward closure,
-and for capacity-only edits even the memoized *schedules*) stays
-shared with the parent.  Every view — offset-only or structural —
-implements the :class:`ScenarioView` protocol (``in_domain`` /
-``delta_replay`` / ``reason`` / ``disparity`` / ``windowed_maxima`` /
-``edit``), and edits whose result the compiled loop cannot replay
-(duplicate priorities, offsets pushed outside ``[0, T]`` by a period
-change) fall back to the per-replication simulator with identical
-results.
+:meth:`CompiledScenario.edit` derives a sibling compiled scenario that
+invalidates only the tables the edit actually touches — release-stream
+tables on period edits, per-unit priority-rank tables on priority
+edits, channel tables on capacity edits — while everything else
+(zero-offset release grids keyed by ``(period, horizon)``, the
+provenance domain, the backward closure, and for capacity-only edits
+even the memoized *schedules*) stays shared with the parent.  A
+derived scenario is evaluated like any other, at explicit offsets;
+edits whose result the compiled loop cannot replay (duplicate
+priorities, offsets pushed outside ``[0, T]`` by a period change) fall
+back to the per-replication simulator with identical results.
 
 :func:`run_batch` packages the common case: draw ``(seed, offsets)``
 pairs exactly like ``AnalysisSession.observed_disparity`` and return a
@@ -88,13 +82,10 @@ from math import ceil
 from typing import (
     Dict,
     List,
-    Mapping,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
     Union,
-    runtime_checkable,
 )
 
 if os.environ.get("REPRO_NO_NUMPY"):  # pragma: no cover - CI leg
@@ -150,16 +141,10 @@ def _resolve_policy(policy: PolicyLike) -> ExecTimePolicy:
 #: recorded schedule of a replication.
 SCHED_CACHE_SIZE = 32
 
-#: Bound on the columnar advance memo: one entry holds the recorded
-#: ``(sims, slots)`` columns of a whole batch, so two suffice for the
-#: sweep patterns that alias it (before/after capacity edits, repeated
-#: probes of one draw set).
-ADV_CACHE_SIZE = 2
-
 #: The edit kinds :meth:`CompiledScenario.edit` accepts, in the order
 #: they are applied (period before priority, so a task named in both
 #: keeps both; capacities touch channels, not tasks).
-_EDIT_KEYS = ("offsets", "periods", "priorities", "capacities")
+_EDIT_KEYS = ("periods", "priorities", "capacities")
 
 
 def _policy_token(policy: ExecTimePolicy) -> Optional[Tuple[str, bool]]:
@@ -185,7 +170,7 @@ def _policy_token(policy: ExecTimePolicy) -> Optional[Tuple[str, bool]]:
 
 
 class _ScheduleCache:
-    """Bounded LRU over recorded schedules, shared across sibling views.
+    """Bounded LRU over recorded schedules, shared across siblings.
 
     Keys are ``(offsets, seed, duration, policy-name)`` (seed
     normalized to 0 for deterministic policies, unless release tables
@@ -199,8 +184,8 @@ class _ScheduleCache:
 
     __slots__ = ("maxsize", "entries", "hits", "misses", "evictions")
 
-    def __init__(self, maxsize: int = SCHED_CACHE_SIZE) -> None:
-        self.maxsize = maxsize
+    def __init__(self) -> None:
+        self.maxsize = SCHED_CACHE_SIZE
         self.entries: "OrderedDict[tuple, tuple]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -308,7 +293,7 @@ class CompiledScenario:
     priority ranks (as bitmask bit positions), concatenated
     offset-independent release-stream tables per cached horizon (the
     delta-compilation tables applied per candidate as a vector shift —
-    see :meth:`with_offsets`), the interned source bitmasks of the
+    see :meth:`_stream_tables`), the interned source bitmasks of the
     packed provenance domain, and the backward closure of the
     monitored task (only those tasks are recorded during a
     replication).
@@ -427,9 +412,6 @@ class CompiledScenario:
         # Memoized recorded schedules (shared by capacity-derived
         # siblings, where the schedule is edit-invariant).
         self._sched_cache = _ScheduleCache()
-        # Columnar twin of the schedule memo: whole-batch advance
-        # columns, aliased under exactly the same edit rules.
-        self._adv_cache = _ScheduleCache(maxsize=ADV_CACHE_SIZE)
         elapsed = _time.perf_counter() - t0
         self.compile_s = elapsed
         PHASE_TIMES["compile_s"] += elapsed
@@ -528,12 +510,23 @@ class CompiledScenario:
             return None
         return "; ".join(self.ineligible_reasons)
 
-    def _offsets_in_domain(self, offsets: Sequence[Time]) -> bool:
+    def in_domain(self, offsets: Sequence[Time]) -> bool:
+        """True when every offset lies in ``[0, T]`` of its task.
+
+        The delta-replay rule: out-of-domain offsets still evaluate
+        correctly, through the per-replication simulator fallback.
+        """
         periods = self.periods
         for tid, off in enumerate(offsets):
             if not 0 <= off <= periods[tid]:
                 return False
         return True
+
+    def _check_offsets(self, offsets: Sequence[Time]) -> None:
+        if len(offsets) != self.n:
+            raise ModelError(
+                f"expected {self.n} offsets, got {len(offsets)}"
+            )
 
     # ------------------------------------------------------------------
     # release stream
@@ -1258,12 +1251,14 @@ class CompiledScenario:
         Equals ``simulate()`` + :class:`DisparityMonitor` on the system
         with these ``offsets`` (listed in graph-task order) under the
         same ``seed`` and ``policy``; replications the compiled loop
-        cannot handle run exactly that fallback.
+        cannot handle run exactly that fallback.  A vector of the wrong
+        length raises :class:`~repro.model.task.ModelError`.
         """
+        self._check_offsets(offsets)
         resolved = _resolve_policy(policy)
         t0 = _time.perf_counter()
         try:
-            if self.ineligible_reason is not None or not self._offsets_in_domain(
+            if self.ineligible_reason is not None or not self.in_domain(
                 offsets
             ):
                 return self._fallback_disparity(
@@ -1315,11 +1310,12 @@ class CompiledScenario:
         eligible scenario and in-domain offsets (callers check
         :attr:`eligible`; the offset search draws in ``[1, T]``).
         """
+        self._check_offsets(offsets)
         if self.ineligible_reason is not None:
             raise ModelError(
                 f"scenario not compiled-loop eligible: {self.ineligible_reason}"
             )
-        if not self._offsets_in_domain(offsets):
+        if not self.in_domain(offsets):
             raise ModelError("offsets outside [0, T] for windowed probe")
         resolved = _resolve_policy(policy)
         t0 = _time.perf_counter()
@@ -1358,59 +1354,14 @@ class CompiledScenario:
             PHASE_TIMES["replicate_s"] += _time.perf_counter() - t0
 
     # ------------------------------------------------------------------
-    # delta views
+    # structural edits
     # ------------------------------------------------------------------
 
-    def with_offsets(
-        self, offsets: Union[Sequence[Time], Mapping[str, Time]]
-    ) -> "OffsetView":
-        """A cheap per-candidate view of this scenario at ``offsets``.
+    def edit(self, **changes) -> "CompiledScenario":
+        """A sibling scenario with periods, priorities or capacities edited.
 
-        The delta-compilation entry point for offset-only sweeps: the
-        offset-independent tables (task/unit tables, priority-rank
-        bitmasks, the provenance domain, the backward closure, and the
-        per-horizon release-stream tables) stay on this compiled
-        scenario and are shared by every view; the view itself holds
-        only the offset vector.  Replaying a candidate through
-        ``view.disparity(...)`` / ``view.windowed_maxima(...)`` is
-        byte-identical to a fresh :func:`compile_scenario` evaluated at
-        the same offsets — including the per-replication simulator
-        fallback when the offsets leave ``[0, T]`` (see
-        :attr:`OffsetView.in_domain`).
+        Accepted keys:
 
-        ``offsets`` is either a vector in graph-task order or a
-        mapping from task name to offset covering exactly the graph's
-        tasks (missing or unknown names raise).
-        """
-        return OffsetView(self, self._normalize_offsets(offsets))
-
-    def _normalize_offsets(
-        self, offsets: Union[Sequence[Time], Mapping[str, Time]]
-    ) -> Tuple[Time, ...]:
-        """An offset vector in graph-task order, from vector or mapping."""
-        if isinstance(offsets, Mapping):
-            if set(offsets) != set(self.names):
-                missing = sorted(set(self.names) - set(offsets))
-                unknown = sorted(set(offsets) - set(self.names))
-                raise ModelError(
-                    f"offset mapping must cover exactly the graph's tasks"
-                    f" (missing {missing}, unknown {unknown})"
-                )
-            return tuple(offsets[name] for name in self.names)
-        vector = tuple(offsets)
-        if len(vector) != self.n:
-            raise ModelError(
-                f"expected {self.n} offsets, got {len(vector)}"
-            )
-        return vector
-
-    def edit(self, **changes) -> "ScenarioView":
-        """One view composing offset and structural edits of this scenario.
-
-        The unified delta-compilation entry point.  Accepted keys:
-
-        * ``offsets`` — a vector in graph-task order or a name mapping
-          (exactly :meth:`with_offsets`),
         * ``periods`` — mapping ``task name -> new period``,
         * ``priorities`` — mapping ``task name -> new priority``,
         * ``capacities`` — mapping ``(src, dst) -> new capacity``.
@@ -1418,17 +1369,14 @@ class CompiledScenario:
         Unknown keys raise :class:`~repro.model.task.ModelError` (a
         ``ValueError``) listing the choices, as do unknown task names
         or edges and edits that violate task invariants (e.g. a period
-        below the task's WCET).  An offsets-only edit returns the
-        O(n) :class:`OffsetView`; any structural key derives a sibling
+        below the task's WCET).  The result is a derived
         :class:`CompiledScenario` that shares every table the edit
-        does not touch (see :meth:`_derived`) and wraps it in a
-        :class:`StructuralView`.  When ``offsets`` is not given the
-        view evaluates at the edited graph's own task offsets.  Views
-        whose result the compiled loop cannot replay — duplicate
-        priorities after a priority edit, offsets left outside
-        ``[0, T]`` by a period edit — fall back to the per-replication
-        simulator on the edited system with identical results (see
-        :attr:`OffsetView.reason`).
+        does not touch (see :meth:`_derived`); evaluate it at explicit
+        offsets with :meth:`disparity` / :meth:`windowed_maxima`.
+        Scenarios the compiled loop cannot replay — duplicate
+        priorities after a priority edit, offsets outside ``[0, T]``
+        after a period edit — fall back to the per-replication
+        simulator on the edited system with identical results.
         """
         unknown = sorted(set(changes) - set(_EDIT_KEYS))
         if unknown:
@@ -1439,11 +1387,7 @@ class CompiledScenario:
         priorities = dict(changes.get("priorities") or {})
         capacities = dict(changes.get("capacities") or {})
         if not (periods or priorities or capacities):
-            if "offsets" not in changes:
-                raise ModelError(
-                    f"edit() needs at least one of {_EDIT_KEYS}"
-                )
-            return self.with_offsets(changes["offsets"])
+            raise ModelError(f"edit() needs at least one of {_EDIT_KEYS}")
         graph = self.graph.copy()
         # Period before priority so a task edited in both keeps both;
         # Task invariants (wcet <= period, priority >= 0, ...) are
@@ -1461,31 +1405,12 @@ class CompiledScenario:
         system = System(
             graph=graph, response_times=self.system.response_times
         )
-        derived = self._derived(
+        return self._derived(
             system,
             periods_changed=bool(periods),
             priorities_changed=bool(priorities),
             capacities_changed=bool(capacities),
         )
-        if "offsets" in changes:
-            offsets = derived._normalize_offsets(changes["offsets"])
-        else:
-            offsets = tuple(t.offset for t in graph.tasks)
-        return StructuralView(derived, offsets, base=self)
-
-    def with_period(self, task: str, period: Time) -> "StructuralView":
-        """A view of this scenario with ``task``'s period set to ``period``."""
-        return self.edit(periods={task: period})
-
-    def with_priority(self, task: str, priority: int) -> "StructuralView":
-        """A view of this scenario with ``task``'s priority set."""
-        return self.edit(priorities={task: priority})
-
-    def with_capacity(
-        self, edge: Tuple[str, str], capacity: int
-    ) -> "StructuralView":
-        """A view of this scenario with channel ``edge`` resized."""
-        return self.edit(capacities={edge: capacity})
 
     def _derived(
         self,
@@ -1580,10 +1505,8 @@ class CompiledScenario:
         # parent's memo, any other edit starts a fresh one.
         if periods_changed or priorities_changed:
             clone._sched_cache = _ScheduleCache()
-            clone._adv_cache = _ScheduleCache(maxsize=ADV_CACHE_SIZE)
         else:
             clone._sched_cache = self._sched_cache
-            clone._adv_cache = self._adv_cache
         elapsed = _time.perf_counter() - t0
         clone.compile_s = elapsed
         PHASE_TIMES["compile_s"] += elapsed
@@ -1593,7 +1516,7 @@ class CompiledScenario:
     # fallback
     # ------------------------------------------------------------------
 
-    def _with_offsets(self, offsets: Sequence[Time]) -> System:
+    def _system_at(self, offsets: Sequence[Time]) -> System:
         graph = self.graph.copy()
         for name, offset in zip(self.names, offsets):
             graph.replace_task(graph.task(name).with_offset(offset))
@@ -1611,7 +1534,7 @@ class CompiledScenario:
     ) -> Time:
         monitor = DisparityMonitor([self.task], warmup=warmup)
         simulate(
-            self._with_offsets(offsets),
+            self._system_at(offsets),
             duration,
             seed=seed,
             policy=policy,
@@ -1620,188 +1543,6 @@ class CompiledScenario:
             faults=self.faults,
         )
         return monitor.disparity(self.task)
-
-
-@runtime_checkable
-class ScenarioView(Protocol):
-    """The shared surface of every delta-compilation view.
-
-    :meth:`CompiledScenario.with_offsets` returns an
-    :class:`OffsetView`, :meth:`CompiledScenario.edit` (and the
-    ``with_period`` / ``with_priority`` / ``with_capacity``
-    accessors) a :class:`StructuralView`; sweeps program against this
-    protocol and never care which.  The contract every implementation
-    honors: evaluating a view is byte-identical to a fresh
-    :func:`compile_scenario` of the edited system — including the
-    per-replication :class:`~repro.sim.engine.Simulator` fallback when
-    ``delta_replay`` is ``False`` (``reason`` says why).
-    """
-
-    compiled: "CompiledScenario"
-    offsets: Tuple[Time, ...]
-    in_domain: bool
-
-    @property
-    def delta_replay(self) -> bool: ...
-
-    @property
-    def reason(self) -> Optional[str]: ...
-
-    def disparity(
-        self,
-        seed: int,
-        duration: Time,
-        warmup: Time = 0,
-        policy: PolicyLike = uniform_policy,
-    ) -> Time: ...
-
-    def windowed_maxima(
-        self,
-        duration: Time,
-        start: Time,
-        window: Time,
-        count: int,
-        *,
-        seed: int = 0,
-        policy: PolicyLike = wcet_policy,
-    ) -> List[Time]: ...
-
-    def edit(self, **changes) -> "ScenarioView": ...
-
-
-class OffsetView:
-    """One candidate offset vector bound to a :class:`CompiledScenario`.
-
-    Produced by :meth:`CompiledScenario.with_offsets`; holds nothing
-    but the offset vector, so constructing one per sweep candidate is
-    O(n) while all heavy tables stay shared on the compiled scenario.
-    ``in_domain`` reports whether every offset lies in ``[0, T]`` — the
-    delta-replay eligibility rule; out-of-domain views still evaluate
-    correctly through the per-replication simulator fallback.
-    """
-
-    __slots__ = ("compiled", "offsets", "in_domain")
-
-    def __init__(
-        self, compiled: CompiledScenario, offsets: Tuple[Time, ...]
-    ) -> None:
-        self.compiled = compiled
-        self.offsets = offsets
-        self.in_domain = compiled._offsets_in_domain(offsets)
-
-    @property
-    def delta_replay(self) -> bool:
-        """True when this view replays through the compiled delta loop."""
-        return self.compiled.eligible and self.in_domain
-
-    @property
-    def reason(self) -> Optional[str]:
-        """Why this view falls back to the simulator, ``None`` on delta."""
-        if self.delta_replay:
-            return None
-        parts = list(self.compiled.ineligible_reasons)
-        if not self.in_domain:
-            parts.append("offsets outside [0, T]")
-        return "; ".join(parts)
-
-    def edit(self, **changes) -> "ScenarioView":
-        """A further-edited view, carrying this view's offsets.
-
-        Composes: ``scenario.edit(offsets=v).edit(periods={...})``
-        evaluates the structural edit at ``v`` (pass ``offsets=`` to
-        override).  Structural chains derive from this view's compiled
-        scenario, so each link shares every table its own edit does
-        not touch.
-        """
-        changes.setdefault("offsets", self.offsets)
-        return self.compiled.edit(**changes)
-
-    def disparity(
-        self,
-        seed: int,
-        duration: Time,
-        warmup: Time = 0,
-        policy: PolicyLike = uniform_policy,
-    ) -> Time:
-        """Observed disparity of one replication at this view's offsets."""
-        return self.compiled.disparity(
-            self.offsets, seed, duration, warmup, policy
-        )
-
-    def windowed_maxima(
-        self,
-        duration: Time,
-        start: Time,
-        window: Time,
-        count: int,
-        *,
-        seed: int = 0,
-        policy: PolicyLike = wcet_policy,
-    ) -> List[Time]:
-        """Per-window disparity maxima at this view's offsets."""
-        return self.compiled.windowed_maxima(
-            self.offsets,
-            duration,
-            start,
-            window,
-            count,
-            seed=seed,
-            policy=policy,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"{type(self).__name__}({self.compiled.task!r}, "
-            f"{'delta' if self.delta_replay else 'fallback'})"
-        )
-
-
-class StructuralView(OffsetView):
-    """A structurally edited scenario bound to its derived tables.
-
-    Produced by :meth:`CompiledScenario.edit` when the edit touches
-    periods, priorities, or capacities: ``compiled`` is the derived
-    sibling scenario (sharing every table the edit did not invalidate
-    — see :meth:`CompiledScenario._derived`), ``base`` the scenario
-    the edit started from.  Evaluation, domain checking, fallback,
-    and further :meth:`edit` chaining are inherited from
-    :class:`OffsetView` — a structural view *is* an offset view over
-    the derived tables, evaluated at the edited graph's offsets
-    unless the edit supplied its own.
-    """
-
-    __slots__ = ("base",)
-
-    def __init__(
-        self,
-        compiled: CompiledScenario,
-        offsets: Tuple[Time, ...],
-        *,
-        base: CompiledScenario,
-    ) -> None:
-        super().__init__(compiled, offsets)
-        self.base = base
-
-    @property
-    def scenario(self) -> CompiledScenario:
-        """The derived compiled scenario (alias for ``compiled``)."""
-        return self.compiled
-
-
-def compile_scenario(
-    system: System,
-    task: str,
-    *,
-    semantics: str = "implicit",
-    faults=None,
-) -> CompiledScenario:
-    """Compile ``system`` for batched replications monitoring ``task``.
-
-    A non-empty ``faults`` plan (release dropouts) compiles into the
-    scenario: every replication replays it, byte-identical to passing
-    the same plan to :func:`~repro.sim.engine.simulate`.
-    """
-    return CompiledScenario(system, task, semantics=semantics, faults=faults)
 
 
 def run_batch(
@@ -1878,7 +1619,7 @@ def run_batch(
     elif compiled._faults_sig != (faults.signature() if faults else ()):
         raise ModelError(
             "compiled scenario was compiled under a different fault plan; "
-            "recompile with compile_scenario(..., faults=...)"
+            "recompile with CompiledScenario(..., faults=...)"
         )
     t0 = _time.perf_counter()
     periods = compiled.periods
@@ -1948,12 +1689,11 @@ def run_batch(
                 )
             )
         else:
-            # Each replication is one offset-delta view of the shared
-            # compiled tables (offsets drawn in [1, T] are always in
-            # domain, so this is always the delta replay path).
+            # Offsets drawn in [1, T] are always in domain, so each
+            # replication is a delta replay of the shared tables.
             disparities.append(
-                compiled.with_offsets(offsets).disparity(
-                    run_seed, duration, warmup, resolved
+                compiled.disparity(
+                    offsets, run_seed, duration, warmup, resolved
                 )
             )
     return BatchResult(
@@ -1970,13 +1710,9 @@ def run_batch(
 __all__ = [
     "BatchResult",
     "CompiledScenario",
-    "OffsetView",
     "PHASE_TIMES",
     "PolicyLike",
     "SCHED_CACHE_SIZE",
-    "ScenarioView",
-    "StructuralView",
-    "compile_scenario",
     "reset_phase_times",
     "run_batch",
 ]

@@ -118,7 +118,7 @@ def run_columnar(
     """Per-replication disparities for ``draws`` ((seed, offsets) pairs).
 
     The columnar equivalent of evaluating
-    ``compiled.with_offsets(offsets).disparity(seed, ...)`` per pair —
+    ``compiled.disparity(offsets, seed, ...)`` per pair —
     same values, one batched advance plus one bulk derive.  Offsets
     must lie in ``[0, T]`` (callers draw them in ``[1, T]``).
     """
@@ -283,28 +283,14 @@ def _advance(compiled, seeds, offs, duration: Time, policy):
     to slot range), ``(sims, n)`` dispatch counts, the ``pad`` time
     filling never-dispatched slots, and — in table mode — per kept
     task the ``(sims, cap)`` kept-release columns (``None`` on the
-    arithmetic path).  Memoized on the scenario's
-    ``_adv_cache`` — keyed like the scalar schedule memo, so
-    capacity-derived siblings (which alias the cache) and repeated
-    probes replay the recorded columns without re-advancing, and
-    deterministic policies normalize the seeds away (seed sweeps under
-    WCET/BCET advance once).
+    arithmetic path).  Not memoized: every campaign batch draws its
+    own seeds and offsets, so a memo over whole batches never hits.
 
     LET deadline violations surface exactly as in the scalar engine:
     the error of the lowest violating replication index (the first
     the sequential reference would hit) with the engine's message.
     """
     mode = BATCH_POLICY_MODES[policy]
-    # Non-periodic release models draw their tables from the seed, so
-    # deterministic policies stop being seed-independent there.
-    seeds_key = (
-        tuple(seeds) if mode in (0, 3) or compiled._nonperiodic else ()
-    )
-    key = ("columnar", seeds_key, offs.tobytes(), duration, mode)
-    cache = compiled._adv_cache
-    found = cache.get(key)
-    if found is not None:
-        return found
     kernel, why = ckernel.load_kernel()
     if kernel is None:  # pragma: no cover - callers check eligibility
         raise ModelError(f"columnar advance kernel unavailable: {why}")
@@ -461,9 +447,7 @@ def _advance(compiled, seeds, offs, duration: Time, policy):
                 f"LET violation: job {compiled.names[tid]}#{job} "
                 f"finished at {at} past its deadline {deadline}"
             )
-    found = (starts, fins, casc, rec, job_base, job_cap, pad, rels_arrs)
-    cache.put(key, found)
-    return found
+    return starts, fins, casc, rec, job_base, job_cap, pad, rels_arrs
 
 
 # ----------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 Covers the session's cache-reuse contract (repeated queries return the
 *same object* without recomputation), method-name normalization, the
-bounded compiled-scenario LRU, the session-level ``edit_scenario``
-accessor, and the removal of the PR-1 deprecation shims from the
+bounded compiled-scenario LRU, structural edits of the session's
+compiled core, and the removal of the PR-1 deprecation shims from the
 top-level package (the functional forms live on in
 :mod:`repro.core.disparity`).
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
@@ -228,49 +229,48 @@ class TestCompiledCacheBound:
         assert stats["misses"] == 1
         assert stats["evictions"] == 0
 
-    def test_lru_evicts_past_the_bound(self, scenario):
-        session = AnalysisSession(scenario.system, compiled_cache_size=2)
-        tasks = [t.name for t in scenario.system.graph.tasks][:3]
+    def test_lru_evicts_past_the_bound(self, session, scenario):
+        bound = repro.api.COMPILED_CACHE_SIZE
+        tasks = [t.name for t in scenario.system.graph.tasks][: bound + 1]
+        assert len(tasks) == bound + 1
         for name in tasks:
             session.compiled_scenario(name)
         stats = session.compiled_cache_stats()
-        assert stats["size"] == 2
-        assert stats["maxsize"] == 2
+        assert stats["size"] == bound
+        assert stats["maxsize"] == bound
         assert stats["evictions"] == 1
         # The oldest entry was dropped; re-querying recompiles it.
         first = session.compiled_scenario(tasks[0])
         assert session.compiled_cache_stats()["evictions"] == 2
         assert first.task == tasks[0]
 
-    def test_recently_used_entry_survives(self, scenario):
-        session = AnalysisSession(scenario.system, compiled_cache_size=2)
-        tasks = [t.name for t in scenario.system.graph.tasks][:3]
+    def test_recently_used_entry_survives(self, session, scenario):
+        bound = repro.api.COMPILED_CACHE_SIZE
+        tasks = [t.name for t in scenario.system.graph.tasks][: bound + 1]
         a = session.compiled_scenario(tasks[0])
-        session.compiled_scenario(tasks[1])
+        second = session.compiled_scenario(tasks[1])
+        for name in tasks[2:bound]:
+            session.compiled_scenario(name)
         session.compiled_scenario(tasks[0])  # refresh a
-        session.compiled_scenario(tasks[2])  # evicts tasks[1]
+        session.compiled_scenario(tasks[bound])  # evicts tasks[1]
         assert session.compiled_scenario(tasks[0]) is a
+        assert session.compiled_scenario(tasks[1]) is not second
 
-    def test_invalid_bound_rejected(self, scenario):
-        with pytest.raises(ValueError):
-            AnalysisSession(scenario.system, compiled_cache_size=0)
+    def test_invalid_bound_rejected(self):
+        # The bound is a positive module constant; sessions take no
+        # per-instance override that could set it out of range.
+        assert repro.api.COMPILED_CACHE_SIZE >= 1
+        params = inspect.signature(AnalysisSession).parameters
+        assert set(params) == {"system", "bounds_strategy", "semantics"}
 
 
 class TestEditScenario:
-    def test_offsets_only_edit_matches_observed_batch_draws(
-        self, session, scenario
-    ):
-        offs = tuple(t.period for t in session.graph.tasks)
-        view = session.edit_scenario(scenario.sink, offsets=offs)
-        direct = session.compiled_scenario(scenario.sink).with_offsets(offs)
-        duration = 2 * max(t.period for t in session.graph.tasks)
-        assert view.disparity(3, duration) == direct.disparity(3, duration)
-
     def test_unknown_edit_key_raises_value_error_listing_choices(
         self, session, scenario
     ):
+        core = session.compiled_scenario(scenario.sink)
         with pytest.raises(ValueError) as excinfo:
-            session.edit_scenario(scenario.sink, capacity={})
+            core.edit(capacity={})
         message = str(excinfo.value)
         assert "capacities" in message and "periods" in message
 
@@ -279,8 +279,8 @@ class TestEditScenario:
         name = next(
             t.name for t in session.graph.tasks if not t.is_instantaneous
         )
-        view = session.edit_scenario(
-            scenario.sink, periods={name: session.graph.task(name).period * 2}
+        derived = session.compiled_scenario(scenario.sink).edit(
+            periods={name: session.graph.task(name).period * 2}
         )
-        assert view.base is core
-        assert view.compiled._grid_cache is core._grid_cache
+        assert derived is not core
+        assert derived._grid_cache is core._grid_cache

@@ -1,8 +1,10 @@
-"""Property-based equivalence: BackwardBoundsTable == per-chain bounds.
+"""Property-based equivalence: the prefix DP == per-chain bounds.
 
-The DAG-shared prefix DP (:class:`BackwardBoundsTable`) must reproduce
-the per-chain Lemma 4/5 sums (:func:`backward_bounds`) exactly, for
-every chain and sub-chain of randomly generated WATERS scenarios.
+The DAG-shared prefix DP of :class:`BackwardBoundsCache` (its default
+strategy) must reproduce the per-chain Lemma 4/5 sums
+(:func:`backward_bounds`) exactly, for every chain and sub-chain of
+randomly generated WATERS scenarios, and reject invalid chains with
+the same diagnostic.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from hypothesis import strategies as st
 
 from repro.chains.backward import (
     BackwardBoundsCache,
-    BackwardBoundsTable,
     backward_bounds,
+    bcbt_lower,
+    wcbt_upper,
 )
 from repro.core.disparity import worst_case_disparity
 from repro.gen import generate_random_scenario
@@ -34,7 +37,7 @@ def test_table_matches_per_chain_bounds(seed, n_tasks):
     rng = random.Random(seed)
     scenario = generate_random_scenario(n_tasks, rng)
     system, sink = scenario.system, scenario.sink
-    table = BackwardBoundsTable(system)
+    table = BackwardBoundsCache(system)
     for chain in enumerate_source_chains(system.graph, sink):
         tasks = chain.tasks
         for i in range(len(tasks)):
@@ -56,9 +59,8 @@ def test_disparity_identical_with_table(seed, method):
     rng = random.Random(seed)
     scenario = generate_random_scenario(rng.randint(5, 12), rng)
     system, sink = scenario.system, scenario.sink
-    via_cache = worst_case_disparity(
-        system, sink, method=method, cache=BackwardBoundsCache(system)
-    )
+    per_chain = BackwardBoundsCache(system, strategy=backward_bounds)
+    via_cache = worst_case_disparity(system, sink, method=method, cache=per_chain)
     via_table = worst_case_disparity(system, sink, method=method)
     assert via_table.bound == via_cache.bound
     assert [p.bound for p in via_table.pair_results] == [
@@ -74,16 +76,35 @@ def test_table_rejects_non_chain():
     # Two tasks with no channel between them (a sink never feeds back).
     sink = scenario.sink
     other = next(n for n in names if n != sink)
-    table = BackwardBoundsTable(system)
-    with pytest.raises(ModelError):
-        table.bounds(Chain((sink, other)))
+    chain = Chain((sink, other))
+    with pytest.raises(ModelError) as reference:
+        wcbt_upper(chain, system)
+    table = BackwardBoundsCache(system)
+    with pytest.raises(ModelError) as err:
+        table.bounds(chain)
+    assert str(err.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("strategy", [None, backward_bounds])
+def test_unknown_single_task_chain_rejected(strategy):
+    """A one-task chain has no edge to check, but its task must exist."""
+    scenario = generate_random_scenario(6, random.Random(3))
+    system = scenario.system
+    chain = Chain(("nosuch",))
+    with pytest.raises(ModelError, match="unknown task 'nosuch'") as reference:
+        wcbt_upper(chain, system)
+    with pytest.raises(ModelError, match="unknown task 'nosuch'"):
+        bcbt_lower(chain, system)
+    with pytest.raises(ModelError) as err:
+        BackwardBoundsCache(system, strategy=strategy).bounds(chain)
+    assert str(err.value) == str(reference.value)
 
 
 def test_table_register_warms_every_prefix():
     rng = random.Random(11)
     scenario = generate_random_scenario(10, rng)
     system, sink = scenario.system, scenario.sink
-    table = BackwardBoundsTable(system)
+    table = BackwardBoundsCache(system)
     chains = enumerate_source_chains(system.graph, sink)
     table.register(chains)
     assert len(table) >= len(chains)

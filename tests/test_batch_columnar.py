@@ -31,7 +31,7 @@ from repro.api import AnalysisSession
 from repro.gen import generate_random_scenario
 from repro.model.system import System
 from repro.model.task import ModelError
-from repro.sim.batch import ADV_CACHE_SIZE, CompiledScenario, run_batch
+from repro.sim.batch import run_batch
 from repro.sim.exec_time import per_task_policy, wcet_policy
 from repro.sim.metrics import DisparityMonitor
 
@@ -270,38 +270,6 @@ def test_let_violation_parity_across_engines():
         messages.append(str(err.value))
     assert "LET violation" in messages[0]
     assert messages[0] == messages[1] == messages[2]
-
-
-@needs_columnar
-def test_adv_cache_aliasing_and_hits():
-    """The columnar advance memo follows the ``_sched_cache`` rules:
-    capacity-only siblings alias it, period edits start fresh, and a
-    repeated batch at the same draws hits instead of re-advancing."""
-    system, sink = _scenario(42, 8)
-    duration = 2 * max(task.period for task in system.graph.tasks)
-    compiled = CompiledScenario(system, sink)
-    assert compiled._adv_cache.maxsize == ADV_CACHE_SIZE
-    first = run_batch(
-        system, sink, sims=3, duration=duration, rng=random.Random(7),
-        compiled=compiled, engine="columnar",
-    )
-    assert compiled._adv_cache.entries
-    assert compiled._adv_cache.hits == 0
-    again = run_batch(
-        system, sink, sims=3, duration=duration, rng=random.Random(7),
-        compiled=compiled, engine="columnar",
-    )
-    assert again.disparities == first.disparities
-    assert compiled._adv_cache.hits == 1
-
-    edge = next((c.src, c.dst) for c in system.graph.channels)
-    capacity_view = compiled.edit(capacities={edge: 3})
-    assert capacity_view.compiled._adv_cache is compiled._adv_cache
-    victim = next(
-        t for t in system.graph.tasks if not t.is_instantaneous
-    )
-    period_view = compiled.edit(periods={victim.name: victim.period * 2})
-    assert period_view.compiled._adv_cache is not compiled._adv_cache
 
 
 def test_no_numpy_falls_back_to_compiled(monkeypatch):

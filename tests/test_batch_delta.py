@@ -1,10 +1,11 @@
-"""Differential suite for delta compilation (offset-only candidate views).
+"""Differential suite for delta compilation (offset-only candidates).
 
-A :meth:`CompiledScenario.with_offsets` view rebases the precomputed
-release-stream tables by vector shift instead of regenerating and
-re-sorting grids — so its results must be byte-identical to
+Replaying a :class:`CompiledScenario` at a new offset vector rebases
+the precomputed release-stream tables by vector shift instead of
+regenerating and re-sorting grids — so its results must be
+byte-identical to
 
-* a *fresh* ``compile_scenario`` evaluated at the same offset vector
+* a *fresh* compile evaluated at the same offset vector
   (pins that the shared per-horizon stream cache never leaks state
   between candidates), and
 * the plain simulator run on a system with the offsets applied to the
@@ -12,7 +13,7 @@ re-sorting grids — so its results must be byte-identical to
 
 Both identities are exercised on hypothesis-generated systems, under
 both communication semantics, with zero-BCET finish-cascades, and for
-out-of-domain offsets (outside ``[0, T]``), where the view must fall
+out-of-domain offsets (outside ``[0, T]``), where the replay must fall
 back to the per-replication simulator rather than replaying the
 compiled tables.
 """
@@ -30,7 +31,7 @@ import repro.sim.batch as batch_mod
 from repro.gen import generate_random_scenario
 from repro.model.system import System
 from repro.model.task import ModelError
-from repro.sim.batch import CompiledScenario, compile_scenario
+from repro.sim.batch import CompiledScenario
 from repro.sim.engine import simulate
 from repro.sim.exec_time import named_policy
 from repro.sim.metrics import DisparityMonitor
@@ -84,18 +85,15 @@ def test_delta_replay_matches_fresh_compile_and_simulator(
     system, sink = _scenario(seed, n_tasks)
     duration = 3 * max(task.period for task in system.graph.tasks)
     warmup = duration // 4
-    shared = compile_scenario(system, sink, semantics=semantics)
+    shared = CompiledScenario(system, sink, semantics=semantics)
     if not shared.eligible:
         return
     for index, vector in enumerate(_offset_vectors(system, seed ^ 0x5A, 4)):
-        view = shared.with_offsets(vector)
-        assert view.delta_replay
+        assert shared.in_domain(vector)
         run_seed = seed + index
-        got = view.disparity(run_seed, duration, warmup, policy)
-        fresh = (
-            compile_scenario(system, sink, semantics=semantics)
-            .with_offsets(vector)
-            .disparity(run_seed, duration, warmup, policy)
+        got = shared.disparity(vector, run_seed, duration, warmup, policy)
+        fresh = CompiledScenario(system, sink, semantics=semantics).disparity(
+            vector, run_seed, duration, warmup, policy
         )
         assert got == fresh
         assert got == _simulator_reference(
@@ -116,20 +114,20 @@ def test_delta_replay_matches_fresh_compile_and_simulator(
     semantics=st.sampled_from(["implicit", "let"]),
 )
 def test_delta_replay_with_zero_bcet_cascades(seed, semantics):
-    """Instantaneous finish-cascades replay identically through views."""
+    """Instantaneous finish-cascades replay identically per candidate."""
     system, sink = _scenario(seed, 8)
     graph = system.graph.copy()
     for t in graph.tasks:
         if not t.is_instantaneous:
             graph.replace_task(replace(t, bcet=0))
     cascaded = System(graph=graph, response_times=system.response_times)
-    shared = compile_scenario(cascaded, sink, semantics=semantics)
+    shared = CompiledScenario(cascaded, sink, semantics=semantics)
     if not shared.eligible:
         return
     duration = 2 * max(task.period for task in graph.tasks)
     for index, vector in enumerate(_offset_vectors(cascaded, seed, 3)):
-        got = shared.with_offsets(vector).disparity(
-            seed + index, duration, duration // 4, "bcet"
+        got = shared.disparity(
+            vector, seed + index, duration, duration // 4, "bcet"
         )
         assert got == _simulator_reference(
             cascaded,
@@ -147,14 +145,12 @@ def test_out_of_domain_offsets_fall_back_identically():
     """Offsets outside ``[0, T]`` leave the delta path but not the contract."""
     system, sink = _scenario(19, 7)
     duration = 3 * max(task.period for task in system.graph.tasks)
-    shared = compile_scenario(system, sink)
+    shared = CompiledScenario(system, sink)
     assert shared.eligible
     periods = [task.period for task in system.graph.tasks]
     vector = tuple(period + 1 for period in periods)  # every offset > T
-    view = shared.with_offsets(vector)
-    assert not view.in_domain
-    assert not view.delta_replay
-    got = view.disparity(11, duration, duration // 4, "uniform")
+    assert not shared.in_domain(vector)
+    got = shared.disparity(vector, 11, duration, duration // 4, "uniform")
     assert got == _simulator_reference(
         system,
         sink,
@@ -169,44 +165,44 @@ def test_out_of_domain_offsets_fall_back_identically():
     mixed = tuple(
         period + 1 if tid == 0 else 1 for tid, period in enumerate(periods)
     )
-    assert not shared.with_offsets(mixed).in_domain
+    assert not shared.in_domain(mixed)
 
 
-def test_with_offsets_accepts_name_mapping():
+def test_wrong_length_offsets_raise_model_error():
+    """Both replay methods reject a vector that is not one per task."""
     system, sink = _scenario(5, 6)
     duration = 2 * max(task.period for task in system.graph.tasks)
-    shared = compile_scenario(system, sink)
+    shared = CompiledScenario(system, sink)
+    n = len(system.graph.tasks)
     vector = _offset_vectors(system, 5, 1)[0]
-    by_name = {
-        t.name: vector[tid] for tid, t in enumerate(system.graph.tasks)
-    }
-    seq_view = shared.with_offsets(vector)
-    map_view = shared.with_offsets(by_name)
-    assert seq_view.offsets == map_view.offsets
-    assert seq_view.disparity(3, duration) == map_view.disparity(3, duration)
-    with pytest.raises(ModelError):
-        shared.with_offsets(vector[:-1])
-    with pytest.raises(ModelError):
-        shared.with_offsets({**by_name, "no-such-task": 1})
+    for bad in (vector[:-1], vector + (1,)):
+        expected = f"expected {n} offsets, got {len(bad)}"
+        with pytest.raises(ModelError, match=expected):
+            shared.disparity(bad, 3, duration)
+        with pytest.raises(ModelError, match=expected):
+            shared.windowed_maxima(bad, duration, 0, duration, 1)
+    # Offsets are not an edit: they are passed to each evaluation.
+    with pytest.raises(
+        ModelError, match=r"\['offsets'\].*'periods', 'priorities', 'capacities'"
+    ):
+        shared.edit(offsets=vector)
 
 
 def test_delta_replay_without_numpy(monkeypatch):
-    """The sorted()-based stream fallback replays views identically."""
+    """The sorted()-based stream fallback replays candidates identically."""
     system, sink = _scenario(23, 8)
     duration = 2 * max(task.period for task in system.graph.tasks)
     vectors = _offset_vectors(system, 23, 3)
     with_numpy = [
-        compile_scenario(system, sink)
-        .with_offsets(vector)
-        .disparity(9, duration, duration // 4, "uniform")
+        CompiledScenario(system, sink).disparity(
+            vector, 9, duration, duration // 4, "uniform"
+        )
         for vector in vectors
     ]
     monkeypatch.setattr(batch_mod, "_np", None)
-    shared = compile_scenario(system, sink)
+    shared = CompiledScenario(system, sink)
     without_numpy = [
-        shared.with_offsets(vector).disparity(
-            9, duration, duration // 4, "uniform"
-        )
+        shared.disparity(vector, 9, duration, duration // 4, "uniform")
         for vector in vectors
     ]
     assert without_numpy == with_numpy
@@ -224,11 +220,11 @@ def test_stream_tables_cached_per_horizon():
     compiled = CompiledScenario(system, sink)
     assert compiled._stream_cache == {}
     first, second = _offset_vectors(system, 31, 2)
-    a = compiled.with_offsets(first).disparity(1, duration)
+    a = compiled.disparity(first, 1, duration)
     assert duration in compiled._stream_cache
     cached = compiled._stream_cache[duration]
-    b = compiled.with_offsets(second).disparity(1, duration)
+    b = compiled.disparity(second, 1, duration)
     assert compiled._stream_cache[duration] is cached
     # Same candidate again: identical result off the warmed cache.
-    assert compiled.with_offsets(first).disparity(1, duration) == a
-    assert compiled.with_offsets(second).disparity(1, duration) == b
+    assert compiled.disparity(first, 1, duration) == a
+    assert compiled.disparity(second, 1, duration) == b

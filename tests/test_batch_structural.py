@@ -1,21 +1,20 @@
-"""Differential suite for structural delta compilation (``edit`` views).
+"""Differential suite for structural delta compilation (``edit``).
 
-A :meth:`CompiledScenario.edit` view derives a sibling compiled
-scenario that recomputes only the tables its edit touches — release
-grids and stream tables for ``periods``, per-unit rank tables for
-``priorities``, channel tables for ``capacities`` — and shares the
-rest with its base.  Every view's results must be byte-identical to
+:meth:`CompiledScenario.edit` derives a sibling compiled scenario that
+recomputes only the tables its edit touches — release grids and stream
+tables for ``periods``, per-unit rank tables for ``priorities``,
+channel tables for ``capacities`` — and shares the rest with its base.
+Every derived scenario's results must be byte-identical to
 
-* a *fresh* ``compile_scenario`` of the edited system evaluated at the
-  same offsets (pins that selective invalidation never reuses a stale
-  table), and
+* a *fresh* compile of the edited system evaluated at the same offsets
+  (pins that selective invalidation never reuses a stale table), and
 * the plain simulator run on the edited system (an independent
   reference that shares none of the delta code).
 
 Both identities are exercised on hypothesis-generated systems, under
 both communication semantics, for single, composed and chained edits,
-and for views forced off the delta path (duplicate priorities, offsets
-pushed outside ``[0, T]`` by a period shrink), where the view must
+and for edits forced off the delta path (duplicate priorities, offsets
+pushed outside ``[0, T]`` by a period shrink), where the replay must
 fall back to the per-replication simulator rather than replaying the
 compiled tables.
 """
@@ -32,13 +31,7 @@ from hypothesis import strategies as st
 from repro.gen import generate_random_scenario
 from repro.model.system import System
 from repro.model.task import ModelError
-from repro.sim.batch import (
-    CompiledScenario,
-    OffsetView,
-    ScenarioView,
-    StructuralView,
-    compile_scenario,
-)
+from repro.sim.batch import CompiledScenario
 from repro.sim.engine import simulate
 from repro.sim.exec_time import named_policy
 from repro.sim.metrics import DisparityMonitor
@@ -60,7 +53,7 @@ def _offset_vector(system, seed: int):
 def _edited_system(
     system, *, periods=None, priorities=None, capacities=None
 ):
-    """The edit applied to the graph directly — the pre-view recipe."""
+    """The edit applied to the graph directly — the fresh-compile recipe."""
     graph = system.graph.copy()
     for name, period in (periods or {}).items():
         graph.replace_task(replace(graph.task(name), period=period))
@@ -95,7 +88,7 @@ def _structural_edits(system):
     """Representative single and composed edits of ``system``.
 
     Period edits only scale periods *up*, so base-domain offsets stay
-    in the edited domain and views keep the delta-replay path.
+    in the edited domain and replays keep the delta path.
     """
     compute = [t for t in system.graph.tasks if not t.is_instantaneous]
     channel = system.graph.channels[0]
@@ -135,19 +128,17 @@ def test_structural_views_match_fresh_compile_and_simulator(
     system, sink = _scenario(seed, n_tasks)
     duration = 3 * max(task.period for task in system.graph.tasks)
     warmup = duration // 4
-    shared = compile_scenario(system, sink, semantics=semantics)
+    shared = CompiledScenario(system, sink, semantics=semantics)
     vector = _offset_vector(system, seed ^ 0x5A)
     for index, changes in enumerate(_structural_edits(system)):
-        view = shared.edit(offsets=vector, **changes)
-        assert isinstance(view, StructuralView)
-        assert view.base is shared
+        derived = shared.edit(**changes)
+        assert isinstance(derived, CompiledScenario)
+        assert derived is not shared
         run_seed = seed + index
-        got = view.disparity(run_seed, duration, warmup, policy)
+        got = derived.disparity(vector, run_seed, duration, warmup, policy)
         edited = _edited_system(system, **changes)
-        fresh = (
-            compile_scenario(edited, sink, semantics=semantics)
-            .with_offsets(vector)
-            .disparity(run_seed, duration, warmup, policy)
+        fresh = CompiledScenario(edited, sink, semantics=semantics).disparity(
+            vector, run_seed, duration, warmup, policy
         )
         assert got == fresh
         assert got == _simulator_reference(
@@ -168,57 +159,42 @@ def test_structural_views_match_fresh_compile_and_simulator(
     semantics=st.sampled_from(["implicit", "let"]),
 )
 def test_chained_edits_compose_and_earlier_views_stay_valid(seed, semantics):
-    """``view.edit`` stacks edits; later edits never corrupt earlier views."""
+    """Edits of edits stack; later edits never corrupt earlier ones."""
     system, sink = _scenario(seed, 8)
     duration = 2 * max(task.period for task in system.graph.tasks)
     warmup = duration // 4
-    shared = compile_scenario(system, sink, semantics=semantics)
+    shared = CompiledScenario(system, sink, semantics=semantics)
     vector = _offset_vector(system, seed)
     compute = [t for t in system.graph.tasks if not t.is_instantaneous]
     channel = system.graph.channels[-1]
     periods = {compute[0].name: compute[0].period * 2}
     capacities = {(channel.src, channel.dst): 3}
 
-    first = shared.edit(periods=periods, offsets=vector)
-    before = first.disparity(seed, duration, warmup, "wcet")
+    first = shared.edit(periods=periods)
+    before = first.disparity(vector, seed, duration, warmup, "wcet")
     second = first.edit(capacities=capacities)
-    assert second.offsets == first.offsets
     combined = _edited_system(system, periods=periods, capacities=capacities)
-    assert second.disparity(seed, duration, warmup, "wcet") == (
-        compile_scenario(combined, sink, semantics=semantics)
-        .with_offsets(vector)
-        .disparity(seed, duration, warmup, "wcet")
+    assert second.disparity(vector, seed, duration, warmup, "wcet") == (
+        CompiledScenario(combined, sink, semantics=semantics).disparity(
+            vector, seed, duration, warmup, "wcet"
+        )
     )
-    # The chained edit derived a sibling; the first view still replays
+    # The chained edit derived a sibling; the first one still replays
     # against its own tables and must reproduce its result exactly.
-    assert first.disparity(seed, duration, warmup, "wcet") == before
-
-
-def test_edit_offsets_only_is_the_offset_view():
-    """``edit(offsets=v)`` is ``with_offsets(v)`` — same type, same result."""
-    system, sink = _scenario(7, 6)
-    duration = 2 * max(task.period for task in system.graph.tasks)
-    shared = compile_scenario(system, sink)
-    vector = _offset_vector(system, 7)
-    via_edit = shared.edit(offsets=vector)
-    via_alias = shared.with_offsets(vector)
-    assert type(via_edit) is OffsetView
-    assert via_edit.offsets == via_alias.offsets
-    assert via_edit.disparity(3, duration) == via_alias.disparity(3, duration)
-    assert isinstance(via_edit, ScenarioView)
-    # Empty structural mappings degrade to the offset-only view.
-    assert type(shared.edit(capacities={}, offsets=vector)) is OffsetView
+    assert first.disparity(vector, seed, duration, warmup, "wcet") == before
 
 
 def test_unknown_or_empty_edit_keys_raise_value_error():
     system, sink = _scenario(7, 6)
-    shared = compile_scenario(system, sink)
+    shared = CompiledScenario(system, sink)
     with pytest.raises(ValueError, match="capacities"):
         shared.edit(capacity={(1, 2): 3})
     with pytest.raises(ValueError, match="periods"):
         shared.edit(period={"x": 10})
     with pytest.raises(ValueError):
         shared.edit()
+    with pytest.raises(ValueError):
+        shared.edit(capacities={})
     with pytest.raises(ModelError):
         shared.edit(periods={"no-such-task": 10})
 
@@ -226,7 +202,7 @@ def test_unknown_or_empty_edit_keys_raise_value_error():
 def test_duplicate_priority_falls_back_identically():
     """A priority edit that collides per-unit leaves the delta path."""
     system, sink = _scenario(19, 9)
-    shared = compile_scenario(system, sink)
+    shared = CompiledScenario(system, sink)
     assert shared.eligible
     by_unit = {}
     for t in system.graph.tasks:
@@ -235,12 +211,12 @@ def test_duplicate_priority_falls_back_identically():
     pair = next(ts for ts in by_unit.values() if len(ts) >= 2)
     a, b = pair[0], pair[1]
     vector = _offset_vector(system, 19)
-    view = shared.edit(priorities={a.name: b.priority}, offsets=vector)
-    assert not view.delta_replay
-    assert "duplicate priorities" in view.reason
+    derived = shared.edit(priorities={a.name: b.priority})
+    assert not derived.eligible
+    assert "duplicate priorities" in derived.ineligible_reason
     duration = 2 * max(task.period for task in system.graph.tasks)
     edited = _edited_system(system, priorities={a.name: b.priority})
-    assert view.disparity(5, duration, duration // 4, "uniform") == (
+    assert derived.disparity(vector, 5, duration, duration // 4, "uniform") == (
         _simulator_reference(
             edited,
             sink,
@@ -257,7 +233,7 @@ def test_duplicate_priority_falls_back_identically():
 def test_period_shrink_can_push_offsets_out_of_domain():
     """Offsets beyond the edited period force the simulator fallback."""
     system, sink = _scenario(23, 7)
-    shared = compile_scenario(system, sink)
+    shared = CompiledScenario(system, sink)
     compute = [t for t in system.graph.tasks if not t.is_instantaneous]
     target = compute[0]
     tid = [t.name for t in system.graph.tasks].index(target.name)
@@ -266,13 +242,12 @@ def test_period_shrink_can_push_offsets_out_of_domain():
         new_period + 1 if index == tid else 1
         for index in range(len(system.graph.tasks))
     )
-    view = shared.edit(periods={target.name: new_period}, offsets=vector)
-    assert not view.in_domain
-    assert not view.delta_replay
-    assert "offsets outside" in view.reason
+    derived = shared.edit(periods={target.name: new_period})
+    assert shared.in_domain(vector)
+    assert not derived.in_domain(vector)
     duration = 2 * max(task.period for task in system.graph.tasks)
     edited = _edited_system(system, periods={target.name: new_period})
-    assert view.disparity(3, duration, duration // 4, "uniform") == (
+    assert derived.disparity(vector, 3, duration, duration // 4, "uniform") == (
         _simulator_reference(
             edited,
             sink,
@@ -294,17 +269,17 @@ def test_capacity_view_shares_streams_grids_and_schedule_memo():
     base = CompiledScenario(system, sink)
     channel = system.graph.channels[0]
     vector = _offset_vector(system, 31)
-    base.with_offsets(vector).disparity(1, duration, warmup, "wcet")
+    base.disparity(vector, 1, duration, warmup, "wcet")
     before = base._sched_cache.stats()
-    view = base.edit(capacities={(channel.src, channel.dst): 4}, offsets=vector)
-    derived = view.compiled
+    derived = base.edit(capacities={(channel.src, channel.dst): 4})
     assert derived._grid_cache is base._grid_cache
     assert derived._stream_cache is base._stream_cache
     assert derived._sched_cache is base._sched_cache
     assert derived.in_edges is not base.in_edges
-    # WCET is deterministic: the view's evaluation — even at another
-    # seed — replays the memoized schedule instead of re-simulating.
-    view.disparity(2, duration, warmup, "wcet")
+    # WCET is deterministic: the derived scenario's evaluation — even
+    # at another seed — replays the memoized schedule instead of
+    # re-simulating.
+    derived.disparity(vector, 2, duration, warmup, "wcet")
     after = base._sched_cache.stats()
     assert after["hits"] == before["hits"] + 1
     assert after["misses"] == before["misses"]
@@ -318,8 +293,7 @@ def test_period_view_gets_fresh_stream_and_schedule_caches():
     base = CompiledScenario(system, sink)
     compute = [t for t in system.graph.tasks if not t.is_instantaneous]
     target = compute[0]
-    view = base.edit(periods={target.name: target.period * 2})
-    derived = view.compiled
+    derived = base.edit(periods={target.name: target.period * 2})
     assert derived._grid_cache is base._grid_cache
     assert derived._stream_cache is not base._stream_cache
     assert derived._sched_cache is not base._sched_cache
@@ -327,7 +301,8 @@ def test_period_view_gets_fresh_stream_and_schedule_caches():
     # (grids only materialize on the numpy delta path; the pure-python
     # fallback regenerates releases per candidate).
     duration = 2 * max(task.period for task in system.graph.tasks)
-    view.disparity(1, duration, duration // 4, "wcet")
+    own_offsets = tuple(t.offset for t in derived.graph.tasks)
+    derived.disparity(own_offsets, 1, duration, duration // 4, "wcet")
     other = compute[1]
     if batch_mod._np is not None:
         assert (other.period, duration) in base._grid_cache
@@ -369,7 +344,7 @@ def _nonperiodic_variant(system, seed: int):
     semantics=st.sampled_from(["implicit", "let"]),
 )
 def test_offset_edits_redraw_nonperiodic_release_tables(seed, semantics):
-    """Offset views of jittered/sporadic scenarios never reuse stale tables.
+    """Offset replays of jittered/sporadic scenarios never reuse stale tables.
 
     The release streams are keyed on the task *name*, so an offset
     edit must yield the exact tables of a fresh compile of the
@@ -380,16 +355,12 @@ def test_offset_edits_redraw_nonperiodic_release_tables(seed, semantics):
     system = _nonperiodic_variant(base_system, seed ^ 0x0FF5E7)
     duration = 2 * max(task.period for task in system.graph.tasks)
     warmup = duration // 4
-    shared = compile_scenario(system, sink, semantics=semantics)
+    shared = CompiledScenario(system, sink, semantics=semantics)
     for index in range(2):
         vector = _offset_vector(system, (seed ^ 0x51) + index)
-        view = shared.edit(offsets=vector)
-        assert type(view) is OffsetView
-        got = view.disparity(seed + index, duration, warmup, "uniform")
-        fresh = (
-            compile_scenario(system, sink, semantics=semantics)
-            .with_offsets(vector)
-            .disparity(seed + index, duration, warmup, "uniform")
+        got = shared.disparity(vector, seed + index, duration, warmup, "uniform")
+        fresh = CompiledScenario(system, sink, semantics=semantics).disparity(
+            vector, seed + index, duration, warmup, "uniform"
         )
         assert got == fresh
         assert got == _simulator_reference(
@@ -412,7 +383,7 @@ def test_structural_edits_on_nonperiodic_tasks_match_fresh_compile(seed):
     system = _nonperiodic_variant(base_system, seed ^ 0xE417)
     duration = 2 * max(task.period for task in system.graph.tasks)
     warmup = duration // 4
-    shared = compile_scenario(system, sink)
+    shared = CompiledScenario(system, sink)
     vector = _offset_vector(system, seed ^ 0x5A)
     compute = [t for t in system.graph.tasks if not t.is_instantaneous]
     channel = system.graph.channels[0]
@@ -420,13 +391,10 @@ def test_structural_edits_on_nonperiodic_tasks_match_fresh_compile(seed):
         "periods": {compute[0].name: compute[0].period * 2},
         "capacities": {(channel.src, channel.dst): 2},
     }
-    view = shared.edit(offsets=vector, **changes)
-    got = view.disparity(seed, duration, warmup, "wcet")
+    got = shared.edit(**changes).disparity(vector, seed, duration, warmup, "wcet")
     edited = _edited_system(system, **changes)
-    fresh = (
-        compile_scenario(edited, sink)
-        .with_offsets(vector)
-        .disparity(seed, duration, warmup, "wcet")
+    fresh = CompiledScenario(edited, sink).disparity(
+        vector, seed, duration, warmup, "wcet"
     )
     assert got == fresh
     assert got == _simulator_reference(

@@ -120,11 +120,9 @@ def test_let_deadline_violation_parity():
     expected = str(err.value)
     assert "LET violation" in expected
     compiled = CompiledScenario(overloaded, "late", semantics="let")
-    view = compiled.with_offsets(
-        {t.name: t.offset for t in overloaded.graph.tasks}
-    )
+    offsets = tuple(t.offset for t in overloaded.graph.tasks)
     with pytest.raises(ModelError) as err:
-        view.disparity(9, ms(100))
+        compiled.disparity(offsets, 9, ms(100))
     assert str(err.value) == expected
     if "columnar" in BATCH_TIERS:
         from repro.sim.columnar import run_columnar
@@ -132,7 +130,7 @@ def test_let_deadline_violation_parity():
 
         with pytest.raises(ModelError) as err:
             run_columnar(
-                compiled, [(9, view.offsets)], ms(100), 0, uniform_policy
+                compiled, [(9, offsets)], ms(100), 0, uniform_policy
             )
         assert str(err.value) == expected
 

@@ -213,9 +213,9 @@ def assert_provenance_matches(
     ).run()
 
     compiled = CompiledScenario(system, task, semantics=semantics, faults=faults)
-    view = compiled.with_offsets({t.name: t.offset for t in system.graph.tasks})
-    assert view.delta_replay, view.reason
-    offsets = view.offsets
+    offsets = tuple(t.offset for t in system.graph.tasks)
+    assert compiled.eligible, compiled.ineligible_reason
+    assert compiled.in_domain(offsets)
     starts, fins, completed, casc, rels = compiled._schedule_cached(
         offsets, seed, duration, policy
     )
@@ -228,7 +228,7 @@ def assert_provenance_matches(
 
     expected = monitor.disparity(task)
     warmup = duration // 4
-    assert view.disparity(seed, duration, warmup, policy) == expected
+    assert compiled.disparity(offsets, seed, duration, warmup, policy) == expected
     if "columnar" in BATCH_TIERS:
         from repro.sim.columnar import run_columnar
 
