@@ -30,7 +30,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.api import AnalysisSession
-from repro.experiments.fig6 import run_fig6_ab_timed
+from repro.experiments.fig6 import AB_PART
+from repro.parallel import run_campaign
 
 
 def measure_speedup(config, *, jobs: int = 4) -> dict:
@@ -41,13 +42,13 @@ def measure_speedup(config, *, jobs: int = 4) -> dict:
     )
     try:
         started = time.perf_counter()
-        run_fig6_ab_timed(config, jobs=1)
+        run_campaign(AB_PART, config, jobs=1)
         baseline_s = time.perf_counter() - started
     finally:
         AnalysisSession.observed_disparity = original
 
     started = time.perf_counter()
-    _, timing = run_fig6_ab_timed(config, jobs=jobs)
+    _, timing = run_campaign(AB_PART, config, jobs=jobs)
     optimized_s = time.perf_counter() - started
 
     return {

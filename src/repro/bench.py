@@ -435,7 +435,6 @@ def bench_campaign_part() -> CampaignPart:
         tasks=graph_tasks,
         run_graph=_bench_campaign_run_graph,
         aggregate=_bench_campaign_aggregate,
-        row_type=_BenchRow,
         result_type=_BenchResult,
         decode_result=_bench_campaign_decode,
         format_progress=_bench_campaign_format,

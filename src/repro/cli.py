@@ -125,11 +125,10 @@ def _config_overrides(args: argparse.Namespace) -> dict:
 
 
 def _campaign_config(args: argparse.Namespace):
-    """Resolve the ``(part, config)`` of a ``campaign`` subcommand."""
-    from repro.experiments import preset_ab, preset_cd
+    """Resolve the config of a ``campaign`` / ``cluster`` subcommand."""
+    from repro.experiments import preset
 
-    preset = preset_ab(args.preset) if args.part == "ab" else preset_cd(args.preset)
-    return preset.scaled(**_config_overrides(args))
+    return preset(args.part, args.preset).scaled(**_config_overrides(args))
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
@@ -287,50 +286,26 @@ def _cmd_fig6(args: argparse.Namespace) -> int:
             print(text, end="")
         return code
 
-    from repro.experiments import preset_ab, preset_cd, run_ab, run_cd
+    from repro.experiments import preset, run_part
 
-    part = args.part
-    csv_path = Path(args.csv) if args.csv else None
+    # a, b and ab run the (a)/(b) sweep; c, d and cd the (c)/(d) one.
+    parts = [p for p in ("ab", "cd") if args.part == "all" or args.part in p]
     overrides = _config_overrides(args)
-
-    run_args = dict(
-        verbose=not args.quiet,
-        jobs=args.jobs,
-        show_timing=args.progress,
-    )
-
-    def checkpoint_for(suffix: str) -> Optional[str]:
-        if not args.checkpoint:
-            return None
-        # One checkpoint file per sweep; "all" runs two sweeps.
-        return f"{args.checkpoint}.{suffix}" if part == "all" else args.checkpoint
-
-    if part in ("ab", "a", "b"):
-        config = preset_ab(args.preset).scaled(**overrides)
-        run_ab(
-            config,
+    for name in parts:
+        csv_path = Path(args.csv) if args.csv else None
+        checkpoint = args.checkpoint
+        if len(parts) > 1:
+            # One CSV and one checkpoint file per sweep.
+            csv_path = csv_path and csv_path.with_suffix(f".{name}.csv")
+            checkpoint = checkpoint and f"{checkpoint}.{name}"
+        run_part(
+            name,
+            preset(name, args.preset).scaled(**overrides),
             out_csv=csv_path,
-            checkpoint=checkpoint_for("ab"),
-            **run_args,
-        )
-    if part in ("cd", "c", "d"):
-        config = preset_cd(args.preset).scaled(**overrides)
-        run_cd(
-            config,
-            out_csv=csv_path,
-            checkpoint=checkpoint_for("cd"),
-            **run_args,
-        )
-    if part == "all":
-        run_ab(
-            preset_ab(args.preset).scaled(**overrides),
-            checkpoint=checkpoint_for("ab"),
-            **run_args,
-        )
-        run_cd(
-            preset_cd(args.preset).scaled(**overrides),
-            checkpoint=checkpoint_for("cd"),
-            **run_args,
+            checkpoint=checkpoint,
+            verbose=not args.quiet,
+            jobs=args.jobs,
+            show_timing=args.progress,
         )
     return 0
 
@@ -557,6 +532,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
+    def _sweep_options(sub) -> None:
+        """The preset and override options every sweep command shares."""
+        sub.add_argument(
+            "--preset",
+            choices=("paper", "default", "smoke"),
+            default="default",
+            help="replication scale (paper = full fidelity, slow; must "
+            "match across shards and merge)",
+        )
+        sub.add_argument("--duration", type=float, help="simulated seconds per run")
+        sub.add_argument("--graphs", type=int, help="graphs per X point")
+        sub.add_argument("--sims", type=int, help="simulations per graph")
+        sub.add_argument("--seed", type=int, help="master seed")
+        sub.add_argument(
+            "--semantics",
+            choices=("implicit", "let"),
+            help="communication semantics of analysis and simulation "
+            "(default: implicit, the paper's model)",
+        )
+
     fig6 = subparsers.add_parser("fig6", help="regenerate Fig. 6 series")
     fig6.add_argument(
         "--part",
@@ -564,28 +559,17 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="which panel(s) to run (a/b share one sweep, as do c/d)",
     )
-    fig6.add_argument(
-        "--preset",
-        choices=("paper", "default", "smoke"),
-        default="default",
-        help="replication scale (paper = full fidelity, slow)",
-    )
-    fig6.add_argument("--csv", help="write the series to this CSV file")
-    fig6.add_argument("--duration", type=float, help="simulated seconds per run")
-    fig6.add_argument("--graphs", type=int, help="graphs per X point")
-    fig6.add_argument("--sims", type=int, help="simulations per graph")
+    _sweep_options(fig6)
     fig6.add_argument(
         "--replications",
         type=int,
         dest="sims",
         help="alias for --sims (replications per graph)",
     )
-    fig6.add_argument("--seed", type=int, help="master seed")
     fig6.add_argument(
-        "--semantics",
-        choices=("implicit", "let"),
-        help="communication semantics of analysis and simulation "
-        "(default: implicit, the paper's model)",
+        "--csv",
+        help="write the series to this CSV file (<stem>.ab.csv and "
+        "<stem>.cd.csv under --part all)",
     )
     fig6.add_argument(
         "--jobs",
@@ -603,8 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
     fig6.add_argument(
         "--checkpoint",
         metavar="PATH",
-        help="append completed X points to this JSONL log and resume "
-        "from it on the next run with the same configuration",
+        help="append every completed graph to this JSONL log (a one-shard "
+        "campaign file) and resume from it on the next run with the "
+        "same configuration",
     )
     fig6.add_argument("--quiet", action="store_true", help="suppress progress")
     fig6.add_argument(
@@ -711,21 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--part", choices=("ab", "cd"), required=True,
             help="which Fig. 6 sweep the campaign runs",
         )
-        sub.add_argument(
-            "--preset",
-            choices=("paper", "default", "smoke"),
-            default="default",
-            help="replication scale (must match across shards and merge)",
-        )
-        sub.add_argument("--duration", type=float, help="simulated seconds per run")
-        sub.add_argument("--graphs", type=int, help="graphs per X point")
-        sub.add_argument("--sims", type=int, help="simulations per graph")
-        sub.add_argument("--seed", type=int, help="master seed")
-        sub.add_argument(
-            "--semantics",
-            choices=("implicit", "let"),
-            help="communication semantics (default: implicit)",
-        )
+        _sweep_options(sub)
 
     crun = campaign_sub.add_parser(
         "run", help="run one shard; output doubles as the shard's resume log"

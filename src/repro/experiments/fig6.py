@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.api import AnalysisSession
 from repro.buffers.sizing import design_buffer_pair
@@ -42,7 +42,7 @@ from repro.gen.scenario import (
     generate_random_scenario,
 )
 from repro.model.system import System
-from repro.parallel.campaign import CampaignPart, register_part
+from repro.parallel.campaign import CampaignPart, register_part, run_campaign
 from repro.units import Time, to_ms
 
 
@@ -106,20 +106,6 @@ class StageTiming:
     generate_s: float
     analyze_s: float
     simulate_s: float
-
-    @property
-    def total_s(self) -> float:
-        return self.generate_s + self.analyze_s + self.simulate_s
-
-    def __add__(self, other: "StageTiming") -> "StageTiming":
-        return StageTiming(
-            generate_s=self.generate_s + other.generate_s,
-            analyze_s=self.analyze_s + other.analyze_s,
-            simulate_s=self.simulate_s + other.simulate_s,
-        )
-
-
-ZERO_TIMING = StageTiming(0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -432,7 +418,6 @@ AB_PART = register_part(
         tasks=graph_tasks,
         run_graph=run_graph_ab,
         aggregate=aggregate_ab,
-        row_type=PointAB,
         result_type=GraphResultAB,
         decode_result=_decode_result_ab,
         format_progress=_format_progress_ab,
@@ -446,7 +431,6 @@ CD_PART = register_part(
         tasks=graph_tasks,
         run_graph=run_graph_cd,
         aggregate=aggregate_cd,
-        row_type=PointCD,
         result_type=GraphResultCD,
         decode_result=_decode_result_cd,
         format_progress=_format_progress_cd,
@@ -466,10 +450,10 @@ def run_fig6_ab(
 
     ``jobs > 1`` fans the per-graph work across worker processes via
     :mod:`repro.parallel`; seeds are pre-derived per graph, so the rows
-    are identical to a serial run.
+    are identical to a serial run.  ``run_campaign(AB_PART, ...)``
+    also returns the campaign's timing report.
     """
-    rows, _ = run_fig6_ab_timed(config, progress=progress, jobs=jobs)
-    return rows
+    return run_campaign(AB_PART, config, progress=progress, jobs=jobs)[0]
 
 
 def run_fig6_cd(
@@ -479,50 +463,7 @@ def run_fig6_cd(
     jobs: int = 1,
 ) -> List[PointCD]:
     """Run the Fig. 6 (c)/(d) sweep and return one row per X value."""
-    rows, _ = run_fig6_cd_timed(config, progress=progress, jobs=jobs)
-    return rows
-
-
-def run_fig6_ab_timed(
-    config: Fig6ABConfig,
-    *,
-    progress: Optional[Callable[[str], None]] = None,
-    jobs: int = 1,
-    checkpoint=None,
-    heartbeat=None,
-) -> Tuple[List[PointAB], "object"]:
-    """:func:`run_fig6_ab` plus the campaign's timing report."""
-    from repro.parallel.campaign import run_campaign
-
-    return run_campaign(
-        AB_PART,
-        config,
-        jobs=jobs,
-        progress=progress,
-        checkpoint=checkpoint,
-        heartbeat=heartbeat,
-    )
-
-
-def run_fig6_cd_timed(
-    config: Fig6CDConfig,
-    *,
-    progress: Optional[Callable[[str], None]] = None,
-    jobs: int = 1,
-    checkpoint=None,
-    heartbeat=None,
-) -> Tuple[List[PointCD], "object"]:
-    """:func:`run_fig6_cd` plus the campaign's timing report."""
-    from repro.parallel.campaign import run_campaign
-
-    return run_campaign(
-        CD_PART,
-        config,
-        jobs=jobs,
-        progress=progress,
-        checkpoint=checkpoint,
-        heartbeat=heartbeat,
-    )
+    return run_campaign(CD_PART, config, progress=progress, jobs=jobs)[0]
 
 
 def _mean(values: Sequence[float]) -> float:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from repro.experiments.config import (
     DEFAULT_AB,
@@ -17,43 +17,44 @@ from repro.experiments.config import (
     Fig6ABConfig,
     Fig6CDConfig,
 )
-from repro.experiments.fig6 import (
-    PointAB,
-    PointCD,
-    run_fig6_ab_timed,
-    run_fig6_cd_timed,
-)
 from repro.experiments.reporting import (
     check_shapes_ab,
     check_shapes_cd,
-    csv_ab,
-    csv_cd,
     render_table_ab,
     render_table_cd,
 )
+from repro.parallel.campaign import CampaignPart, get_part, run_campaign
 
-_PRESETS_AB = {"paper": PAPER_AB, "default": DEFAULT_AB, "smoke": SMOKE_AB}
-_PRESETS_CD = {"paper": PAPER_CD, "default": DEFAULT_CD, "smoke": SMOKE_CD}
+_PRESETS = {
+    "ab": {"paper": PAPER_AB, "default": DEFAULT_AB, "smoke": SMOKE_AB},
+    "cd": {"paper": PAPER_CD, "default": DEFAULT_CD, "smoke": SMOKE_CD},
+}
+#: Table renderer and shape check of each Fig. 6 sweep, by part name.
+_REPORTS = {
+    "ab": (render_table_ab, check_shapes_ab),
+    "cd": (render_table_cd, check_shapes_cd),
+}
+
+
+def preset(part: str, name: str):
+    """Look up the preset ``name`` of the Fig. 6 sweep ``part``."""
+    presets = _PRESETS[part]
+    try:
+        return presets[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown preset {name!r}; choose from {sorted(presets)}"
+        ) from None
 
 
 def preset_ab(name: str) -> Fig6ABConfig:
     """Look up an (a)/(b) preset by name."""
-    try:
-        return _PRESETS_AB[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown preset {name!r}; choose from {sorted(_PRESETS_AB)}"
-        ) from None
+    return preset("ab", name)
 
 
 def preset_cd(name: str) -> Fig6CDConfig:
     """Look up a (c)/(d) preset by name."""
-    try:
-        return _PRESETS_CD[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown preset {name!r}; choose from {sorted(_PRESETS_CD)}"
-        ) from None
+    return preset("cd", name)
 
 
 def timing_path(out_csv: Path) -> Path:
@@ -61,25 +62,24 @@ def timing_path(out_csv: Path) -> Path:
     return out_csv.with_suffix(".timing.json")
 
 
-class _LiveLine:
-    """A single self-overwriting progress/utilization line.
+class LiveLine:
+    """A single self-overwriting progress line.
 
-    Fed from the campaign's live :class:`~repro.parallel.engine.MapStats`
-    after every completed chunk; only attached when the output stream is
-    a terminal, so piped/CI logs never fill with carriage returns.
+    ``render(snapshot)`` turns each snapshot into the line's text: the
+    campaign's live :class:`~repro.parallel.engine.MapStats` after every
+    completed chunk, or a :class:`~repro.parallel.cluster.ClusterStatus`
+    after every coordinator poll.  Only attached when the output stream
+    is a terminal, so piped/CI logs never fill with carriage returns.
     """
 
-    def __init__(self, tag: str, stream) -> None:
+    def __init__(self, tag: str, stream, render) -> None:
         self._tag = tag
         self._stream = stream
+        self._render = render
         self._dirty = False
 
-    def __call__(self, stats) -> None:
-        self._stream.write(
-            f"\r[{self._tag}] {stats.completed}/{stats.n_items} graphs, "
-            f"{stats.utilization:.0%} busy, "
-            f"chunks {stats.chunk_min}-{stats.chunk_max}"
-        )
+    def __call__(self, snapshot) -> None:
+        self._stream.write(f"\r[{self._tag}] {self._render(snapshot)}")
         self._stream.flush()
         self._dirty = True
 
@@ -90,48 +90,34 @@ class _LiveLine:
             self._dirty = False
 
 
-def _live_line(tag: str, stream, enabled: bool) -> Optional[_LiveLine]:
+def _render_map(stats) -> str:
+    return (
+        f"{stats.completed}/{stats.n_items} graphs, "
+        f"{stats.utilization:.0%} busy, "
+        f"chunks {stats.chunk_min}-{stats.chunk_max}"
+    )
+
+
+def _render_cluster(status) -> str:
+    deaths = f", {status.deaths} death(s)" if status.deaths else ""
+    failed = f", {status.failed} failed" if status.failed else ""
+    return (
+        f"shards {status.done}/{status.shard_count} done "
+        f"({status.running} running, {status.pending} pending{failed}), "
+        f"{status.merged_records}/{status.expected_records} graphs, "
+        f"{status.rows_released} row(s){deaths}"
+    )
+
+
+def _live_line(tag: str, stream, enabled: bool, render) -> Optional[LiveLine]:
     if enabled and getattr(stream, "isatty", lambda: False)():
-        return _LiveLine(tag, stream)
+        return LiveLine(tag, stream, render)
     return None
 
 
-class ClusterLiveLine:
-    """Self-overwriting cluster status line (the ``--progress`` view).
-
-    Fed a :class:`~repro.parallel.cluster.ClusterStatus` snapshot after
-    every coordinator poll; TTY-gated exactly like :class:`_LiveLine`
-    so piped/CI logs never fill with carriage returns.
-    """
-
-    def __init__(self, tag: str, stream) -> None:
-        self._tag = tag
-        self._stream = stream
-        self._dirty = False
-
-    def __call__(self, status) -> None:
-        deaths = f", {status.deaths} death(s)" if status.deaths else ""
-        failed = f", {status.failed} failed" if status.failed else ""
-        self._stream.write(
-            f"\r[{self._tag}] shards {status.done}/{status.shard_count} done "
-            f"({status.running} running, {status.pending} pending{failed}), "
-            f"{status.merged_records}/{status.expected_records} graphs, "
-            f"{status.rows_released} row(s){deaths}"
-        )
-        self._stream.flush()
-        self._dirty = True
-
-    def finish(self) -> None:
-        if self._dirty:
-            self._stream.write("\n")
-            self._stream.flush()
-            self._dirty = False
-
-
-def cluster_live_line(tag: str, stream, enabled: bool) -> Optional[ClusterLiveLine]:
-    if enabled and getattr(stream, "isatty", lambda: False)():
-        return ClusterLiveLine(tag, stream)
-    return None
+def cluster_live_line(tag: str, stream, enabled: bool) -> Optional[LiveLine]:
+    """The ``cluster run --progress`` status line (TTY only)."""
+    return _live_line(tag, stream, enabled, _render_cluster)
 
 
 def format_cluster_report(report) -> List[str]:
@@ -167,7 +153,7 @@ def format_cluster_report(report) -> List[str]:
 
 
 def _write_outputs(
-    tag: str, rows, csv_text: str, timing, out_csv: Optional[Path], stream
+    tag: str, csv_text: str, timing, out_csv: Optional[Path], stream
 ) -> None:
     if out_csv is None:
         return
@@ -182,20 +168,20 @@ def _write_outputs(
 def _point_timing_lines(timing) -> List[str]:
     lines = []
     for point in timing.points:
-        if point.resumed:
-            lines.append(f"x={point.x}: resumed from checkpoint")
-            continue
+        resumed = point.resumed_graphs
         lines.append(
             f"x={point.x}: {point.wall_s:.2f}s wall, "
             f"{point.utilization:.0%} busy "
             f"(gen {point.generate_s:.2f}s / ana {point.analyze_s:.2f}s / "
-            f"sim {point.simulate_s:.2f}s, {point.graphs} graphs)"
+            f"sim {point.simulate_s:.2f}s, {point.graphs} graphs"
+            + (f", {resumed} resumed)" if resumed else ")")
         )
     return lines
 
 
-def run_ab(
-    config: Fig6ABConfig,
+def run_part(
+    part: Union[str, CampaignPart],
+    config,
     *,
     out_csv: Optional[Path] = None,
     stream=None,
@@ -203,18 +189,23 @@ def run_ab(
     jobs: int = 1,
     checkpoint: Optional[str] = None,
     show_timing: bool = False,
-) -> List[PointAB]:
-    """Run Fig. 6 (a)/(b), print the table, optionally save CSV.
+) -> list:
+    """Run one Fig. 6 sweep (``"ab"`` / ``"cd"``), print its table,
+    optionally save CSV.
 
     ``jobs`` fans per-graph work across worker processes (rows are
-    identical for any value); ``checkpoint`` enables per-point
+    identical for any value); ``checkpoint`` enables per-graph
     resume; ``show_timing`` prints the per-point stage/utilization
     breakdown that is always saved to ``<csv>.timing.json``.
     """
+    resolved = get_part(part)
+    render_table, check_shapes = _REPORTS[resolved.name]
+    tag = f"fig6{resolved.name}"
     stream = stream if stream is not None else sys.stdout
     progress = (lambda msg: print(f"  {msg}", file=stream)) if verbose else None
-    live = _live_line("fig6ab", stream, show_timing)
-    rows, timing = run_fig6_ab_timed(
+    live = _live_line(tag, stream, show_timing, _render_map)
+    rows, timing = run_campaign(
+        resolved,
         config,
         progress=progress,
         jobs=jobs,
@@ -223,50 +214,13 @@ def run_ab(
     )
     if live is not None:
         live.finish()
-    print(render_table_ab(rows), file=stream)
-    print(f"[fig6ab] {len(rows)} points in {timing.wall_s:.1f}s", file=stream)
+    print(render_table(rows), file=stream)
+    print(f"[{tag}] {len(rows)} points in {timing.wall_s:.1f}s", file=stream)
     if show_timing:
         for line in _point_timing_lines(timing):
             print(f"  {line}", file=stream)
         print(f"  {timing.summary()}", file=stream)
-    violations = check_shapes_ab(rows)
-    for violation in violations:
-        print(f"[fig6ab] SHAPE VIOLATION: {violation}", file=stream)
-    _write_outputs("fig6ab", rows, csv_ab(rows), timing, out_csv, stream)
-    return rows
-
-
-def run_cd(
-    config: Fig6CDConfig,
-    *,
-    out_csv: Optional[Path] = None,
-    stream=None,
-    verbose: bool = True,
-    jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    show_timing: bool = False,
-) -> List[PointCD]:
-    """Run Fig. 6 (c)/(d), print the table, optionally save CSV."""
-    stream = stream if stream is not None else sys.stdout
-    progress = (lambda msg: print(f"  {msg}", file=stream)) if verbose else None
-    live = _live_line("fig6cd", stream, show_timing)
-    rows, timing = run_fig6_cd_timed(
-        config,
-        progress=progress,
-        jobs=jobs,
-        checkpoint=checkpoint,
-        heartbeat=live,
-    )
-    if live is not None:
-        live.finish()
-    print(render_table_cd(rows), file=stream)
-    print(f"[fig6cd] {len(rows)} points in {timing.wall_s:.1f}s", file=stream)
-    if show_timing:
-        for line in _point_timing_lines(timing):
-            print(f"  {line}", file=stream)
-        print(f"  {timing.summary()}", file=stream)
-    violations = check_shapes_cd(rows)
-    for violation in violations:
-        print(f"[fig6cd] SHAPE VIOLATION: {violation}", file=stream)
-    _write_outputs("fig6cd", rows, csv_cd(rows), timing, out_csv, stream)
+    for violation in check_shapes(rows):
+        print(f"[{tag}] SHAPE VIOLATION: {violation}", file=stream)
+    _write_outputs(tag, resolved.to_csv(rows), timing, out_csv, stream)
     return rows

@@ -7,11 +7,11 @@ chunked dispatch and the ordering guarantee, and
 :func:`repro.experiments.fig6.graph_tasks` for the seed derivation).
 
 :mod:`repro.parallel.campaign` streams completed graphs into bounded
-accumulators (:mod:`repro.parallel.aggregate`) with per-point
-checkpoint/resume over an append-only JSONL log
-(:mod:`repro.parallel.checkpoint`); :mod:`repro.parallel.shard`
-partitions a campaign's scenario space across machines and merges
-shard outputs back to bytes identical to a serial run.
+accumulators (:mod:`repro.parallel.aggregate`) with per-graph
+checkpoint/resume; :mod:`repro.parallel.shard` partitions a campaign's
+scenario space across machines and merges shard outputs back to bytes
+identical to a serial run.  Checkpoints and shard outputs are one
+append-only JSONL record format (:mod:`repro.parallel.checkpoint`).
 
 :mod:`repro.parallel.cluster` closes the loop with a fault-tolerant
 coordinator: it launches shard workers (:mod:`repro.parallel.worker`
@@ -35,7 +35,6 @@ from repro.parallel.campaign import (
     run_campaign,
 )
 from repro.parallel.checkpoint import (
-    CampaignCheckpoint,
     JsonlLog,
     JsonlTail,
     config_fingerprint,
@@ -65,7 +64,6 @@ from repro.parallel.shard import (
 
 __all__ = [
     "CampaignAccumulator",
-    "CampaignCheckpoint",
     "CampaignPart",
     "CampaignTiming",
     "ClusterError",

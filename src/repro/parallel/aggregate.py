@@ -12,7 +12,7 @@ from any worker — to a :class:`CampaignAccumulator`, which
   sorted by replica index inside the fold, so the row is bit-identical
   to ``--jobs 1`` no matter the completion order), and
 * releases completed points to the caller in X-axis order, so progress
-  lines and checkpoint appends read exactly like a serial sweep.
+  lines read exactly like a serial sweep.
 
 Alongside the exact per-point fold the accumulator maintains *campaign-
 wide* sketches over a scalar metric of every result (count / mean /
@@ -166,7 +166,6 @@ class CompletedPoint:
     x: int
     row: object
     results: Sequence[object]
-    resumed: bool = False
     busy_s: float = 0.0
     wall_s: float = 0.0
     #: ``True`` when the row was force-folded over an incomplete result
@@ -193,8 +192,7 @@ class CampaignAccumulator:
             the same callable a serial run applies, so emitted rows
             carry bit-identical floats.
         metric: Optional scalar extractor feeding the campaign-wide
-            sketches (ignored for resumed points, which carry no
-            per-graph results).
+            sketches.
         quantiles: P² sketch targets over ``metric``.
     """
 
@@ -226,32 +224,29 @@ class CampaignAccumulator:
 
     # ------------------------------------------------------------------
 
-    def resume(self, x: int, row: object) -> List[CompletedPoint]:
-        """Mark point ``x`` as already checkpointed; row passes through."""
-        self._slots.pop(x)
-        self._ready[x] = CompletedPoint(x=x, row=row, results=(), resumed=True)
-        return self._release()
-
     def add(
         self,
         x: int,
         result: object,
         *,
         elapsed_s: float = 0.0,
-        now: float = 0.0,
+        now: Optional[float] = None,
     ) -> List[CompletedPoint]:
         """Park one result; returns the points this completes, X-ordered.
 
         ``now`` is the caller's wall clock at delivery; per-point wall
-        time spans from the inferred start of the point's first result
-        (``now - elapsed_s``) to the delivery of its last.
+        time spans from the inferred start of the point's first timed
+        result (``now - elapsed_s``) to the delivery of its last.  A
+        result without ``now`` (one resumed from a checkpoint, or merged
+        from a shard file) adds no wall time.
         """
         slot = self._slots[x]
         slot.results.append(result)
         slot.busy_s += elapsed_s
-        if slot.first_start is None:
-            slot.first_start = now - elapsed_s
-        slot.last_end = now
+        if now is not None:
+            if slot.first_start is None:
+                slot.first_start = now - elapsed_s
+            slot.last_end = now
         self.in_flight += 1
         if self.in_flight > self.peak_in_flight:
             self.peak_in_flight = self.in_flight
@@ -265,18 +260,23 @@ class CampaignAccumulator:
                 sketch.add(value)
         if len(slot.results) < slot.expected:
             return []
-        # Point complete: fold exactly as a serial run would and free.
-        row = self._fold(x, slot.results)
-        self._ready[x] = CompletedPoint(
+        del self._slots[x]
+        self._ready[x] = self._complete(x, slot)
+        return self._release()
+
+    def _complete(
+        self, x: int, slot: _PointSlot, partial: bool = False
+    ) -> CompletedPoint:
+        """Fold ``slot`` exactly as a serial run would, and free it."""
+        self.in_flight -= len(slot.results)
+        return CompletedPoint(
             x=x,
-            row=row,
+            row=self._fold(x, slot.results),
             results=tuple(slot.results),
             busy_s=slot.busy_s,
             wall_s=max(0.0, slot.last_end - (slot.first_start or slot.last_end)),
+            partial=partial,
         )
-        self.in_flight -= len(slot.results)
-        del self._slots[x]
-        return self._release()
 
     def flush_incomplete(self) -> List[CompletedPoint]:
         """Force-fold every unreleased point over the results that arrived.
@@ -303,19 +303,7 @@ class CampaignAccumulator:
                 if slot is None or not slot.results:
                     self._cursor += 1
                     continue
-                row = self._fold(x, slot.results)
-                done = CompletedPoint(
-                    x=x,
-                    row=row,
-                    results=tuple(slot.results),
-                    busy_s=slot.busy_s,
-                    wall_s=max(
-                        0.0,
-                        slot.last_end - (slot.first_start or slot.last_end),
-                    ),
-                    partial=True,
-                )
-                self.in_flight -= len(slot.results)
+                done = self._complete(x, slot, partial=True)
             out.append(done)
             self._cursor += 1
             self.rows_emitted += 1

@@ -1,24 +1,24 @@
 """Append-only JSONL persistence for campaign runs.
 
-A campaign's progress is one JSONL file: a header line naming the
-format and the fingerprint of ``(part, config)``, then one record per
-completed unit.  Appends are **O(1)** — a single newline-terminated
-``os.write`` per record, never a rewrite of what came before — so
-checkpoint cost no longer grows with campaign size, and a kill at any
-byte leaves every previously written record intact.
+Every campaign record lives in one format: a *shard file*.  Its first
+line is a header naming :data:`SHARD_FORMAT`, the part, the fingerprint
+of ``(part, config)`` and the shard spec; every further line is one
+completed graph, ``{"ordinal", "x", "graph_index", "result"}``.  A
+:func:`~repro.parallel.shard.run_shard` output, a cluster worker's file
+and a ``run_campaign(checkpoint=...)`` log (shard ``0/1``) are the same
+thing, so each is a valid input to the others' readers, and every
+reader applies the one record predicate :func:`valid_record`.
 
-Crash tolerance is structural: :class:`JsonlLog.load` scans line by
-line and remembers the offset after the last *complete, parseable*
-line; a torn final line (the one the kill interrupted) is skipped on
-read and truncated away before the next append, so the log never
-accumulates garbage.  A fingerprint mismatch or an unrecognized header
-(including the pre-JSONL whole-file JSON format) simply yields an empty
-log that the first append rewrites fresh.
-
-:class:`CampaignCheckpoint` keeps its point-level API (``load`` /
-``completed`` / ``record`` / ``clear``) on top of :class:`JsonlLog`;
-the shard runner (:mod:`repro.parallel.shard`) reuses the same log
-class so a shard's output file doubles as its own resume log.
+Appends are **O(1)** — a single newline-terminated ``os.write`` per
+record, never a rewrite of what came before — and a kill at any byte
+leaves every previously written record intact.  Crash tolerance is
+structural: :class:`JsonlLog.load` scans line by line and remembers the
+offset after the last *complete, parseable* line; a torn final line
+(the one the kill interrupted) is skipped on read and truncated away
+before the next append, so the log never accumulates garbage.  A
+fingerprint mismatch or an unrecognized header (including older
+checkpoint formats) simply yields an empty log that the first append
+rewrites fresh.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import asdict
 from typing import Dict, Iterator, List, Optional, Tuple
 
-#: Format tag of campaign checkpoint headers.
-CHECKPOINT_FORMAT = "repro-campaign-jsonl/1"
+#: Format tag of shard file headers (checkpoints are one-shard files).
+SHARD_FORMAT = "repro-shard-jsonl/1"
 
 
 def config_fingerprint(part: str, config) -> str:
@@ -45,10 +46,10 @@ def config_fingerprint(part: str, config) -> str:
 class JsonlLog:
     """An append-only, torn-tail-tolerant JSONL file with a header.
 
-    The first line is a header object that must contain ``format ==
-    expected_format`` and match every ``expected_header`` key; anything
-    else (missing file, legacy format, stale fingerprint, unreadable
-    JSON) loads as empty.  Records are the subsequent lines.
+    The first line is a header object that must match every key of
+    ``header`` (a ``format`` tag among them); anything else (missing
+    file, other format, stale fingerprint, unreadable JSON) loads as
+    empty.  Records are the subsequent lines.
 
     Appends are single ``write`` calls of a newline-terminated line on
     an ``O_APPEND`` descriptor.  Before the first append after a load,
@@ -57,16 +58,9 @@ class JsonlLog:
     not resumable.
     """
 
-    def __init__(
-        self,
-        path: str,
-        *,
-        expected_format: str,
-        header: Dict[str, object],
-    ) -> None:
+    def __init__(self, path: str, header: Dict[str, object]) -> None:
         self.path = path
-        self.expected_format = expected_format
-        self.header = {"format": expected_format, **header}
+        self.header = header
         self._valid_bytes = 0
         self._resumable = False
         self._fd: Optional[int] = None
@@ -156,20 +150,6 @@ class JsonlLog:
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
-
-    def clear(self) -> None:
-        """Delete the log file."""
-        self.close()
-        try:
-            os.remove(self.path)
-        except OSError:
-            pass
-
-    def __enter__(self) -> "JsonlLog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def _complete_lines(raw: bytes) -> Iterator[Tuple[bytes, int]]:
@@ -288,62 +268,62 @@ class JsonlTail:
         return records, corrupt
 
 
-class CampaignCheckpoint:
-    """Per-point resume log of one campaign run (append-only JSONL).
+def shard_header(
+    part: str, config, shard: Optional[Tuple[int, int]] = None
+) -> Dict[str, object]:
+    """The header of a shard file of ``(part, config)``.
 
-    Each completed X-axis point is one ``{"x": ..., "row": {...}}``
-    record.  ``load()`` is a single forward scan; resident state is one
-    small dict of completed rows — nothing is ever rewritten, so
-    recording point ``N`` costs the same as recording point one.
+    ``shard`` is ``(shard_index, shard_count)``; without it the header
+    matches a file of any shard spec (what a merge of several files
+    expects).
     """
+    header: Dict[str, object] = {
+        "format": SHARD_FORMAT,
+        "part": part,
+        "fingerprint": config_fingerprint(part, config),
+    }
+    if shard is not None:
+        header["shard_index"], header["shard_count"] = shard
+    return header
 
-    def __init__(self, path: str, fingerprint: str) -> None:
-        self.path = path
-        self.fingerprint = fingerprint
-        self._log = JsonlLog(
-            path,
-            expected_format=CHECKPOINT_FORMAT,
-            header={"fingerprint": fingerprint},
-        )
-        self._rows: Dict[str, dict] = {}
 
-    def load(self) -> int:
-        """Read the checkpoint; returns the number of resumable points.
+def shard_record(ordinal: int, task, result) -> dict:
+    """The record of one completed graph (``task`` at ``ordinal``)."""
+    return {
+        "ordinal": ordinal,
+        "x": task.x,
+        "graph_index": task.graph_index,
+        "result": asdict(result),
+    }
 
-        A missing file, a legacy/unknown format, or a fingerprint
-        mismatch all yield an empty (fresh) checkpoint; a torn final
-        line loses only that line.
-        """
-        self._rows = {}
-        for record in self._log.load():
-            row = record.get("row")
-            if "x" in record and isinstance(row, dict):
-                self._rows[str(record["x"])] = row
-        return len(self._rows)
 
-    def completed(self, x: int) -> Optional[dict]:
-        """The saved row dict of point ``x``, or ``None`` if not done."""
-        return self._rows.get(str(x))
+def valid_record(
+    record: object, n_tasks: int, shard_index: int, shard_count: int
+) -> bool:
+    """Whether ``record`` is a usable graph record of its shard file.
 
-    def record(self, x: int, row: dict) -> None:
-        """Persist point ``x`` as completed (atomic O(1) append)."""
-        key = str(x)
-        self._rows[key] = row
-        self._log.append({"x": x, "row": row})
-
-    def close(self) -> None:
-        self._log.close()
-
-    def clear(self) -> None:
-        """Delete the checkpoint file (after a campaign completes)."""
-        self._rows = {}
-        self._log.clear()
+    The one rule every reader applies: a dict with an int ``ordinal``
+    in ``range(n_tasks)``, owned by the file's shard, carrying a dict
+    ``result``.  Anything else is re-run by a resuming writer and
+    reported as missing by a merge.
+    """
+    if not isinstance(record, dict):
+        return False
+    ordinal = record.get("ordinal")
+    return (
+        type(ordinal) is int
+        and 0 <= ordinal < n_tasks
+        and ordinal % shard_count == shard_index
+        and isinstance(record.get("result"), dict)
+    )
 
 
 __all__ = [
-    "CHECKPOINT_FORMAT",
-    "CampaignCheckpoint",
+    "SHARD_FORMAT",
     "JsonlLog",
     "JsonlTail",
     "config_fingerprint",
+    "shard_header",
+    "shard_record",
+    "valid_record",
 ]

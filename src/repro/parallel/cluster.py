@@ -54,11 +54,11 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 
-from repro.parallel.aggregate import CampaignAccumulator, CompletedPoint
-from repro.parallel.campaign import CampaignPart, get_part
-from repro.parallel.checkpoint import JsonlTail, config_fingerprint
+from repro.parallel.aggregate import CompletedPoint
+from repro.parallel.campaign import CampaignPart, _accumulator, get_part
+from repro.parallel.checkpoint import JsonlTail, shard_header, valid_record
 from repro.parallel.engine import resolve_jobs
-from repro.parallel.shard import SHARD_FORMAT, ShardSpec
+from repro.parallel.shard import ShardSpec
 
 
 class ClusterError(RuntimeError):
@@ -165,31 +165,19 @@ class IncrementalMerger:
         self.shard_count = shard_count
         self._tasks = resolved.tasks(config)
         self._decode = resolved.decode_result
-        expected: Dict[int, int] = {x: 0 for x in config.x_values}
-        for task in self._tasks:
-            expected[task.x] += 1
-        self.expected_by_x = expected
-        self._acc = CampaignAccumulator(
-            [(x, expected[x]) for x in config.x_values],
-            resolved.aggregate,
-            metric=resolved.metric,
+        self._acc, self.expected_by_x = _accumulator(
+            resolved, config, self._tasks
         )
-        fingerprint = config_fingerprint(resolved.name, config)
-        self._owned: Dict[int, Set[int]] = {index: set() for index in paths}
-        for ordinal in range(len(self._tasks)):
-            index = ordinal % shard_count
-            if index in self._owned:
-                self._owned[index].add(ordinal)
+        self._owned: Dict[int, Set[int]] = {
+            index: set(range(index, len(self._tasks), shard_count))
+            for index in paths
+        }
         self._tails: Dict[int, JsonlTail] = {
             index: JsonlTail(
                 path,
-                expected_header={
-                    "format": SHARD_FORMAT,
-                    "part": resolved.name,
-                    "fingerprint": fingerprint,
-                    "shard_index": index,
-                    "shard_count": shard_count,
-                },
+                expected_header=shard_header(
+                    resolved.name, config, (index, shard_count)
+                ),
             )
             for index, path in paths.items()
         }
@@ -197,7 +185,8 @@ class IncrementalMerger:
         self.seen: Set[int] = set()
         #: Re-delivered or double-issued records ignored.
         self.duplicates = 0
-        #: Records whose ordinal the polled shard does not own.
+        #: Records failing :func:`~repro.parallel.checkpoint.valid_record`
+        #: (e.g. an ordinal the polled shard does not own).
         self.foreign_records = 0
         #: Every released point, in X order (partial ones flagged).
         self.rows: List[CompletedPoint] = []
@@ -227,14 +216,12 @@ class IncrementalMerger:
         released: List[CompletedPoint] = []
         new = 0
         for record in self._tails[index].poll():
-            ordinal = record.get("ordinal")
-            if (
-                not isinstance(ordinal, int)
-                or ordinal not in self._owned[index]
-                or "result" not in record
+            if not valid_record(
+                record, len(self._tasks), index, self.shard_count
             ):
                 self.foreign_records += 1
                 continue
+            ordinal = record["ordinal"]
             new += 1
             if ordinal in self.seen:
                 self.duplicates += 1

@@ -10,10 +10,11 @@ coordination, no shared state — so shards can run on separate machines
 and at different times.
 
 :func:`run_shard` executes one shard and writes its per-graph results
-to a JSONL file (header + one record per graph).  The file doubles as
-the shard's own resume log: re-running against a partial file skips the
-graphs already recorded, tolerating a torn final line exactly like the
-campaign checkpoint.
+to a JSONL file (header + one record per graph, the format of
+:mod:`repro.parallel.checkpoint`).  The file doubles as the shard's own
+resume log: re-running against a partial file skips the graphs already
+recorded, tolerating a torn final line; a campaign checkpoint is
+exactly the file of shard ``0/1``.
 
 :func:`merge_shards` reads any permutation of the shard files,
 verifies they cover the whole task list, regroups results per X value
@@ -28,16 +29,12 @@ and orders.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass
-from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.parallel.campaign import CampaignPart, get_part
-from repro.parallel.checkpoint import JsonlLog, config_fingerprint
-from repro.parallel.engine import MapStats, PoolRunner
-
-#: Format tag of shard result file headers.
-SHARD_FORMAT = "repro-shard-jsonl/1"
+from repro.parallel.campaign import CampaignPart, _run_recorded, get_part
+from repro.parallel.checkpoint import JsonlLog, shard_header, valid_record
+from repro.parallel.engine import MapStats
 
 _SPEC_RE = re.compile(r"^(\d+)/(\d+)$")
 
@@ -102,19 +99,6 @@ class ShardRunReport:
         )
 
 
-def _shard_log(
-    path: str, part: CampaignPart, config, shard: Optional[ShardSpec]
-) -> JsonlLog:
-    header: Dict[str, object] = {
-        "part": part.name,
-        "fingerprint": config_fingerprint(part.name, config),
-    }
-    if shard is not None:
-        header["shard_index"] = shard.shard_index
-        header["shard_count"] = shard.shard_count
-    return JsonlLog(path, expected_format=SHARD_FORMAT, header=header)
-
-
 def run_shard(
     part: Union[str, CampaignPart],
     config,
@@ -136,45 +120,25 @@ def run_shard(
     """
     resolved = get_part(part)
     tasks = resolved.tasks(config)
-    owned: List[Tuple[int, object]] = [
-        (ordinal, task)
-        for ordinal, task in enumerate(tasks)
-        if shard.owns(ordinal)
-    ]
-    log = _shard_log(out_path, resolved, config, shard)
-    done = {record["ordinal"] for record in log.load() if "ordinal" in record}
-    work = [(ordinal, task) for ordinal, task in owned if ordinal not in done]
-    if progress is not None and done:
-        progress(f"shard {shard}: {len(done)} recorded graph(s) found")
-
-    map_stats: Optional[MapStats] = None
-    if work:
-        with PoolRunner(jobs) as pool:
-
-            def on_item(index: int, result: object, elapsed: float) -> None:
-                ordinal, task = work[index]
-                log.append(
-                    {
-                        "ordinal": ordinal,
-                        "x": task.x,
-                        "graph_index": task.graph_index,
-                        "result": asdict(result),
-                    }
-                )
-
-            map_stats = pool.map_consume(
-                partial(resolved.run_graph, config),
-                [task for _, task in work],
-                on_item=on_item,
-                heartbeat=heartbeat,
-            )
-    log.close()
+    spec = (shard.shard_index, shard.shard_count)
+    n_resumed, n_run, map_stats = _run_recorded(
+        resolved,
+        config,
+        tasks,
+        out_path,
+        spec,
+        jobs=jobs,
+        on_result=None,
+        heartbeat=heartbeat,
+        progress=progress,
+        label=f"shard {shard}",
+    )
     report = ShardRunReport(
         shard=shard,
         path=out_path,
-        n_owned=len(owned),
-        n_resumed=len(done),
-        n_run=len(work),
+        n_owned=n_resumed + n_run,
+        n_resumed=n_resumed,
+        n_run=n_run,
         map_stats=map_stats.to_dict() if map_stats is not None else None,
     )
     if progress is not None:
@@ -255,29 +219,27 @@ def merge_shards(
     shard_count: Optional[int] = None
     owners: Dict[int, List[str]] = {}
     for path in shard_paths:
-        log = _shard_log(path, resolved, config, shard=None)
+        log = JsonlLog(path, shard_header(resolved.name, config))
         rows = log.load()
-        header = log.loaded_header
-        if header is None:
+        header = log.loaded_header or {}
+        count = header.get("shard_count")
+        index = header.get("shard_index")
+        if not (isinstance(count, int) and isinstance(index, int)):
             raise ValueError(
                 f"{path}: not a shard result file of part "
                 f"{resolved.name!r} with this config (wrong or torn header)"
             )
-        count = header.get("shard_count")
         if shard_count is None:
-            shard_count = count if isinstance(count, int) else None
+            shard_count = count
         elif count != shard_count:
             raise ValueError(
                 f"{path}: shard_count {count} disagrees with {shard_count} "
                 f"from earlier files"
             )
-        index = header.get("shard_index")
-        if isinstance(index, int):
-            owners.setdefault(index, []).append(path)
+        owners.setdefault(index, []).append(path)
         for record in rows:
-            ordinal = record.get("ordinal")
-            if isinstance(ordinal, int) and 0 <= ordinal < len(tasks):
-                records[ordinal] = record
+            if valid_record(record, len(tasks), index, count):
+                records[record["ordinal"]] = record
     missing = [o for o in range(len(tasks)) if o not in records]
     if missing:
         raise ValueError(_merge_gap_message(missing, len(tasks), shard_count, owners))
@@ -288,7 +250,6 @@ def merge_shards(
 
 
 __all__ = [
-    "SHARD_FORMAT",
     "ShardRunReport",
     "ShardSpec",
     "merge_shards",

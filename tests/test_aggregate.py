@@ -100,15 +100,6 @@ class TestCampaignAccumulator:
         assert released[0].row == (10, ("a1", "a2"))
         assert acc.pending == 0
 
-    def test_resumed_point_passes_row_through(self):
-        acc = CampaignAccumulator([(1, 5), (2, 1)], _concat_fold)
-        released = acc.resume(1, "saved-row")
-        assert [p.x for p in released] == [1]
-        assert released[0].resumed and released[0].row == "saved-row"
-        released = acc.add(2, "z")
-        assert [p.x for p in released] == [2]
-        assert not released[0].resumed
-
     def test_peak_residency_is_measured(self):
         acc = CampaignAccumulator([(1, 2), (2, 2)], _concat_fold)
         acc.add(1, "a")
@@ -143,6 +134,18 @@ class TestCampaignAccumulator:
         # Wall spans the first result's inferred start to the last
         # delivery: (101 - 1) .. 103.
         assert done.wall_s == pytest.approx(3.0)
+
+    def test_untimed_results_add_no_wall_or_busy(self):
+        # Results resumed from a checkpoint arrive without a clock:
+        # they count toward the row and the sketches, not the timing.
+        acc = CampaignAccumulator([(1, 3)], _concat_fold, metric=float)
+        acc.add(1, "1")
+        acc.add(1, "2")
+        (done,) = acc.add(1, "3", elapsed_s=2.0, now=50.0)
+        assert done.row == (1, ("1", "2", "3"))
+        assert done.busy_s == pytest.approx(2.0)
+        assert done.wall_s == pytest.approx(2.0)
+        assert acc.summary()["metric"]["count"] == 3
 
     def test_flush_incomplete_force_folds_partial_points(self):
         # Degraded-mode completion (cluster coordinator with
@@ -206,5 +209,5 @@ class TestCampaignAccumulator:
 
 def test_completed_point_defaults():
     done = CompletedPoint(x=1, row="r", results=())
-    assert not done.resumed
+    assert not done.partial
     assert done.busy_s == 0.0 and done.wall_s == 0.0

@@ -131,6 +131,31 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "P-diff(ms)" in out
 
+    def test_fig6_all_writes_one_csv_per_sweep(self, capsys, tmp_path):
+        # Under the default --part all, --csv splits per sweep like
+        # --checkpoint does: <stem>.ab.csv and <stem>.cd.csv, each with
+        # its timing report.
+        from repro.experiments import preset_ab, preset_cd
+        from repro.experiments.fig6 import AB_PART, CD_PART
+        from repro.parallel import run_campaign
+        from repro.units import seconds
+
+        stem = tmp_path / "fig6.csv"
+        scale = ["--preset", "smoke", "--duration", "2", "--graphs", "1",
+                 "--sims", "1"]
+        assert main(["fig6", *scale, "--quiet", "--csv", str(stem),
+                     "--checkpoint", str(tmp_path / "fig6.ckpt")]) == 0
+        for part, presets in ((AB_PART, preset_ab), (CD_PART, preset_cd)):
+            config = presets("smoke").scaled(
+                sim_duration=seconds(2), graphs_per_point=1, sims_per_graph=1
+            )
+            csv_path = tmp_path / f"fig6.{part.name}.csv"
+            rows, _ = run_campaign(part, config)
+            assert csv_path.read_bytes().decode() == part.to_csv(rows)
+            assert (tmp_path / f"fig6.{part.name}.timing.json").exists()
+            assert (tmp_path / f"fig6.ckpt.{part.name}").exists()
+        assert not stem.exists()
+
     def test_campaign_run_and_merge_match_direct_run(self, capsys, tmp_path):
         # Two shards run via the CLI, merged via the CLI (files passed
         # out of order), must reproduce the direct serial CSV bytes.

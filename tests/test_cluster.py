@@ -44,7 +44,7 @@ from repro.parallel import (
     run_shard,
     write_worker_spec,
 )
-from repro.parallel.shard import SHARD_FORMAT
+from repro.parallel.checkpoint import SHARD_FORMAT
 from repro.parallel.worker import load_spec, main as worker_main, run_spec
 from repro.units import seconds
 
@@ -481,7 +481,7 @@ class TestIncrementalFoldParity:
 
 class TestClusterCLI:
     def test_cluster_run_cli_matches_serial(
-        self, baselines, tmp_path, capsys
+        self, baselines, tmp_path, capsys, monkeypatch
     ):
         from repro.cli import main
 
@@ -489,20 +489,16 @@ class TestClusterCLI:
 
         # Pin the smoke preset down to the TINY config so the CLI path
         # (preset resolution included) runs in test time.
-        original = runner._PRESETS_AB["smoke"]
-        runner._PRESETS_AB["smoke"] = TINY
-        try:
-            csv_path = tmp_path / "out.csv"
-            code = main([
-                "cluster", "run", "--part", "ab", "--preset", "smoke",
-                "--shards", "2", "--workers", "2",
-                "--dir", str(tmp_path / "shards"),
-                "--csv", str(csv_path),
-                "--chaos-kill", "0:1", "--chaos-tear",
-                "--backoff", "0.1",
-            ])
-        finally:
-            runner._PRESETS_AB["smoke"] = original
+        monkeypatch.setitem(runner._PRESETS["ab"], "smoke", TINY)
+        csv_path = tmp_path / "out.csv"
+        code = main([
+            "cluster", "run", "--part", "ab", "--preset", "smoke",
+            "--shards", "2", "--workers", "2",
+            "--dir", str(tmp_path / "shards"),
+            "--csv", str(csv_path),
+            "--chaos-kill", "0:1", "--chaos-tear",
+            "--backoff", "0.1",
+        ])
         assert code == 0
         # Byte comparison: the csv module's \r\n endings must survive
         # (read_text would translate them away).

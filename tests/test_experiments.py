@@ -23,7 +23,7 @@ from repro.experiments.reporting import (
     render_table_ab,
     render_table_cd,
 )
-from repro.experiments.runner import preset_ab, preset_cd, run_ab, run_cd
+from repro.experiments.runner import preset_ab, preset_cd, run_part
 from repro.units import seconds
 
 
@@ -142,14 +142,16 @@ class TestRunner:
     def test_run_ab_writes_csv(self, tmp_path):
         stream = io.StringIO()
         out_csv = tmp_path / "fig6ab.csv"
-        rows = run_ab(TINY_AB, out_csv=out_csv, stream=stream, verbose=False)
-        assert out_csv.exists()
+        rows = run_part("ab", TINY_AB, out_csv=out_csv, stream=stream, verbose=False)
+        assert out_csv.read_bytes().decode() == csv_ab(rows)
+        assert out_csv.with_suffix(".timing.json").exists()
         assert len(rows) == 2
         assert "P-diff(ms)" in stream.getvalue()
 
     def test_run_cd_writes_csv(self, tmp_path):
         stream = io.StringIO()
         out_csv = tmp_path / "fig6cd.csv"
-        rows = run_cd(TINY_CD, out_csv=out_csv, stream=stream, verbose=False)
-        assert out_csv.exists()
+        rows = run_part("cd", TINY_CD, out_csv=out_csv, stream=stream, verbose=False)
+        assert out_csv.read_bytes().decode() == csv_cd(rows)
         assert len(rows) == 2
+        assert "S-diff-B(ms)" in stream.getvalue()

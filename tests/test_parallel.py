@@ -10,26 +10,29 @@ campaign orchestration, and the rendered CSV text.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from functools import partial
 
 import pytest
 
 from repro.experiments.config import SMOKE_AB, SMOKE_CD
 from repro.experiments.fig6 import (
+    AB_PART,
     graph_tasks,
     run_fig6_ab,
-    run_fig6_ab_timed,
     run_fig6_cd,
     run_graph_ab,
 )
 from repro.experiments.reporting import csv_ab, csv_cd
 from repro.parallel import (
-    CampaignCheckpoint,
     PoolRunner,
+    ShardSpec,
     config_fingerprint,
     default_chunk_size,
+    merge_shards,
     resolve_jobs,
     run_campaign,
+    run_shard,
 )
 from repro.units import seconds
 
@@ -159,7 +162,7 @@ class TestCsvParity:
 
 class TestTiming:
     def test_stage_breakdown_and_utilization(self):
-        rows, timing = run_fig6_ab_timed(TINY_AB, jobs=2)
+        rows, timing = run_campaign(AB_PART, TINY_AB, jobs=2)
         assert len(rows) == len(TINY_AB.x_values)
         assert timing.wall_s > 0.0
         assert 0.0 < timing.utilization <= 1.0
@@ -170,40 +173,119 @@ class TestTiming:
         json.dumps(report)  # must be JSON-serializable as-is
 
 
+N_GRAPHS = len(graph_tasks(TINY_AB))
+
+
+def _run_ab(checkpoint, config=TINY_AB):
+    return run_campaign(AB_PART, config, checkpoint=checkpoint)
+
+
+class _Interrupted(RuntimeError):
+    pass
+
+
+def _dying_part(k: int):
+    """``AB_PART`` whose ``run_graph`` raises once ``k`` graphs ran."""
+    ran = []
+
+    def run_graph(config, task):
+        if len(ran) == k:
+            raise _Interrupted(f"killed after {k} graph(s)")
+        ran.append(task)
+        return run_graph_ab(config, task)
+
+    return replace(AB_PART, run_graph=run_graph)
+
+
 class TestCheckpoint:
     def test_round_trip_resumes_every_point(self, tmp_path):
         path = str(tmp_path / "ab.ckpt.json")
-        rows, first = run_fig6_ab_timed(TINY_AB, checkpoint=path)
-        assert first.resumed_points == 0
-        again, second = run_fig6_ab_timed(TINY_AB, checkpoint=path)
+        rows, first = _run_ab(path)
+        assert first.resumed_graphs == 0
+        again, second = _run_ab(path)
         assert again == rows
-        assert second.resumed_points == len(TINY_AB.x_values)
+        assert second.resumed_graphs == N_GRAPHS
+        assert [p.resumed_graphs for p in second.points] == [
+            TINY_AB.graphs_per_point
+        ] * len(TINY_AB.x_values)
 
     def test_partial_checkpoint_resumes_prefix(self, tmp_path):
         path = str(tmp_path / "ab.ckpt.json")
-        rows, _ = run_fig6_ab_timed(TINY_AB, checkpoint=path)
+        rows, _ = _run_ab(path)
         # Drop the last record line, as if the run had been killed
         # between two appends.
         lines = open(path).read().splitlines(keepends=True)
         open(path, "w").writelines(lines[:-1])
-        again, timing = run_fig6_ab_timed(TINY_AB, checkpoint=path)
+        again, timing = _run_ab(path)
         assert again == rows
-        assert timing.resumed_points == len(TINY_AB.x_values) - 1
+        assert timing.resumed_graphs == N_GRAPHS - 1
+        assert timing.map_stats["n_items"] == 1
 
     def test_torn_final_line_skipped_and_truncated(self, tmp_path):
         # A kill mid-append leaves a torn (newline-less) final line:
         # resume must keep every intact record, lose only the torn one,
         # and truncate it away so the log stays valid JSONL.
         path = str(tmp_path / "ab.ckpt.json")
-        rows, _ = run_fig6_ab_timed(TINY_AB, checkpoint=path)
+        rows, _ = _run_ab(path)
         lines = open(path).read().splitlines(keepends=True)
         torn = lines[:-1] + [lines[-1][: len(lines[-1]) // 2].rstrip("\n")]
         open(path, "w").writelines(torn)
-        again, timing = run_fig6_ab_timed(TINY_AB, checkpoint=path)
+        again, timing = _run_ab(path)
         assert again == rows
-        assert timing.resumed_points == len(TINY_AB.x_values) - 1
+        assert timing.resumed_graphs == N_GRAPHS - 1
         for line in open(path).read().splitlines():
             json.loads(line)  # every surviving line parses
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_kill_mid_point_resumes_per_graph(self, tmp_path, k):
+        # Interrupted after k graphs (k=1 is inside the first point),
+        # the checkpoint holds exactly those k records; the rerun runs
+        # only the rest and renders the uninterrupted run's bytes.
+        path = str(tmp_path / "ab.ckpt")
+        with pytest.raises(_Interrupted):
+            run_campaign(_dying_part(k), TINY_AB, jobs=1, checkpoint=path)
+        lines = open(path).read().splitlines()
+        assert len(lines) == 1 + k
+        rows, timing = _run_ab(path)
+        assert timing.resumed_graphs == k
+        assert timing.map_stats["n_items"] == N_GRAPHS - k
+        assert csv_ab(rows) == csv_ab(run_fig6_ab(TINY_AB))
+        # Resumed graphs count toward the row and the campaign sketch,
+        # but add no busy or stage seconds.
+        assert timing.stream["metric"]["count"] == N_GRAPHS
+        first = timing.points[0]
+        assert first.graphs == TINY_AB.graphs_per_point
+        assert first.resumed_graphs == min(k, first.graphs)
+
+    def test_checkpoint_is_a_one_shard_file(self, tmp_path):
+        # A checkpoint merges like a shard file, and a 0/1 shard file
+        # resumes as a checkpoint: one record format for both.
+        expected = csv_ab(run_fig6_ab(TINY_AB))
+        checkpoint = str(tmp_path / "ab.ckpt")
+        _run_ab(checkpoint)
+        assert csv_ab(merge_shards(AB_PART, TINY_AB, [checkpoint])) == expected
+        shard_file = str(tmp_path / "all.jsonl")
+        run_shard(AB_PART, TINY_AB, ShardSpec(0, 1), shard_file)
+        rows, timing = _run_ab(shard_file)
+        assert timing.resumed_graphs == N_GRAPHS
+        assert timing.map_stats is None
+        assert csv_ab(rows) == expected
+
+    def test_invalid_records_are_rerun(self, tmp_path):
+        # A parseable record without a result, or with a foreign or
+        # out-of-range ordinal, is not a recorded graph.
+        path = str(tmp_path / "ab.ckpt")
+        rows, _ = _run_ab(path)
+        lines = open(path).read().splitlines(keepends=True)
+        dropped = json.loads(lines[1])["ordinal"]
+        junk = [{"ordinal": dropped}, {"ordinal": N_GRAPHS, "result": {}},
+                {"ordinal": "0", "result": {}}, ["not", "a", "dict"]]
+        open(path, "w").writelines(
+            [lines[0]] + lines[2:] + [json.dumps(j) + "\n" for j in junk]
+        )
+        again, timing = _run_ab(path)
+        assert again == rows
+        assert timing.resumed_graphs == N_GRAPHS - 1
 
     def test_legacy_whole_json_checkpoint_invalidated(self, tmp_path):
         # The pre-JSONL format stored one whole JSON document; its
@@ -212,32 +294,50 @@ class TestCheckpoint:
         path = str(tmp_path / "ab.ckpt.json")
         legacy = {"fingerprint": "old", "order": ["5"], "rows": {"5": {}}}
         open(path, "w").write(json.dumps(legacy, indent=2) + "\n")
-        rows, timing = run_fig6_ab_timed(TINY_AB, checkpoint=path)
-        assert timing.resumed_points == 0
+        rows, timing = _run_ab(path)
+        assert timing.resumed_graphs == 0
         assert len(rows) == len(TINY_AB.x_values)
 
+    def test_per_point_jsonl_checkpoint_starts_fresh(self, tmp_path):
+        # A per-point JSONL checkpoint (one row per X value, as older
+        # versions wrote) carries another format tag: it loads as empty
+        # and is rewritten as a shard file.
+        path = str(tmp_path / "ab.ckpt")
+        header = {
+            "format": "per-point-rows/1",
+            "fingerprint": config_fingerprint("ab", TINY_AB),
+        }
+        old = [header, {"x": 5, "row": {"n_tasks": 5, "sim_ms": 1.0}}]
+        open(path, "w").writelines(json.dumps(o) + "\n" for o in old)
+        rows, timing = _run_ab(path)
+        assert timing.resumed_graphs == 0
+        assert csv_ab(rows) == csv_ab(run_fig6_ab(TINY_AB))
+        assert csv_ab(merge_shards(AB_PART, TINY_AB, [path])) == csv_ab(rows)
+
     def test_fully_resumed_campaign_reports_zero_utilization(self, tmp_path):
-        # Every point resumed -> no graph ran -> utilization must be
+        # Every graph resumed -> no graph ran -> utilization must be
         # 0.0, not a ZeroDivisionError from busy/(wall * jobs).
         path = str(tmp_path / "ab.ckpt.json")
-        run_fig6_ab_timed(TINY_AB, checkpoint=path)
-        _, timing = run_fig6_ab_timed(TINY_AB, checkpoint=path)
-        assert timing.resumed_points == len(TINY_AB.x_values)
+        _run_ab(path)
+        _, timing = _run_ab(path)
+        assert timing.resumed_graphs == N_GRAPHS
         assert timing.utilization == 0.0
+        assert timing.busy_s == 0.0
+        assert all(value == 0.0 for value in timing.stage_totals().values())
         json.dumps(timing.to_dict())
 
     def test_config_change_invalidates_checkpoint(self, tmp_path):
         path = str(tmp_path / "ab.ckpt.json")
-        run_fig6_ab_timed(TINY_AB, checkpoint=path)
+        _run_ab(path)
         changed = TINY_AB.scaled(seed=TINY_AB.seed + 1)
-        _, timing = run_fig6_ab_timed(changed, checkpoint=path)
-        assert timing.resumed_points == 0
+        _, timing = _run_ab(path, changed)
+        assert timing.resumed_graphs == 0
 
     def test_corrupt_checkpoint_is_ignored(self, tmp_path):
         path = str(tmp_path / "ab.ckpt.json")
         open(path, "w").write("not json {")
-        rows, timing = run_fig6_ab_timed(TINY_AB, checkpoint=path)
-        assert timing.resumed_points == 0
+        rows, timing = _run_ab(path)
+        assert timing.resumed_graphs == 0
         assert len(rows) == len(TINY_AB.x_values)
 
     def test_fingerprint_covers_part_and_config(self):
@@ -247,16 +347,6 @@ class TestCheckpoint:
         assert config_fingerprint("ab", TINY_AB) != config_fingerprint(
             "ab", TINY_AB.scaled(graphs_per_point=3)
         )
-
-    def test_store_survives_reload(self, tmp_path):
-        path = str(tmp_path / "store.json")
-        store = CampaignCheckpoint(path, "fp")
-        store.record(5, {"n_tasks": 5, "sim_ms": 1.0})
-        store.close()
-        fresh = CampaignCheckpoint(path, "fp")
-        assert fresh.load() == 1
-        assert fresh.completed(5) == {"n_tasks": 5, "sim_ms": 1.0}
-        assert fresh.completed(8) is None
 
 
 class TestCampaign:

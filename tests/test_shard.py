@@ -28,7 +28,7 @@ from repro.parallel import (
     run_campaign,
     run_shard,
 )
-from repro.parallel.shard import SHARD_FORMAT
+from repro.parallel.checkpoint import SHARD_FORMAT
 from repro.units import seconds
 
 TINY = SMOKE_AB.scaled(
@@ -188,6 +188,53 @@ class TestShardResume:
         assert first.n_run == first.n_owned
         assert again.n_resumed == again.n_owned
         assert again.n_run == 0
+
+
+class TestRecordValidity:
+    """One predicate: a dict with an owned, in-range int ``ordinal`` and
+    a dict ``result``.  Anything else is re-run, or reported missing."""
+
+    def _replace_first_record(self, path, junk) -> int:
+        lines = open(path).read().splitlines(keepends=True)
+        ordinal = json.loads(lines[1])["ordinal"]
+        junk = {"ordinal": ordinal} if junk is None else junk
+        open(path, "w").writelines(
+            [lines[0], json.dumps(junk) + "\n"] + lines[2:]
+        )
+        return ordinal
+
+    def test_record_without_result_is_rerun(self, baselines, tmp_path):
+        config = CONFIGS["implicit"]
+        path = str(tmp_path / "all.jsonl")
+        run_shard(AB_PART, config, ShardSpec(0, 1), path)
+        self._replace_first_record(path, None)
+        report = run_shard(AB_PART, config, ShardSpec(0, 1), path)
+        assert report.n_run == 1
+        assert report.n_resumed == report.n_owned - 1
+        merged = merge_shards(AB_PART, config, [path])
+        assert AB_PART.to_csv(merged) == baselines["implicit"]["csv"]
+
+    @pytest.mark.parametrize(
+        "junk",
+        [None, {"ordinal": 1, "result": {}}, {"ordinal": 99, "result": {}},
+         {"ordinal": True, "result": {}}, {"ordinal": 0, "result": "x"}],
+    )
+    def test_merge_reports_invalid_record_as_missing(self, tmp_path, junk):
+        # Shard 0/2 owns the even ordinals; a record without a result,
+        # with a foreign, out-of-range or non-int ordinal, or a
+        # non-dict result is a gap, not a KeyError.
+        config = CONFIGS["implicit"]
+        paths = []
+        for index in range(2):
+            path = str(tmp_path / f"s{index}.jsonl")
+            run_shard(AB_PART, config, ShardSpec(index, 2), path)
+            paths.append(path)
+        lost = self._replace_first_record(paths[0], junk)
+        with pytest.raises(ValueError) as err:
+            merge_shards(AB_PART, config, paths)
+        message = str(err.value)
+        assert f"ordinal(s) {lost}" in message
+        assert f"expected in {paths[0]} (file present but partial)" in message
 
 
 class TestMergeValidation:
