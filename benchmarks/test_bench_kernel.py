@@ -26,7 +26,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.sim.batch as batch_mod
 from repro.bench import (
     KERNELS,
     SPECS,
@@ -35,18 +34,10 @@ from repro.bench import (
     measure,
     run_benchmarks,
 )
+from repro.sim.ckernel import load_kernel
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 SPEC = {spec.kernel: spec for spec in SPECS}
-
-
-def _columnar_available() -> bool:
-    if batch_mod._np is None:
-        return False
-    from repro.sim import ckernel
-
-    kernel, _why = ckernel.load_kernel()
-    return kernel is not None
 
 
 @pytest.mark.benchmark(group="kernel")
@@ -82,8 +73,9 @@ def test_analysis_per_chain_cost_falls(benchmark):
 def test_winning_arm_beats_reference(benchmark, kernel):
     """Each spec's optimized arm outruns its reference arm (same run)."""
     spec = SPEC[kernel]
-    if kernel == "columnar" and not _columnar_available():
-        pytest.skip("columnar engine unavailable (numpy or C toolchain missing)")
+    loaded, why = load_kernel()
+    if loaded is None:
+        pytest.skip(f"columnar kernel unavailable: {why}")
     row = benchmark.pedantic(measure, (spec, spec.quick), rounds=1, iterations=1)
     reference = spec.arms[0]
     print()
@@ -93,11 +85,9 @@ def test_winning_arm_beats_reference(benchmark, kernel):
         f"({row[spec.columns[0].name]:.2f}x)"
     )
     assert row[f"{spec.winner}_s"] < row[f"{reference}_s"]
-    if kernel == "columnar":
-        # Otherwise the pairing compares the compiled loop with itself.
+    if "engine" in row:
+        # Otherwise the pairing compares the simulator with itself.
         assert row["engine"] == "columnar"
-    elif "engine" in row:
-        assert row["engine"] in ("columnar", "compiled")
     if "delta_replay" in row:
         assert row["delta_replay"], "candidates fell off the delta path"
 

@@ -6,9 +6,8 @@ priority and capacity edits become
 :meth:`~repro.sim.batch.CompiledScenario.edit` siblings that invalidate
 only the tables the edit touches (release grids per period, rank
 tables per priority band, channel tables per edge) and share the rest
-with the base — capacity edits even share the memoized schedule, since
-buffer sizes never affect scheduling.  Two structural assertions guard
-it (machine independent, current run only):
+with the base.  Two structural assertions guard it (machine
+independent, current run only):
 
 * a mixed period/capacity sweep evaluated through edits must beat
   compiling a fresh scenario per candidate — with byte-identical
@@ -16,9 +15,9 @@ it (machine independent, current run only):
   :mod:`repro.bench`, checked with the other specs in
   ``test_bench_kernel.py``, which also holds the committed-baseline
   gate);
-* a capacity edit evaluated at draws its base has already scheduled
-  must hit the shared schedule memo instead of re-simulating (this
-  file).
+* a capacity edit evaluated at draws its base has already replayed
+  must reuse the base's release-stream tables and agree with a fresh
+  compile of the edited system (this file).
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from repro.units import seconds
 
 
 @pytest.mark.benchmark(group="structural")
-def test_capacity_edit_shares_schedule(benchmark):
-    """Capacity edits replay the base's memoized schedule for free."""
+def test_capacity_edit_shares_stream_tables(benchmark):
+    """Capacity edits replay on the base's release-stream tables."""
     rng = random.Random(2023)
     scenario = generate_random_scenario(20, rng)
     system, sink = scenario.system, scenario.sink
@@ -51,21 +50,21 @@ def test_capacity_edit_shares_schedule(benchmark):
         started = time.perf_counter()
         base.disparity(vector, 0, duration, warmup, wcet_policy)
         cold_s = time.perf_counter() - started
+        tables = base._stream_cache[duration]
         derived = base.edit(capacities={edge: 4})
-        assert derived._sched_cache is base._sched_cache
         started = time.perf_counter()
-        derived.disparity(vector, 0, duration, warmup, wcet_policy)
+        got = derived.disparity(vector, 0, duration, warmup, wcet_policy)
         shared_s = time.perf_counter() - started
-        return cold_s, shared_s, base._sched_cache.stats()
+        return cold_s, shared_s, tables, derived, got
 
-    cold_s, shared_s, stats = benchmark.pedantic(
+    cold_s, shared_s, tables, derived, got = benchmark.pedantic(
         measure, rounds=1, iterations=1
     )
     print()
     print(
-        f"schedule {cold_s*1e3:.2f} ms cold, capacity edit "
-        f"{shared_s*1e3:.2f} ms via shared memo "
-        f"(hits={stats['hits']}, misses={stats['misses']})"
+        f"replay {cold_s*1e3:.2f} ms cold, capacity edit "
+        f"{shared_s*1e3:.2f} ms on shared stream tables"
     )
-    assert stats["hits"] >= 1
-    assert shared_s < cold_s
+    assert derived._stream_cache[duration] is tables
+    fresh = CompiledScenario(system.with_channel_capacity(*edge, 4), sink)
+    assert got == fresh.disparity(vector, 0, duration, warmup, wcet_policy)

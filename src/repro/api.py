@@ -339,7 +339,7 @@ class AnalysisSession:
         session and reused, with results byte-identical to ``sims``
         sequential :meth:`simulate` calls under the same generator.
         ``engine`` pins a tier (``"auto"``/``"columnar"``/
-        ``"compiled"``/``"simulator"``) exactly as in
+        ``"simulator"``) exactly as in
         :func:`~repro.sim.batch.run_batch`.
         """
         return self.observed_batch(
@@ -364,7 +364,7 @@ class AnalysisSession:
         provenance domain, backward closure, cached release-stream
         tables), so one core per ``(task, semantics)`` serves every
         replication and every offset candidate of this session:
-        :meth:`observed_batch` replays it per replication and callers
+        :meth:`observed_batch` replays every batch on it and callers
         evaluate candidates directly via
         ``compiled_scenario(task).disparity(offsets, ...)`` or derive
         edited siblings with ``compiled_scenario(task).edit(...)``.

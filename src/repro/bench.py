@@ -187,15 +187,14 @@ def _replication_arms(
     rng, *, n_tasks: int, sims: int, duration_s: float,
     semantics: str = "implicit", dropout: bool = False,
 ):
-    """The same ``sims`` randomized replications through three paths.
+    """The same ``sims`` randomized replications through two paths.
 
     ``sequential`` runs independent :class:`Simulator` calls (per-run
-    setup, the pre-batch Fig. 6 path), ``replay`` the per-replication
-    compiled loop (``run_batch(engine="compiled")``) and ``batched`` /
-    ``columnar`` the auto-selected fastest tier, ``columnar`` also
+    setup, the pre-batch Fig. 6 path); ``batched`` / ``columnar`` run
+    :func:`run_batch` on its auto-selected tier, ``columnar`` also
     recording the draw/advance/derive split.  ``dropout`` drops the
     first source mid-horizon: the fault plan compiles to release masks
-    in the batched tiers and to suppressed releases in the simulator.
+    in the columnar tier and to suppressed releases in the simulator.
     """
     scenario = generate_random_scenario(n_tasks, rng)
     system, sink = scenario.system, scenario.sink
@@ -223,29 +222,24 @@ def _replication_arms(
             disparities.append(monitor.disparity(sink))
         return disparities
 
-    def batched(engine):
-        def arm(note):
-            result = run_batch(
-                system, sink, sims=sims, duration=duration, warmup=warmup,
-                rng=rng, semantics=semantics, engine=engine, faults=faults,
-            )
-            if engine == "auto":
-                note["engine"] = result.engine
-            return list(result.disparities)
-        return arm
+    def batched(note):
+        result = run_batch(
+            system, sink, sims=sims, duration=duration, warmup=warmup,
+            rng=rng, semantics=semantics, faults=faults,
+        )
+        note["engine"] = result.engine
+        return list(result.disparities)
 
     def columnar(note):
         before = dict(PHASE_TIMES)
-        disparities = auto(note)
+        disparities = batched(note)
         note["phases"] = {
             key: round(PHASE_TIMES[key] - before[key], 4)
             for key in ("draw_s", "advance_s", "derive_s")
         }
         return disparities
 
-    auto = batched("auto")
-    arms = {"sequential": sequential, "replay": batched("compiled"),
-            "batched": auto, "columnar": columnar}
+    arms = {"sequential": sequential, "batched": batched, "columnar": columnar}
     return arms, info
 
 
@@ -263,7 +257,7 @@ def _structural_edits(system: System, rng, candidates: int):
     """Period and capacity edits at one fixed in-domain offset vector.
 
     Period edits only scale periods *up*, so the vector stays in
-    ``[0, T]`` and both arms replay through the compiled loop.  The 1:2
+    ``[0, T]`` and both arms replay through the columnar tier.  The 1:2
     period:capacity mix mirrors the Algorithm 1 / sensitivity workload,
     where capacity rounds outnumber period probes.
     """
@@ -301,14 +295,15 @@ def _sweep_arms(rng, *, n_tasks: int, candidates: int, duration_s: float, edits)
     """Candidates derived from one compiled scenario vs a compile each.
 
     ``fresh`` compiles the edited system per candidate (the cost model
-    before delta compilation: every grid, rank table and schedule
+    before delta compilation: every grid, stream and rank table
     rebuilt); ``delta`` / ``view`` (one arm, named per section) compiles
     the base once and derives each candidate through
     :meth:`~repro.sim.batch.CompiledScenario.edit`, which rebuilds only
-    what the edit invalidates (capacity edits even share the schedule
-    memo); offset-only candidates replay the base directly.  The WCET
-    policy with one fixed seed makes every per-candidate disparity
-    deterministic.
+    what the edit invalidates; offset-only candidates replay the base
+    directly.  Both arms evaluate each candidate with
+    :meth:`~repro.sim.batch.CompiledScenario.disparity`, a one-row
+    columnar replay.  The WCET policy with one fixed seed makes every
+    per-candidate disparity deterministic.
     """
     scenario = generate_random_scenario(n_tasks, rng)
     system, sink = scenario.system, scenario.sink
@@ -592,11 +587,7 @@ _CAMPAIGN = {"points": 120, "graphs_per_point": 1, "sims_per_graph": 2,
              "duration_s": 0.2, "n_tasks": 5}
 _CLUSTER = {**_CAMPAIGN, "points": 200, "shards": 2, "workers": 2}
 _SIMS_PER_S = Column("sims_per_s", "sims", "batched_s")
-_REPLICATION = (
-    Column("speedup", "sequential_s", "batched_s"),
-    Column("columnar_speedup", "replay_s", "batched_s"),
-    _SIMS_PER_S,
-)
+_REPLICATION = (Column("speedup", "sequential_s", "batched_s"), _SIMS_PER_S)
 
 #: Every kernel, in document order.  The batched tiers gate ratios at
 #: any shape; the reference-simulator throughput, the legacy loop's
@@ -614,19 +605,19 @@ SPECS: Tuple[Spec, ...] = (
         shape_keys=("n_tasks", "sims", "duration_s"),
     ),
     Spec(
-        "batch", "batch", _replication_arms, ("sequential", "replay", "batched"),
+        "batch", "batch", _replication_arms, ("sequential", "batched"),
         _REPLICATION, Gate("speedup", "higher", "batch replication speedup"),
         _BATCH_FULL, _BATCH_QUICK, winner="batched",
     ),
     Spec(
         "let", "let", partial(_replication_arms, semantics="let"),
-        ("sequential", "replay", "batched"),
+        ("sequential", "batched"),
         _REPLICATION, Gate("speedup", "higher", "LET batch speedup"),
         _BATCH_FULL, _BATCH_QUICK, winner="batched",
     ),
     Spec(
-        "columnar", "columnar", _replication_arms, ("replay", "columnar"),
-        (Column("speedup", "replay_s", "columnar_s"),
+        "columnar", "columnar", _replication_arms, ("sequential", "columnar"),
+        (Column("speedup", "sequential_s", "columnar_s"),
          Column("sims_per_s", "sims", "columnar_s")),
         Gate("speedup", "higher", "columnar replay speedup"),
         {**_BATCH_FULL, "sims": 40}, {**_BATCH_QUICK, "sims": 12},

@@ -183,11 +183,9 @@ def _observed_pair(
     """Paired observed disparities of the base and buffered systems.
 
     Capacity edits are the cheapest structural delta: the designed
-    side shares the base's release streams and its schedule memo
-    (buffer sizes never affect scheduling).  Only the per-replication
-    compiled tier reads that memo, so there the paired replications
-    compute every schedule once; the columnar tier advances both sides
-    (one batched kernel call each) and re-resolves the data flow.
+    side shares the base's release-stream tables (buffer sizes never
+    affect scheduling).  The columnar tier advances both sides (one
+    batched kernel call each) and re-resolves the data flow.
     """
     if duration is None or duration <= 0:
         raise ModelError(

@@ -15,13 +15,16 @@ Two structural properties make the search fast and parallel:
   shape :class:`repro.sim.batch.CompiledScenario` amortizes.  The
   scenario is compiled once per restart and each candidate is replayed
   at its own offset vector: the precomputed release-stream tables are
-  rebased by vector shift and
-  the steady-state probe runs through the compiled replication loop
-  (results are pinned equal to
-  :func:`~repro.exact.hyperperiod.steady_state_disparity`); systems
-  the compiled loop cannot handle fall back to the unoptimized
-  reference :class:`~repro.sim.engine.Simulator` per evaluation, which
-  costs several times more per evaluation.
+  rebased by vector shift and the steady-state probe runs through
+  :meth:`~repro.sim.batch.CompiledScenario.windowed_maxima`, a
+  pure-python compiled loop (results are pinned equal to
+  :func:`~repro.exact.hyperperiod.steady_state_disparity`).  One
+  short replay per candidate is cheaper there than a columnar call,
+  whose numpy derive overhead dominates batches of a few rows.
+  Systems outside the probe's domain (priority clashes, unmapped
+  tasks, jittered or sporadic releases) evaluate through the
+  reference :class:`~repro.sim.engine.Simulator` instead, which costs
+  several times more per evaluation.
 
 * **Independent restarts.** Each restart runs from its own seed,
   derived up front from the caller's ``rng``, so restarts can fan out
@@ -87,8 +90,10 @@ class _CompiledObjective:
     (seed 0, implicit semantics) with everything offset-independent
     hoisted out of the per-evaluation path: the hyperperiod, the
     offset-free part of the warmup horizon, and the response-time gate
-    of the two-window convergence probe.  Ineligible scenarios (see
-    :attr:`CompiledScenario.ineligible_reason`) evaluate through the
+    of the two-window convergence probe.  Scenarios the compiled probe
+    cannot replay — ineligible ones (see
+    :attr:`CompiledScenario.ineligible_reason`) and ones that need
+    release tables (jittered or sporadic tasks) — evaluate through the
     reference implementation instead, so results never depend on
     eligibility.
     """
@@ -105,6 +110,9 @@ class _CompiledObjective:
         self.policy = policy
         self.max_windows = max_windows
         self.compiled = CompiledScenario(system, task)
+        self.probe_eligible = (
+            self.compiled.eligible and not self.compiled._needs_tables
+        )
         graph = system.graph
         self.order = [t.name for t in graph.tasks]
         self.hyperperiod = graph.hyperperiod()
@@ -119,7 +127,7 @@ class _CompiledObjective:
         )
 
     def value(self, offsets: Dict[str, Time]) -> Time:
-        if not self.compiled.eligible:
+        if not self.probe_eligible:
             return steady_state_disparity(
                 _apply_offsets(self.system, offsets),
                 self.task,
@@ -129,10 +137,7 @@ class _CompiledObjective:
         # One candidate = one offset vector replayed on the shared
         # compiled tables; the release grid is rebased by vector shift
         # instead of being regenerated per evaluation (candidates are
-        # drawn in [1, T], so every replay takes the delta path).  The
-        # scenario's schedule memo does not pay here: re-drawn
-        # duplicates are rare and the two probe horizons differ, so it
-        # measured 0 hits in 2,724 lookups.
+        # drawn in [1, T], so every replay takes the delta path).
         vector = tuple(offsets[name] for name in self.order)
         compiled = self.compiled
         horizon = self.hyperperiod

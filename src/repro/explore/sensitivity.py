@@ -264,8 +264,7 @@ def _capacity_point(
     Inline sweeps thread the shared ``base`` scenario through a
     ``capacities`` edit — the cheapest structural edit: only the
     channel tables are rebuilt.  Each candidate draws its own seeds
-    (``point_seed``), so the aliased schedule memo never hits across
-    candidates; what is shared is the compiled tables.
+    (``point_seed``); what is shared is the compiled tables.
     """
     system, src, dst, analyzed_task, capacity, method, semantics, spec = params
     candidate = system.with_channel_capacity(src, dst, capacity)

@@ -36,9 +36,9 @@ class SemanticsPoint:
 
     ``observed`` is the max disparity over the sweep's batched
     replications — the empirical lower bound under that semantics —
-    and ``engine`` records which batch engine produced it
-    (``"compiled"`` for the delta-replay path, ``"simulate"`` for the
-    per-replication fallback).
+    and ``engine`` records which replay tier produced it
+    (``"columnar"`` for the batched kernel, ``"simulator"`` for the
+    per-replication fallback; see :class:`~repro.sim.batch.BatchResult`).
     """
 
     semantics: str

@@ -10,45 +10,38 @@ changes the scenario), all of that is loop-invariant.
 
 :class:`CompiledScenario` hoists it: the scenario is compiled once
 into immutable tables, and each replication varies only the RNG-drawn
-inputs.  The per-replication schedule is then produced by a loop that
-is strictly cheaper than the reference :class:`~repro.sim.engine.Simulator`:
+inputs.  The tables are **delta-compiled**: per horizon the
+zero-offset release grids of every task are concatenated once into
+flat offset-independent tables, and each candidate offset vector is
+applied as a vectorized shift of those tables (one ``take`` + one
+``argsort``) instead of regenerating, slicing and re-concatenating
+per-task grids.  Within one instant the simulator pops releases from
+its heap in the order of the static key ``(time, k > 0, -period,
+-offset, tid)`` (initial releases carry the heapify order, i.e. plain
+``tid``), which holds whenever offsets lie in ``[0, T]`` — so one sort
+per replication replaces every release-heap operation.
 
-* the whole release stream is *precomputed*.  Within one instant the
-  simulator pops releases from its heap in the order of the static key
-  ``(time, k > 0, -period, -offset, tid)`` (initial releases carry the
-  heapify order, i.e. plain ``tid``), which holds whenever offsets lie
-  in ``[0, T]`` — so one vectorized sort per replication replaces every
-  release-heap operation;
-* the release grids themselves are **delta-compiled**: per horizon the
-  zero-offset grids of every task are concatenated once into flat
-  offset-independent tables, and each candidate offset vector is
-  applied as a vectorized shift of those tables (one ``take`` + one
-  ``argsort``) instead of regenerating, slicing and re-concatenating
-  per-task grids — the per-candidate cost of an offset-only sweep
-  (``exact.search``, the Fig. 6 replications, the buffer/period
-  sweeps' observed columns) is the shift and the replay, nothing else;
-* per-unit ready queues become priority-rank bitmasks (eligibility
-  requires unique priorities per unit), with per-task pending counters
-  carrying FIFO multiplicity;
-* only the backward closure of the monitored task records start and
-  finish times, and provenance is resolved by a memoized DP over
-  them that yields exactly the tokens the simulator's channels carry.
-
-Both communication semantics compile: under ``semantics="implicit"``
-data flow is resolved from recorded finish times (with a
-cascade-depth side table that replays the simulator's same-instant
-finish cascades of zero-BCET compute tasks), under
-``semantics="let"`` from the time-deterministic LET publication/read
-instants, with an inline deadline check per finish.  The result is
+:func:`run_batch` replays through one of two tiers, both
 **byte-identical** to N independent :func:`simulate` calls under the
 same derived seeds (pinned by ``tests/test_sim_batch.py``,
-``tests/test_engine_fastpath.py`` and ``tests/test_let_fastpath.py``);
-scenarios the compiled loop cannot handle — duplicate priorities on
-one unit, offsets outside ``[0, T]`` — transparently fall back to the
-plain :class:`~repro.sim.engine.Simulator` under the same semantics,
-preserving identity at the cost of the speedup.  An unmapped compute
-task reaches the same fallback, whose constructor rejects it with a
-:class:`~repro.model.task.ModelError` naming the task.
+``tests/test_engine_fastpath.py`` and ``tests/test_let_fastpath.py``):
+
+* the **columnar** tier (:mod:`repro.sim.columnar`) advances every
+  replication in one C-kernel call and derives provenance in bulk,
+  under implicit and LET semantics, periodic or table-drawn releases
+  and fault plans alike;
+* the per-replication reference :class:`~repro.sim.engine.Simulator`
+  runs everything else — duplicate priorities on one unit, offsets
+  outside ``[0, T]``, policies the kernel cannot draw, a kernel that
+  does not load — at the cost of the speedup.  An unmapped compute
+  task reaches it too, and its constructor rejects the task with a
+  :class:`~repro.model.task.ModelError` naming it.
+
+:meth:`CompiledScenario.disparity` is the one-replication case of the
+same tier choice.  :meth:`CompiledScenario.windowed_maxima` keeps a
+pure-python compiled loop for the offset search's steady-state probe
+(implicit semantics, periodic releases, no fault plan), where a single
+short replay per candidate is cheaper than a columnar call.
 
 Delta compilation generalizes beyond offsets to **structural edits**:
 :meth:`CompiledScenario.edit` derives a sibling compiled scenario that
@@ -56,26 +49,16 @@ invalidates only the tables the edit actually touches — release-stream
 tables on period edits, per-unit priority-rank tables on priority
 edits, channel tables on capacity edits — while everything else
 (zero-offset release grids keyed by ``(period, horizon)``, the
-provenance domain, the backward closure, and for capacity-only edits
-even the memoized *schedules*) stays shared with the parent.  A
-derived scenario is evaluated like any other, at explicit offsets;
-edits whose result the compiled loop cannot replay (duplicate
-priorities, offsets pushed outside ``[0, T]`` by a period change) fall
-back to the per-replication simulator with identical results.
-
-:func:`run_batch` packages the common case: draw ``(seed, offsets)``
-pairs exactly like ``AnalysisSession.observed_disparity`` and return a
-:class:`BatchResult` with per-replication disparities plus aggregates.
+provenance domain, the backward closure) stays shared with the parent.
+A derived scenario is evaluated like any other, at explicit offsets.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import random
 import time as _time
-from bisect import bisect_left, bisect_right
-from collections import OrderedDict
+from bisect import bisect_right
 from dataclasses import dataclass, replace as _replace
 from fractions import Fraction
 from math import ceil
@@ -88,35 +71,29 @@ from typing import (
     Union,
 )
 
-if os.environ.get("REPRO_NO_NUMPY"):  # pragma: no cover - CI leg
-    _np = None
-else:
-    try:  # pragma: no cover - exercised via both branches in CI images
-        import numpy as _np
-    except ImportError:  # pragma: no cover
-        _np = None
+import numpy as _np
 
 from repro.model.system import System
 from repro.model.task import ModelError
 from repro.sim.engine import simulate
 from repro.sim.exec_time import (
     ExecTimePolicy,
-    bcet_policy,
     named_policy,
     uniform_policy,
     wcet_policy,
 )
 from repro.sim.metrics import DisparityMonitor
 from repro.sim.provenance import ProvenancePacker
-from repro.sim.release import kept_mask, release_table
+from repro.sim.release import kept_mask, needs_tables, release_table
 from repro.units import Time
 
 #: A policy given either by CLI name or as a callable.
 PolicyLike = Union[str, ExecTimePolicy]
 
 #: Wall-clock accumulators for ``--profile`` reporting: scenario
-#: compilation (batch phase), the per-replication loops, and the
-#: columnar tier's draw / advance / derive phases.
+#: compilation (batch phase), the per-replication loops (simulator
+#: fallback and the compiled probe), and the columnar tier's draw /
+#: advance / derive phases.
 PHASE_TIMES = {
     "compile_s": 0.0,
     "replicate_s": 0.0,
@@ -136,85 +113,10 @@ def _resolve_policy(policy: PolicyLike) -> ExecTimePolicy:
     return named_policy(policy) if isinstance(policy, str) else policy
 
 
-#: Default bound on the per-scenario schedule memo (see
-#: :class:`_ScheduleCache`); small because one entry holds the full
-#: recorded schedule of a replication.
-SCHED_CACHE_SIZE = 32
-
 #: The edit kinds :meth:`CompiledScenario.edit` accepts, in the order
 #: they are applied (period before priority, so a task named in both
 #: keeps both; capacities touch channels, not tasks).
 _EDIT_KEYS = ("periods", "priorities", "capacities")
-
-
-def _policy_token(policy: ExecTimePolicy) -> Optional[Tuple[str, bool]]:
-    """``(name, consumes_rng)`` for schedule-memoizable policies.
-
-    A schedule is a pure function of ``(offsets, seed, duration,
-    policy)``, so replaying it from a memo is sound whenever the policy
-    can be identified reliably — which is true for the named policy
-    singletons and false for arbitrary callables (``None``: never
-    cached).  ``consumes_rng=False`` marks the deterministic policies
-    (WCET/BCET draw nothing from the generator), whose schedules are
-    additionally *seed-independent*: the memo key normalizes their seed
-    away, so candidates differing only in execution-time seeds share
-    one computed schedule.
-    """
-    if policy is uniform_policy:
-        return ("uniform", True)
-    if policy is wcet_policy:
-        return ("wcet", False)
-    if policy is bcet_policy:
-        return ("bcet", False)
-    return None
-
-
-class _ScheduleCache:
-    """Bounded LRU over recorded schedules, shared across siblings.
-
-    Keys are ``(offsets, seed, duration, policy-name)`` (seed
-    normalized to 0 for deterministic policies, unless release tables
-    are seed-drawn); values are the ``(starts, fins, completed, casc,
-    rels)`` tuples of :meth:`CompiledScenario._schedule`, which
-    consumers only read.
-    Capacity-derived scenarios alias their parent's instance — buffer
-    sizes never change scheduling, so one schedule serves every
-    capacity candidate evaluated at the same draws.
-    """
-
-    __slots__ = ("maxsize", "entries", "hits", "misses", "evictions")
-
-    def __init__(self) -> None:
-        self.maxsize = SCHED_CACHE_SIZE
-        self.entries: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: tuple) -> Optional[tuple]:
-        found = self.entries.get(key)
-        if found is None:
-            self.misses += 1
-            return None
-        self.entries.move_to_end(key)
-        self.hits += 1
-        return found
-
-    def put(self, key: tuple, value: tuple) -> None:
-        self.entries[key] = value
-        if len(self.entries) > self.maxsize:
-            self.entries.popitem(last=False)
-            self.evictions += 1
-
-    def stats(self) -> Dict[str, int]:
-        """Counters for observability (tests, the future service layer)."""
-        return {
-            "size": len(self.entries),
-            "maxsize": self.maxsize,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
 
 
 @dataclass(frozen=True)
@@ -226,16 +128,15 @@ class BatchResult:
         disparities: Per-replication observed disparity, in replication
             order (replication ``i`` used the ``i``-th derived seed).
         engine: ``"columnar"`` when the batched columnar tier ran,
-            ``"compiled"`` for the per-replication compiled loop,
             otherwise ``"simulator"`` (per-replication fallback).
         compile_s: Wall seconds spent compiling the scenario (0 when a
             pre-compiled scenario was reused).
-        run_s: Wall seconds spent in the replication loop.
+        run_s: Wall seconds spent replaying the replications.
         semantics: The communication semantics the replications ran
             under (``"implicit"`` or ``"let"``).
-        reason: Why the run fell back from the fastest tier (every
-            failed eligibility rule, ``"; "``-joined, or the engine
-            the caller forced), ``None`` when the columnar tier ran.
+        reason: Why the run fell back to the simulator (every failed
+            columnar rule, ``"; "``-joined, or the engine the caller
+            forced), ``None`` when the columnar tier ran.
     """
 
     task: str
@@ -298,21 +199,21 @@ class CompiledScenario:
     monitored task (only those tasks are recorded during a
     replication).
 
-    Eligibility for the compiled loop requires every compute task to
-    be mapped to a unit and priorities to be unique per unit;
-    ``ineligible_reasons`` lists *every* rule that failed (and
-    ``ineligible_reason`` joins them), so one compile diagnoses every
-    fallback cause at once.  Ineligible scenarios (and replications
-    whose offsets leave ``[0, T]``) run through the plain simulator
-    instead — same results, no speedup.  Zero-BCET compute tasks are
-    eligible: the loop records a cascade-depth side table, so the
-    simulator's same-instant sub-batch visibility replays exactly.
+    The columnar tier and the compiled probe require every compute
+    task to be mapped to a unit and priorities to be unique per unit; ``ineligible_reasons``
+    lists *every* rule that failed (and ``ineligible_reason`` joins
+    them), so one compile diagnoses every fallback cause at once.
+    Ineligible scenarios (and replications whose offsets leave
+    ``[0, T]``) run through the plain simulator instead — same
+    results, no speedup.  Zero-BCET compute tasks are eligible: the
+    replay records a cascade-depth side table, so the simulator's
+    same-instant sub-batch visibility replays exactly.
 
     ``semantics`` selects the communication model the replications
     reproduce: ``"implicit"`` (read at start / write at finish) or
     ``"let"`` (read at release, publish at deadline, deadline checked
-    per finish).  The schedule loop is shared; only the data-flow
-    resolver differs.
+    per finish).  Both replay on the columnar tier; the compiled
+    probe of :meth:`windowed_maxima` is implicit-only.
     """
 
     def __init__(
@@ -342,18 +243,14 @@ class CompiledScenario:
         self.names = [t.name for t in tasks]
         # Release tables (jitter/sporadic models, fault plans): a
         # non-empty fault plan or any non-periodic release model makes
-        # the replication loop replay pre-drawn per-replication tables
+        # the columnar tier replay pre-drawn per-replication tables
         # instead of the arithmetic release stream; strictly periodic
-        # fault-free scenarios keep the original paths untouched.
+        # fault-free scenarios keep the arithmetic path.
         if faults is not None:
             faults.validate(self.names)
         self.faults = faults if faults else None
         self._faults_sig = faults.signature() if self.faults else ()
-        self.release_models = [t.release_model for t in tasks]
-        self._nonperiodic = any(
-            not m.is_periodic for m in self.release_models
-        )
-        self._needs_tables = self._nonperiodic or self.faults is not None
+        self._needs_tables = needs_tables(tasks, self.faults)
         gid = {t.name: i for i, t in enumerate(tasks)}
         if task not in gid:
             raise ModelError(f"unknown task {task!r}")
@@ -372,9 +269,9 @@ class CompiledScenario:
         self.n_units = len(unit_names)
         self._gid = gid
 
-        # Zero-BCET compute tasks stay eligible: the schedule loop
-        # records cascade depths (implicit) and LET visibility never
-        # depends on same-instant finish ordering.
+        # Zero-BCET compute tasks stay eligible: the replay records
+        # cascade depths (implicit) and LET visibility never depends
+        # on same-instant finish ordering.
         self._track = not self._let and any(
             t.bcet == 0 for t in tasks if not t.is_instantaneous
         )
@@ -409,9 +306,6 @@ class CompiledScenario:
         # only the edited task's grid.
         self._stream_cache: Dict[Time, tuple] = {}
         self._grid_cache: Dict[Tuple[Time, Time], tuple] = {}
-        # Memoized recorded schedules (shared by capacity-derived
-        # siblings, where the schedule is edit-invariant).
-        self._sched_cache = _ScheduleCache()
         elapsed = _time.perf_counter() - t0
         self.compile_s = elapsed
         PHASE_TIMES["compile_s"] += elapsed
@@ -500,7 +394,7 @@ class CompiledScenario:
 
     @property
     def eligible(self) -> bool:
-        """True when the compiled loop can replicate this scenario."""
+        """True when the columnar tier's and the probe's table rules hold."""
         return not self.ineligible_reasons
 
     @property
@@ -578,7 +472,7 @@ class CompiledScenario:
         Grids are sized for offset 0 (``duration // T + 1`` entries per
         task); a candidate offset in ``[0, T]`` shifts some tail
         entries past the horizon, which sort after every in-horizon
-        release and are never consumed (the replication loop stops at
+        release and are never consumed (every replay stops at
         the first instant beyond ``duration``), so no per-candidate
         re-slicing is needed either.
         """
@@ -632,22 +526,6 @@ class CompiledScenario:
         :meth:`_stream_tables`: one shift-vector ``take`` plus one
         sort, no per-task python loop.
         """
-        if _np is None:
-            entries = []
-            for tid in range(self.n):
-                if self.inst[tid]:
-                    continue
-                off = offsets[tid]
-                if off > duration:
-                    continue
-                per = self.periods[tid]
-                entries.append((off, 0, 0, 0, tid))
-                entries.extend(
-                    (t, 1, -per, -off, tid)
-                    for t in range(off + per, duration + 1, per)
-                )
-            entries.sort()
-            return [e[0] for e in entries], [e[4] for e in entries]
         tables = self._stream_tables(duration)
         if tables[0] == "empty":
             return [], []
@@ -688,7 +566,7 @@ class CompiledScenario:
         in exactly the simulator's heap pop order, restricted to
         releases the fault plan keeps, and per task (instantaneous ones
         included) the sorted kept-release instants — the job-``k`` ->
-        release mapping the provenance resolver and LET deadlines read.
+        release mapping the columnar derive and LET deadlines read.
 
         The static ``(time, k > 0, -period, -offset, tid)`` sort key of
         :meth:`_release_stream` does not extend to drawn tables, so the
@@ -740,7 +618,7 @@ class CompiledScenario:
         return rel_times, rel_tids, rels
 
     # ------------------------------------------------------------------
-    # the compiled replication loop
+    # the compiled probe loop (offset search)
     # ------------------------------------------------------------------
 
     def _schedule(
@@ -754,23 +632,17 @@ class CompiledScenario:
         List[List[Time]],
         List[int],
         Optional[Dict[Tuple[int, int], int]],
-        Optional[List[List[Time]]],
     ]:
         """One replication's schedule of the monitored closure.
 
-        Returns ``(starts, fins, completed, casc, rels)`` for the kept
-        tasks; the RNG stream (and hence every execution-time draw) is
-        identical to the simulator's under the same seed.  ``casc``
-        is the cascade-depth side table for zero-BCET scenarios
-        (implicit semantics only, ``None`` otherwise): per kept job
-        dispatched by a zero-time finish at the same instant, the
-        depth of the simulator's same-instant finish cascade that
-        dispatches it.  Under
-        LET the loop instead checks each finish against its job's
-        deadline, raising the engine's ``LET violation`` error.
-        ``rels`` is ``None`` on the arithmetic (periodic fault-free)
-        path; in table mode it holds each task's kept-release instants
-        (the job ``k`` -> release mapping downstream resolvers need).
+        Returns ``(starts, fins, completed, casc)`` for the kept tasks;
+        the RNG stream (and hence every execution-time draw) is
+        identical to the simulator's under the same seed.  ``casc`` is
+        the cascade-depth side table for zero-BCET scenarios (``None``
+        otherwise): per kept job dispatched by a zero-time finish at
+        the same instant, the depth of the simulator's same-instant
+        finish cascade that dispatches it.  Implicit semantics and the
+        arithmetic release stream only (see :meth:`windowed_maxima`).
         """
         rng = random.Random(seed)
         rng_random = rng.random
@@ -779,7 +651,6 @@ class CompiledScenario:
         heapreplace = heapq.heapreplace
 
         n = self.n
-        periods = self.periods
         bcets = self.bcets
         wcets = self.wcets
         spans = self.spans
@@ -792,41 +663,19 @@ class CompiledScenario:
         fast_uniform = policy is uniform_policy
         fast_wcet = policy is wcet_policy
 
-        if self._needs_tables:
-            rel_times, rel_tids, rels = self._release_tables(
-                offsets, seed, duration
-            )
-        else:
-            rel_times, rel_tids = self._release_stream(offsets, duration)
-            rels = None
+        rel_times, rel_tids = self._release_stream(offsets, duration)
         sentinel = duration + 1
         rel_times.append(sentinel)
         rel_tids.append(-1)
 
-        # Zero-BCET cascade tracking (implicit semantics): ``zrun[u]``
-        # flags whether unit ``u``'s running job executes in zero time,
-        # ``cur_batch[u]`` its dispatch's sub-batch depth; ``casc``
-        # collects depths for kept jobs exactly as the engine's fast
-        # path does.  LET replications instead count dispatches per
-        # task (``ndisp``) to check each finish against its deadline.
+        # Zero-BCET cascade tracking: ``zrun[u]`` flags whether unit
+        # ``u``'s running job executes in zero time, ``cur_batch[u]``
+        # its dispatch's sub-batch depth; ``casc`` collects depths for
+        # kept jobs exactly as the engine's fast path does.
         track = self._track
-        let_mode = self._let
         zrun = [False] * n_units
         cur_batch = [0] * n_units
         casc: Optional[Dict[Tuple[int, int], int]] = {} if track else None
-        ndisp = [0] * n
-        names = self.names
-
-        def check_deadline(tid: int, at: Time) -> None:
-            if rels is None:
-                deadline = offsets[tid] + ndisp[tid] * periods[tid]
-            else:
-                deadline = rels[tid][ndisp[tid] - 1] + periods[tid]
-            if at > deadline:
-                raise ModelError(
-                    f"LET violation: job {names[tid]}#{ndisp[tid] - 1} "
-                    f"finished at {at} past its deadline {deadline}"
-                )
 
         ready_mask = [0] * n_units
         pend = [0] * n
@@ -878,8 +727,6 @@ class CompiledScenario:
                     while fin_head == now:
                         u2 = heappop(fin_heap)[2]
                         fin_head = fin_heap[0][0]
-                        if let_mode:
-                            check_deadline(running[u2], now)
                         running[u2] = -1
                         touched.append(u2)
                     for u2 in touched:
@@ -911,8 +758,6 @@ class CompiledScenario:
                                 # this dispatch starts a fresh batch.
                                 cur_batch[u2] = 0
                                 zrun[u2] = exec_time == 0
-                            elif let_mode:
-                                ndisp[tid2] += 1
                             running[u2] = tid2
                             seq += 1
                             heappush(fin_heap, (now + exec_time, seq, u2))
@@ -936,8 +781,6 @@ class CompiledScenario:
                     if track:
                         cur_batch[u] = 0
                         zrun[u] = exec_time == 0
-                    elif let_mode:
-                        ndisp[tid] += 1
                     running[u] = tid
                     seq += 1
                     heappush(fin_heap, (now + exec_time, seq, u))
@@ -952,8 +795,6 @@ class CompiledScenario:
                 if now > duration:
                     break
                 u = fin_heap[0][2]
-                if let_mode:
-                    check_deadline(running[u], now)
                 if track:
                     nb = cur_batch[u] + 1 if zrun[u] else 0
                 m = ready_mask[u]
@@ -983,8 +824,6 @@ class CompiledScenario:
                     if track:
                         cur_batch[u] = nb
                         zrun[u] = exec_time == 0
-                    elif let_mode:
-                        ndisp[tid] += 1
                     running[u] = tid
                     seq += 1
                     heapreplace(fin_heap, (now + exec_time, seq, u))
@@ -1000,8 +839,6 @@ class CompiledScenario:
                     while fin_head == now:
                         u2 = heappop(fin_heap)[2]
                         fin_head = fin_heap[0][0]
-                        if let_mode:
-                            check_deadline(running[u2], now)
                         running[u2] = -1
                         fin2.append(u2)
                     for u2 in fin2:
@@ -1037,8 +874,6 @@ class CompiledScenario:
                             if track:
                                 cur_batch[u2] = nb2
                                 zrun[u2] = exec_time == 0
-                            elif let_mode:
-                                ndisp[tid2] += 1
                             running[u2] = tid2
                             seq += 1
                             heappush(fin_heap, (now + exec_time, seq, u2))
@@ -1054,87 +889,30 @@ class CompiledScenario:
             if done and fs[-1] > duration:
                 done -= 1
             completed[tid] = done
-        return starts, fins, completed, casc, rels
-
-    def _schedule_cached(
-        self,
-        offsets: Sequence[Time],
-        seed: int,
-        duration: Time,
-        policy: ExecTimePolicy,
-    ) -> Tuple[
-        List[List[Time]],
-        List[List[Time]],
-        List[int],
-        Optional[Dict[Tuple[int, int], int]],
-        Optional[List[List[Time]]],
-    ]:
-        """:meth:`_schedule` through the bounded schedule memo.
-
-        The schedule is a pure function of ``(offsets, seed, duration,
-        policy)``, so the recorded tables can be replayed for any
-        candidate that repeats those inputs — capacity sweeps
-        (capacity-derived siblings alias this memo: buffer sizes never
-        affect scheduling) and repeated probes of one candidate hit it
-        directly.  Deterministic policies (WCET/BCET) consume no RNG,
-        so their key normalizes the seed away and candidates differing
-        only in execution-time seeds share one computed schedule —
-        *unless* a non-periodic release model is present: release
-        tables are drawn from the seed, so the key keeps the real seed
-        even for deterministic policies.  (A fault plan alone does not
-        re-couple the seed: periodic tables are seed-independent and
-        the plan is fixed per compiled scenario, so masked schedules
-        still alias across execution-time seeds.)  Unrecognized policy
-        callables bypass the memo.
-        """
-        token = _policy_token(policy)
-        if token is None:
-            return self._schedule(offsets, seed, duration, policy)
-        name, consumes_rng = token
-        consumes_seed = consumes_rng or self._nonperiodic
-        key = (tuple(offsets), seed if consumes_seed else 0, duration, name)
-        found = self._sched_cache.get(key)
-        if found is None:
-            found = self._schedule(offsets, seed, duration, policy)
-            self._sched_cache.put(key, found)
-        return found
+        return starts, fins, completed, casc
 
     def _prov_resolver(
         self,
         offsets: Sequence[Time],
         starts: List[List[Time]],
         fins: List[List[Time]],
-        completed: List[int],
         casc: Optional[Dict[Tuple[int, int], int]] = None,
-        rels: Optional[List[List[Time]]] = None,
     ):
         """Memoized packed-provenance DP over one recorded schedule.
 
         Answers "what did job ``k`` of task ``g`` read?" from the
-        schedule alone.  Under implicit semantics writes at
-        ``t`` are visible to reads at ``t`` (``casc`` replays the
-        sub-batch order of same-instant zero-time finishes, exactly as
-        the simulator processes them), the FIFO head among ``m``
-        visible writes on a capacity-``c`` channel is write
-        ``max(0, m - c)``, and provenance folds bottom-up as interned
-        bitmask + stamp pairs.  Under LET both sides are
-        time-deterministic: jobs read at their release, sources
-        publish at release, every other producer at its deadline (one
-        period after release), with CPU producers publishing only jobs
-        they completed within the horizon.
-
-        ``rels`` switches the release arithmetic: ``None`` keeps
-        ``offset + k * period``; in table mode job ``k`` of task ``g``
-        releases at ``rels[g][k]`` and counting a producer's releases
-        or publications up to an instant becomes a bisect over its
-        kept table.
+        schedule alone.  Writes at ``t`` are visible to reads at ``t``
+        (``casc`` replays the sub-batch order of same-instant zero-time
+        finishes, exactly as the simulator processes them), the FIFO
+        head among ``m`` visible writes on a capacity-``c`` channel is
+        write ``max(0, m - c)``, and provenance folds bottom-up as
+        interned bitmask + stamp pairs.
         """
         periods = self.periods
         inst = self.inst
         is_source = self.is_source
         in_edges = self.in_edges
         names = self.names
-        let_mode = self._let
         pk = self.packer
         pk_source = pk.source
         pk_merge = pk.merge
@@ -1147,17 +925,10 @@ class CompiledScenario:
             if got is not None:
                 return got
             if is_source[g]:
-                release = (
-                    rels[g][k] if rels is not None
-                    else offsets[g] + k * periods[g]
-                )
-                p = pk_source(names[g], release)
+                p = pk_source(names[g], offsets[g] + k * periods[g])
             else:
-                if let_mode or inst[g]:
-                    at = (
-                        rels[g][k] if rels is not None
-                        else offsets[g] + k * periods[g]
-                    )
+                if inst[g]:
+                    at = offsets[g] + k * periods[g]
                     rkey = 1
                 else:
                     at = starts[g][k]
@@ -1168,33 +939,9 @@ class CompiledScenario:
                     )
                 reads = []
                 for pg, cap in in_edges[g]:
-                    po = offsets[pg]
-                    if let_mode:
-                        if rels is not None:
-                            if is_source[pg]:
-                                mm = bisect_right(rels[pg], at)
-                            else:
-                                mm = bisect_right(
-                                    rels[pg], at - periods[pg]
-                                )
-                                if not inst[pg] and mm > completed[pg]:
-                                    mm = completed[pg]
-                        elif at < po:
-                            mm = 0
-                        elif is_source[pg]:
-                            mm = (at - po) // periods[pg] + 1
-                        else:
-                            mm = (at - po) // periods[pg]
-                            if not inst[pg] and mm > completed[pg]:
-                                mm = completed[pg]
-                    elif inst[pg]:
-                        if rels is not None:
-                            mm = bisect_right(rels[pg], at)
-                        else:
-                            mm = (
-                                0 if at < po
-                                else (at - po) // periods[pg] + 1
-                            )
+                    if inst[pg]:
+                        po = offsets[pg]
+                        mm = 0 if at < po else (at - po) // periods[pg] + 1
                     else:
                         fts = fins[pg]
                         mm = bisect_right(fts, at)
@@ -1222,17 +969,12 @@ class CompiledScenario:
         return prov
 
     def _monitored_count(
-        self,
-        offsets: Sequence[Time],
-        duration: Time,
-        completed: List[int],
-        rels: Optional[List[List[Time]]] = None,
+        self, offsets: Sequence[Time], duration: Time, completed: List[int]
     ) -> int:
+        """Jobs of the monitored task that finish within the horizon."""
         gid = self.m_gid
         if not self.inst[gid]:
             return completed[gid]
-        if rels is not None:
-            return len(rels[gid])
         offset = offsets[gid]
         if offset > duration:
             return 0
@@ -1250,45 +992,21 @@ class CompiledScenario:
 
         Equals ``simulate()`` + :class:`DisparityMonitor` on the system
         with these ``offsets`` (listed in graph-task order) under the
-        same ``seed`` and ``policy``; replications the compiled loop
-        cannot handle run exactly that fallback.  A vector of the wrong
-        length raises :class:`~repro.model.task.ModelError`.
+        same ``seed`` and ``policy``.  The one-replication case of
+        :func:`run_batch`'s tier choice: the columnar tier when the
+        scenario, policy and offsets are eligible, else exactly that
+        simulator run.  A vector of the wrong length or a horizon of 0
+        or less raises :class:`~repro.model.task.ModelError`.
         """
         self._check_offsets(offsets)
-        resolved = _resolve_policy(policy)
-        t0 = _time.perf_counter()
-        try:
-            if self.ineligible_reason is not None or not self.in_domain(
-                offsets
-            ):
-                return self._fallback_disparity(
-                    offsets, seed, duration, warmup, resolved
-                )
-            starts, fins, completed, casc, rels = self._schedule_cached(
-                offsets, seed, duration, resolved
-            )
-            prov = self._prov_resolver(
-                offsets, starts, fins, completed, casc, rels
-            )
-            gid = self.m_gid
-            count = self._monitored_count(offsets, duration, completed, rels)
-            offset = offsets[gid]
-            period = self.periods[gid]
-            if rels is not None:
-                k0 = bisect_left(rels[gid], warmup)
-            else:
-                k0 = 0
-                if warmup > offset:
-                    k0 = -(-(warmup - offset) // period)
-            best = -1
-            pd = self.packer.disparity
-            for k in range(k0, count):
-                d = pd(prov(gid, k))
-                if d is not None and d > best:
-                    best = d
-            return best if best >= 0 else 0
-        finally:
-            PHASE_TIMES["replicate_s"] += _time.perf_counter() - t0
+        values, _engine, _reason = _replay(
+            self,
+            [(seed, tuple(offsets))],
+            duration,
+            warmup,
+            _resolve_policy(policy),
+        )
+        return values[0]
 
     def windowed_maxima(
         self,
@@ -1306,47 +1024,47 @@ class CompiledScenario:
         The compiled equivalent of the steady-state probe's
         ``_WindowedDisparity`` observer: completed jobs released at or
         after ``start`` are bucketed into consecutive windows of length
-        ``window``; windows without a sample read 0.  Requires an
-        eligible scenario and in-domain offsets (callers check
-        :attr:`eligible`; the offset search draws in ``[1, T]``).
+        ``window``; windows without a sample read 0.  Replays one
+        candidate through the pure-python compiled loop, so it takes
+        any policy.  Requires an eligible scenario under implicit
+        semantics with periodic releases and no fault plan, and
+        in-domain offsets (the offset search checks the first two and
+        draws offsets in ``[1, T]``); anything else raises
+        :class:`~repro.model.task.ModelError`.
         """
         self._check_offsets(offsets)
         if self.ineligible_reason is not None:
             raise ModelError(
                 f"scenario not compiled-loop eligible: {self.ineligible_reason}"
             )
+        if self._let or self._needs_tables:
+            raise ModelError(
+                "windowed probe replays implicit semantics with periodic "
+                "releases and no fault plan only"
+            )
         if not self.in_domain(offsets):
             raise ModelError("offsets outside [0, T] for windowed probe")
         resolved = _resolve_policy(policy)
         t0 = _time.perf_counter()
         try:
-            starts, fins, completed, casc, rels = self._schedule_cached(
+            starts, fins, completed, casc = self._schedule(
                 offsets, seed, duration, resolved
             )
-            prov = self._prov_resolver(
-                offsets, starts, fins, completed, casc, rels
-            )
+            prov = self._prov_resolver(offsets, starts, fins, casc)
             gid = self.m_gid
-            total = self._monitored_count(offsets, duration, completed, rels)
+            total = self._monitored_count(offsets, duration, completed)
             offset = offsets[gid]
             period = self.periods[gid]
-            if rels is not None:
-                k0 = bisect_left(rels[gid], start)
-            else:
-                k0 = 0
-                if start > offset:
-                    k0 = -(-(start - offset) // period)
+            k0 = 0
+            if start > offset:
+                k0 = -(-(start - offset) // period)
             per_window: Dict[int, Time] = {}
             pd = self.packer.disparity
             for k in range(k0, total):
                 d = pd(prov(gid, k))
                 if d is None:
                     continue
-                release = (
-                    rels[gid][k] if rels is not None
-                    else offset + k * period
-                )
-                index = (release - start) // window
+                index = (offset + k * period - start) // window
                 if d > per_window.get(index, -1):
                     per_window[index] = d
             return [per_window.get(i, 0) for i in range(count)]
@@ -1373,7 +1091,7 @@ class CompiledScenario:
         :class:`CompiledScenario` that shares every table the edit
         does not touch (see :meth:`_derived`); evaluate it at explicit
         offsets with :meth:`disparity` / :meth:`windowed_maxima`.
-        Scenarios the compiled loop cannot replay — duplicate
+        Scenarios the batched tiers cannot replay — duplicate
         priorities after a priority edit, offsets outside ``[0, T]``
         after a period edit — fall back to the per-replication
         simulator on the edited system with identical results.
@@ -1399,8 +1117,7 @@ class CompiledScenario:
         for (src, dst), capacity in capacities.items():
             graph.set_channel_capacity(src, dst, capacity)
         # The parent's response-time table rides along unchanged: the
-        # simulation surface (compiled loop and fallback simulator
-        # alike) never consults it, and recomputing bounds is the
+        # simulation surface (every replay tier alike) never consults it, and recomputing bounds is the
         # analytical layer's job, not the sweep's.
         system = System(
             graph=graph, response_times=self.system.response_times
@@ -1432,10 +1149,8 @@ class CompiledScenario:
           / ``bit_of``) and the eligibility reasons are rebuilt;
           stream tables are period-only facts and stay shared;
         * **capacities** — only the per-edge channel tables
-          (``in_edges``) are rebuilt; stream tables *and* the schedule
-          memo stay shared, because buffer sizes never affect
-          scheduling — a capacity sweep evaluated at fixed draws
-          computes each schedule once across all candidates.
+          (``in_edges``) are rebuilt; stream tables stay shared,
+          because buffer sizes never affect scheduling.
 
         Everything an edit cannot touch — task identity and order,
         unit mapping, execution-time tables, the monitored closure,
@@ -1463,8 +1178,6 @@ class CompiledScenario:
         # new grid automatically (nothing stale survives the edit).
         clone.faults = self.faults
         clone._faults_sig = self._faults_sig
-        clone.release_models = [t.release_model for t in tasks]
-        clone._nonperiodic = self._nonperiodic
         clone._needs_tables = self._needs_tables
         clone.periods = (
             [t.period for t in tasks] if periods_changed else self.periods
@@ -1500,13 +1213,6 @@ class CompiledScenario:
             clone._packable = self._packable
             clone._stream_cache = self._stream_cache
         clone._grid_cache = self._grid_cache
-        # The schedule depends on periods, priorities, and offsets but
-        # never on buffer capacities: capacity-only siblings alias the
-        # parent's memo, any other edit starts a fresh one.
-        if periods_changed or priorities_changed:
-            clone._sched_cache = _ScheduleCache()
-        else:
-            clone._sched_cache = self._sched_cache
         elapsed = _time.perf_counter() - t0
         clone.compile_s = elapsed
         PHASE_TIMES["compile_s"] += elapsed
@@ -1545,6 +1251,56 @@ class CompiledScenario:
         return monitor.disparity(self.task)
 
 
+def _replay(
+    compiled: CompiledScenario,
+    draws: Sequence[Tuple[int, Tuple[Time, ...]]],
+    duration: Time,
+    warmup: Time,
+    policy: ExecTimePolicy,
+    engine: str = "auto",
+) -> Tuple[List[Time], str, Optional[str]]:
+    """Disparities of ``(seed, offsets)`` draws through one replay tier.
+
+    The tier choice :func:`run_batch` and
+    :meth:`CompiledScenario.disparity` share: the columnar tier when
+    every rule holds — the scenario's table rules, the columnar ones
+    (batchable policy, kernel loaded, ranks fit) and offsets in
+    ``[0, T]`` — else the per-replication simulator.  ``engine`` is
+    ``"auto"``, ``"columnar"`` (raise listing every unmet rule instead
+    of falling back) or ``"simulator"``.  Returns ``(disparities,
+    engine that ran, reason)``.
+    """
+    # Imported here: repro.sim.columnar imports this module.
+    from repro.sim import columnar as _columnar
+
+    if duration <= 0:
+        raise ModelError(f"duration must be positive, got {duration}")
+    if engine == "simulator":
+        reason = compiled.ineligible_reason or "engine='simulator' requested"
+    else:
+        reasons = list(compiled.ineligible_reasons)
+        reasons.extend(_columnar.ineligibility_reasons(compiled, policy))
+        if not all(compiled.in_domain(offsets) for _seed, offsets in draws):
+            reasons.append("offsets outside [0, T]")
+        if not reasons:
+            values = _columnar.run_columnar(
+                compiled, draws, duration, warmup, policy
+            )
+            return values, "columnar", None
+        reason = "; ".join(reasons)
+        if engine == "columnar":
+            raise ModelError(f"columnar engine unavailable: {reason}")
+    t0 = _time.perf_counter()
+    try:
+        values = [
+            compiled._fallback_disparity(offsets, seed, duration, warmup, policy)
+            for seed, offsets in draws
+        ]
+    finally:
+        PHASE_TIMES["replicate_s"] += _time.perf_counter() - t0
+    return values, "simulator", reason
+
+
 def run_batch(
     system: System,
     task: str,
@@ -1572,31 +1328,30 @@ def run_batch(
     scenario must have been compiled under the same semantics.
 
     ``engine`` selects the replay tier.  ``"auto"`` (default) takes
-    the fastest eligible one: the **columnar** batch engine (all
-    replications advanced in one C-kernel call, provenance derived in
-    bulk — requires numpy, a batchable named policy, and the runtime
-    C kernel), else the **compiled** per-replication loop, else the
-    per-replication **simulator**.  ``"columnar"`` forces the columnar
-    tier and raises a :class:`~repro.model.task.ModelError` listing
-    every unmet rule; ``"compiled"`` skips the columnar tier (the
-    pre-columnar behavior: compiled loop when eligible, simulator
-    fallback); ``"simulator"`` forces the plain simulator.  All tiers
-    return identical disparities.  The batched tiers pre-draw every
-    replication's seed/offsets, so after a mid-batch LET-violation
-    error ``rng`` has advanced past all ``sims`` draws (the
-    sequential loop stops at the violating replication).
+    the **columnar** batch engine (all replications advanced in one
+    C-kernel call, provenance derived in bulk — requires a batchable
+    named policy and the runtime C kernel) when the scenario is
+    eligible, else the per-replication **simulator**.  ``"columnar"``
+    forces the columnar tier and raises a
+    :class:`~repro.model.task.ModelError` listing every unmet rule;
+    ``"simulator"`` forces the plain simulator.  Both tiers return
+    identical disparities.  Every replication's seed/offsets are drawn
+    up front, so after a mid-batch LET-violation error ``rng`` has
+    advanced past all ``sims`` draws (the sequential loop stops at the
+    violating replication).  A horizon of 0 or less raises
+    :class:`~repro.model.task.ModelError`.
 
     ``faults`` (a :class:`~repro.sim.faults.FaultPlan`) compiles into
     the scenario as per-replication release masks, so faulted runs
-    stay eligible for the batched tiers; a pre-``compiled`` scenario
+    stay eligible for the columnar tier; a pre-``compiled`` scenario
     must have been compiled under a plan with the same signature.
     """
     if sims < 0:
         raise ModelError(f"sims must be >= 0, got {sims}")
-    if engine not in ("auto", "columnar", "compiled", "simulator"):
+    if engine not in ("auto", "columnar", "simulator"):
         raise ModelError(
             f"unknown engine {engine!r}; choose from "
-            f"('auto', 'columnar', 'compiled', 'simulator')"
+            f"('auto', 'columnar', 'simulator')"
         )
     resolved = _resolve_policy(policy)
     if rng is None:
@@ -1623,79 +1378,16 @@ def run_batch(
         )
     t0 = _time.perf_counter()
     periods = compiled.periods
-    n = compiled.n
-
-    columnar_reasons: Optional[List[str]] = None
-    if engine in ("auto", "columnar"):
-        columnar_reasons = list(compiled.ineligible_reasons)
-        if _np is None:
-            columnar_reasons.append("numpy unavailable")
-        else:
-            from repro.sim import columnar as _columnar
-
-            columnar_reasons.extend(
-                _columnar.ineligibility_reasons(compiled, resolved)
-            )
-        if engine == "columnar" and columnar_reasons:
-            raise ModelError(
-                "columnar engine unavailable: "
-                + "; ".join(columnar_reasons)
-            )
-    if columnar_reasons is not None and not columnar_reasons:
-        from repro.sim import columnar as _columnar
-
-        draws = [
-            (
-                rng.randrange(2**31),
-                tuple(rng.randint(1, periods[tid]) for tid in range(n)),
-            )
-            for _ in range(sims)
-        ]
-        disparities = _columnar.run_columnar(
-            compiled, draws, duration, warmup, resolved
+    draws = [
+        (
+            rng.randrange(2**31),
+            tuple(rng.randint(1, period) for period in periods),
         )
-        return BatchResult(
-            task=task,
-            disparities=tuple(disparities),
-            engine="columnar",
-            compile_s=compile_s,
-            run_s=_time.perf_counter() - t0,
-            semantics=semantics,
-            reason=None,
-        )
-
-    force_sim = engine == "simulator"
-    if force_sim:
-        ran = "simulator"
-        reason = compiled.ineligible_reason or "engine='simulator' requested"
-    elif compiled.eligible:
-        ran = "compiled"
-        reason = (
-            "; ".join(columnar_reasons)
-            if columnar_reasons
-            else ("engine='compiled' requested" if engine == "compiled" else None)
-        )
-    else:
-        ran = "simulator"
-        reason = compiled.ineligible_reason
-    disparities = []
-    for _ in range(sims):
-        run_seed = rng.randrange(2**31)
-        offsets = tuple(rng.randint(1, periods[tid]) for tid in range(n))
-        if force_sim:
-            disparities.append(
-                compiled._fallback_disparity(
-                    offsets, run_seed, duration, warmup, resolved
-                )
-            )
-        else:
-            # Offsets drawn in [1, T] are always in domain, so each
-            # replication is a delta replay of the shared tables.
-            disparities.append(
-                compiled.disparity(
-                    offsets, run_seed, duration, warmup, resolved
-                )
-            )
+        for _ in range(sims)
+    ]
+    disparities, ran, reason = _replay(
+        compiled, draws, duration, warmup, resolved, engine
+    )
     return BatchResult(
         task=task,
         disparities=tuple(disparities),
@@ -1712,7 +1404,6 @@ __all__ = [
     "CompiledScenario",
     "PHASE_TIMES",
     "PolicyLike",
-    "SCHED_CACHE_SIZE",
     "reset_phase_times",
     "run_batch",
 ]

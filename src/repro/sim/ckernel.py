@@ -5,14 +5,15 @@ in one call into a small C kernel, compiled **on first use** with the
 host toolchain (``$CC``, else ``cc``/``gcc``/``clang``) into a cached
 shared object — no build-time extension, no new dependency.  Loading
 is strictly best-effort: any failure (no compiler, sandboxed tmpdir,
-ABI drift) records a reason and the batch layer silently falls back to
-the per-replication compiled loop, so the kernel is a pure
-accelerator, never a requirement.
+ABI drift) records a reason and the batch layer falls back to the
+per-replication :class:`~repro.sim.engine.Simulator` (the reason is in
+``BatchResult.reason``), so the kernel is a pure accelerator, never a
+requirement.
 
 Environment knobs:
 
-* ``REPRO_NO_CKERNEL=1`` — disable the kernel (forces the fallback
-  tiers; used by differential tests and the no-accelerator CI leg).
+* ``REPRO_NO_CKERNEL=1`` — disable the kernel (forces the simulator
+  tier).
 * ``REPRO_CKERNEL_CACHE`` — directory for the compiled ``.so``
   (default: ``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``, falling
   back to a per-user tempdir).  The object name embeds a hash of the C

@@ -1,8 +1,9 @@
 """Columnar batch replay: advance and derive a whole batch at once.
 
-The third engine tier behind :func:`repro.sim.batch.run_batch`.  Where
-the compiled loop replays replications one at a time (python event
-loop per sim), this module processes the batch as struct-of-arrays:
+The fast tier behind :func:`repro.sim.batch.run_batch` (the other is
+the per-replication reference :class:`~repro.sim.engine.Simulator`).
+Instead of one python event loop per replication, this module
+processes the batch as struct-of-arrays:
 
 * **draw** — every replication's execution-time variates come from one
   :func:`repro.sim.exec_time.draw_batch` call, bit-for-bit the streams
@@ -14,14 +15,15 @@ loop per sim), this module processes the batch as struct-of-arrays:
   cascade columns;
 * **derive** — provenance and disparity come from vectorized
   column algebra over those arrays (:class:`~repro.sim.provenance
-  .StampColumns` blocks folded in topological order), replacing the
-  per-sim memoized resolver.
+  .StampColumns` blocks folded in topological order).
 
-Every step reproduces the scalar reference exactly: the variate
-streams are bit-identical, the C kernel is a transliteration of
-``CompiledScenario._schedule``, and the derive implements the same
-FIFO-head / cascade-visibility rules as ``_prov_resolver`` — enforced
-by the differential suite in ``tests/test_batch_columnar.py``.
+Every step reproduces the simulator exactly: the variate streams are
+bit-identical, the C kernel replays its dispatch order (the same loop
+:meth:`CompiledScenario._schedule` keeps for the offset-search probe,
+plus LET deadlines and release tables), and the derive implements the
+simulator's FIFO-head / cascade-visibility rules — enforced by the
+differential suites (``tests/tiers.py``,
+``tests/test_batch_columnar.py``).
 
 Job columns are padded to the offset-0 bound ``duration // T + 1`` per
 task; slots a replication never filled keep the ``PAD`` time (beyond
@@ -33,18 +35,11 @@ contaminate longer ones.
 from __future__ import annotations
 
 import ctypes
-import os
 import time as _time
 from collections import deque
 from typing import Dict, List, Sequence, Tuple
 
-if os.environ.get("REPRO_NO_NUMPY"):  # pragma: no cover - CI leg
-    _np = None
-else:
-    try:  # pragma: no cover - exercised via both branches in CI images
-        import numpy as _np
-    except ImportError:  # pragma: no cover
-        _np = None
+import numpy as _np
 
 from repro.model.task import ModelError
 from repro.sim import batch as _batch
@@ -82,16 +77,13 @@ def _pf64(a):
 def ineligibility_reasons(compiled, policy) -> List[str]:
     """Why the columnar tier cannot replay ``compiled`` (empty = can).
 
-    Collected on top of ``compiled.ineligible_reasons`` (the compiled
-    loop's own rules, which the columnar tier inherits): the policy
-    must be one of the named batchable singletons, per-unit rank
-    counts must fit the kernel's 64-bit ready masks, and the advance
-    kernel must load (first call compiles it; see
-    :func:`repro.sim.ckernel.load_kernel`).
+    Collected on top of ``compiled.ineligible_reasons`` (the
+    scenario's table rules): the policy must be one of the named
+    batchable singletons, per-unit rank counts must fit the kernel's
+    64-bit ready masks, and the advance kernel must load (first call
+    compiles it; see :func:`repro.sim.ckernel.load_kernel`).
     """
     reasons: List[str] = []
-    if _np is None:
-        reasons.append("numpy unavailable")
     if BATCH_POLICY_MODES.get(policy) is None:
         reasons.append(
             "policy is not a batchable named policy "
@@ -117,13 +109,10 @@ def run_columnar(
 ) -> List[Time]:
     """Per-replication disparities for ``draws`` ((seed, offsets) pairs).
 
-    The columnar equivalent of evaluating
-    ``compiled.disparity(offsets, seed, ...)`` per pair —
-    same values, one batched advance plus one bulk derive.  Offsets
+    The columnar equivalent of one simulator run per pair — same
+    values, one batched advance plus one bulk derive.  Offsets
     must lie in ``[0, T]`` (callers draw them in ``[1, T]``).
     """
-    if _np is None:
-        raise ModelError("columnar engine requires numpy")
     if not draws:
         return []
     seeds = [seed for seed, _offs in draws]
@@ -182,7 +171,7 @@ def _release_streams(compiled, seeds, offs, duration: Time):
 
     Returns ``(rel_times, rel_tids, rels_rows)``.  In table mode
     (fault plan or non-periodic release models) each row is the
-    scalar loop's :meth:`CompiledScenario._release_tables` stream —
+    :meth:`CompiledScenario._release_tables` stream —
     drawn per ``(seed, task)``, fault-masked, padded to the widest row
     with sentinels — and ``rels_rows[i]`` holds sim ``i``'s per-task
     kept-release tables for the derive phase; on the arithmetic path
@@ -286,7 +275,7 @@ def _advance(compiled, seeds, offs, duration: Time, policy):
     arithmetic path).  Not memoized: every campaign batch draws its
     own seeds and offsets, so a memo over whole batches never hits.
 
-    LET deadline violations surface exactly as in the scalar engine:
+    LET deadline violations surface exactly as in the simulator:
     the error of the lowest violating replication index (the first
     the sequential reference would hit) with the engine's message.
     """
@@ -507,7 +496,7 @@ def _row_bisect_left(rows, queries, pad):
 
 
 def _derive(compiled, adv, offs, duration: Time, warmup: Time) -> List[Time]:
-    """Bulk ``_prov_resolver`` + monitored disparity over the columns.
+    """Bulk provenance + monitored disparity over the columns.
 
     Walks the kept tasks in topological order, building one
     :class:`StampColumns` block of shape ``(sims, duration // T + 1,
@@ -515,14 +504,15 @@ def _derive(compiled, adv, offs, duration: Time, warmup: Time) -> List[Time]:
     stamps, every other task folds its input edges — the visible-write
     count ``mm`` per (sim, job) comes from the same arithmetic (LET /
     instantaneous producers) or finish-column bisect plus cascade
-    fix-up (implicit compute producers) as the scalar resolver, and
+    fix-up (implicit compute producers) as the compiled probe's
+    ``CompiledScenario._prov_resolver``, and
     the FIFO head ``max(0, mm - capacity)`` gathers the producer's
     stamps.  Blocks free as soon as their last consumer folds them.
 
     Padded job slots flow through as garbage but are clipped in
     bounds and masked out of the final fold: the monitored task's
-    per-sim maximum ranges over ``k in [k0(warmup), count)`` exactly
-    as the scalar loop does.
+    per-sim maximum ranges over ``k in [k0(warmup), count)``, the
+    completed jobs released at or after ``warmup``.
     """
     t0 = _time.perf_counter()
     starts, fins, casc, rec, job_base, job_cap, pad, rels = adv
@@ -642,7 +632,7 @@ def _derive(compiled, adv, offs, duration: Time, warmup: Time) -> List[Time]:
                         # them (vectorized scalar while-loop, one
                         # round per cascade level).  Padded consumer
                         # slots (at == pad > duration) are excluded —
-                        # the scalar resolver never evaluates them.
+                        # no real job reads at those instants.
                         s_pg = starts[:, pb : pb + hp]
                         c_pg = casc[:, pb : pb + hp]
                         live = at <= duration

@@ -141,9 +141,9 @@ class Simulator:
     event loop over jobs, tokens and channel buffers, with every
     observer notified on every completion.  It is kept plain on
     purpose.  Campaigns, sweeps and searches replay through
-    :func:`repro.sim.batch.run_batch` (the compiled batch loop and the
-    columnar C kernel), whose differential suites compare them against
-    this loop.
+    :func:`repro.sim.batch.run_batch` (the columnar C kernel) and the
+    offset search's compiled probe, whose differential suites compare
+    them against this loop.
 
     Args:
         system: The validated system (or use :meth:`from_graph`).

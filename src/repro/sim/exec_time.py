@@ -11,20 +11,13 @@ observed disparity closer to the analytical worst case in tests.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Callable, Dict, Sequence
 
+import numpy as _np
+
 from repro.model.task import ModelError, Task
 from repro.units import Time
-
-if os.environ.get("REPRO_NO_NUMPY"):  # pragma: no cover - CI leg
-    _np = None
-else:
-    try:  # pragma: no cover - exercised via both branches in CI images
-        import numpy as _np
-    except ImportError:  # pragma: no cover
-        _np = None
 
 #: A policy maps (task, job_index, rng) to an execution time.
 ExecTimePolicy = Callable[[Task, int, random.Random], Time]
@@ -34,8 +27,8 @@ def uniform_policy(task: Task, job_index: int, rng: random.Random) -> Time:
     """Uniform draw from ``[B(tau), W(tau)]`` (the default).
 
     The draw is ``bcet + int(rng.random() * span)`` — the exact stream
-    the compiled batch loop inlines — so the simulator and the batch
-    tiers consume the same number of RNG states and produce
+    the columnar kernel and the compiled probe loop inline — so the
+    simulator and the batch tiers consume the same number of RNG states and produce
     identical schedules for the same seed.  Degenerate ranges
     (``bcet == wcet``) consume no randomness at all.
     """
@@ -108,8 +101,6 @@ def draw_batch(seeds: Sequence[int], count: int):
     both sides then derive each double from two 32-bit draws the same
     way (53-bit ``(a >> 5) * 2**26 + (b >> 6)) / 2**53``).
     """
-    if _np is None:
-        raise ModelError("draw_batch requires numpy")
     out = _np.empty((len(seeds), count), dtype=_np.float64)
     state = _np.random.RandomState()
     for i, seed in enumerate(seeds):

@@ -21,18 +21,11 @@ maximum pairwise difference only depends on the extremes).
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.units import Time
+import numpy as _np
 
-if os.environ.get("REPRO_NO_NUMPY"):  # pragma: no cover - CI leg
-    _np = None
-else:
-    try:  # pragma: no cover - exercised via both branches in CI images
-        import numpy as _np
-    except ImportError:  # pragma: no cover
-        _np = None
+from repro.units import Time
 
 #: Per-source timestamp extremes: source task name -> (min, max).
 Provenance = Dict[str, Tuple[Time, Time]]

@@ -7,10 +7,9 @@ arithmetic inline.  The jitter and sporadic release models
 **pre-drawn release table** per ``(seed, task)``: a sorted list of
 release instants within the horizon, drawn from a deterministic RNG
 stream derived here.  Every tier — the reference event loop
-(:class:`~repro.sim.engine.Simulator`), the compiled batch loop, and
-the columnar C kernel — builds
-the same table from the same ``(seed, task name)`` pair, so they stay
-byte-identical without sharing any runtime state.
+(:class:`~repro.sim.engine.Simulator`) and the columnar C kernel —
+builds the same table from the same ``(seed, task name)`` pair, so
+they stay byte-identical without sharing any runtime state.
 
 Two deliberate properties of the stream derivation:
 

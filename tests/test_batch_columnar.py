@@ -2,19 +2,19 @@
 
 The columnar tier advances every replication's NP-FP schedule in one
 C-kernel call and derives provenance/disparity columns in bulk, so its
-correctness contract is strict equality with the tiers below it: for
-any eligible scenario, ``run_batch(engine="columnar")`` must return the
-same per-replication disparities as the compiled per-replication loop
-(``engine="compiled"``), which in turn matches ``sims`` independent
-``Simulator`` runs.  The suite pins that identity across implicit and
-LET semantics, all four batchable policies, zero-BCET cascades, and
-the fallback edges (unbatchable policies, ineligible scenarios, numpy
-or C toolchain absent) — plus the jobs-invariance of campaign CSVs
-with the columnar engine active underneath.
+correctness contract is strict equality with the reference: for any
+eligible scenario, ``run_batch(engine="columnar")`` must return the
+same per-replication disparities as ``sims`` independent ``Simulator``
+runs (``engine="simulator"``), and each row must equal the
+one-replication :meth:`CompiledScenario.disparity` at the same draw.
+The suite pins that identity across implicit and LET semantics, all
+four batchable policies, zero-BCET cascades, and the fallback edges
+(unbatchable policies, ineligible scenarios, C toolchain absent) —
+plus the jobs-invariance of campaign CSVs with the columnar engine
+active underneath.
 
-Columnar-only tests skip when the engine cannot run here (no numpy or
-no C toolchain); the fallback-parity tests still run, which is exactly
-the coverage the forced no-numpy CI leg relies on.
+Columnar-only tests skip, with the kernel's reason, when the kernel
+cannot load here; the fallback-parity tests still run.
 """
 
 from __future__ import annotations
@@ -26,28 +26,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sim.batch as batch_mod
 from repro.api import AnalysisSession
 from repro.gen import generate_random_scenario
 from repro.model.system import System
 from repro.model.task import ModelError
-from repro.sim.batch import run_batch
+from repro.sim import ckernel
+from repro.sim.batch import CompiledScenario, run_batch
 from repro.sim.exec_time import per_task_policy, wcet_policy
 from repro.sim.metrics import DisparityMonitor
 
-
-def _columnar_available() -> bool:
-    if batch_mod._np is None:
-        return False
-    from repro.sim import ckernel
-
-    kernel, _why = ckernel.load_kernel()
-    return kernel is not None
-
-
+_KERNEL, _WHY = ckernel.load_kernel()
 needs_columnar = pytest.mark.skipif(
-    not _columnar_available(),
-    reason="columnar engine unavailable (numpy or C toolchain missing)",
+    _KERNEL is None, reason=f"columnar kernel unavailable: {_WHY}"
 )
 
 
@@ -71,6 +61,21 @@ def _sequential(system, task, *, sims, duration, warmup, rng, policy,
             offsets_rng=rng,
         )
         out.append(monitor.disparity(task))
+    return tuple(out)
+
+
+def _one_row_each(system, task, *, sims, duration, warmup, seed, policy,
+                  semantics="implicit"):
+    """The batch's draws replayed one :meth:`disparity` call at a time."""
+    compiled = CompiledScenario(system, task, semantics=semantics)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(sims):
+        run_seed = rng.randrange(2**31)
+        offsets = tuple(rng.randint(1, t.period) for t in system.graph.tasks)
+        out.append(
+            compiled.disparity(offsets, run_seed, duration, warmup, policy)
+        )
     return tuple(out)
 
 
@@ -104,14 +109,12 @@ def test_columnar_matches_compiled_and_simulator(seed, n_tasks, policy):
         policy=policy,
     )
     columnar = _run(system, sink, engine="columnar", **shape)
-    compiled = _run(system, sink, engine="compiled", **shape)
     simulator = _run(system, sink, engine="simulator", **shape)
     assert columnar.engine == "columnar"
     assert columnar.reason is None
-    assert compiled.engine == "compiled"
     assert simulator.engine == "simulator"
-    assert columnar.disparities == compiled.disparities
     assert columnar.disparities == simulator.disparities
+    assert columnar.disparities == _one_row_each(system, sink, **shape)
 
 
 @needs_columnar
@@ -129,10 +132,8 @@ def test_columnar_let_matches_compiled_and_sequential(seed, n_tasks, policy):
         policy=policy, semantics="let",
     )
     columnar = _run(system, sink, engine="columnar", **shape)
-    compiled = _run(system, sink, engine="compiled", **shape)
     assert columnar.engine == "columnar"
-    assert compiled.engine == "compiled"
-    assert columnar.disparities == compiled.disparities
+    assert columnar.disparities == _one_row_each(system, sink, **shape)
     expected = _sequential(
         system, sink, sims=3, duration=duration, warmup=duration // 4,
         rng=random.Random(seed), policy=policy, semantics="let",
@@ -162,12 +163,12 @@ def test_columnar_zero_bcet_cascades(seed, n_tasks, semantics):
             semantics=semantics,
         )
         columnar = _run(lowered, sink, engine="columnar", **shape)
-        compiled = _run(lowered, sink, engine="compiled", **shape)
-        assert columnar.disparities == compiled.disparities
+        simulator = _run(lowered, sink, engine="simulator", **shape)
+        assert columnar.disparities == simulator.disparities
 
 
-def test_unbatchable_policy_falls_back_to_compiled():
-    """Per-task policies (fault injection) keep the compiled tier."""
+def test_unbatchable_policy_falls_back_to_simulator():
+    """Per-task policies (fault injection) run on the simulator."""
     system, sink = _scenario(31, 8)
     duration = 2 * max(task.period for task in system.graph.tasks)
     hog = next(t.name for t in system.graph.tasks if not t.is_instantaneous)
@@ -176,13 +177,8 @@ def test_unbatchable_policy_falls_back_to_compiled():
         system, sink, sims=3, duration=duration, warmup=0, seed=5,
         policy=policy,
     )
-    assert result.engine == "compiled"
-    # With numpy gated off (REPRO_NO_NUMPY leg) that shortfall is
-    # reported before the policy is even examined.
-    if batch_mod._np is not None:
-        assert "not a batchable named policy" in (result.reason or "")
-    else:
-        assert "numpy unavailable" in (result.reason or "")
+    assert result.engine == "simulator"
+    assert "not a batchable named policy" in (result.reason or "")
     expected = _sequential(
         system, sink, sims=3, duration=duration, warmup=0,
         rng=random.Random(5), policy=policy,
@@ -197,8 +193,8 @@ def test_unbatchable_policy_falls_back_to_compiled():
 
 
 def test_duplicate_priorities_fall_back_to_simulator():
-    """Compiled-ineligible scenarios reach the simulator on auto, with
-    the same results, and a forced columnar run refuses with reasons."""
+    """Ineligible scenarios reach the simulator on auto, with the same
+    results, and a forced columnar run refuses with reasons."""
     from repro.model.graph import CauseEffectGraph
     from repro.model.task import Task, source_task
     from repro.units import ms
@@ -234,14 +230,16 @@ def test_duplicate_priorities_fall_back_to_simulator():
 
 
 def test_unknown_engine_rejected():
+    """Two tiers remain; the retired ``"compiled"`` name is unknown too."""
     system, sink = _scenario(4, 6)
-    with pytest.raises(ModelError):
-        run_batch(system, sink, sims=1, duration=10**9, engine="warp")
+    for engine in ("warp", "compiled"):
+        with pytest.raises(ModelError, match=f"unknown engine '{engine}'"):
+            run_batch(system, sink, sims=1, duration=10**9, engine=engine)
 
 
 @needs_columnar
 def test_let_violation_parity_across_engines():
-    """All three tiers raise the identical LET-violation ModelError."""
+    """Both tiers raise the identical LET-violation ModelError."""
     from repro.model.graph import CauseEffectGraph
     from repro.model.task import Task, source_task
     from repro.units import ms
@@ -261,7 +259,7 @@ def test_let_violation_parity_across_engines():
         graph=overloaded_graph, response_times=built.response_times
     )
     messages = []
-    for engine in ("columnar", "compiled", "simulator"):
+    for engine in ("columnar", "simulator"):
         with pytest.raises(ModelError) as err:
             _run(
                 overloaded, "late", sims=3, duration=ms(100), warmup=0,
@@ -269,44 +267,17 @@ def test_let_violation_parity_across_engines():
             )
         messages.append(str(err.value))
     assert "LET violation" in messages[0]
-    assert messages[0] == messages[1] == messages[2]
+    assert messages[0] == messages[1]
 
 
-def test_no_numpy_falls_back_to_compiled(monkeypatch):
-    system, sink = _scenario(77, 8)
-    duration = 2 * max(task.period for task in system.graph.tasks)
-    reference = _run(
-        system, sink, sims=3, duration=duration, warmup=0, seed=5,
-        policy="uniform", engine="compiled",
-    )
-    monkeypatch.setattr(batch_mod, "_np", None)
-    result = _run(
-        system, sink, sims=3, duration=duration, warmup=0, seed=5,
-        policy="uniform",
-    )
-    assert result.engine == "compiled"
-    assert "numpy unavailable" in (result.reason or "")
-    assert result.disparities == reference.disparities
-    with pytest.raises(ModelError) as err:
-        _run(
-            system, sink, sims=3, duration=duration, warmup=0, seed=5,
-            policy="uniform", engine="columnar",
-        )
-    assert "numpy unavailable" in str(err.value)
-
-
-@pytest.mark.skipif(
-    batch_mod._np is None,
-    reason="needs numpy so the kernel is the only missing piece",
-)
-def test_no_ckernel_falls_back_to_compiled(monkeypatch):
+def test_no_ckernel_falls_back_to_simulator(monkeypatch):
     from repro.sim import columnar as columnar_mod
 
     system, sink = _scenario(78, 8)
     duration = 2 * max(task.period for task in system.graph.tasks)
     reference = _run(
         system, sink, sims=3, duration=duration, warmup=0, seed=6,
-        policy="uniform", engine="compiled",
+        policy="uniform", engine="simulator",
     )
     monkeypatch.setattr(
         columnar_mod.ckernel, "load_kernel", lambda: (None, "cc missing")
@@ -315,8 +286,8 @@ def test_no_ckernel_falls_back_to_compiled(monkeypatch):
         system, sink, sims=3, duration=duration, warmup=0, seed=6,
         policy="uniform",
     )
-    assert result.engine == "compiled"
-    assert "advance kernel unavailable" in (result.reason or "")
+    assert result.engine == "simulator"
+    assert "advance kernel unavailable: cc missing" in (result.reason or "")
     assert result.disparities == reference.disparities
 
 

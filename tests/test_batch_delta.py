@@ -2,7 +2,8 @@
 
 Replaying a :class:`CompiledScenario` at a new offset vector rebases
 the precomputed release-stream tables by vector shift instead of
-regenerating and re-sorting grids — so its results must be
+regenerating and re-sorting grids (one columnar row per
+:meth:`~CompiledScenario.disparity` call) — so its results must be
 byte-identical to
 
 * a *fresh* compile evaluated at the same offset vector
@@ -27,7 +28,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sim.batch as batch_mod
 from repro.gen import generate_random_scenario
 from repro.model.system import System
 from repro.model.task import ModelError
@@ -188,31 +188,6 @@ def test_wrong_length_offsets_raise_model_error():
         shared.edit(offsets=vector)
 
 
-def test_delta_replay_without_numpy(monkeypatch):
-    """The sorted()-based stream fallback replays candidates identically."""
-    system, sink = _scenario(23, 8)
-    duration = 2 * max(task.period for task in system.graph.tasks)
-    vectors = _offset_vectors(system, 23, 3)
-    with_numpy = [
-        CompiledScenario(system, sink).disparity(
-            vector, 9, duration, duration // 4, "uniform"
-        )
-        for vector in vectors
-    ]
-    monkeypatch.setattr(batch_mod, "_np", None)
-    shared = CompiledScenario(system, sink)
-    without_numpy = [
-        shared.disparity(vector, 9, duration, duration // 4, "uniform")
-        for vector in vectors
-    ]
-    assert without_numpy == with_numpy
-
-
-@pytest.mark.skipif(
-    batch_mod._np is None,
-    reason="stream tables are the numpy delta path (pure-python "
-    "fallback regenerates per candidate)",
-)
 def test_stream_tables_cached_per_horizon():
     """One candidate warms the per-horizon cache; later ones reuse it."""
     system, sink = _scenario(31, 7)

@@ -41,7 +41,7 @@ def _result(values):
     return BatchResult(
         task="t",
         disparities=tuple(values),
-        engine="compiled",
+        engine="columnar",
         compile_s=0.0,
         run_s=0.0,
     )

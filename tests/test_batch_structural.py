@@ -33,7 +33,7 @@ from repro.model.system import System
 from repro.model.task import ModelError
 from repro.sim.batch import CompiledScenario
 from repro.sim.engine import simulate
-from repro.sim.exec_time import named_policy
+from repro.sim.exec_time import named_policy, wcet_policy
 from repro.sim.metrics import DisparityMonitor
 
 
@@ -262,7 +262,12 @@ def test_period_shrink_can_push_offsets_out_of_domain():
 
 
 def test_capacity_view_shares_streams_grids_and_schedule_memo():
-    """Capacity edits invalidate only channel tables; the rest aliases."""
+    """Capacity edits invalidate only channel tables; the rest aliases.
+
+    Buffer sizes never change scheduling, so beyond the aliased grid
+    and stream tables the view records the very schedule its base does
+    (the compiled probe's recorded starts/finishes are equal).
+    """
     system, sink = _scenario(31, 8)
     duration = 2 * max(task.period for task in system.graph.tasks)
     warmup = duration // 4
@@ -270,25 +275,17 @@ def test_capacity_view_shares_streams_grids_and_schedule_memo():
     channel = system.graph.channels[0]
     vector = _offset_vector(system, 31)
     base.disparity(vector, 1, duration, warmup, "wcet")
-    before = base._sched_cache.stats()
     derived = base.edit(capacities={(channel.src, channel.dst): 4})
     assert derived._grid_cache is base._grid_cache
     assert derived._stream_cache is base._stream_cache
-    assert derived._sched_cache is base._sched_cache
     assert derived.in_edges is not base.in_edges
-    # WCET is deterministic: the derived scenario's evaluation — even
-    # at another seed — replays the memoized schedule instead of
-    # re-simulating.
-    derived.disparity(vector, 2, duration, warmup, "wcet")
-    after = base._sched_cache.stats()
-    assert after["hits"] == before["hits"] + 1
-    assert after["misses"] == before["misses"]
+    assert derived._schedule(vector, 2, duration, wcet_policy) == (
+        base._schedule(vector, 2, duration, wcet_policy)
+    )
 
 
 def test_period_view_gets_fresh_stream_and_schedule_caches():
-    """Period edits invalidate streams and schedules but share grids."""
-    import repro.sim.batch as batch_mod
-
+    """Period edits invalidate streams (and so schedules) but share grids."""
     system, sink = _scenario(37, 8)
     base = CompiledScenario(system, sink)
     compute = [t for t in system.graph.tasks if not t.is_instantaneous]
@@ -296,16 +293,12 @@ def test_period_view_gets_fresh_stream_and_schedule_caches():
     derived = base.edit(periods={target.name: target.period * 2})
     assert derived._grid_cache is base._grid_cache
     assert derived._stream_cache is not base._stream_cache
-    assert derived._sched_cache is not base._sched_cache
-    # Unedited tasks reuse the base's cached (period, duration) grids
-    # (grids only materialize on the numpy delta path; the pure-python
-    # fallback regenerates releases per candidate).
+    # Unedited tasks reuse the base's cached (period, duration) grids.
     duration = 2 * max(task.period for task in system.graph.tasks)
     own_offsets = tuple(t.offset for t in derived.graph.tasks)
     derived.disparity(own_offsets, 1, duration, duration // 4, "wcet")
     other = compute[1]
-    if batch_mod._np is not None:
-        assert (other.period, duration) in base._grid_cache
+    assert (other.period, duration) in base._grid_cache
 
 
 def _nonperiodic_variant(system, seed: int):

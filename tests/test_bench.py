@@ -52,12 +52,10 @@ SECTION_KEYS = {
     "kernel": {"n_tasks", "sims", "duration_s", "jobs", "wall_s", "jobs_per_s",
                "sims_per_s"},
     "batch": {"n_tasks", "sims", "duration_s", "engine", "sequential_s",
-              "replay_s", "batched_s", "speedup", "columnar_speedup",
-              "sims_per_s"},
+              "batched_s", "speedup", "sims_per_s"},
     "let": {"n_tasks", "sims", "duration_s", "engine", "sequential_s",
-            "replay_s", "batched_s", "speedup", "columnar_speedup",
-            "sims_per_s"},
-    "columnar": {"n_tasks", "sims", "duration_s", "engine", "replay_s",
+            "batched_s", "speedup", "sims_per_s"},
+    "columnar": {"n_tasks", "sims", "duration_s", "engine", "sequential_s",
                  "columnar_s", "speedup", "sims_per_s", "phases"},
     "fault": {"n_tasks", "sims", "duration_s", "engine", "victim",
               "sequential_s", "batched_s", "speedup", "sims_per_s"},

@@ -1,11 +1,11 @@
 """Equivalence of the batched fast paths with the general event loop.
 
-``Simulator`` is the one reference loop (the general loop).  Every
-batched replay tier — the compiled batch loop and, where it loads, the
-columnar C kernel — must reproduce it exactly under implicit
-semantics: per-replication disparities of every fused task over
-randomized replications, and job-by-job provenance of the monitored
-task at the system's own offsets (see ``tests/tiers.py``).
+``Simulator`` is the one reference loop (the general loop).  The
+columnar C kernel must reproduce it exactly under implicit semantics
+(per-replication disparities of every fused task over randomized
+replications), and so must the offset search's compiled probe loop
+(job-by-job provenance of the monitored task at the system's own
+offsets; see ``tests/tiers.py``).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from tests.tiers import (
     assert_equivalent,
     assert_provenance_matches,
     random_system,
+    require_columnar,
     zero_bcet_system,
 )
 
@@ -107,11 +108,12 @@ def _zero_bcet_pair() -> System:
 
 
 def test_auto_uses_fastpath_for_zero_bcet():
+    require_columnar()
     system = _zero_bcet_pair()
     result = run_batch(
         system, "t", sims=3, duration=ms(100), rng=random.Random(7)
     )
-    assert result.engine in ("columnar", "compiled")
+    assert result.engine == "columnar"
     assert_equivalent(system, ms(100), 7)
     # All-zero execution times: every CPU finish cascades at its own
     # release instant — the worst case for sub-instant ordering.
@@ -123,8 +125,9 @@ def test_fastpath_cascade_chain_on_one_unit():
 
     Under ``bcet_policy`` every job executes in zero time, so each
     release instant processes the whole chain as a cascade of
-    finish-triggered dispatches; the compiled loop's cascade-depth
-    side table must replay the general loop's sub-batch order exactly.
+    finish-triggered dispatches; the compiled probe's and the columnar
+    kernel's cascade-depth side tables must replay the general loop's
+    sub-batch order exactly.
     """
     graph = CauseEffectGraph()
     graph.add_task(

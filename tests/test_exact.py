@@ -213,6 +213,66 @@ class TestCompiledObjective:
             assert objective.value(offsets) == expected
 
 
+    def test_jittered_system_falls_back_to_reference(self):
+        """Release tables leave the compiled probe's domain; the
+        objective then evaluates through the reference and agrees."""
+        from repro.exact.search import _CompiledObjective, _apply_offsets
+        from repro.model.task import ReleaseModel
+
+        base = fusion_system(0)
+        graph = base.graph.copy()
+        cam = graph.task("cam")
+        graph.replace_task(
+            cam.with_release_model(ReleaseModel.jittered(cam.period // 4))
+        )
+        system = System(graph=graph, response_times=base.response_times)
+        objective = _CompiledObjective(system, "fuse", wcet_policy, 4)
+        assert objective.compiled.eligible
+        assert not objective.probe_eligible
+        rng = random.Random(9)
+        for _ in range(5):
+            offsets = {
+                t.name: rng.randint(1, t.period)
+                for t in system.graph.tasks
+            }
+            expected = steady_state_disparity(
+                _apply_offsets(system, offsets),
+                "fuse",
+                policy=wcet_policy,
+                max_windows=4,
+            ).disparity
+            assert objective.value(offsets) == expected
+
+    def test_windowed_probe_rejects_let_and_release_tables(self):
+        from repro.model.task import ReleaseModel
+        from repro.sim.batch import CompiledScenario
+        from repro.sim.faults import FaultPlan
+
+        system = fusion_system(0)
+        offsets = tuple(t.period for t in system.graph.tasks)
+        horizon = system.graph.hyperperiod()
+        graph = system.graph.copy()
+        cam = graph.task("cam")
+        graph.replace_task(
+            cam.with_release_model(ReleaseModel.jittered(cam.period // 4))
+        )
+        jittered = System(graph=graph, response_times=system.response_times)
+        refused = (
+            CompiledScenario(system, "fuse", semantics="let"),
+            CompiledScenario(jittered, "fuse"),
+            CompiledScenario(
+                system, "fuse", faults=FaultPlan().drop("cam", 0, ms(20))
+            ),
+        )
+        for compiled in refused:
+            with pytest.raises(ModelError, match="windowed probe"):
+                compiled.windowed_maxima(offsets, horizon, 0, horizon, 1)
+        accepted = CompiledScenario(system, "fuse")
+        assert len(
+            accepted.windowed_maxima(offsets, horizon, 0, horizon, 1)
+        ) == 1
+
+
 class TestSteadyStateEarlyExit:
     """The warmup+3H convergence probe must not change any result."""
 

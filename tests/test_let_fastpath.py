@@ -2,11 +2,10 @@
 
 Under LET semantics jobs read at *release* and publish at their
 *deadline* (release + period), so data flow is fully determined by the
-schedule — exactly the structure the batched fast paths (the compiled
-batch loop and the columnar C kernel) exploit.  ``Simulator``, the
-general event loop, is the untouched semantic reference: every batched
-tier must reproduce its per-replication disparities and, job by job,
-its token provenance (see ``tests/tiers.py``), and
+schedule — exactly the structure the columnar C kernel exploits.
+``Simulator``, the general event loop, is the untouched semantic
+reference: the columnar tier must reproduce its per-replication
+disparities (see ``tests/tiers.py``), and
 ``run_batch(semantics="let")`` must be byte-identical to N sequential
 ``simulate(semantics="let")`` calls under the same generator (the
 ``AnalysisSession.observed_disparity`` discipline: per replication an
@@ -32,9 +31,9 @@ from repro.sim.engine import Simulator, randomize_offsets
 from repro.sim.exec_time import bcet_policy, extremes_policy, wcet_policy
 from repro.sim.metrics import DisparityMonitor
 from tests.tiers import (
-    BATCH_TIERS,
     assert_equivalent,
     random_system,
+    require_columnar,
     zero_bcet_system,
 )
 
@@ -89,7 +88,7 @@ def test_let_fastpath_matches_general_with_buffers():
 
 
 def test_let_deadline_violation_parity():
-    """The general loop and every batched tier raise the same
+    """The general loop and the columnar tier raise the same
     ModelError when a job misses its LET deadline.
 
     The generator only produces schedulable systems, so the overload is
@@ -101,6 +100,7 @@ def test_let_deadline_violation_parity():
     from repro.model.task import Task, source_task
     from repro.units import ms
 
+    require_columnar()
     graph = CauseEffectGraph()
     graph.add_task(source_task("src", ms(10), ecu="e", priority=0))
     graph.add_task(Task("hog", ms(10), ms(2), ms(2), ecu="e", priority=1))
@@ -124,19 +124,10 @@ def test_let_deadline_violation_parity():
     with pytest.raises(ModelError) as err:
         compiled.disparity(offsets, 9, ms(100))
     assert str(err.value) == expected
-    if "columnar" in BATCH_TIERS:
-        from repro.sim.columnar import run_columnar
-        from repro.sim.exec_time import uniform_policy
-
-        with pytest.raises(ModelError) as err:
-            run_columnar(
-                compiled, [(9, offsets)], ms(100), 0, uniform_policy
-            )
-        assert str(err.value) == expected
 
 
 # ----------------------------------------------------------------------
-# compiled batch replay vs sequential LET runs
+# batched replay vs sequential LET runs
 # ----------------------------------------------------------------------
 
 def _sequential_let(system, task, *, sims, duration, warmup, rng,
@@ -172,6 +163,7 @@ def _sequential_let(system, task, *, sims, duration, warmup, rng,
     n_tasks=st.integers(min_value=5, max_value=12),
 )
 def test_let_batch_matches_sequential_general(seed, n_tasks):
+    require_columnar()
     system, sink = (lambda s: (s.system, s.sink))(
         generate_random_scenario(n_tasks, random.Random(seed))
     )
@@ -193,7 +185,7 @@ def test_let_batch_matches_sequential_general(seed, n_tasks):
         warmup=duration // 4,
         rng=random.Random(seed),
     )
-    assert result.engine in ("columnar", "compiled")
+    assert result.engine == "columnar"
     assert result.semantics == "let"
     assert result.disparities == expected
 
@@ -204,6 +196,7 @@ def test_let_batch_matches_sequential_general(seed, n_tasks):
     n_tasks=st.integers(min_value=5, max_value=10),
 )
 def test_let_batch_matches_sequential_zero_bcet(seed, n_tasks):
+    require_columnar()
     rng = random.Random(seed)
     scenario = generate_random_scenario(n_tasks, rng)
     graph = scenario.system.graph.copy()
@@ -239,7 +232,7 @@ def test_let_batch_matches_sequential_zero_bcet(seed, n_tasks):
         warmup=duration // 4,
         rng=random.Random(seed),
     )
-    assert result.engine in ("columnar", "compiled")
+    assert result.engine == "columnar"
     assert result.disparities == expected
 
 

@@ -8,10 +8,10 @@ Covers the bounded-jitter and sporadic release models end to end:
   rule — a release at exactly ``DropoutWindow.end`` survives in every
   simulation tier, and :class:`StalenessMonitor` ages agree at the
   boundary;
-* the differential identity: the compiled batch loop and the columnar
-  C kernel versus the general event loop (``Simulator``, the semantic
-  reference), under implicit and LET semantics, with zero-BCET
-  cascades and fault plans in the mix;
+* the differential identity: the columnar C kernel versus the general
+  event loop (``Simulator``, the semantic reference), under implicit
+  and LET semantics, with zero-BCET cascades and fault plans in the
+  mix;
 * the analysis-regime gate: Theorems 1-3 / Lemmas 4-6 raise a
   structured :class:`RegimeError` on non-periodic systems, the LET
   backward bounds widen by the maximum release gap, and the
@@ -51,7 +51,7 @@ from repro.sim.release import (
     split_kept,
 )
 from repro.units import ms
-from tests.tiers import assert_provenance_matches, fused_tasks
+from tests.tiers import assert_provenance_matches, fused_tasks, require_columnar
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +248,15 @@ class TestBoundarySemantics:
         # Exactly 10 suppressed cam releases: 100, 110, ..., 190 —
         # NOT the one at 200.
         assert res.stats.jobs_dropped == 10
-        # At the system's own offsets the compiled loop resolves the
-        # same tokens as the simulator.
+        # At the system's own offsets the columnar tier reports the
+        # simulator's disparity.
         assert_provenance_matches(
             system, "fuse", seed=9, duration=ms(300), policy=wcet_policy,
             faults=plan,
         )
-        # Batched tiers agree replication for replication.
+        # Both tiers agree replication for replication.
         per_engine = {}
-        for engine in ("simulator", "compiled", "auto"):
+        for engine in ("simulator", "columnar", "auto"):
             per_engine[engine] = run_batch(
                 system,
                 "fuse",
@@ -267,7 +267,7 @@ class TestBoundarySemantics:
                 faults=plan,
                 engine=engine,
             ).disparities
-        assert per_engine["compiled"] == per_engine["simulator"]
+        assert per_engine["columnar"] == per_engine["simulator"]
         assert per_engine["auto"] == per_engine["simulator"]
 
     def test_staleness_ages_agree_at_boundary(self):
@@ -323,7 +323,7 @@ def _with_release_models(system: System, seed: int, *, zero_bcet=False) -> Syste
 
 def _assert_loops_agree(system, duration, seed, *, semantics, faults=None,
                         policy=uniform_policy):
-    """The batched loops resolve the general loop's tokens, job by job."""
+    """The columnar tier reproduces the general loop's disparities."""
     for task in fused_tasks(system) or system.graph.sinks():
         assert_provenance_matches(
             system, task, seed=seed, duration=duration, policy=policy,
@@ -335,8 +335,9 @@ def _assert_batch_matches_general(system, sink, *, duration, seed, semantics,
                                   faults=None, policy="uniform"):
     from repro.sim.exec_time import named_policy
 
+    require_columnar()
     per_engine = {}
-    for engine in ("simulator", "compiled", "auto"):
+    for engine in ("simulator", "columnar", "auto"):
         per_engine[engine] = run_batch(
             system,
             sink,
@@ -349,7 +350,7 @@ def _assert_batch_matches_general(system, sink, *, duration, seed, semantics,
             faults=faults,
             engine=engine,
         )
-    assert per_engine["compiled"].disparities == per_engine["simulator"].disparities
+    assert per_engine["columnar"].disparities == per_engine["simulator"].disparities
     assert per_engine["auto"].disparities == per_engine["simulator"].disparities
 
 

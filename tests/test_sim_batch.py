@@ -4,10 +4,9 @@
 calls under the same generator: per replication, an execution-time
 seed is drawn first, then one offset in ``[1, T]`` per task in graph
 order — exactly the ``AnalysisSession.observed_disparity`` discipline.
-The suite pins that identity for the compiled loop (uniform and
-WCET-pinned policies), the pure-python release-stream fallback (numpy
-absent), and the per-replication simulator fallback (ineligible
-scenarios).
+The suite pins that identity for the columnar tier (uniform and
+WCET-pinned policies) and the per-replication simulator fallback
+(ineligible scenarios), plus the argument checks both tiers share.
 """
 
 from __future__ import annotations
@@ -19,13 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sim.batch as batch_mod
 from repro.api import AnalysisSession
 from repro.gen import generate_random_scenario
 from repro.model.system import System
 from repro.model.task import ModelError
 from repro.sim.batch import BatchResult, CompiledScenario, run_batch
 from repro.sim.metrics import DisparityMonitor
+from tests.tiers import require_columnar
 
 
 def _scenario(seed: int, n_tasks: int):
@@ -51,10 +50,10 @@ def _sequential(system, task, *, sims, duration, warmup, rng, policy):
 
 
 def _assert_batch_matches(system, task, *, sims, duration, warmup, seed,
-                          policy, engine=("columnar", "compiled")):
-    """``engine`` names the acceptable tiers: auto-selection takes the
-    columnar engine where numpy and the C kernel are available and the
-    compiled loop otherwise, so batched-tier tests accept either."""
+                          policy, engine="columnar"):
+    """Auto-selected ``run_batch`` == sequential runs, on tier ``engine``."""
+    if engine == "columnar":
+        require_columnar()
     result = run_batch(
         system,
         task,
@@ -73,8 +72,7 @@ def _assert_batch_matches(system, task, *, sims, duration, warmup, seed,
         rng=random.Random(seed),
         policy=policy,
     )
-    allowed = engine if isinstance(engine, tuple) else (engine,)
-    assert result.engine in allowed
+    assert result.engine == engine, result.reason
     assert result.disparities == expected
     assert result.max_disparity == max(expected, default=0)
     return result
@@ -100,28 +98,13 @@ def test_batch_matches_sequential(seed, n_tasks, policy):
     )
 
 
-def test_batch_pure_python_release_stream(monkeypatch):
-    """The sorted()-based release stream (no numpy) is identical too."""
-    system, sink = _scenario(77, 9)
-    duration = 3 * max(task.period for task in system.graph.tasks)
-    with_numpy = run_batch(
-        system, sink, sims=4, duration=duration, rng=random.Random(5)
-    )
-    monkeypatch.setattr(batch_mod, "_np", None)
-    without_numpy = run_batch(
-        system, sink, sims=4, duration=duration, rng=random.Random(5)
-    )
-    assert without_numpy.engine == "compiled"
-    assert without_numpy.disparities == with_numpy.disparities
-
-
 def test_zero_bcet_replays_through_compiled_loop():
-    """Zero-BCET scenarios are compiled-eligible via the cascade table.
+    """Zero-BCET scenarios stay eligible via the cascade table.
 
-    The compiled loop records a cascade-depth side table that replays
-    the simulator's same-instant finish cascades, so they order
-    identically and the per-replication simulator fallback is not
-    needed here.
+    The columnar kernel (like the offset search's compiled probe loop)
+    records a cascade-depth side table that replays the simulator's
+    same-instant finish cascades, so they order identically and the
+    per-replication simulator fallback is not needed here.
     """
     system, sink = _scenario(13, 8)
     graph = system.graph.copy()
@@ -182,8 +165,8 @@ def test_ineligible_reason_collects_all_failed_rules():
 def test_unmapped_compute_task_fails_loudly(semantics):
     """A compute task without a unit raises ``ModelError`` naming it.
 
-    The compiled tiers list it as an ineligibility reason and fall
-    back to the simulator, so ``run_batch`` reaches the simulator's
+    The scenario lists it as an ineligibility reason and ``run_batch``
+    falls back to the simulator, so it reaches the simulator's
     construction-time check too.
     """
     from repro.model.graph import CauseEffectGraph
@@ -284,11 +267,26 @@ def test_run_batch_validation():
     assert empty.max_disparity == 0
 
 
+@pytest.mark.parametrize("engine", ["auto", "columnar", "simulator"])
+@pytest.mark.parametrize("duration", [0, -5])
+def test_run_batch_rejects_non_positive_horizon(engine, duration):
+    """Every tier, and the one-replication ``disparity``, refuse a
+    horizon of 0 or less with the simulator's message."""
+    system, sink = _scenario(4, 6)
+    message = f"duration must be positive, got {duration}"
+    with pytest.raises(ModelError, match=message):
+        run_batch(system, sink, sims=2, duration=duration, engine=engine)
+    compiled = CompiledScenario(system, sink)
+    offsets = tuple(t.offset for t in system.graph.tasks)
+    with pytest.raises(ModelError, match=message):
+        compiled.disparity(offsets, 0, duration)
+
+
 def test_percentiles():
     result = BatchResult(
         task="t",
         disparities=(5, 1, 4, 2, 3),
-        engine="compiled",
+        engine="columnar",
         compile_s=0.0,
         run_s=0.0,
     )
@@ -299,7 +297,7 @@ def test_percentiles():
     with pytest.raises(ModelError):
         result.percentile(101)
     empty = BatchResult(
-        task="t", disparities=(), engine="compiled", compile_s=0.0, run_s=0.0
+        task="t", disparities=(), engine="columnar", compile_s=0.0, run_s=0.0
     )
     assert empty.percentile(90) == 0
     assert empty.max_disparity == 0

@@ -70,13 +70,13 @@ def test_source_token_packed(name, timestamp):
     n_tasks=st.integers(min_value=5, max_value=12),
 )
 def test_dag_run_provenance_matches_reference_loop(seed, n_tasks):
-    """Compiled-loop packed provenance on a random DAG run == the
+    """Compiled-probe packed provenance on a random DAG run == the
     simulator's dict tokens.
 
-    Runs the same scenario through the compiled batch loop (packed
-    provenance resolved from its recorded schedule) and the reference
-    ``Simulator`` (dict provenance), and compares every sink job's
-    provenance mapping.
+    Runs the same scenario through the offset search's compiled probe
+    loop (packed provenance resolved from its recorded schedule) and
+    the reference ``Simulator`` (dict provenance), and compares every
+    sink job's provenance mapping.
     """
     system = random_system(seed, n_tasks)
     duration = 4 * max(task.period for task in system.graph.tasks)

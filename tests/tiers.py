@@ -1,24 +1,26 @@
-"""Differential harness: the batched replay tiers against the simulator.
+"""Differential harness: the columnar replay tier against the simulator.
 
 :class:`~repro.sim.engine.Simulator` is the one semantic reference
-loop.  The compiled batch loop and, where numpy and the C kernel load,
-the columnar kernel must agree with it exactly:
+loop.  The columnar kernel behind :func:`~repro.sim.batch.run_batch`
+and the offset search's compiled probe loop must agree with it
+exactly:
 
 * :func:`assert_tiers_match` draws randomized replications the way
   :func:`~repro.sim.batch.run_batch` does (per replication an
   execution-time seed, then one offset in ``[1, T]`` per task in graph
-  order) and compares every batched tier's per-replication disparities
+  order) and compares the columnar tier's per-replication disparities
   with sequential simulator runs, for every task that reads two or
   more sources;
 * :func:`assert_provenance_matches` replays the system at its own
-  offsets and compares, job by job, the provenance the compiled loop
-  resolves from its recorded schedule with the tokens the simulator
-  hands to observers — plus the disparity every batched tier reports;
+  offsets and compares the columnar disparity with the simulator's;
+  for implicit, periodic, fault-free systems (the compiled probe's
+  domain) it also compares, job by job, the provenance the compiled
+  loop resolves from its recorded schedule with the tokens the
+  simulator hands to observers;
 * :func:`assert_equivalent` runs both, the latter for every sink.
 
-Columnar comparisons drop out when the columnar tier cannot run (no
-numpy, or no C toolchain); the compiled-vs-simulator comparisons always
-run.
+Every comparison needs the columnar kernel; where it cannot load, the
+test skips with the kernel's reason instead of comparing nothing.
 """
 
 from __future__ import annotations
@@ -27,29 +29,24 @@ import random
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import pytest
+
 from repro.gen import generate_random_scenario
 from repro.model.system import System
-from repro.sim import batch as batch_mod
+from repro.sim import ckernel
 from repro.sim.batch import CompiledScenario, run_batch
+from repro.sim.columnar import run_columnar
 from repro.sim.engine import Observer, Simulator, randomize_offsets
 from repro.sim.exec_time import ExecTimePolicy, uniform_policy
 from repro.sim.metrics import DisparityMonitor
 from repro.units import Time
 
 
-def columnar_available() -> bool:
-    if batch_mod._np is None:
-        return False
-    from repro.sim import ckernel
-
-    kernel, _why = ckernel.load_kernel()
-    return kernel is not None
-
-
-#: The batched tiers every comparison covers here.
-BATCH_TIERS: Tuple[str, ...] = (
-    ("compiled", "columnar") if columnar_available() else ("compiled",)
-)
+def require_columnar() -> None:
+    """Skip the calling test, with the kernel's reason, if it cannot load."""
+    kernel, why = ckernel.load_kernel()
+    if kernel is None:
+        pytest.skip(f"columnar kernel unavailable: {why}")
 
 
 def random_system(seed: int, n_tasks: int) -> System:
@@ -140,7 +137,8 @@ def assert_tiers_match(
     faults=None,
     tasks: Optional[Sequence[str]] = None,
 ) -> None:
-    """Every batched tier == sequential simulator runs, per replication."""
+    """Columnar tier == sequential simulator runs, per replication."""
+    require_columnar()
     tasks = list(tasks) if tasks is not None else fused_tasks(system)
     warmup = duration // 4
     expected = simulator_disparities(
@@ -155,21 +153,19 @@ def assert_tiers_match(
         faults=faults,
     )
     for task in tasks:
-        for engine in BATCH_TIERS:
-            result = run_batch(
-                system,
-                task,
-                sims=sims,
-                duration=duration,
-                warmup=warmup,
-                rng=random.Random(seed),
-                policy=policy,
-                semantics=semantics,
-                faults=faults,
-                engine=engine,
-            )
-            assert result.engine == engine, result.reason
-            assert result.disparities == expected[task], (task, engine)
+        result = run_batch(
+            system,
+            task,
+            sims=sims,
+            duration=duration,
+            warmup=warmup,
+            rng=random.Random(seed),
+            policy=policy,
+            semantics=semantics,
+            faults=faults,
+            engine="columnar",
+        )
+        assert result.disparities == expected[task], task
 
 
 class _TokenLog(Observer):
@@ -194,14 +190,17 @@ def assert_provenance_matches(
     semantics: str = "implicit",
     faults=None,
 ) -> None:
-    """Compiled-loop provenance == simulator tokens, job by job.
+    """Columnar disparity == simulator, plus job-by-job probe provenance.
 
-    Both replay ``system`` at its own offsets under ``seed``; the
-    batched tiers' disparity of ``task`` must also equal the
-    simulator's.
+    Both replay ``system`` at its own offsets under ``seed``.  Under
+    implicit semantics with periodic releases and no fault plan, the
+    provenance the compiled probe loop resolves for every job of
+    ``task`` must also equal the simulator's tokens.
     """
+    require_columnar()
     log = _TokenLog(task)
-    monitor = DisparityMonitor([task], warmup=duration // 4)
+    warmup = duration // 4
+    monitor = DisparityMonitor([task], warmup=warmup)
     Simulator(
         system,
         duration,
@@ -216,25 +215,23 @@ def assert_provenance_matches(
     offsets = tuple(t.offset for t in system.graph.tasks)
     assert compiled.eligible, compiled.ineligible_reason
     assert compiled.in_domain(offsets)
-    starts, fins, completed, casc, rels = compiled._schedule_cached(
-        offsets, seed, duration, policy
-    )
-    prov = compiled._prov_resolver(offsets, starts, fins, completed, casc, rels)
-    count = compiled._monitored_count(offsets, duration, completed, rels)
-    resolved = {
-        k: compiled.packer.unpack(prov(compiled.m_gid, k)) for k in range(count)
-    }
-    assert resolved == log.provenance
+    if semantics == "implicit" and not compiled._needs_tables:
+        starts, fins, completed, casc = compiled._schedule(
+            offsets, seed, duration, policy
+        )
+        prov = compiled._prov_resolver(offsets, starts, fins, casc)
+        count = compiled._monitored_count(offsets, duration, completed)
+        resolved = {
+            k: compiled.packer.unpack(prov(compiled.m_gid, k))
+            for k in range(count)
+        }
+        assert resolved == log.provenance
 
     expected = monitor.disparity(task)
-    warmup = duration // 4
     assert compiled.disparity(offsets, seed, duration, warmup, policy) == expected
-    if "columnar" in BATCH_TIERS:
-        from repro.sim.columnar import run_columnar
-
-        assert run_columnar(
-            compiled, [(seed, offsets)], duration, warmup, policy
-        ) == [expected]
+    assert run_columnar(
+        compiled, [(seed, offsets)], duration, warmup, policy
+    ) == [expected]
 
 
 def assert_equivalent(
