@@ -20,7 +20,9 @@ cannot load here; the fallback-parity tests still run.
 from __future__ import annotations
 
 import random
+import subprocess
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,8 +34,9 @@ from repro.model.system import System
 from repro.model.task import ModelError
 from repro.sim import ckernel
 from repro.sim.batch import CompiledScenario, run_batch
-from repro.sim.exec_time import per_task_policy, wcet_policy
+from repro.sim.exec_time import named_policy, per_task_policy, wcet_policy
 from repro.sim.metrics import DisparityMonitor
+from tests.tiers import assert_tiers_match, buffered_system, fused_tasks
 
 _KERNEL, _WHY = ckernel.load_kernel()
 needs_columnar = pytest.mark.skipif(
@@ -94,6 +97,15 @@ def _run(system, task, *, sims, duration, warmup, seed, policy,
     )
 
 
+def _zero_bcet(system):
+    """``system`` with every compute task's BCET lowered to 0."""
+    graph = system.graph.copy()
+    for task in graph.tasks:
+        if not task.is_instantaneous:
+            graph.replace_task(replace(task, bcet=0))
+    return System(graph=graph, response_times=system.response_times)
+
+
 @needs_columnar
 @settings(max_examples=20, deadline=None)
 @given(
@@ -101,7 +113,7 @@ def _run(system, task, *, sims, duration, warmup, seed, policy,
     n_tasks=st.integers(min_value=5, max_value=12),
     policy=st.sampled_from(["uniform", "wcet", "bcet", "extremes"]),
 )
-def test_columnar_matches_compiled_and_simulator(seed, n_tasks, policy):
+def test_columnar_matches_simulator(seed, n_tasks, policy):
     system, sink = _scenario(seed, n_tasks)
     duration = 3 * max(task.period for task in system.graph.tasks)
     shape = dict(
@@ -124,7 +136,7 @@ def test_columnar_matches_compiled_and_simulator(seed, n_tasks, policy):
     n_tasks=st.integers(min_value=5, max_value=10),
     policy=st.sampled_from(["uniform", "wcet", "extremes"]),
 )
-def test_columnar_let_matches_compiled_and_sequential(seed, n_tasks, policy):
+def test_columnar_let_matches_sequential(seed, n_tasks, policy):
     system, sink = _scenario(seed, n_tasks)
     duration = 3 * max(task.period for task in system.graph.tasks)
     shape = dict(
@@ -151,12 +163,8 @@ def test_columnar_let_matches_compiled_and_sequential(seed, n_tasks, policy):
 def test_columnar_zero_bcet_cascades(seed, n_tasks, semantics):
     """Instantaneous finish-cascades order identically in lockstep."""
     system, sink = _scenario(seed, n_tasks)
-    graph = system.graph.copy()
-    for task in graph.tasks:
-        if not task.is_instantaneous:
-            graph.replace_task(replace(task, bcet=0))
-    lowered = System(graph=graph, response_times=system.response_times)
-    duration = 2 * max(task.period for task in graph.tasks)
+    lowered = _zero_bcet(system)
+    duration = 2 * max(task.period for task in lowered.graph.tasks)
     for policy in ("uniform", "bcet"):
         shape = dict(
             sims=3, duration=duration, warmup=0, seed=seed, policy=policy,
@@ -166,6 +174,32 @@ def test_columnar_zero_bcet_cascades(seed, n_tasks, semantics):
         simulator = _run(lowered, sink, engine="simulator", **shape)
         assert columnar.disparities == simulator.disparities
 
+
+@needs_columnar
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    n_tasks=st.integers(min_value=5, max_value=10),
+    semantics=st.sampled_from(["implicit", "let"]),
+    policy=st.sampled_from(["uniform", "bcet"]),
+    zero_bcet=st.booleans(),
+)
+def test_columnar_matches_simulator_buffered(
+    seed, n_tasks, semantics, policy, zero_bcet
+):
+    """FIFO channels of capacity 1-4: reads take the ``mm - cap`` head."""
+    system = buffered_system(seed, n_tasks)
+    if zero_bcet:
+        system = _zero_bcet(system)
+    assert_tiers_match(
+        system,
+        sims=3,
+        duration=4 * max(task.period for task in system.graph.tasks),
+        seed=seed,
+        policy=named_policy(policy),
+        semantics=semantics,
+        tasks=fused_tasks(system) or system.graph.sinks(),
+    )
 
 def test_unbatchable_policy_falls_back_to_simulator():
     """Per-task policies (fault injection) run on the simulator."""
@@ -290,6 +324,25 @@ def test_no_ckernel_falls_back_to_simulator(monkeypatch):
     assert "advance kernel unavailable: cc missing" in (result.reason or "")
     assert result.disparities == reference.disparities
 
+
+def test_build_removes_temp_object_when_compiler_launch_fails(
+    tmp_path, monkeypatch
+):
+    """A compiler that times out leaves no ``.tmp`` object behind."""
+    launched = []
+
+    def timed_out(cmd, **kwargs):
+        out = Path(cmd[cmd.index("-o") + 1])
+        out.write_bytes(b"partial object")
+        launched.append(out)
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    monkeypatch.setattr(ckernel, "_compilers", lambda: ["cc"])
+    monkeypatch.setattr(ckernel.subprocess, "run", timed_out)
+    target = tmp_path / "ckernel-test.so"
+    reason = ckernel._build(ckernel._SOURCE, target)
+    assert launched and "timed out" in (reason or "")
+    assert [p.name for p in tmp_path.iterdir()] == []
 
 def test_campaign_csv_is_jobs_invariant():
     """Fig. 6 CSV bytes don't depend on the worker count with the

@@ -51,7 +51,13 @@ from repro.sim.release import (
     split_kept,
 )
 from repro.units import ms
-from tests.tiers import assert_provenance_matches, fused_tasks, require_columnar
+from tests.tiers import (
+    assert_provenance_matches,
+    assert_tiers_match,
+    buffered_system,
+    fused_tasks,
+    require_columnar,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +431,31 @@ def test_batch_tiers_match_simulator_faulted_nonperiodic(seed):
         semantics="implicit", faults=plan, policy="wcet",
     )
 
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    semantics=st.sampled_from(["implicit", "let"]),
+)
+def test_batch_tiers_match_simulator_faulted_jittered_buffered(seed, semantics):
+    """Drawn release tables, fault masks and FIFO capacities 1-4 at once."""
+    system = _with_release_models(buffered_system(seed, 7), seed ^ 0xB0F)
+    duration = 3 * max(task.period for task in system.graph.tasks)
+    rng = random.Random(seed ^ 0x5EED)
+    plan = FaultPlan()
+    for name in rng.sample([t.name for t in system.graph.tasks], 2):
+        start = rng.randrange(duration // 2)
+        plan.drop(name, start, start + rng.randrange(1, duration // 3))
+    assert_tiers_match(
+        system,
+        sims=3,
+        duration=duration,
+        seed=seed,
+        semantics=semantics,
+        faults=plan,
+        tasks=fused_tasks(system) or system.graph.sinks(),
+    )
 
 # ---------------------------------------------------------------------------
 # Analysis regimes

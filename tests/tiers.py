@@ -80,6 +80,24 @@ def zero_bcet_system(seed: int, n_tasks: int) -> System:
     return System(graph=zeroed, response_times=scenario.system.response_times)
 
 
+def buffered_system(seed: int, n_tasks: int) -> System:
+    """A random system whose every channel buffers 1 to 4 tokens.
+
+    The FIFO head of a capacity-``c`` channel is the ``c``-th newest
+    write, so reads step back ``c - 1`` jobs from the newest one (the
+    S-diff-B buffering of Fig. 6(c)/(d)).  Offsets are random in
+    ``[1, T]``, as in :func:`random_system`.
+    """
+    rng = random.Random(seed)
+    system = random_system(seed, n_tasks)
+    graph = system.graph.copy()
+    for channel in system.graph.channels:
+        graph.set_channel_capacity(
+            channel.src, channel.dst, rng.randint(1, 4)
+        )
+    return System(graph=graph, response_times=system.response_times)
+
+
 def fused_tasks(system: System) -> List[str]:
     """Tasks whose tokens can carry two or more source stamps."""
     graph = system.graph
