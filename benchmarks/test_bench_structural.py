@@ -15,9 +15,9 @@ independent, current run only):
   :mod:`repro.bench`, checked with the other specs in
   ``test_bench_kernel.py``, which also holds the committed-baseline
   gate);
-* a capacity edit evaluated at draws its base has already replayed
-  must reuse the base's release-stream tables and agree with a fresh
-  compile of the edited system (this file).
+* a capacity edit probed (offset-search probe) at a vector its base
+  has already probed must reuse the base's release-stream tables and
+  agree with a fresh compile of the edited system (this file).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.units import seconds
 
 @pytest.mark.benchmark(group="structural")
 def test_capacity_edit_shares_stream_tables(benchmark):
-    """Capacity edits replay on the base's release-stream tables."""
+    """Capacity edits replay the offset-search probe on the base's stream tables."""
     rng = random.Random(2023)
     scenario = generate_random_scenario(20, rng)
     system, sink = scenario.system, scenario.sink
@@ -45,15 +45,20 @@ def test_capacity_edit_shares_stream_tables(benchmark):
     channel = system.graph.channels[0]
     edge = (channel.src, channel.dst)
 
+    def probe(compiled):
+        return compiled.windowed_maxima(
+            vector, duration, warmup, duration - warmup, 1, policy=wcet_policy
+        )
+
     def measure():
         base = CompiledScenario(system, sink)
         started = time.perf_counter()
-        base.disparity(vector, 0, duration, warmup, wcet_policy)
+        probe(base)
         cold_s = time.perf_counter() - started
         tables = base._stream_cache[duration]
         derived = base.edit(capacities={edge: 4})
         started = time.perf_counter()
-        got = derived.disparity(vector, 0, duration, warmup, wcet_policy)
+        got = probe(derived)
         shared_s = time.perf_counter() - started
         return cold_s, shared_s, tables, derived, got
 
@@ -67,4 +72,4 @@ def test_capacity_edit_shares_stream_tables(benchmark):
     )
     assert derived._stream_cache[duration] is tables
     fresh = CompiledScenario(system.with_channel_capacity(*edge, 4), sink)
-    assert got == fresh.disparity(vector, 0, duration, warmup, wcet_policy)
+    assert got == probe(fresh)

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-import numpy as _np
-
 from repro.units import Time
 
 #: Per-source timestamp extremes: source task name -> (min, max).
@@ -212,96 +210,6 @@ class ProvenancePacker:
                 hi = stamps[i2 + 1]
             mask ^= bit
         return hi - lo  # type: ignore[operator]
-
-
-class StampColumns:
-    """Columnar packed provenance: one batch of jobs per instance.
-
-    The array form of :class:`ProvenancePacker`'s ``(mask, stamps)``
-    tuples, for the columnar batch engine: ``lo`` / ``hi`` are
-    ``(sims, jobs, n_sources)`` int64 arrays holding each (sim, job)'s
-    per-source timestamp extremes.  The bitmask is implicit — a source
-    that never contributed keeps the sentinels ``+SENTINEL`` /
-    ``-SENTINEL``, which are absorbing for the min/max folds exactly
-    as an unset mask bit is skipped by :meth:`ProvenancePacker.merge`;
-    a job whose every source is sentinel corresponds to
-    ``ProvenancePacker.empty`` (disparity ``None``).
-
-    Requires numpy; the batch layer only builds these when it is
-    available.
-    """
-
-    #: Absorbing no-contribution stamp; well above any schedule
-    #: instant yet far from int64 overflow under min/max folds.
-    SENTINEL = 1 << 62
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi) -> None:
-        self.lo = lo
-        self.hi = hi
-
-    @classmethod
-    def empty(cls, sims: int, jobs: int, n_sources: int) -> "StampColumns":
-        """The packed-``empty`` column block (no source contributed)."""
-        shape = (sims, jobs, n_sources)
-        return cls(
-            _np.full(shape, cls.SENTINEL, dtype=_np.int64),
-            _np.full(shape, -cls.SENTINEL, dtype=_np.int64),
-        )
-
-    @classmethod
-    def source(
-        cls, sims: int, jobs: int, n_sources: int, index: int, stamps
-    ) -> "StampColumns":
-        """Columnar :meth:`ProvenancePacker.source`.
-
-        ``stamps`` is the ``(sims, jobs)`` release-timestamp matrix of
-        the source task holding source ``index``; every other source
-        stays at the sentinels.
-        """
-        cols = cls.empty(sims, jobs, n_sources)
-        cols.lo[:, :, index] = stamps
-        cols.hi[:, :, index] = stamps
-        return cols
-
-    def merge_read(self, producer: "StampColumns", rows, valid) -> None:
-        """Fold one read edge into this consumer block, in place.
-
-        ``rows`` is the ``(sims, jobs)`` index matrix of the producer
-        job each consumer job reads (the FIFO head), ``valid`` the
-        boolean matrix of consumer jobs that read anything at all
-        (``mm > 0`` in the scalar resolver); invalid reads contribute
-        the sentinels, i.e. nothing.  Per source this is the
-        ``min``/``max`` fold of :meth:`ProvenancePacker.merge`.
-        """
-        rows3 = rows[:, :, None]
-        got_lo = _np.take_along_axis(producer.lo, rows3, axis=1)
-        got_hi = _np.take_along_axis(producer.hi, rows3, axis=1)
-        valid3 = valid[:, :, None]
-        _np.minimum(
-            self.lo,
-            _np.where(valid3, got_lo, self.SENTINEL),
-            out=self.lo,
-        )
-        _np.maximum(
-            self.hi,
-            _np.where(valid3, got_hi, -self.SENTINEL),
-            out=self.hi,
-        )
-
-    def disparity(self):
-        """Columnar :meth:`ProvenancePacker.disparity`.
-
-        Returns ``(values, defined)``: per (sim, job) the disparity
-        ``max(hi) - min(lo)`` over contributing sources, and the mask
-        of jobs with at least one contributor (where ``defined`` is
-        false the scalar form yields ``None`` and ``values`` is
-        garbage — callers must mask).
-        """
-        lo_min = self.lo.min(axis=2)
-        hi_max = self.hi.max(axis=2)
-        return hi_max - lo_min, lo_min < self.SENTINEL
 
 
 def pairwise_disparity_of(

@@ -35,6 +35,7 @@ from repro.sim.batch import CompiledScenario
 from repro.sim.engine import simulate
 from repro.sim.exec_time import named_policy
 from repro.sim.metrics import DisparityMonitor
+from tests.tiers import require_columnar
 
 
 def _scenario(seed: int, n_tasks: int):
@@ -189,17 +190,41 @@ def test_wrong_length_offsets_raise_model_error():
 
 
 def test_stream_tables_cached_per_horizon():
-    """One candidate warms the per-horizon cache; later ones reuse it."""
+    """One probe candidate warms the per-horizon cache; later ones reuse it."""
     system, sink = _scenario(31, 7)
     duration = 2 * max(task.period for task in system.graph.tasks)
     compiled = CompiledScenario(system, sink)
     assert compiled._stream_cache == {}
     first, second = _offset_vectors(system, 31, 2)
-    a = compiled.disparity(first, 1, duration)
+
+    def probe(vector):
+        return compiled.windowed_maxima(vector, duration, 0, duration, 1)
+
+    a = probe(first)
     assert duration in compiled._stream_cache
     cached = compiled._stream_cache[duration]
-    b = compiled.disparity(second, 1, duration)
+    b = probe(second)
     assert compiled._stream_cache[duration] is cached
     # Same candidate again: identical result off the warmed cache.
+    assert probe(first) == a
+    assert probe(second) == b
+
+
+def test_columnar_plan_cached_per_horizon():
+    """The columnar kernel inputs are built once per scenario and horizon."""
+    require_columnar()
+    system, sink = _scenario(31, 7)
+    duration = 2 * max(task.period for task in system.graph.tasks)
+    compiled = CompiledScenario(system, sink)
+    assert compiled._plans == {}
+    first, second = _offset_vectors(system, 31, 2)
+    a = compiled.disparity(first, 1, duration)
+    plan = compiled._plans[duration]
+    b = compiled.disparity(second, 1, duration)
+    assert compiled._plans[duration] is plan
     assert compiled.disparity(first, 1, duration) == a
     assert compiled.disparity(second, 1, duration) == b
+    # An edit derives a sibling with its own (capacity-dependent) plan.
+    edge = system.graph.channels[0]
+    derived = compiled.edit(capacities={(edge.src, edge.dst): 3})
+    assert derived._plans == {}

@@ -296,7 +296,7 @@ def test_period_view_gets_fresh_stream_and_schedule_caches():
     # Unedited tasks reuse the base's cached (period, duration) grids.
     duration = 2 * max(task.period for task in system.graph.tasks)
     own_offsets = tuple(t.offset for t in derived.graph.tasks)
-    derived.disparity(own_offsets, 1, duration, duration // 4, "wcet")
+    derived.windowed_maxima(own_offsets, duration, 0, duration, 1)
     other = compute[1]
     assert (other.period, duration) in base._grid_cache
 
