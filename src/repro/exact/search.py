@@ -18,9 +18,10 @@ Two structural properties make the search fast and parallel:
   rebased by vector shift and the steady-state probe runs through
   :meth:`~repro.sim.batch.CompiledScenario.windowed_maxima`, a
   pure-python compiled loop (results are pinned equal to
-  :func:`~repro.exact.hyperperiod.steady_state_disparity`).  One
-  short replay per candidate is cheaper there than a columnar call,
-  whose numpy derive overhead dominates batches of a few rows.
+  :func:`~repro.exact.hyperperiod.steady_state_disparity`).  A
+  one-row columnar call is faster than that loop, but the
+  columnar derive returns no per-window maxima yet, so the probe
+  stays until it does.
   Systems outside the probe's domain (priority clashes, unmapped
   tasks, jittered or sporadic releases) evaluate through the
   reference :class:`~repro.sim.engine.Simulator` instead, which costs
