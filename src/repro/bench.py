@@ -28,6 +28,8 @@ from typing import (
 
 from repro.api import AnalysisSession
 from repro.chains.backward import BackwardBoundsCache
+from repro.exact.hyperperiod import steady_state_disparity
+from repro.exact.search import _apply_offsets, _CompiledObjective
 from repro.experiments.fig6 import StageTiming, graph_tasks
 from repro.gen import generate_random_scenario
 from repro.model.chain import enumerate_source_chains
@@ -338,6 +340,39 @@ def _sweep_arms(rng, *, n_tasks: int, candidates: int, duration_s: float, edits)
     return {"fresh": fresh, "delta": shared, "view": shared}, info
 
 
+def _search_arms(rng, *, n_tasks: int, candidates: int, max_windows: int):
+    """One offset-search candidate batch through the steady-state objective.
+
+    ``reference`` runs :func:`~repro.exact.hyperperiod.steady_state_disparity`
+    per candidate on the :class:`Simulator`; ``batched`` evaluates the
+    whole batch with the search's objective, one columnar windowed call
+    per probe phase.  The scenario is compiled before either arm runs,
+    as the search compiles once per restart.  WCET pins every value.
+    """
+    scenario = generate_random_scenario(n_tasks, rng)
+    system, sink = scenario.system, scenario.sink
+    batch = [
+        {task.name: rng.randint(1, task.period) for task in system.graph.tasks}
+        for _ in range(candidates)
+    ]
+    objective = _CompiledObjective(system, sink, wcet_policy, max_windows)
+
+    def reference(note):
+        return [
+            steady_state_disparity(
+                _apply_offsets(system, offsets), sink,
+                policy=wcet_policy, max_windows=max_windows,
+            ).disparity
+            for offsets in batch
+        ]
+
+    def batched(note):
+        note["engine"] = "columnar" if objective.probe_eligible else "simulator"
+        return objective.values(batch)
+
+    return {"reference": reference, "batched": batched}, {}
+
+
 @dataclass(frozen=True)
 class _BenchResult:
     """One graph of the synthetic campaign: id, observed, bound."""
@@ -645,6 +680,15 @@ SPECS: Tuple[Spec, ...] = (
         Gate("speedup", "higher", "structural-view speedup"),
         {**_SWEEP, "candidates": 60}, {**_SWEEP, "candidates": 24, "repeats": 2},
         winner="view",
+    ),
+    Spec(
+        "search", "search", _search_arms, ("reference", "batched"),
+        (Column("speedup", "reference_s", "batched_s"),
+         Column("candidates_per_s", "candidates", "batched_s")),
+        Gate("speedup", "higher", "batched search-objective speedup"),
+        {"n_tasks": 12, "candidates": 96, "max_windows": 4, "repeats": 3},
+        {"n_tasks": 12, "candidates": 48, "max_windows": 4, "repeats": 2},
+        winner="batched",
     ),
     Spec(
         "campaign", "campaign", _campaign_arms, ("legacy", "streaming"),

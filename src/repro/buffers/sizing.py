@@ -183,7 +183,7 @@ def _observed_pair(
     """Paired observed disparities of the base and buffered systems.
 
     Capacity edits are the cheapest structural delta: the designed
-    side shares the base's release-stream tables (buffer sizes never
+    side shares every table but the channel tables (buffer sizes never
     affect scheduling).  The columnar tier advances both sides (one
     batched kernel call each) and re-resolves the data flow.
     """

@@ -10,22 +10,22 @@ handful of candidate offsets and keep the best.
 
 Two structural properties make the search fast and parallel:
 
-* **Compiled objective.** Every evaluation re-simulates the same
+* **Columnar objective.** Every evaluation re-simulates the same
   system with nothing but the offset vector changed — exactly the
   shape :class:`repro.sim.batch.CompiledScenario` amortizes.  The
-  scenario is compiled once per restart and each candidate is replayed
-  at its own offset vector: the precomputed release-stream tables are
-  rebased by vector shift and the steady-state probe runs through
-  :meth:`~repro.sim.batch.CompiledScenario.windowed_maxima`, a
-  pure-python compiled loop (results are pinned equal to
-  :func:`~repro.exact.hyperperiod.steady_state_disparity`).  A
-  one-row columnar call is faster than that loop, but the
-  columnar derive returns no per-window maxima yet, so the probe
-  stays until it does.
-  Systems outside the probe's domain (priority clashes, unmapped
-  tasks, jittered or sporadic releases) evaluate through the
-  reference :class:`~repro.sim.engine.Simulator` instead, which costs
-  several times more per evaluation.
+  scenario is compiled once per restart, and a task's whole candidate
+  batch is evaluated in one columnar kernel call per phase of the
+  steady-state probe (:func:`repro.sim.columnar.run_windowed`): the
+  two-window convergence probe for every row, then the full
+  ``max_windows`` run for the rows that did not converge.  Every row
+  advances to one fixed horizon per phase, so the kernel inputs are
+  built once per phase; results are pinned equal to
+  :func:`~repro.exact.hyperperiod.steady_state_disparity` per
+  candidate.  Rows the columnar tier cannot run (priority clashes,
+  unmapped tasks, jittered or sporadic releases, custom policies, a
+  kernel that does not load) evaluate through that reference on the
+  :class:`~repro.sim.engine.Simulator` instead, which costs far more
+  per evaluation.
 
 * **Independent restarts.** Each restart runs from its own seed,
   derived up front from the caller's ``rng``, so restarts can fan out
@@ -51,13 +51,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exact.hyperperiod import steady_state_disparity
 from repro.model.system import System
 from repro.model.task import ModelError
 from repro.parallel.engine import PoolRunner
 from repro.sim.batch import CompiledScenario
+from repro.sim.columnar import run_windowed
 from repro.sim.exec_time import ExecTimePolicy, wcet_policy
 from repro.units import Time
 
@@ -85,18 +86,20 @@ def _random_offsets(system: System, rng: random.Random) -> Dict[str, Time]:
 
 
 class _CompiledObjective:
-    """The steady-state objective, evaluated on a compiled scenario.
+    """The steady-state objective, evaluated a batch at a time.
 
     Replays :func:`~repro.exact.hyperperiod.steady_state_disparity`
-    (seed 0, implicit semantics) with everything offset-independent
-    hoisted out of the per-evaluation path: the hyperperiod, the
-    offset-free part of the warmup horizon, and the response-time gate
-    of the two-window convergence probe.  Scenarios the compiled probe
-    cannot replay — ineligible ones (see
-    :attr:`CompiledScenario.ineligible_reason`) and ones that need
-    release tables (jittered or sporadic tasks) — evaluate through the
-    reference implementation instead, so results never depend on
-    eligibility.
+    (seed 0, implicit semantics) for a batch of offset vectors on the
+    columnar tier, with everything offset-independent hoisted out of
+    the per-evaluation path: the hyperperiod, the offset-free part of
+    the warmup horizon, the response-time gate of the two-window
+    convergence probe and the columnar rules of the scenario and
+    policy.  Rows the columnar tier cannot replay — an ineligible
+    scenario (see :attr:`CompiledScenario.ineligible_reason`), release
+    tables (jittered or sporadic tasks), a policy the kernel cannot
+    draw, a kernel that does not load, offsets outside ``[0, T]`` —
+    evaluate through the reference implementation instead, so results
+    never depend on eligibility.
     """
 
     def __init__(
@@ -111,8 +114,8 @@ class _CompiledObjective:
         self.policy = policy
         self.max_windows = max_windows
         self.compiled = CompiledScenario(system, task)
-        self.probe_eligible = (
-            self.compiled.eligible and not self.compiled._needs_tables
+        self.probe_eligible = not self.compiled._needs_tables and not (
+            self.compiled.columnar_reasons(policy)
         )
         graph = system.graph
         self.order = [t.name for t in graph.tasks]
@@ -123,50 +126,80 @@ class _CompiledObjective:
             (channel.capacity - 1) * graph.task(channel.src).period
             for channel in graph.channels
         )
+        # The largest warmup an in-domain vector can have: every row of
+        # a phase advances to this plus the phase's windows, so one
+        # kernel plan per phase serves every batch.
+        self.max_warmup = (
+            max(t.period for t in graph.tasks) + self.warmup_base
+        )
         self.probe_ok = max_windows >= 3 and all(
             system.R(t.name) <= self.hyperperiod for t in graph.tasks
         )
 
     def value(self, offsets: Dict[str, Time]) -> Time:
-        if not self.probe_eligible:
-            return steady_state_disparity(
-                _apply_offsets(self.system, offsets),
-                self.task,
-                policy=self.policy,
-                max_windows=self.max_windows,
-            ).disparity
-        # One candidate = one offset vector replayed on the shared
-        # compiled tables; the release grid is rebased by vector shift
-        # instead of being regenerated per evaluation (candidates are
-        # drawn in [1, T], so every replay takes the delta path).
-        vector = tuple(offsets[name] for name in self.order)
-        compiled = self.compiled
-        horizon = self.hyperperiod
-        warmup = max(vector) + self.warmup_base
-        if self.probe_ok:
-            first = compiled.windowed_maxima(
-                vector,
-                warmup + 3 * horizon,
-                warmup,
-                horizon,
-                2,
-                policy=self.policy,
-            )
-            if first[0] == first[1]:
-                return first[1]
-        count = self.max_windows
-        values = compiled.windowed_maxima(
-            vector,
-            warmup + count * horizon,
-            warmup,
-            horizon,
+        """The objective of one candidate (a one-row batch)."""
+        return self.values([offsets])[0]
+
+    def values(self, batch: Sequence[Dict[str, Time]]) -> List[Time]:
+        """The objective of every candidate in ``batch``, in order."""
+        vectors = [
+            tuple(offsets[name] for name in self.order) for offsets in batch
+        ]
+        results: List[Optional[Time]] = [None] * len(batch)
+        rows = []
+        for index, vector in enumerate(vectors):
+            if self.probe_eligible and self.compiled.in_domain(vector):
+                rows.append(index)
+            else:
+                results[index] = steady_state_disparity(
+                    _apply_offsets(self.system, batch[index]),
+                    self.task,
+                    policy=self.policy,
+                    max_windows=self.max_windows,
+                ).disparity
+        if rows and self.probe_ok:
+            first = self._windows(vectors, rows, 3, 2)
+            for index, (a, b) in zip(rows, first):
+                if a == b:
+                    results[index] = b
+            rows = [index for index in rows if results[index] is None]
+        if rows:
+            count = self.max_windows
+            for index, windows in zip(
+                rows, self._windows(vectors, rows, count, count)
+            ):
+                results[index] = _settled(windows)
+        return results
+
+    def _windows(
+        self, vectors, rows: List[int], horizon_windows: int, count: int
+    ) -> List[List[Time]]:
+        """Per-window maxima of ``rows``, each to its own horizon.
+
+        Row ``i`` starts its windows at its own warmup, ``max(vector)
+        + warmup_base``, and counts jobs finished by ``warmup +
+        horizon_windows * H``, exactly the reference's run.
+        """
+        hyperperiod = self.hyperperiod
+        starts = [max(vectors[index]) + self.warmup_base for index in rows]
+        return run_windowed(
+            self.compiled,
+            [(0, vectors[index]) for index in rows],
+            starts,
+            [start + horizon_windows * hyperperiod for start in starts],
+            self.max_warmup + horizon_windows * hyperperiod,
+            hyperperiod,
             count,
-            policy=self.policy,
+            self.policy,
         )
-        for index in range(1, count):
-            if values[index] == values[index - 1]:
-                return values[index]
-        return max(values)
+
+
+def _settled(values: List[Time]) -> Time:
+    """The first value two consecutive windows agree on, else the max."""
+    for index in range(1, len(values)):
+        if values[index] == values[index - 1]:
+            return values[index]
+    return max(values)
 
 
 def _run_restart(
@@ -203,9 +236,9 @@ def _run_restart(
             draws = [
                 rng.randint(1, period) for _ in range(candidates_per_task)
             ]
-            batch_values = [
-                objective.value({**offsets, name: off}) for off in draws
-            ]
+            batch_values = objective.values(
+                [{**offsets, name: off} for off in draws]
+            )
             evaluations += len(draws)
             for off, candidate_value in zip(draws, batch_values):
                 if candidate_value > value:

@@ -85,8 +85,8 @@ def _observed_pair(
 
     The base scenario is compiled once; the final assignment is a
     ``priorities`` edit of it (only the per-unit rank tables are
-    rebuilt — release grids, stream tables, the provenance domain and
-    the monitored closure stay shared).  Both sides replay the same
+    rebuilt — the period, channel and unit tables and the monitored
+    closure stay shared).  Both sides replay the same
     ``(seed, offsets)`` draws, so the pair isolates the effect of the
     reassignment.
     """

@@ -23,8 +23,8 @@ candidate every replication is an offset-delta replay of shared
 compiled tables).  With ``jobs=1`` the base scenario is compiled
 **once** and every candidate becomes a structural edit of it
 (:meth:`repro.sim.batch.CompiledScenario.edit`): a period candidate
-invalidates only the edited task's release grids, a capacity candidate
-only the channel tables, everything else stays shared.  Worker
+rebuilds only the period table, a capacity candidate only the channel
+tables, everything else stays shared.  Worker
 processes (``jobs > 1``) compile per candidate instead (compiled
 scenarios do not cross process boundaries); per-candidate seeds are
 derived up front from ``seed`` in input order, so the observed column

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -489,6 +490,9 @@ def run_cluster(
                         [interpreter, "-m", "repro.parallel.worker", spec_path],
                         stdout=log,
                         stderr=subprocess.STDOUT,
+                        # Own process group, so a kill reaches the
+                        # worker's --jobs pool children too.
+                        start_new_session=True,
                     )
                 )
         state.status = "running"
@@ -501,9 +505,13 @@ def run_cluster(
         )
 
     def kill_workers(state: _ShardState) -> None:
+        # Kill the whole group even when its leader is dead already:
+        # a SIGKILLed worker leaves its pool children running.
         for proc in state.procs:
-            if proc.poll() is None:
-                proc.kill()
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
         for proc in state.procs:
             try:
                 proc.wait(timeout=10.0)

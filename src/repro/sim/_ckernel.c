@@ -4,9 +4,8 @@
  * Python inside any per-sim loop:
  *
  * ``columnar_advance`` is a C transliteration of the simulator's event
- * loop (the same loop ``CompiledScenario._schedule`` in
- * ``repro/sim/batch.py`` keeps for the offset-search probe), applied
- * to every replication in one call.  Each sim merges its compute
+ * loop (``Simulator`` in ``repro/sim/engine.py``), applied to every
+ * replication in one call.  Each sim merges its compute
  * tasks' releases in place, with the simulator's ``(time, seq)`` heap
  * discipline: initial entries in task order, and a successor entered
  * (with a fresh sequence number) when its predecessor pops.  Periodic
@@ -414,8 +413,8 @@ static int dispatch(Sim *s, int64_t u, int32_t tid, int64_t now, int32_t nb)
     return 0;
 }
 
-/* One replication's event loop — a line-for-line port of the scalar
- * ``_schedule``: releases win ties, multi-event instants gather every
+/* One replication's event loop, in the simulator's event order:
+ * releases win ties, multi-event instants gather every
  * same-instant release and finish before dispatching idle units, and
  * sibling finishes at a finish instant all complete before any
  * replacement dispatch (zero-time replacements cascade with depth

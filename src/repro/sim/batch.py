@@ -2,26 +2,14 @@
 
 Every replication of one scenario re-derives the same static facts
 before its event loop even starts — task/unit tables, the priority
-order on every compute unit, release grids over the horizon, interned
-source bitmasks for packed provenance, and the backward closure of the
-monitored task.  For an N-replication estimate (the ``Sim`` series of
-Fig. 6 draws fresh offsets and execution times per run but never
-changes the scenario), all of that is loop-invariant.
+order on every compute unit, the channel tables and the backward
+closure of the monitored task.  For an N-replication estimate (the
+``Sim`` series of Fig. 6 draws fresh offsets and execution times per
+run but never changes the scenario), all of that is loop-invariant.
 
 :class:`CompiledScenario` hoists it: the scenario is compiled once
 into immutable tables, and each replication varies only the RNG-drawn
-inputs.  For the offset search's compiled probe the release stream is
-**delta-compiled**: per horizon the zero-offset release grids of every
-task are concatenated once into flat offset-independent tables, and
-each candidate offset vector is applied as a vectorized shift of those
-tables (one ``take`` + one ``argsort``) instead of regenerating,
-slicing and re-concatenating per-task grids.  Within one instant the
-simulator pops releases from its heap in the order of the static key
-``(time, k > 0, -period, -offset, tid)`` (initial releases carry the
-heapify order, i.e. plain ``tid``), which holds whenever offsets lie
-in ``[0, T]`` — so one sort per replication replaces every
-release-heap operation.  The columnar tier's C kernel merges each
-replication's releases itself.
+inputs (offsets and execution-time seeds).
 
 :func:`run_batch` replays through one of two tiers, both
 **byte-identical** to N independent :func:`simulate` calls under the
@@ -40,27 +28,23 @@ same derived seeds (pinned by ``tests/test_sim_batch.py``,
   :class:`~repro.model.task.ModelError` naming it.
 
 :meth:`CompiledScenario.disparity` is the one-replication case of the
-same tier choice.  :meth:`CompiledScenario.windowed_maxima` keeps a
-pure-python compiled loop for the offset search's steady-state probe
-(implicit semantics, periodic releases, no fault plan), which needs
-per-window maxima the columnar derive does not return yet.
+same tier choice, and :meth:`CompiledScenario.windowed_maxima` (the
+per-window maxima of the steady-state probe) is the one-row case of
+:func:`repro.sim.columnar.run_windowed`.  The only event loops are the
+simulator's and the C kernel's.
 
-Delta compilation generalizes beyond offsets to **structural edits**:
-:meth:`CompiledScenario.edit` derives a sibling compiled scenario that
-invalidates only the tables the edit actually touches — release-stream
-tables on period edits, per-unit priority-rank tables on priority
-edits, channel tables on capacity edits — while everything else
-(zero-offset release grids keyed by ``(period, horizon)``, the
-provenance domain, the backward closure) stays shared with the parent.
+**Structural edits**: :meth:`CompiledScenario.edit` derives a sibling
+compiled scenario that rebuilds only the tables the edit touches —
+periods on period edits, per-unit priority-rank tables on priority
+edits, channel tables on capacity edits — while everything else (task
+and unit tables, the backward closure) stays shared with the parent.
 A derived scenario is evaluated like any other, at explicit offsets.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 import time as _time
-from bisect import bisect_right
 from dataclasses import dataclass, replace as _replace
 from fractions import Fraction
 from math import ceil
@@ -73,8 +57,6 @@ from typing import (
     Union,
 )
 
-import numpy as _np
-
 from repro.model.system import System
 from repro.model.task import ModelError
 from repro.sim.engine import simulate
@@ -85,7 +67,6 @@ from repro.sim.exec_time import (
     wcet_policy,
 )
 from repro.sim.metrics import DisparityMonitor
-from repro.sim.provenance import ProvenancePacker
 from repro.sim.release import needs_tables
 from repro.units import Time
 
@@ -93,9 +74,8 @@ from repro.units import Time
 PolicyLike = Union[str, ExecTimePolicy]
 
 #: Wall-clock accumulators for ``--profile`` reporting: scenario
-#: compilation (batch phase), the per-replication loops (simulator
-#: fallback and the compiled probe), and the columnar tier's draw /
-#: advance / derive phases.
+#: compilation (batch phase), the per-replication simulator fallback,
+#: and the columnar tier's draw / advance / derive phases.
 PHASE_TIMES = {
     "compile_s": 0.0,
     "replicate_s": 0.0,
@@ -193,16 +173,14 @@ class CompiledScenario:
     """One scenario frozen into tables that N replications share.
 
     Compilation derives, once: the task and unit tables, per-unit
-    priority ranks (as bitmask bit positions), concatenated
-    offset-independent release-stream tables per cached horizon (the
-    delta-compilation tables applied per candidate as a vector shift —
-    see :meth:`_stream_tables`), the interned source bitmasks of the
-    packed provenance domain, and the backward closure of the
-    monitored task (only those tasks are recorded during a
-    replication).
+    priority ranks (as bitmask bit positions), the per-task input
+    edges, the source flags, and the backward closure of the monitored
+    task (only those tasks are recorded during a replication).  The
+    columnar tier adds its batch-invariant kernel inputs per horizon
+    (``_plans``) on first replay.
 
-    The columnar tier and the compiled probe require every compute
-    task to be mapped to a unit and priorities to be unique per unit; ``ineligible_reasons``
+    The columnar tier requires every compute task to be mapped to a
+    unit and priorities to be unique per unit; ``ineligible_reasons``
     lists *every* rule that failed (and ``ineligible_reason`` joins
     them), so one compile diagnoses every fallback cause at once.
     Ineligible scenarios (and replications whose offsets leave
@@ -214,7 +192,7 @@ class CompiledScenario:
     ``semantics`` selects the communication model the replications
     reproduce: ``"implicit"`` (read at start / write at finish) or
     ``"let"`` (read at release, publish at deadline, deadline checked
-    per finish).  Both replay on the columnar tier; the compiled
+    per finish).  Both replay on the columnar tier; the windowed
     probe of :meth:`windowed_maxima` is implicit-only.
     """
 
@@ -294,20 +272,9 @@ class CompiledScenario:
         self.keep = [t.name in closure for t in tasks]
         self.m_gid = gid[task]
 
-        sources = graph.sources()
-        self.packer = ProvenancePacker(sources)
-        src_set = set(sources)
+        src_set = set(graph.sources())
         self.is_source = [t.name in src_set for t in tasks]
         self.in_edges = self._channel_tables(graph)
-        self.per_rank, self._packable = self._period_ranks()
-        # Offset-independent release-stream tables per horizon (the
-        # delta-compilation core), built lazily by _stream_tables()
-        # from zero-offset grids cached per (period, horizon) in
-        # _grid_cache — the grid cache is shared (aliased) by every
-        # structurally derived sibling, so a period edit regenerates
-        # only the edited task's grid.
-        self._stream_cache: Dict[Time, tuple] = {}
-        self._grid_cache: Dict[Tuple[Time, Time], tuple] = {}
         # Batch-invariant columnar kernel inputs per horizon, built by
         # repro.sim.columnar on first replay.
         self._plans: Dict[Time, object] = {}
@@ -374,32 +341,13 @@ class CompiledScenario:
             for t in self.tasks
         ]
 
-    def _period_ranks(self) -> Tuple[List[int], bool]:
-        """Rank of each distinct period, descending, plus packability.
-
-        The static-order key sorts rescheduled releases by ``-period``;
-        the rank is used to pack the whole sort key of a release into
-        one int64 when it fits.
-        """
-        n = self.n
-        distinct = sorted(
-            {self.periods[tid] for tid in range(n) if not self.inst[tid]},
-            reverse=True,
-        )
-        rank_of = {per: r for r, per in enumerate(distinct)}
-        per_rank = [
-            rank_of[self.periods[tid]] if not self.inst[tid] else 0
-            for tid in range(n)
-        ]
-        return per_rank, n <= 64 and len(distinct) <= 64
-
     # ------------------------------------------------------------------
     # eligibility
     # ------------------------------------------------------------------
 
     @property
     def eligible(self) -> bool:
-        """True when the columnar tier's and the probe's table rules hold."""
+        """True when the scenario's table rules hold."""
         return not self.ineligible_reasons
 
     @property
@@ -421,509 +369,31 @@ class CompiledScenario:
                 return False
         return True
 
+    def columnar_reasons(
+        self,
+        policy: ExecTimePolicy,
+        vectors: Sequence[Sequence[Time]] = (),
+    ) -> List[str]:
+        """Every unmet columnar rule for replaying ``vectors`` (empty = none).
+
+        The scenario's table rules, the columnar ones (batchable
+        policy, kernel loaded, ranks fit the ready masks) and offsets
+        in ``[0, T]`` for every vector.
+        """
+        # Imported here: repro.sim.columnar imports this module.
+        from repro.sim import columnar as _columnar
+
+        reasons = list(self.ineligible_reasons)
+        reasons.extend(_columnar.ineligibility_reasons(self, policy))
+        if not all(self.in_domain(offsets) for offsets in vectors):
+            reasons.append("offsets outside [0, T]")
+        return reasons
+
     def _check_offsets(self, offsets: Sequence[Time]) -> None:
         if len(offsets) != self.n:
             raise ModelError(
                 f"expected {self.n} offsets, got {len(offsets)}"
             )
-
-    # ------------------------------------------------------------------
-    # release stream
-    # ------------------------------------------------------------------
-
-    def _grid(self, period: Time, duration: Time) -> tuple:
-        """Zero-offset release grid of one period over one horizon.
-
-        Returns the immutable ``(t, flag, negper)`` int64 columns of a
-        ``duration // period + 1``-entry grid: release instants at
-        multiples of ``period``, the ``k > 0`` rescheduled flag, and
-        the ``-period`` static-order key.  Cached per ``(period,
-        horizon)`` — grids depend on nothing else, so the cache is
-        aliased by every structurally derived sibling and a period
-        edit regenerates only the edited task's grid.
-        """
-        key = (period, duration)
-        found = self._grid_cache.get(key)
-        if found is None:
-            maxlen = duration // period + 1
-            t = _np.arange(maxlen, dtype=_np.int64) * period
-            flag = _np.ones(maxlen, dtype=_np.int64)
-            flag[0] = 0
-            negper = _np.full(maxlen, -period, dtype=_np.int64)
-            found = (t, flag, negper)
-            self._grid_cache[key] = found
-        return found
-
-    def _stream_tables(self, duration: Time) -> tuple:
-        """Offset-independent release-stream tables for one horizon.
-
-        The delta-compilation core: the zero-offset release grids of
-        every compute task are concatenated **once** per horizon into
-        flat arrays; a candidate offset vector is then applied as a
-        vectorized shift of these tables (:meth:`_release_stream`), so
-        replications and sweep candidates that differ only in offsets
-        never regenerate, slice, or re-concatenate per-task grids.
-
-        When the packed single-key encoding fits one int64 —
-        ``t(rest) | k>0 (1 bit) | period rank (6) | low rank (6)``,
-        where the low rank is ``tid`` for initial releases and the
-        per-candidate (-offset, tid) rank for rescheduled ones — the
-        cached tuple is ``("packed", base_key, tid_all, idx2)`` with
-        ``idx2 = tid + n * (k > 0)`` indexing the per-candidate shift
-        vector; otherwise it is the five-key lexsort material
-        ``("lex", t_all, flag_all, negper_all, tid_all)``.  An empty
-        stream (every task instantaneous) caches ``("empty",)``.
-
-        Grids are sized for offset 0 (``duration // T + 1`` entries per
-        task); a candidate offset in ``[0, T]`` shifts some tail
-        entries past the horizon, which sort after every in-horizon
-        release and are never consumed (every replay stops at
-        the first instant beyond ``duration``), so no per-candidate
-        re-slicing is needed either.
-        """
-        found = self._stream_cache.get(duration)
-        if found is not None:
-            return found
-        packed = (
-            self._packable
-            and duration + max(self.periods, default=0) < 1 << 49
-        )
-        ts, flags, negpers, tids = [], [], [], []
-        for tid in range(self.n):
-            if self.inst[tid]:
-                continue
-            t, flag, negper = self._grid(self.periods[tid], duration)
-            ts.append(t)
-            flags.append(flag)
-            negpers.append(negper)
-            tids.append(_np.full(len(t), tid, dtype=_np.int64))
-        if not ts:
-            found = ("empty",)
-        else:
-            t_all = _np.concatenate(ts)
-            flag_all = _np.concatenate(flags)
-            tid_all = _np.concatenate(tids)
-            if packed:
-                per_rank = _np.asarray(self.per_rank, dtype=_np.int64)
-                base_key = _np.where(
-                    flag_all == 0,
-                    tid_all,
-                    (t_all << 13) | (1 << 12) | (per_rank[tid_all] << 6),
-                )
-                idx2 = tid_all + flag_all * self.n
-                found = ("packed", base_key, tid_all, idx2)
-            else:
-                negper_all = _np.concatenate(negpers)
-                found = ("lex", t_all, flag_all, negper_all, tid_all)
-        self._stream_cache[duration] = found
-        return found
-
-    def _release_stream(
-        self, offsets: Sequence[Time], duration: Time
-    ) -> Tuple[List[Time], List[int]]:
-        """All releases in exactly the simulator's pop order.
-
-        Initial releases (``k = 0``) enter the release heap in task
-        order at heapify time, so they tie-break by ``tid`` alone;
-        rescheduled ones tie-break by ``(-period, -offset, tid)`` —
-        valid for offsets in ``[0, T]`` (checked by the caller).  The
-        offset vector is applied as a delta on the cached
-        :meth:`_stream_tables`: one shift-vector ``take`` plus one
-        sort, no per-task python loop.
-        """
-        tables = self._stream_tables(duration)
-        if tables[0] == "empty":
-            return [], []
-        off = _np.fromiter(offsets, dtype=_np.int64, count=self.n)
-        if tables[0] == "packed":
-            # Packed single-key path: the (-offset, tid) tie-break of
-            # rescheduled releases becomes a rank added into the low
-            # bits (rank order restricted to any subset preserves it).
-            _, base_key, tid_all, idx2 = tables
-            by_off = sorted(
-                (tid for tid in range(self.n) if not self.inst[tid]),
-                key=lambda tid: (-offsets[tid], tid),
-            )
-            low = _np.zeros(self.n, dtype=_np.int64)
-            for rank, tid in enumerate(by_off):
-                low[tid] = rank
-            shifted = off << 13
-            vec2 = _np.concatenate((shifted, shifted + low))
-            key_all = base_key + vec2[idx2]
-            order = _np.argsort(key_all)
-            return (
-                (key_all[order] >> 13).tolist(),
-                tid_all[order].tolist(),
-            )
-        _, t0_all, flag_all, negper_all, tid_all = tables
-        t_all = t0_all + off[tid_all]
-        order = _np.lexsort(
-            (tid_all, (-off)[tid_all], negper_all, flag_all, t_all)
-        )
-        return t_all[order].tolist(), tid_all[order].tolist()
-
-    # ------------------------------------------------------------------
-    # the compiled probe loop (offset search)
-    # ------------------------------------------------------------------
-
-    def _schedule(
-        self,
-        offsets: Sequence[Time],
-        seed: int,
-        duration: Time,
-        policy: ExecTimePolicy,
-    ) -> Tuple[
-        List[List[Time]],
-        List[List[Time]],
-        List[int],
-        Optional[Dict[Tuple[int, int], int]],
-    ]:
-        """One replication's schedule of the monitored closure.
-
-        Returns ``(starts, fins, completed, casc)`` for the kept tasks;
-        the RNG stream (and hence every execution-time draw) is
-        identical to the simulator's under the same seed.  ``casc`` is
-        the cascade-depth side table for zero-BCET scenarios (``None``
-        otherwise): per kept job dispatched by a zero-time finish at
-        the same instant, the depth of the simulator's same-instant
-        finish cascade that dispatches it.  Implicit semantics and the
-        arithmetic release stream only (see :meth:`windowed_maxima`).
-        """
-        rng = random.Random(seed)
-        rng_random = rng.random
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        heapreplace = heapq.heapreplace
-
-        n = self.n
-        bcets = self.bcets
-        wcets = self.wcets
-        spans = self.spans
-        tasks = self.tasks
-        unit_of = self.unit_of
-        bit_of = self.bit_of
-        rank_tid = self.rank_tid
-        keep = self.keep
-        n_units = self.n_units
-        fast_uniform = policy is uniform_policy
-        fast_wcet = policy is wcet_policy
-
-        rel_times, rel_tids = self._release_stream(offsets, duration)
-        sentinel = duration + 1
-        rel_times.append(sentinel)
-        rel_tids.append(-1)
-
-        # Zero-BCET cascade tracking: ``zrun[u]`` flags whether unit
-        # ``u``'s running job executes in zero time, ``cur_batch[u]``
-        # its dispatch's sub-batch depth; ``casc`` collects depths for
-        # kept jobs exactly as the engine's fast path does.
-        track = self._track
-        zrun = [False] * n_units
-        cur_batch = [0] * n_units
-        casc: Optional[Dict[Tuple[int, int], int]] = {} if track else None
-
-        ready_mask = [0] * n_units
-        pend = [0] * n
-        running = [-1] * n_units
-        counts = [0] * n
-        starts: List[List[Time]] = [[] for _ in range(n)]
-        fins: List[List[Time]] = [[] for _ in range(n)]
-        sa = [s.append for s in starts]
-        fa = [f.append for f in fins]
-        fin_heap: List[Tuple[Time, int, int]] = [(sentinel, 0, -1)]
-        fin_head = sentinel
-        seq = 0
-        ri = 0
-
-        def draw(tid: int) -> Time:
-            """Non-default policy draw, with the range re-check."""
-            k = counts[tid]
-            counts[tid] = k + 1
-            exec_time = policy(tasks[tid], k, rng)
-            if not bcets[tid] <= exec_time <= wcets[tid]:
-                raise ModelError(
-                    f"policy returned execution time {exec_time} outside "
-                    f"[{bcets[tid]}, {wcets[tid]}] for {tasks[tid].name!r}"
-                )
-            return exec_time
-
-        while True:
-            now = rel_times[ri]
-            if now <= fin_head:
-                # Release event (at equal times releases go first).
-                if now > duration:
-                    break
-                tid = rel_tids[ri]
-                ri += 1
-                u = unit_of[tid]
-                if rel_times[ri] == now or fin_head == now:
-                    # Multi-event instant: gather every same-instant
-                    # release and finish, then dispatch idle units.
-                    pend[tid] += 1
-                    ready_mask[u] |= bit_of[tid]
-                    touched = [u]
-                    while rel_times[ri] == now:
-                        tid2 = rel_tids[ri]
-                        ri += 1
-                        u2 = unit_of[tid2]
-                        pend[tid2] += 1
-                        ready_mask[u2] |= bit_of[tid2]
-                        touched.append(u2)
-                    while fin_head == now:
-                        u2 = heappop(fin_heap)[2]
-                        fin_head = fin_heap[0][0]
-                        running[u2] = -1
-                        touched.append(u2)
-                    for u2 in touched:
-                        m = ready_mask[u2]
-                        if running[u2] < 0 and m:
-                            b = m & -m
-                            tid2 = rank_tid[u2][b.bit_length() - 1]
-                            c = pend[tid2] - 1
-                            pend[tid2] = c
-                            if not c:
-                                ready_mask[u2] = m ^ b
-                            if fast_uniform:
-                                span = spans[tid2]
-                                exec_time = (
-                                    bcets[tid2] + int(rng_random() * span)
-                                    if span > 1
-                                    else bcets[tid2]
-                                )
-                            elif fast_wcet:
-                                exec_time = wcets[tid2]
-                            else:
-                                exec_time = draw(tid2)
-                            if keep[tid2]:
-                                sa[tid2](now)
-                                fa[tid2](now + exec_time)
-                            if track:
-                                # Finishes drained at a release instant
-                                # belong to jobs dispatched earlier, so
-                                # this dispatch starts a fresh batch.
-                                cur_batch[u2] = 0
-                                zrun[u2] = exec_time == 0
-                            running[u2] = tid2
-                            seq += 1
-                            heappush(fin_heap, (now + exec_time, seq, u2))
-                            fin_head = fin_heap[0][0]
-                elif running[u] < 0:
-                    # Idle unit, single release: dispatch directly.
-                    if fast_uniform:
-                        span = spans[tid]
-                        exec_time = (
-                            bcets[tid] + int(rng_random() * span)
-                            if span > 1
-                            else bcets[tid]
-                        )
-                    elif fast_wcet:
-                        exec_time = wcets[tid]
-                    else:
-                        exec_time = draw(tid)
-                    if keep[tid]:
-                        sa[tid](now)
-                        fa[tid](now + exec_time)
-                    if track:
-                        cur_batch[u] = 0
-                        zrun[u] = exec_time == 0
-                    running[u] = tid
-                    seq += 1
-                    heappush(fin_heap, (now + exec_time, seq, u))
-                    fin_head = fin_heap[0][0]
-                else:
-                    # Busy unit: queue and move on.
-                    pend[tid] += 1
-                    ready_mask[u] |= bit_of[tid]
-            else:
-                # Finish event.
-                now = fin_head
-                if now > duration:
-                    break
-                u = fin_heap[0][2]
-                if track:
-                    nb = cur_batch[u] + 1 if zrun[u] else 0
-                m = ready_mask[u]
-                if m:
-                    b = m & -m
-                    tid = rank_tid[u][b.bit_length() - 1]
-                    c = pend[tid] - 1
-                    pend[tid] = c
-                    if not c:
-                        ready_mask[u] = m ^ b
-                    if fast_uniform:
-                        span = spans[tid]
-                        exec_time = (
-                            bcets[tid] + int(rng_random() * span)
-                            if span > 1
-                            else bcets[tid]
-                        )
-                    elif fast_wcet:
-                        exec_time = wcets[tid]
-                    else:
-                        exec_time = draw(tid)
-                    if keep[tid]:
-                        sa[tid](now)
-                        fa[tid](now + exec_time)
-                        if track and nb:
-                            casc[(tid, len(starts[tid]) - 1)] = nb
-                    if track:
-                        cur_batch[u] = nb
-                        zrun[u] = exec_time == 0
-                    running[u] = tid
-                    seq += 1
-                    heapreplace(fin_heap, (now + exec_time, seq, u))
-                    fin_head = fin_heap[0][0]
-                else:
-                    running[u] = -1
-                    heappop(fin_heap)
-                    fin_head = fin_heap[0][0]
-                if fin_head == now:
-                    # Sibling finishes at the same instant: complete
-                    # them all before dispatching any replacement.
-                    fin2 = []
-                    while fin_head == now:
-                        u2 = heappop(fin_heap)[2]
-                        fin_head = fin_heap[0][0]
-                        running[u2] = -1
-                        fin2.append(u2)
-                    for u2 in fin2:
-                        m = ready_mask[u2]
-                        if running[u2] < 0 and m:
-                            b = m & -m
-                            tid2 = rank_tid[u2][b.bit_length() - 1]
-                            c = pend[tid2] - 1
-                            pend[tid2] = c
-                            if not c:
-                                ready_mask[u2] = m ^ b
-                            if track:
-                                # The finished job's zero flag is still
-                                # in ``zrun`` — no dispatch on this unit
-                                # happened since the drain above.
-                                nb2 = cur_batch[u2] + 1 if zrun[u2] else 0
-                            if fast_uniform:
-                                span = spans[tid2]
-                                exec_time = (
-                                    bcets[tid2] + int(rng_random() * span)
-                                    if span > 1
-                                    else bcets[tid2]
-                                )
-                            elif fast_wcet:
-                                exec_time = wcets[tid2]
-                            else:
-                                exec_time = draw(tid2)
-                            if keep[tid2]:
-                                sa[tid2](now)
-                                fa[tid2](now + exec_time)
-                                if track and nb2:
-                                    casc[(tid2, len(starts[tid2]) - 1)] = nb2
-                            if track:
-                                cur_batch[u2] = nb2
-                                zrun[u2] = exec_time == 0
-                            running[u2] = tid2
-                            seq += 1
-                            heappush(fin_heap, (now + exec_time, seq, u2))
-                            fin_head = fin_heap[0][0]
-
-        completed = [0] * n
-        inst = self.inst
-        for tid in range(n):
-            if not keep[tid] or inst[tid]:
-                continue
-            fs = fins[tid]
-            done = len(fs)
-            if done and fs[-1] > duration:
-                done -= 1
-            completed[tid] = done
-        return starts, fins, completed, casc
-
-    def _prov_resolver(
-        self,
-        offsets: Sequence[Time],
-        starts: List[List[Time]],
-        fins: List[List[Time]],
-        casc: Optional[Dict[Tuple[int, int], int]] = None,
-    ):
-        """Memoized packed-provenance DP over one recorded schedule.
-
-        Answers "what did job ``k`` of task ``g`` read?" from the
-        schedule alone.  Writes at ``t`` are visible to reads at ``t``
-        (``casc`` replays the sub-batch order of same-instant zero-time
-        finishes, exactly as the simulator processes them), the FIFO
-        head among ``m`` visible writes on a capacity-``c`` channel is
-        write ``max(0, m - c)``, and provenance folds bottom-up as
-        interned bitmask + stamp pairs.
-        """
-        periods = self.periods
-        inst = self.inst
-        is_source = self.is_source
-        in_edges = self.in_edges
-        names = self.names
-        pk = self.packer
-        pk_source = pk.source
-        pk_merge = pk.merge
-        pk_empty = pk.empty
-        memo: List[dict] = [{} for _ in range(self.n)]
-
-        def prov(g: int, k: int) -> tuple:
-            mg = memo[g]
-            got = mg.get(k)
-            if got is not None:
-                return got
-            if is_source[g]:
-                p = pk_source(names[g], offsets[g] + k * periods[g])
-            else:
-                if inst[g]:
-                    at = offsets[g] + k * periods[g]
-                    rkey = 1
-                else:
-                    at = starts[g][k]
-                    rkey = (
-                        3 * casc.get((g, k), 0) + 2
-                        if casc is not None
-                        else 2
-                    )
-                reads = []
-                for pg, cap in in_edges[g]:
-                    if inst[pg]:
-                        po = offsets[pg]
-                        mm = 0 if at < po else (at - po) // periods[pg] + 1
-                    else:
-                        fts = fins[pg]
-                        mm = bisect_right(fts, at)
-                        if casc is not None:
-                            sts = starts[pg]
-                            while (
-                                mm
-                                and fts[mm - 1] == at
-                                and sts[mm - 1] == at
-                                and 3 * (casc.get((pg, mm - 1), 0) + 1)
-                                > rkey
-                            ):
-                                mm -= 1
-                    if mm:
-                        reads.append((pg, mm - cap if mm > cap else 0))
-                if not reads:
-                    p = pk_empty
-                elif len(reads) == 1:
-                    p = prov(*reads[0])
-                else:
-                    p = pk_merge(prov(pg, kk) for pg, kk in reads)
-            mg[k] = p
-            return p
-
-        return prov
-
-    def _monitored_count(
-        self, offsets: Sequence[Time], duration: Time, completed: List[int]
-    ) -> int:
-        """Jobs of the monitored task that finish within the horizon."""
-        gid = self.m_gid
-        if not self.inst[gid]:
-            return completed[gid]
-        offset = offsets[gid]
-        if offset > duration:
-            return 0
-        return (duration - offset) // self.periods[gid] + 1
 
     def disparity(
         self,
@@ -966,55 +436,39 @@ class CompiledScenario:
     ) -> List[Time]:
         """Per-window disparity maxima of the monitored task.
 
-        The compiled equivalent of the steady-state probe's
-        ``_WindowedDisparity`` observer: completed jobs released at or
-        after ``start`` are bucketed into consecutive windows of length
-        ``window``; windows without a sample read 0.  Replays one
-        candidate through the pure-python compiled loop, so it takes
-        any policy.  Requires an eligible scenario under implicit
-        semantics with periodic releases and no fault plan, and
-        in-domain offsets (the offset search checks the first two and
-        draws offsets in ``[1, T]``); anything else raises
-        :class:`~repro.model.task.ModelError`.
+        The equivalent of the steady-state probe's ``_WindowedDisparity``
+        observer on one simulator run of ``duration``: completed jobs
+        released at or after ``start`` are bucketed into consecutive
+        windows of length ``window``; windows without a sample read 0.
+        The one-row case of :func:`repro.sim.columnar.run_windowed`, as
+        :meth:`disparity` is for :func:`run_batch`.  Requires implicit
+        semantics with periodic releases and no fault plan, and every
+        columnar rule (eligible scenario, batchable policy, kernel
+        loaded, offsets in ``[0, T]``); anything else raises
+        :class:`~repro.model.task.ModelError` listing what is unmet.
         """
+        # Imported here: repro.sim.columnar imports this module.
+        from repro.sim import columnar as _columnar
+
         self._check_offsets(offsets)
-        if self.ineligible_reason is not None:
-            raise ModelError(
-                f"scenario not compiled-loop eligible: {self.ineligible_reason}"
-            )
-        if self._let or self._needs_tables:
-            raise ModelError(
-                "windowed probe replays implicit semantics with periodic "
-                "releases and no fault plan only"
-            )
-        if not self.in_domain(offsets):
-            raise ModelError("offsets outside [0, T] for windowed probe")
+        if duration <= 0:
+            raise ModelError(f"duration must be positive, got {duration}")
         resolved = _resolve_policy(policy)
-        t0 = _time.perf_counter()
-        try:
-            starts, fins, completed, casc = self._schedule(
-                offsets, seed, duration, resolved
+        reasons = self.columnar_reasons(resolved, [offsets])
+        if reasons:
+            raise ModelError(
+                f"windowed probe needs the columnar tier: {'; '.join(reasons)}"
             )
-            prov = self._prov_resolver(offsets, starts, fins, casc)
-            gid = self.m_gid
-            total = self._monitored_count(offsets, duration, completed)
-            offset = offsets[gid]
-            period = self.periods[gid]
-            k0 = 0
-            if start > offset:
-                k0 = -(-(start - offset) // period)
-            per_window: Dict[int, Time] = {}
-            pd = self.packer.disparity
-            for k in range(k0, total):
-                d = pd(prov(gid, k))
-                if d is None:
-                    continue
-                index = (offset + k * period - start) // window
-                if d > per_window.get(index, -1):
-                    per_window[index] = d
-            return [per_window.get(i, 0) for i in range(count)]
-        finally:
-            PHASE_TIMES["replicate_s"] += _time.perf_counter() - t0
+        return _columnar.run_windowed(
+            self,
+            [(seed, tuple(offsets))],
+            [start],
+            [duration],
+            duration,
+            window,
+            count,
+            resolved,
+        )[0]
 
     # ------------------------------------------------------------------
     # structural edits
@@ -1086,21 +540,17 @@ class CompiledScenario:
 
         The structural-delta core.  Per edit kind, the invalidation is:
 
-        * **periods** — release-stream tables (``_stream_cache``) and
-          the period-rank packing are rebuilt; the per-``(period,
-          horizon)`` grid cache is aliased, so only grids of *new*
-          periods are ever generated;
+        * **periods** — the period table is rebuilt;
         * **priorities** — per-unit priority-rank tables (``rank_tid``
           / ``bit_of``) and the eligibility reasons are rebuilt;
-          stream tables are period-only facts and stay shared;
         * **capacities** — only the per-edge channel tables
-          (``in_edges``) are rebuilt; stream tables stay shared,
-          because buffer sizes never affect scheduling.
+          (``in_edges``) are rebuilt.
 
         Everything an edit cannot touch — task identity and order,
         unit mapping, execution-time tables, the monitored closure,
-        the interned provenance domain (append-only, so sharing one
-        packer across siblings is safe) — is aliased unconditionally.
+        the source flags — is aliased unconditionally.  Every edit
+        starts the sibling with no columnar kernel inputs (``_plans``):
+        each of them reads periods, ranks and channel capacities.
         """
         t0 = _time.perf_counter()
         clone = CompiledScenario.__new__(CompiledScenario)
@@ -1143,21 +593,12 @@ class CompiledScenario:
             clone.ineligible_reasons = self.ineligible_reasons
         clone.keep = self.keep
         clone.m_gid = self.m_gid
-        clone.packer = self.packer
         clone.is_source = self.is_source
         clone.in_edges = (
             clone._channel_tables(graph)
             if capacities_changed
             else self.in_edges
         )
-        if periods_changed:
-            clone.per_rank, clone._packable = clone._period_ranks()
-            clone._stream_cache = {}
-        else:
-            clone.per_rank = self.per_rank
-            clone._packable = self._packable
-            clone._stream_cache = self._stream_cache
-        clone._grid_cache = self._grid_cache
         clone._plans = {}
         elapsed = _time.perf_counter() - t0
         clone.compile_s = elapsed
@@ -1224,10 +665,9 @@ def _replay(
     if engine == "simulator":
         reason = compiled.ineligible_reason or "engine='simulator' requested"
     else:
-        reasons = list(compiled.ineligible_reasons)
-        reasons.extend(_columnar.ineligibility_reasons(compiled, policy))
-        if not all(compiled.in_domain(offsets) for _seed, offsets in draws):
-            reasons.append("offsets outside [0, T]")
+        reasons = compiled.columnar_reasons(
+            policy, [offsets for _seed, offsets in draws]
+        )
         if not reasons:
             values = _columnar.run_columnar(
                 compiled, draws, duration, warmup, policy

@@ -19,16 +19,20 @@ processes the batch as struct-of-arrays in three phases:
 * **derive** — one ``columnar_derive`` call resolves every read edge
   of the monitored task's backward closure, folds the per-source
   ``(min, max)`` stamps per sim and returns the monitored task's
-  per-job disparity column; the warmup mask and the per-sim maximum
-  are one numpy op here.
+  per-job disparity column.  Two numpy folds read that column:
+  :func:`run_columnar` takes the per-sim maximum after the warmup
+  (the ``Sim`` estimate), and :func:`run_windowed` buckets it into
+  per-window maxima with a per-row window start and cutoff (the
+  offset search's steady-state probe).
 
 Every step reproduces the simulator exactly: the variate streams are
 bit-identical, the kernel replays its release-heap and dispatch order
-(the same loop :meth:`CompiledScenario._schedule` keeps for the
-offset-search probe, plus LET deadlines and release tables), and the
-derive implements the simulator's FIFO-head / cascade-visibility
-rules — enforced by the differential suites (``tests/tiers.py``,
-``tests/test_batch_columnar.py``).
+(with LET deadlines and release tables), and the derive implements
+the simulator's FIFO-head / cascade-visibility rules — enforced by the
+differential suites (``tests/tiers.py``,
+``tests/test_batch_columnar.py``, ``tests/test_search_columnar.py``).
+The kernel and :class:`~repro.sim.engine.Simulator` are the only two
+event loops.
 
 The batch-invariant kernel inputs (task tables, job-slot layout,
 topological order, in-edges, stamp-block arena) are built once per
@@ -127,6 +131,75 @@ def run_columnar(
     plan = _plan(compiled, duration)
     adv = _advance(compiled, plan, draws, offs, duration, policy)
     return _derive(compiled, plan, adv, offs, duration, warmup)
+
+
+def run_windowed(
+    compiled,
+    draws: Sequence[Tuple[int, Tuple[Time, ...]]],
+    starts: Sequence[Time],
+    cutoffs: Sequence[Time],
+    duration: Time,
+    window: Time,
+    count: int,
+    policy,
+) -> List[List[Time]]:
+    """Per-row, per-window disparity maxima of the monitored task.
+
+    Row ``i`` is the simulator run of ``draws[i]`` ((seed, offsets))
+    up to its own horizon ``cutoffs[i]`` observed by the steady-state
+    probe's ``_WindowedDisparity``: the completed jobs released at or
+    after ``starts[i]`` fall into consecutive windows of length
+    ``window``, and each of the first ``count`` windows reads its
+    maximum disparity, 0 when it holds no sample.
+
+    Every row advances to the shared ``duration`` (at least every
+    cutoff) in one kernel call, so one plan serves every batch at that
+    horizon.  The simulation is causal, so a job that finishes by its
+    row's cutoff has the same schedule and provenance as in the
+    row's own shorter run; the fold keeps exactly those jobs.
+    Implicit semantics with periodic releases only (job ``k`` is
+    released at ``offset + k * T``); offsets must lie in ``[0, T]``.
+    """
+    if not draws:
+        return []
+    if compiled._let or compiled._needs_tables:
+        raise ModelError(
+            "windowed probe replays implicit semantics with periodic "
+            "releases and no fault plan only"
+        )
+    if window <= 0 or count < 0:
+        raise ModelError(
+            f"need window > 0 and count >= 0, got {window} and {count}"
+        )
+    if max(cutoffs) > duration:
+        raise ModelError(
+            f"a row's cutoff {max(cutoffs)} exceeds the horizon {duration}"
+        )
+    offs = _np.array([offsets for _seed, offsets in draws], dtype=_np.int64)
+    plan = _plan(compiled, duration)
+    adv = _advance(compiled, plan, draws, offs, duration, policy)
+    t0 = _time.perf_counter()
+    disp = _disparity_column(compiled, plan, adv, offs, duration)
+    gid = compiled.m_gid
+    rows, height = disp.shape
+    ks = _np.arange(height, dtype=_np.int64)
+    release = offs[:, gid, None] + ks * compiled.periods[gid]
+    start = _np.asarray(starts, dtype=_np.int64)[:, None]
+    cutoff = _np.asarray(cutoffs, dtype=_np.int64)[:, None]
+    if compiled.inst[gid]:
+        done = release <= cutoff
+    else:
+        # Slots past the dispatch count are unwritten, but their
+        # disparity reads -1, so the mask below never keeps them.
+        base = int(plan.job_base[gid])
+        done = adv[1][:, base : base + height] <= cutoff
+    index = (release - start) // window
+    keep = (disp >= 0) & (release >= start) & done & (index < count)
+    out = _np.zeros((rows, count), dtype=_np.int64)
+    row_of = _np.nonzero(keep)[0]
+    _np.maximum.at(out, (row_of, index[keep]), disp[keep])
+    _batch.PHASE_TIMES["derive_s"] += _time.perf_counter() - t0
+    return out.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -452,16 +525,12 @@ def _advance(compiled, plan: _Plan, draws, offs, duration: Time, policy):
 # ----------------------------------------------------------------------
 
 
-def _derive(compiled, plan: _Plan, adv, offs, duration: Time, warmup: Time):
-    """Per-sim monitored disparity, via one kernel call.
+def _disparity_column(compiled, plan: _Plan, adv, offs, duration: Time):
+    """The monitored task's ``(sims, height)`` disparity column.
 
-    The kernel returns the monitored task's ``(sims, height)``
-    disparity column (``-1`` where a job read no source or did not
-    complete within the horizon); the maximum ranges over ``k >=
-    k0``, the jobs released at or after ``warmup``, and an empty
-    range yields 0.
+    One ``columnar_derive`` call; ``-1`` marks a job that read no
+    source or did not complete within the horizon.
     """
-    t0 = _time.perf_counter()
     kernel, _why = ckernel.load_kernel()
     starts, fins, casc, rec, tables = adv
     sims, n = offs.shape
@@ -507,6 +576,19 @@ def _derive(compiled, plan: _Plan, adv, offs, duration: Time, warmup: Time):
             f"columnar derive kernel failed in replication {-rc - 1} "
             f"(internal invariant broke; please report)"
         )
+    return disp
+
+
+def _derive(compiled, plan: _Plan, adv, offs, duration: Time, warmup: Time):
+    """Per-sim monitored disparity: the column's maximum after warmup.
+
+    The maximum ranges over ``k >= k0``, the jobs released at or after
+    ``warmup``, and an empty range yields 0.
+    """
+    t0 = _time.perf_counter()
+    disp = _disparity_column(compiled, plan, adv, offs, duration)
+    _starts, _fins, _casc, _rec, tables = adv
+    height = plan.height
     gid = compiled.m_gid
     if tables is None:
         off = offs[:, gid]
@@ -529,4 +611,5 @@ __all__ = [
     "MAX_RANKS",
     "ineligibility_reasons",
     "run_columnar",
+    "run_windowed",
 ]

@@ -140,10 +140,10 @@ class Simulator:
     This is the unoptimized semantic reference for both semantics: one
     event loop over jobs, tokens and channel buffers, with every
     observer notified on every completion.  It is kept plain on
-    purpose.  Campaigns, sweeps and searches replay through
-    :func:`repro.sim.batch.run_batch` (the columnar C kernel) and the
-    offset search's compiled probe, whose differential suites compare
-    them against this loop.
+    purpose.  Campaigns, sweeps and searches replay through the
+    columnar C kernel (:func:`repro.sim.batch.run_batch`,
+    :func:`repro.sim.columnar.run_windowed`), whose differential
+    suites compare it against this loop.
 
     Args:
         system: The validated system (or use :meth:`from_graph`).

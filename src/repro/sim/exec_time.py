@@ -27,9 +27,9 @@ def uniform_policy(task: Task, job_index: int, rng: random.Random) -> Time:
     """Uniform draw from ``[B(tau), W(tau)]`` (the default).
 
     The draw is ``bcet + int(rng.random() * span)`` — the exact stream
-    the columnar kernel and the compiled probe loop inline — so the
-    simulator and the batch tiers consume the same number of RNG states and produce
-    identical schedules for the same seed.  Degenerate ranges
+    the columnar kernel inlines — so the simulator and the batch tier
+    consume the same number of RNG states and produce identical
+    schedules for the same seed.  Degenerate ranges
     (``bcet == wcet``) consume no randomness at all.
     """
     if task.bcet == task.wcet:

@@ -283,4 +283,4 @@ class TestEditScenario:
             periods={name: session.graph.task(name).period * 2}
         )
         assert derived is not core
-        assert derived._grid_cache is core._grid_cache
+        assert derived.rank_tid is core.rank_tid

@@ -1,14 +1,13 @@
 """Differential suite for delta compilation (offset-only candidates).
 
-Replaying a :class:`CompiledScenario` at a new offset vector rebases
-the precomputed release-stream tables by vector shift instead of
-regenerating and re-sorting grids (one columnar row per
-:meth:`~CompiledScenario.disparity` call) — so its results must be
-byte-identical to
+Replaying a :class:`CompiledScenario` at a new offset vector reuses
+its offset-independent tables and the columnar kernel inputs cached
+per horizon (one columnar row per :meth:`~CompiledScenario.disparity`
+call) — so its results must be byte-identical to
 
 * a *fresh* compile evaluated at the same offset vector
-  (pins that the shared per-horizon stream cache never leaks state
-  between candidates), and
+  (pins that the shared per-horizon plan never leaks state between
+  candidates), and
 * the plain simulator run on a system with the offsets applied to the
   graph (an independent reference that shares none of the delta code).
 
@@ -189,22 +188,23 @@ def test_wrong_length_offsets_raise_model_error():
         shared.edit(offsets=vector)
 
 
-def test_stream_tables_cached_per_horizon():
-    """One probe candidate warms the per-horizon cache; later ones reuse it."""
+def test_windowed_probe_reuses_plan_per_horizon():
+    """One probe candidate warms the per-horizon plan; later ones reuse it."""
+    require_columnar()
     system, sink = _scenario(31, 7)
     duration = 2 * max(task.period for task in system.graph.tasks)
     compiled = CompiledScenario(system, sink)
-    assert compiled._stream_cache == {}
+    assert compiled._plans == {}
     first, second = _offset_vectors(system, 31, 2)
 
     def probe(vector):
         return compiled.windowed_maxima(vector, duration, 0, duration, 1)
 
     a = probe(first)
-    assert duration in compiled._stream_cache
-    cached = compiled._stream_cache[duration]
+    assert list(compiled._plans) == [duration]
+    cached = compiled._plans[duration]
     b = probe(second)
-    assert compiled._stream_cache[duration] is cached
+    assert compiled._plans[duration] is cached
     # Same candidate again: identical result off the warmed cache.
     assert probe(first) == a
     assert probe(second) == b

@@ -1,9 +1,9 @@
 """Differential suite for structural delta compilation (``edit``).
 
 :meth:`CompiledScenario.edit` derives a sibling compiled scenario that
-recomputes only the tables its edit touches — release grids and stream
-tables for ``periods``, per-unit rank tables for ``priorities``,
-channel tables for ``capacities`` — and shares the rest with its base.
+recomputes only the tables its edit touches — the period table for
+``periods``, per-unit rank tables for ``priorities``, channel tables
+for ``capacities`` — and shares the rest with its base.
 Every derived scenario's results must be byte-identical to
 
 * a *fresh* compile of the edited system evaluated at the same offsets
@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,10 +32,12 @@ from hypothesis import strategies as st
 from repro.gen import generate_random_scenario
 from repro.model.system import System
 from repro.model.task import ModelError
+from repro.sim import columnar
 from repro.sim.batch import CompiledScenario
 from repro.sim.engine import simulate
 from repro.sim.exec_time import named_policy, wcet_policy
 from repro.sim.metrics import DisparityMonitor
+from tests.tiers import require_columnar
 
 
 def _scenario(seed: int, n_tasks: int):
@@ -261,13 +264,14 @@ def test_period_shrink_can_push_offsets_out_of_domain():
     )
 
 
-def test_capacity_view_shares_streams_grids_and_schedule_memo():
+def test_capacity_view_shares_tables_and_schedule():
     """Capacity edits invalidate only channel tables; the rest aliases.
 
-    Buffer sizes never change scheduling, so beyond the aliased grid
-    and stream tables the view records the very schedule its base does
-    (the compiled probe's recorded starts/finishes are equal).
+    Buffer sizes never change scheduling, so beyond the aliased period
+    and rank tables the view records the very schedule its base does
+    (the columnar advance's start/finish columns are equal).
     """
+    require_columnar()
     system, sink = _scenario(31, 8)
     duration = 2 * max(task.period for task in system.graph.tasks)
     warmup = duration // 4
@@ -276,29 +280,48 @@ def test_capacity_view_shares_streams_grids_and_schedule_memo():
     vector = _offset_vector(system, 31)
     base.disparity(vector, 1, duration, warmup, "wcet")
     derived = base.edit(capacities={(channel.src, channel.dst): 4})
-    assert derived._grid_cache is base._grid_cache
-    assert derived._stream_cache is base._stream_cache
+    assert derived.periods is base.periods
+    assert derived.rank_tid is base.rank_tid
     assert derived.in_edges is not base.in_edges
-    assert derived._schedule(vector, 2, duration, wcet_policy) == (
-        base._schedule(vector, 2, duration, wcet_policy)
-    )
+    assert derived._plans == {}
+
+    def schedule(compiled):
+        """Recorded (starts, finishes) per kept compute task."""
+        offs = np.array([vector], dtype=np.int64)
+        plan = columnar._plan(compiled, duration)
+        starts, fins, _casc, rec, _tables = columnar._advance(
+            compiled, plan, [(2, vector)], offs, duration, wcet_policy
+        )
+        jobs = {}
+        for tid, base in enumerate(plan.job_base.tolist()):
+            if base >= 0:
+                done = slice(base, base + int(rec[0, tid]))
+                jobs[tid] = (starts[0, done].tolist(), fins[0, done].tolist())
+        return jobs
+
+    assert schedule(derived) == schedule(base)
 
 
-def test_period_view_gets_fresh_stream_and_schedule_caches():
-    """Period edits invalidate streams (and so schedules) but share grids."""
+def test_period_view_gets_fresh_periods_and_plans():
+    """Period edits rebuild the period table and plans; units alias."""
+    require_columnar()
     system, sink = _scenario(37, 8)
     base = CompiledScenario(system, sink)
     compute = [t for t in system.graph.tasks if not t.is_instantaneous]
     target = compute[0]
-    derived = base.edit(periods={target.name: target.period * 2})
-    assert derived._grid_cache is base._grid_cache
-    assert derived._stream_cache is not base._stream_cache
-    # Unedited tasks reuse the base's cached (period, duration) grids.
     duration = 2 * max(task.period for task in system.graph.tasks)
+    base_offsets = tuple(t.offset for t in base.graph.tasks)
+    base.windowed_maxima(base_offsets, duration, 0, duration, 1)
+    derived = base.edit(periods={target.name: target.period * 2})
+    assert derived.periods is not base.periods
+    assert derived.periods[base._gid[target.name]] == target.period * 2
+    assert derived.rank_tid is base.rank_tid
+    assert derived.unit_of is base.unit_of
+    assert derived._plans == {}
     own_offsets = tuple(t.offset for t in derived.graph.tasks)
     derived.windowed_maxima(own_offsets, duration, 0, duration, 1)
-    other = compute[1]
-    assert (other.period, duration) in base._grid_cache
+    assert list(derived._plans) == [duration]
+    assert derived._plans[duration] is not base._plans[duration]
 
 
 def _nonperiodic_variant(system, seed: int):

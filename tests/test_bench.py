@@ -41,6 +41,7 @@ TOY = {
     "fault": REPLICATION,
     "delta": SWEEP,
     "structural": SWEEP,
+    "search": {"n_tasks": 5, "candidates": 3, "max_windows": 4},
     "campaign": CAMPAIGN,
     "cluster": {**CAMPAIGN, "shards": 2, "workers": 1},
     "analysis": [{"levels": 2, "width": 1}, {"levels": 2, "width": 2}],
@@ -64,6 +65,8 @@ SECTION_KEYS = {
     "structural": {"n_tasks", "candidates", "period_candidates",
                    "capacity_candidates", "duration_s", "delta_replay",
                    "fresh_s", "view_s", "speedup", "candidates_per_s"},
+    "search": {"n_tasks", "candidates", "max_windows", "engine",
+               "reference_s", "batched_s", "speedup", "candidates_per_s"},
     "campaign": {"points", "graphs_per_point", "sims_per_graph", "n_tasks",
                  "duration_s", "scenarios", "legacy_s", "streaming_s",
                  "speedup", "scenarios_per_s", "peak_in_flight_results",

@@ -80,6 +80,26 @@ def baselines(tmp_path_factory):
     return out
 
 
+_MARK_VAR = "REPRO_TEST_PROCESS_MARK"
+
+
+def _marked_processes(mark: str) -> list:
+    """Live processes other than this one whose environment has ``mark``."""
+    needle = f"{_MARK_VAR}={mark}".encode()
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit() or int(entry) == os.getpid():
+            continue
+        try:
+            with open(f"/proc/{entry}/environ", "rb") as handle:
+                environ = handle.read().split(b"\0")
+        except OSError:  # exited meanwhile, or not ours to read
+            continue
+        if needle in environ:
+            found.append(int(entry))
+    return found
+
+
 class TestFaultInjection:
     @pytest.mark.parametrize("semantics", ("implicit", "let"))
     def test_sigkill_mid_shard_reissues_to_serial_bytes(
@@ -116,6 +136,40 @@ class TestFaultInjection:
         ordinals = [json.loads(line)["ordinal"] for line in lines[1:]]
         assert sorted(ordinals) == [0, 2]
         assert len(ordinals) == len(set(ordinals))
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="scans /proc for processes"
+    )
+    def test_killed_worker_leaves_no_pool_children(
+        self, baselines, tmp_path, monkeypatch
+    ):
+        # A --jobs 2 worker SIGKILLed mid-shard leaves its pool
+        # children behind unless the coordinator kills the worker's
+        # whole process group; none may outlive run_cluster.  Every
+        # process the run starts inherits a unique environment mark.
+        mark = f"{os.getpid()}-{time.monotonic_ns()}"
+        monkeypatch.setenv(_MARK_VAR, mark)
+        try:
+            rows, report = run_cluster(
+                AB_PART, CONFIGS["implicit"], shards=2, workers=2, jobs=2,
+                out_dir=str(tmp_path),
+                faults={0: ClusterFault(die_after_records=1)},
+                **FAST,
+            )
+            assert AB_PART.to_csv(rows) == baselines["implicit"]["csv"]
+            assert report.deaths >= 1
+            deadline = time.monotonic() + 5.0
+            left = _marked_processes(mark)
+            while left and time.monotonic() < deadline:
+                time.sleep(0.05)
+                left = _marked_processes(mark)
+            assert left == []
+        finally:
+            for pid in _marked_processes(mark):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
     def test_stalled_worker_declared_dead_by_watchdog(
         self, baselines, tmp_path

@@ -1,11 +1,10 @@
 """Equivalence of the batched fast paths with the general event loop.
 
 ``Simulator`` is the one reference loop (the general loop).  The
-columnar C kernel must reproduce it exactly under implicit semantics
-(per-replication disparities of every fused task over randomized
-replications), and so must the offset search's compiled probe loop
-(job-by-job provenance of the monitored task at the system's own
-offsets; see ``tests/tiers.py``).
+columnar C kernel must reproduce it exactly under implicit semantics:
+per-replication disparities of every fused task over randomized
+replications, and the job-by-job disparities of the monitored task at
+the system's own offsets (see ``tests/tiers.py``).
 """
 
 from __future__ import annotations
@@ -125,9 +124,8 @@ def test_fastpath_cascade_chain_on_one_unit():
 
     Under ``bcet_policy`` every job executes in zero time, so each
     release instant processes the whole chain as a cascade of
-    finish-triggered dispatches; the compiled probe's and the columnar
-    kernel's cascade-depth side tables must replay the general loop's
-    sub-batch order exactly.
+    finish-triggered dispatches; the columnar kernel's cascade-depth
+    side table must replay the general loop's sub-batch order exactly.
     """
     graph = CauseEffectGraph()
     graph.add_task(

@@ -214,7 +214,7 @@ class TestCompiledObjective:
 
 
     def test_jittered_system_falls_back_to_reference(self):
-        """Release tables leave the compiled probe's domain; the
+        """Release tables leave the windowed probe's domain; the
         objective then evaluates through the reference and agrees."""
         from repro.exact.search import _CompiledObjective, _apply_offsets
         from repro.model.task import ReleaseModel

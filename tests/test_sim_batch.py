@@ -101,10 +101,10 @@ def test_batch_matches_sequential(seed, n_tasks, policy):
 def test_zero_bcet_replays_through_compiled_loop():
     """Zero-BCET scenarios stay eligible via the cascade table.
 
-    The columnar kernel (like the offset search's compiled probe loop)
-    records a cascade-depth side table that replays the simulator's
-    same-instant finish cascades, so they order identically and the
-    per-replication simulator fallback is not needed here.
+    The columnar kernel records a cascade-depth side table that
+    replays the simulator's same-instant finish cascades, so they
+    order identically and the per-replication simulator fallback is
+    not needed here.
     """
     system, sink = _scenario(13, 8)
     graph = system.graph.copy()

@@ -1,9 +1,11 @@
 """Property-based equivalence: packed provenance == dict provenance.
 
-The batched replay tiers merge provenance as interned bitmask + stamp
-arrays (:class:`repro.sim.provenance.ProvenancePacker`); these tests
-pin it to the reference dict implementation (:func:`merge_provenance`)
-over randomized inputs, including full simulated DAG runs.
+:class:`repro.sim.provenance.ProvenancePacker` merges provenance as
+interned bitmask + stamp arrays; these tests pin it to the reference
+dict implementation (:func:`merge_provenance`) over randomized inputs.
+The columnar kernel folds the same ``(min, max)`` stamps per source;
+the last test pins its per-job disparities to the simulator's tokens
+over full simulated DAG runs.
 """
 
 from __future__ import annotations
@@ -70,13 +72,12 @@ def test_source_token_packed(name, timestamp):
     n_tasks=st.integers(min_value=5, max_value=12),
 )
 def test_dag_run_provenance_matches_reference_loop(seed, n_tasks):
-    """Compiled-probe packed provenance on a random DAG run == the
+    """Columnar per-job disparities on a random DAG run == the
     simulator's dict tokens.
 
-    Runs the same scenario through the offset search's compiled probe
-    loop (packed provenance resolved from its recorded schedule) and
-    the reference ``Simulator`` (dict provenance), and compares every
-    sink job's provenance mapping.
+    Runs the same scenario through the columnar kernel (stamps folded
+    per source in the derive) and the reference ``Simulator`` (dict
+    provenance), and compares every sink job's disparity.
     """
     system = random_system(seed, n_tasks)
     duration = 4 * max(task.period for task in system.graph.tasks)

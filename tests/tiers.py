@@ -2,8 +2,7 @@
 
 :class:`~repro.sim.engine.Simulator` is the one semantic reference
 loop.  The columnar kernel behind :func:`~repro.sim.batch.run_batch`
-and the offset search's compiled probe loop must agree with it
-exactly:
+and the offset search's windowed probe must agree with it exactly:
 
 * :func:`assert_tiers_match` draws randomized replications the way
   :func:`~repro.sim.batch.run_batch` does (per replication an
@@ -12,11 +11,11 @@ exactly:
   with sequential simulator runs, for every task that reads two or
   more sources;
 * :func:`assert_provenance_matches` replays the system at its own
-  offsets and compares the columnar disparity with the simulator's;
-  for implicit, periodic, fault-free systems (the compiled probe's
-  domain) it also compares, job by job, the provenance the compiled
-  loop resolves from its recorded schedule with the tokens the
-  simulator hands to observers;
+  offsets and compares, job by job, the columnar kernel's per-job
+  disparity column of the monitored task with the disparity of the
+  token the simulator hands to observers for the same job, under any
+  semantics, release model and fault plan; then the columnar
+  disparity with the simulator's;
 * :func:`assert_equivalent` runs both, the latter for every sink.
 
 Every comparison needs the columnar kernel; where it cannot load, the
@@ -29,16 +28,19 @@ import random
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
 import pytest
 
 from repro.gen import generate_random_scenario
 from repro.model.system import System
-from repro.sim import ckernel
+from repro.model.task import Task
+from repro.sim import ckernel, columnar
 from repro.sim.batch import CompiledScenario, run_batch
 from repro.sim.columnar import run_columnar
 from repro.sim.engine import Observer, Simulator, randomize_offsets
 from repro.sim.exec_time import ExecTimePolicy, uniform_policy
 from repro.sim.metrics import DisparityMonitor
+from repro.sim.provenance import disparity_of
 from repro.units import Time
 
 
@@ -96,6 +98,32 @@ def buffered_system(seed: int, n_tasks: int) -> System:
             channel.src, channel.dst, rng.randint(1, 4)
         )
     return System(graph=graph, response_times=system.response_times)
+
+
+def instantaneous_sink_system(seed: int, n_tasks: int) -> Tuple[System, str]:
+    """A random system plus an instantaneous task fusing two others.
+
+    The added task ``inst_sink`` has zero execution time, so it
+    completes at release without occupying the unit it is nominally
+    mapped to; it reads two distinct random tasks, so its tokens can
+    carry two or more sources.  Returns the system (response times
+    re-analyzed) and the task's name.
+    """
+    rng = random.Random(seed)
+    system = random_system(seed, n_tasks)
+    graph = system.graph.copy()
+    producers = rng.sample(list(graph.task_names), 2)
+    period = graph.task(producers[0]).period
+    unit = next(t.ecu for t in graph.tasks if t.ecu is not None)
+    graph.add_task(
+        Task(
+            "inst_sink", period, 0, 0, ecu=unit, priority=10**6,
+            offset=rng.randint(1, period),
+        )
+    )
+    for name in producers:
+        graph.add_channel(name, "inst_sink")
+    return System.build(graph), "inst_sink"
 
 
 def fused_tasks(system: System) -> List[str]:
@@ -198,6 +226,27 @@ class _TokenLog(Observer):
             self.provenance[job.index] = dict(token.provenance)
 
 
+def columnar_job_disparities(
+    compiled: CompiledScenario,
+    offsets: Tuple[Time, ...],
+    seed: int,
+    duration: Time,
+    policy: ExecTimePolicy,
+) -> List[int]:
+    """The kernel's per-job disparity column of the monitored task.
+
+    One row, advanced and derived exactly as :func:`run_columnar` does
+    before its warmup fold: entry ``k`` is job ``k``'s disparity, or
+    ``-1`` when it read no source or did not complete in the horizon.
+    """
+    draws = [(seed, offsets)]
+    offs = np.array([offsets], dtype=np.int64)
+    plan = columnar._plan(compiled, duration)
+    adv = columnar._advance(compiled, plan, draws, offs, duration, policy)
+    disp = columnar._disparity_column(compiled, plan, adv, offs, duration)
+    return disp[0].tolist()
+
+
 def assert_provenance_matches(
     system: System,
     task: str,
@@ -208,12 +257,12 @@ def assert_provenance_matches(
     semantics: str = "implicit",
     faults=None,
 ) -> None:
-    """Columnar disparity == simulator, plus job-by-job probe provenance.
+    """Columnar per-job disparities and disparity == simulator.
 
-    Both replay ``system`` at its own offsets under ``seed``.  Under
-    implicit semantics with periodic releases and no fault plan, the
-    provenance the compiled probe loop resolves for every job of
-    ``task`` must also equal the simulator's tokens.
+    Both replay ``system`` at its own offsets under ``seed``.  Job
+    ``k`` of the kernel's disparity column must equal the disparity of
+    the simulator's token for job ``k`` of ``task``, with ``-1`` for a
+    token without sources (``None``) or a job that did not complete.
     """
     require_columnar()
     log = _TokenLog(task)
@@ -233,17 +282,12 @@ def assert_provenance_matches(
     offsets = tuple(t.offset for t in system.graph.tasks)
     assert compiled.eligible, compiled.ineligible_reason
     assert compiled.in_domain(offsets)
-    if semantics == "implicit" and not compiled._needs_tables:
-        starts, fins, completed, casc = compiled._schedule(
-            offsets, seed, duration, policy
-        )
-        prov = compiled._prov_resolver(offsets, starts, fins, casc)
-        count = compiled._monitored_count(offsets, duration, completed)
-        resolved = {
-            k: compiled.packer.unpack(prov(compiled.m_gid, k))
-            for k in range(count)
-        }
-        assert resolved == log.provenance
+    column = columnar_job_disparities(compiled, offsets, seed, duration, policy)
+    assert set(log.provenance) <= set(range(len(column)))
+    for k, got in enumerate(column):
+        token = log.provenance.get(k)
+        want = None if token is None else disparity_of(token)
+        assert got == (-1 if want is None else want), (task, k)
 
     expected = monitor.disparity(task)
     assert compiled.disparity(offsets, seed, duration, warmup, policy) == expected
