@@ -361,13 +361,13 @@ class AnalysisSession:
 
         A :class:`~repro.sim.batch.CompiledScenario` carries only
         offset-independent state (task/unit tables, priority ranks,
-        provenance domain, backward closure, cached release-stream
-        tables), so one core per ``(task, semantics)`` serves every
-        replication and every offset candidate of this session:
-        :meth:`observed_batch` replays every batch on it and callers
-        evaluate candidates directly via
-        ``compiled_scenario(task).disparity(offsets, ...)`` or derive
-        edited siblings with ``compiled_scenario(task).edit(...)``.
+        backward closure, per-horizon columnar kernel inputs), so one
+        core per ``(task, semantics)`` serves every replication and
+        every offset candidate of this session: :meth:`observed_batch`
+        replays every batch on it and callers evaluate candidates
+        directly via ``compiled_scenario(task).disparity(offsets, ...)``.
+        An edited system (periods, priorities, capacities) is a new
+        session or a new :class:`~repro.sim.batch.CompiledScenario`.
         Least-recently-used cores are evicted past
         :data:`COMPILED_CACHE_SIZE`, so a long-lived session sweeping
         many monitored tasks holds a bounded number of them.

@@ -18,7 +18,7 @@ import os
 import random
 import tempfile
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
@@ -192,9 +192,9 @@ def _replication_arms(
     """The same ``sims`` randomized replications through two paths.
 
     ``sequential`` runs independent :class:`Simulator` calls (per-run
-    setup, the pre-batch Fig. 6 path); ``batched`` / ``columnar`` run
-    :func:`run_batch` on its auto-selected tier, ``columnar`` also
-    recording the draw/advance/derive split.  ``dropout`` drops the
+    setup, the pre-batch Fig. 6 path); ``batched`` runs
+    :func:`run_batch` on its auto-selected tier and records the
+    columnar draw/advance/derive split.  ``dropout`` drops the
     first source mid-horizon: the fault plan compiles to release masks
     in the columnar tier and to suppressed releases in the simulator.
     """
@@ -225,84 +225,28 @@ def _replication_arms(
         return disparities
 
     def batched(note):
+        before = dict(PHASE_TIMES)
         result = run_batch(
             system, sink, sims=sims, duration=duration, warmup=warmup,
             rng=rng, semantics=semantics, faults=faults,
         )
         note["engine"] = result.engine
-        return list(result.disparities)
-
-    def columnar(note):
-        before = dict(PHASE_TIMES)
-        disparities = batched(note)
         note["phases"] = {
             key: round(PHASE_TIMES[key] - before[key], 4)
             for key in ("draw_s", "advance_s", "derive_s")
         }
-        return disparities
+        return list(result.disparities)
 
-    arms = {"sequential": sequential, "batched": batched, "columnar": columnar}
-    return arms, info
-
-
-def _offset_edits(system: System, rng, candidates: int):
-    """Random in-domain offset vectors: the ``exact.search`` probe shape."""
-    periods = [task.period for task in system.graph.tasks]
-    edits = [
-        {"offsets": tuple(rng.randint(1, period) for period in periods)}
-        for _ in range(candidates)
-    ]
-    return edits, {}
+    return {"sequential": sequential, "batched": batched}, info
 
 
-def _structural_edits(system: System, rng, candidates: int):
-    """Period and capacity edits at one fixed in-domain offset vector.
+def _sweep_arms(rng, *, n_tasks: int, candidates: int, duration_s: float):
+    """Offset candidates against one compiled scenario vs a compile each.
 
-    Period edits only scale periods *up*, so the vector stays in
-    ``[0, T]`` and both arms replay through the columnar tier.  The 1:2
-    period:capacity mix mirrors the Algorithm 1 / sensitivity workload,
-    where capacity rounds outnumber period probes.
-    """
-    vector = tuple(rng.randint(1, task.period) for task in system.graph.tasks)
-    compute = [t.name for t in system.graph.tasks if not t.is_instantaneous]
-    channels = [(c.src, c.dst) for c in system.graph.channels]
-    edits: List[Dict[str, Any]] = []
-    n_period = n_capacity = 0
-    for index in range(candidates):
-        if index % 3 == 0 and compute:
-            name = compute[n_period % len(compute)]
-            period = system.graph.task(name).period * (2 + n_period % 3)
-            edits.append({"periods": {name: period}, "offsets": vector})
-            n_period += 1
-        else:
-            edge = channels[n_capacity % len(channels)]
-            edits.append({"capacities": {edge: 2 + n_capacity % 5}, "offsets": vector})
-            n_capacity += 1
-    return edits, {"period_candidates": n_period, "capacity_candidates": n_capacity}
-
-
-def _edited_system(system: System, edit: Dict[str, Any]) -> System:
-    """``system`` with an edit's periods and capacities applied."""
-    if set(edit) <= {"offsets"}:
-        return system
-    graph = system.graph.copy()
-    for name, period in edit.get("periods", {}).items():
-        graph.replace_task(replace(graph.task(name), period=period))
-    for (src, dst), capacity in edit.get("capacities", {}).items():
-        graph.set_channel_capacity(src, dst, capacity)
-    return System(graph=graph, response_times=system.response_times)
-
-
-def _sweep_arms(rng, *, n_tasks: int, candidates: int, duration_s: float, edits):
-    """Candidates derived from one compiled scenario vs a compile each.
-
-    ``fresh`` compiles the edited system per candidate (the cost model
-    before delta compilation: every grid, stream and rank table
-    rebuilt); ``delta`` / ``view`` (one arm, named per section) compiles
-    the base once and derives each candidate through
-    :meth:`~repro.sim.batch.CompiledScenario.edit`, which rebuilds only
-    what the edit invalidates; offset-only candidates replay the base
-    directly.  Both arms evaluate each candidate with
+    ``fresh`` compiles the system per candidate; ``delta`` compiles it
+    once and replays every candidate on it, reusing the per-horizon
+    columnar kernel inputs.  Both arms evaluate each random in-domain
+    offset vector (the ``exact.search`` probe shape) with
     :meth:`~repro.sim.batch.CompiledScenario.disparity`, a one-row
     columnar replay.  The WCET policy with one fixed seed makes every
     per-candidate disparity deterministic.
@@ -311,33 +255,31 @@ def _sweep_arms(rng, *, n_tasks: int, candidates: int, duration_s: float, edits)
     system, sink = scenario.system, scenario.sink
     duration = seconds(duration_s)
     warmup = duration // 4
-    sweep, info = edits(system, rng, candidates)
+    periods = [task.period for task in system.graph.tasks]
+    vectors = [
+        tuple(rng.randint(1, period) for period in periods)
+        for _ in range(candidates)
+    ]
 
     def fresh(note):
         return [
-            CompiledScenario(_edited_system(system, edit), sink).disparity(
-                edit["offsets"], SEED, duration, warmup, wcet_policy
+            CompiledScenario(system, sink).disparity(
+                offsets, SEED, duration, warmup, wcet_policy
             )
-            for edit in sweep
+            for offsets in vectors
         ]
 
-    def shared(note):
-        base = CompiledScenario(system, sink)
-        derived = []
-        for edit in sweep:
-            changes = {key: value for key, value in edit.items() if key != "offsets"}
-            derived.append((base.edit(**changes) if changes else base, edit["offsets"]))
-        disparities = [
-            compiled.disparity(offsets, SEED, duration, warmup, wcet_policy)
-            for compiled, offsets in derived
-        ]
-        note["delta_replay"] = all(
-            compiled.eligible and compiled.in_domain(offsets)
-            for compiled, offsets in derived
+    def delta(note):
+        compiled = CompiledScenario(system, sink)
+        note["delta_replay"] = compiled.eligible and all(
+            compiled.in_domain(offsets) for offsets in vectors
         )
-        return disparities
+        return [
+            compiled.disparity(offsets, SEED, duration, warmup, wcet_policy)
+            for offsets in vectors
+        ]
 
-    return {"fresh": fresh, "delta": shared, "view": shared}, info
+    return {"fresh": fresh, "delta": delta}, {}
 
 
 def _search_arms(rng, *, n_tasks: int, candidates: int, max_windows: int):
@@ -651,14 +593,6 @@ SPECS: Tuple[Spec, ...] = (
         _BATCH_FULL, _BATCH_QUICK, winner="batched",
     ),
     Spec(
-        "columnar", "columnar", _replication_arms, ("sequential", "columnar"),
-        (Column("speedup", "sequential_s", "columnar_s"),
-         Column("sims_per_s", "sims", "columnar_s")),
-        Gate("speedup", "higher", "columnar replay speedup"),
-        {**_BATCH_FULL, "sims": 40}, {**_BATCH_QUICK, "sims": 12},
-        winner="columnar",
-    ),
-    Spec(
         "fault", "fault", partial(_replication_arms, dropout=True),
         ("sequential", "batched"),
         (Column("speedup", "sequential_s", "batched_s"), _SIMS_PER_S),
@@ -666,20 +600,11 @@ SPECS: Tuple[Spec, ...] = (
         _BATCH_FULL, _BATCH_QUICK, winner="batched",
     ),
     Spec(
-        "delta", "delta", partial(_sweep_arms, edits=_offset_edits), ("fresh", "delta"),
+        "delta", "delta", _sweep_arms, ("fresh", "delta"),
         (Column("speedup", "fresh_s", "delta_s"),
          Column("candidates_per_s", "candidates", "delta_s")),
         Gate("speedup", "higher", "delta-replay speedup"),
         _SWEEP, {**_SWEEP, "candidates": 40, "repeats": 2}, winner="delta",
-    ),
-    Spec(
-        "structural", "structural", partial(_sweep_arms, edits=_structural_edits),
-        ("fresh", "view"),
-        (Column("speedup", "fresh_s", "view_s"),
-         Column("candidates_per_s", "candidates", "view_s")),
-        Gate("speedup", "higher", "structural-view speedup"),
-        {**_SWEEP, "candidates": 60}, {**_SWEEP, "candidates": 24, "repeats": 2},
-        winner="view",
     ),
     Spec(
         "search", "search", _search_arms, ("reference", "batched"),

@@ -158,8 +158,7 @@ class MultiChainDesign:
 
     ``observed_before`` / ``observed_after`` are the max observed
     disparities of the undesigned and designed systems over paired
-    batched replications (same seeds and offset draws, the designed
-    side a ``capacities`` edit of the base compiled scenario);
+    batched replications (same seeds and offset draws);
     ``None`` unless requested via ``observed_sims``.
     """
 
@@ -182,10 +181,8 @@ def _observed_pair(
 ) -> Tuple[Time, Time]:
     """Paired observed disparities of the base and buffered systems.
 
-    Capacity edits are the cheapest structural delta: the designed
-    side shares every table but the channel tables (buffer sizes never
-    affect scheduling).  The columnar tier advances both sides (one
-    batched kernel call each) and re-resolves the data flow.
+    Both sides replay the same ``(seed, offsets)`` draws, so the pair
+    isolates the effect of the buffer plan.
     """
     if duration is None or duration <= 0:
         raise ModelError(
@@ -193,29 +190,19 @@ def _observed_pair(
         )
     import random
 
-    from repro.sim.batch import CompiledScenario, run_batch
+    from repro.sim.batch import run_batch
 
-    base = CompiledScenario(system, task)
-    before = run_batch(
-        system,
-        task,
-        sims=sims,
-        duration=duration,
-        warmup=warmup,
-        rng=random.Random(seed),
-        compiled=base,
-    ).max_disparity
-    buffered = system.with_buffer_plan(plan)
-    after_compiled = base.edit(capacities=dict(plan)) if plan else base
-    after = run_batch(
-        buffered,
-        task,
-        sims=sims,
-        duration=duration,
-        warmup=warmup,
-        rng=random.Random(seed),
-        compiled=after_compiled,
-    ).max_disparity
+    before, after = (
+        run_batch(
+            side,
+            task,
+            sims=sims,
+            duration=duration,
+            warmup=warmup,
+            rng=random.Random(seed),
+        ).max_disparity
+        for side in (system, system.with_buffer_plan(plan))
+    )
     return before, after
 
 
@@ -243,8 +230,7 @@ def design_buffers_greedy(
     alignment), the greedy loop handles interacting chains better at
     the cost of one full analysis per round.  With ``observed_sims >
     0`` the final plan is additionally measured by paired batched
-    replications against the undesigned system, the designed side a
-    ``capacities`` edit of the base compiled scenario (see
+    replications against the undesigned system (see
     :func:`_observed_pair`).
     """
     from repro.core.disparity import worst_case_disparity

@@ -83,44 +83,26 @@ def _observed_pair(
 ) -> Tuple[Time, Time]:
     """Paired observed disparities of the start and final assignments.
 
-    The base scenario is compiled once; the final assignment is a
-    ``priorities`` edit of it (only the per-unit rank tables are
-    rebuilt — the period, channel and unit tables and the monitored
-    closure stay shared).  Both sides replay the same
-    ``(seed, offsets)`` draws, so the pair isolates the effect of the
-    reassignment.
+    Both sides replay the same ``(seed, offsets)`` draws, so the pair
+    isolates the effect of the reassignment.
     """
     if duration is None or duration <= 0:
         raise ModelError(
             "observed_sims > 0 requires a positive observed_duration"
         )
-    from repro.sim.batch import CompiledScenario, run_batch
+    from repro.sim.batch import run_batch
 
-    base = CompiledScenario(system, task)
-    before = run_batch(
-        system,
-        task,
-        sims=sims,
-        duration=duration,
-        warmup=warmup,
-        rng=random.Random(seed),
-        compiled=base,
-    ).max_disparity
-    changed = {
-        t.name: t.priority
-        for t in final.graph.tasks
-        if t.priority != system.graph.task(t.name).priority
-    }
-    after_compiled = base.edit(priorities=changed) if changed else base
-    after = run_batch(
-        final,
-        task,
-        sims=sims,
-        duration=duration,
-        warmup=warmup,
-        rng=random.Random(seed),
-        compiled=after_compiled,
-    ).max_disparity
+    before, after = (
+        run_batch(
+            side,
+            task,
+            sims=sims,
+            duration=duration,
+            warmup=warmup,
+            rng=random.Random(seed),
+        ).max_disparity
+        for side in (system, final)
+    )
     return before, after
 
 
@@ -141,9 +123,8 @@ def optimize_priorities(
     message tasks participate (reordering CAN identifiers is a real
     design lever).  With ``observed_sims > 0`` the start and final
     assignments are additionally measured by paired batched
-    replications (``observed_duration`` horizon, shared draws), the
-    final one evaluated through a ``priorities`` edit of the start's
-    compiled scenario — see :class:`PriorityOptResult`.
+    replications (``observed_duration`` horizon, shared draws) — see
+    :class:`PriorityOptResult`.
     """
     if max_rounds < 1:
         raise ModelError(f"max_rounds must be >= 1, got {max_rounds}")

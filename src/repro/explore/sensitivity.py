@@ -18,17 +18,11 @@ All sweeps re-run the full analysis per candidate (response times
 included, since periods change them), so results are exact rather than
 incremental approximations.  Each sweep can additionally measure an
 *observed* disparity per candidate (``observed_sims`` batched
-replications through :func:`repro.sim.batch.run_batch` — within a
-candidate every replication is an offset-delta replay of shared
-compiled tables).  With ``jobs=1`` the base scenario is compiled
-**once** and every candidate becomes a structural edit of it
-(:meth:`repro.sim.batch.CompiledScenario.edit`): a period candidate
-rebuilds only the period table, a capacity candidate only the channel
-tables, everything else stays shared.  Worker
-processes (``jobs > 1``) compile per candidate instead (compiled
-scenarios do not cross process boundaries); per-candidate seeds are
-derived up front from ``seed`` in input order, so the observed column
-is identical for any ``jobs`` and whether or not the base is shared.
+replications through :func:`repro.sim.batch.run_batch`, which
+compiles the candidate system once and replays every replication
+against it).  Per-candidate seeds are derived up front from ``seed``
+in input order, and every candidate runs the same code inline or in a
+worker process, so the observed column is identical for any ``jobs``.
 
 Both sweeps accept ``semantics="let"`` to retarget the candidate
 analysis to the LET backward bounds (:mod:`repro.let`) *and* replay
@@ -80,16 +74,8 @@ def _observe(
     system: System,
     analyzed_task: str,
     spec: Optional[_ObservedSpec],
-    compiled=None,
 ) -> Optional[Time]:
-    """Max observed disparity of one candidate (batched replications).
-
-    ``compiled`` is the candidate's derived
-    :class:`~repro.sim.batch.CompiledScenario` when the sweep runs
-    inline (``jobs=1``) and could thread one through — the replications
-    then replay the structurally shared tables instead of compiling the
-    candidate from scratch, with identical results either way.
-    """
+    """Max observed disparity of one candidate (batched replications)."""
     if spec is None or spec.sims <= 0:
         return None
     from repro.sim.batch import run_batch
@@ -101,27 +87,8 @@ def _observe(
         duration=spec.duration,
         warmup=spec.warmup,
         rng=random.Random(spec.point_seed),
-        compiled=compiled,
         semantics=spec.semantics,
     ).max_disparity
-
-
-def _base_scenario(
-    system: System, analyzed_task: str, semantics: str, sims: int, jobs: int
-):
-    """The sweep's shared base scenario, when it can be threaded.
-
-    Compiled scenarios stay within one process, so candidates can only
-    share the base when the sweep runs inline (``jobs=1``, the
-    :class:`~repro.parallel.engine.PoolRunner` fast path); with worker
-    processes each candidate compiles fresh — identical results, no
-    sharing.
-    """
-    if jobs != 1 or sims <= 0:
-        return None
-    from repro.sim.batch import CompiledScenario
-
-    return CompiledScenario(system, analyzed_task, semantics=semantics)
 
 
 def _check_semantics(semantics: str) -> None:
@@ -175,16 +142,8 @@ def _observed_specs(
 
 def _period_point(
     params: Tuple[System, str, str, Time, str, str, Optional[_ObservedSpec]],
-    base=None,
 ) -> SweepPoint:
-    """One candidate of :func:`period_sensitivity` (pool-safe).
-
-    ``base`` is the sweep's shared compiled scenario when running
-    inline: the candidate's replications then replay
-    ``base.edit(periods={task: period})`` instead of a fresh
-    compile (never sent to pool workers, hence a bound argument rather
-    than part of the picklable ``params``).
-    """
+    """One candidate of :func:`period_sensitivity` (pool-safe)."""
     system, task, analyzed_task, period, method, semantics, spec = params
     graph = system.graph.copy()
     original = graph.task(task)
@@ -192,10 +151,7 @@ def _period_point(
         graph.replace_task(replace(original, period=period))
         candidate = System.build(graph)
         bound = _candidate_bound(candidate, analyzed_task, method, semantics)
-        compiled = None
-        if base is not None and spec is not None:
-            compiled = base.edit(periods={task: period})
-        observed = _observe(candidate, analyzed_task, spec, compiled)
+        observed = _observe(candidate, analyzed_task, spec)
         return SweepPoint(
             value=period, bound=bound, schedulable=True, observed=observed
         )
@@ -226,14 +182,10 @@ def period_sensitivity(
     them across worker processes with identical results.  With
     ``observed_sims > 0`` each schedulable candidate also runs that
     many batched replications of ``observed_duration`` (warmup
-    ``observed_warmup``) and reports the max observed disparity; at
-    ``jobs=1`` those replications share one base compiled scenario,
-    each candidate a ``periods`` edit of it.
+    ``observed_warmup``) and reports the max observed disparity.
     ``semantics="let"`` evaluates both the bound (LET backward bounds)
     and the observed replications under LET data flow.
     """
-    from functools import partial
-
     from repro.parallel.engine import PoolRunner
 
     _check_semantics(semantics)
@@ -245,34 +197,23 @@ def period_sensitivity(
         seed,
         semantics,
     )
-    base = _base_scenario(system, analyzed_task, semantics, observed_sims, jobs)
     params = [
         (system, task, analyzed_task, period, method, semantics, spec)
         for period, spec in zip(candidate_periods, specs)
     ]
     with PoolRunner(jobs) as pool:
-        results, _ = pool.map_ordered(partial(_period_point, base=base), params)
+        results, _ = pool.map_ordered(_period_point, params)
     return results
 
 
 def _capacity_point(
     params: Tuple[System, str, str, str, int, str, str, Optional[_ObservedSpec]],
-    base=None,
 ) -> SweepPoint:
-    """One candidate of :func:`buffer_capacity_sweep` (pool-safe).
-
-    Inline sweeps thread the shared ``base`` scenario through a
-    ``capacities`` edit — the cheapest structural edit: only the
-    channel tables are rebuilt.  Each candidate draws its own seeds
-    (``point_seed``); what is shared is the compiled tables.
-    """
+    """One candidate of :func:`buffer_capacity_sweep` (pool-safe)."""
     system, src, dst, analyzed_task, capacity, method, semantics, spec = params
     candidate = system.with_channel_capacity(src, dst, capacity)
     bound = _candidate_bound(candidate, analyzed_task, method, semantics)
-    compiled = None
-    if base is not None and spec is not None:
-        compiled = base.edit(capacities={(src, dst): capacity})
-    observed = _observe(candidate, analyzed_task, spec, compiled)
+    observed = _observe(candidate, analyzed_task, spec)
     return SweepPoint(
         value=capacity, bound=bound, schedulable=True, observed=observed
     )
@@ -301,9 +242,7 @@ def buffer_capacity_sweep(
     the capacity Algorithm 1 computes for the binding pair.
     ``jobs > 1`` evaluates the capacities across worker processes.
     With ``observed_sims > 0`` every capacity additionally reports the
-    max observed disparity over that many batched replications; at
-    ``jobs=1`` the candidates are ``capacities`` edits of one shared
-    compiled scenario.
+    max observed disparity over that many batched replications.
     ``semantics="let"`` evaluates both the bound (LET backward bounds)
     and the observed replications under LET data flow.
     """
@@ -311,8 +250,6 @@ def buffer_capacity_sweep(
         raise ModelError(f"max_capacity must be >= 1, got {max_capacity}")
     src, dst = channel
     system.graph.channel(src, dst)  # existence check
-    from functools import partial
-
     from repro.parallel.engine import PoolRunner
 
     _check_semantics(semantics)
@@ -325,15 +262,12 @@ def buffer_capacity_sweep(
         seed,
         semantics,
     )
-    base = _base_scenario(system, analyzed_task, semantics, observed_sims, jobs)
     params = [
         (system, src, dst, analyzed_task, capacity, method, semantics, spec)
         for capacity, spec in zip(capacities, specs)
     ]
     with PoolRunner(jobs) as pool:
-        results, _ = pool.map_ordered(
-            partial(_capacity_point, base=base), params
-        )
+        results, _ = pool.map_ordered(_capacity_point, params)
     return results
 
 

@@ -32,20 +32,13 @@ same tier choice, and :meth:`CompiledScenario.windowed_maxima` (the
 per-window maxima of the steady-state probe) is the one-row case of
 :func:`repro.sim.columnar.run_windowed`.  The only event loops are the
 simulator's and the C kernel's.
-
-**Structural edits**: :meth:`CompiledScenario.edit` derives a sibling
-compiled scenario that rebuilds only the tables the edit touches —
-periods on period edits, per-unit priority-rank tables on priority
-edits, channel tables on capacity edits — while everything else (task
-and unit tables, the backward closure) stays shared with the parent.
-A derived scenario is evaluated like any other, at explicit offsets.
 """
 
 from __future__ import annotations
 
 import random
 import time as _time
-from dataclasses import dataclass, replace as _replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from typing import (
@@ -93,12 +86,6 @@ def reset_phase_times() -> None:
 
 def _resolve_policy(policy: PolicyLike) -> ExecTimePolicy:
     return named_policy(policy) if isinstance(policy, str) else policy
-
-
-#: The edit kinds :meth:`CompiledScenario.edit` accepts, in the order
-#: they are applied (period before priority, so a task named in both
-#: keeps both; capacities touch channels, not tasks).
-_EDIT_KEYS = ("periods", "priorities", "capacities")
 
 
 @dataclass(frozen=True)
@@ -283,7 +270,7 @@ class CompiledScenario:
         PHASE_TIMES["compile_s"] += elapsed
 
     # ------------------------------------------------------------------
-    # table builders (shared between compile and structural derivation)
+    # table builders
     # ------------------------------------------------------------------
 
     def _rank_tables(
@@ -469,141 +456,6 @@ class CompiledScenario:
             count,
             resolved,
         )[0]
-
-    # ------------------------------------------------------------------
-    # structural edits
-    # ------------------------------------------------------------------
-
-    def edit(self, **changes) -> "CompiledScenario":
-        """A sibling scenario with periods, priorities or capacities edited.
-
-        Accepted keys:
-
-        * ``periods`` — mapping ``task name -> new period``,
-        * ``priorities`` — mapping ``task name -> new priority``,
-        * ``capacities`` — mapping ``(src, dst) -> new capacity``.
-
-        Unknown keys raise :class:`~repro.model.task.ModelError` (a
-        ``ValueError``) listing the choices, as do unknown task names
-        or edges and edits that violate task invariants (e.g. a period
-        below the task's WCET).  The result is a derived
-        :class:`CompiledScenario` that shares every table the edit
-        does not touch (see :meth:`_derived`); evaluate it at explicit
-        offsets with :meth:`disparity` / :meth:`windowed_maxima`.
-        Scenarios the batched tiers cannot replay — duplicate
-        priorities after a priority edit, offsets outside ``[0, T]``
-        after a period edit — fall back to the per-replication
-        simulator on the edited system with identical results.
-        """
-        unknown = sorted(set(changes) - set(_EDIT_KEYS))
-        if unknown:
-            raise ModelError(
-                f"unknown edit key(s) {unknown}; choose from {_EDIT_KEYS}"
-            )
-        periods = dict(changes.get("periods") or {})
-        priorities = dict(changes.get("priorities") or {})
-        capacities = dict(changes.get("capacities") or {})
-        if not (periods or priorities or capacities):
-            raise ModelError(f"edit() needs at least one of {_EDIT_KEYS}")
-        graph = self.graph.copy()
-        # Period before priority so a task edited in both keeps both;
-        # Task invariants (wcet <= period, priority >= 0, ...) are
-        # re-validated by the dataclass on every replacement.
-        for name, period in periods.items():
-            graph.replace_task(_replace(graph.task(name), period=period))
-        for name, priority in priorities.items():
-            graph.replace_task(graph.task(name).with_priority(priority))
-        for (src, dst), capacity in capacities.items():
-            graph.set_channel_capacity(src, dst, capacity)
-        # The parent's response-time table rides along unchanged: the
-        # simulation surface (every replay tier alike) never consults it, and recomputing bounds is the
-        # analytical layer's job, not the sweep's.
-        system = System(
-            graph=graph, response_times=self.system.response_times
-        )
-        return self._derived(
-            system,
-            periods_changed=bool(periods),
-            priorities_changed=bool(priorities),
-            capacities_changed=bool(capacities),
-        )
-
-    def _derived(
-        self,
-        system: System,
-        *,
-        periods_changed: bool,
-        priorities_changed: bool,
-        capacities_changed: bool,
-    ) -> "CompiledScenario":
-        """A sibling compiled scenario, recompiling only what the edit touched.
-
-        The structural-delta core.  Per edit kind, the invalidation is:
-
-        * **periods** — the period table is rebuilt;
-        * **priorities** — per-unit priority-rank tables (``rank_tid``
-          / ``bit_of``) and the eligibility reasons are rebuilt;
-        * **capacities** — only the per-edge channel tables
-          (``in_edges``) are rebuilt.
-
-        Everything an edit cannot touch — task identity and order,
-        unit mapping, execution-time tables, the monitored closure,
-        the source flags — is aliased unconditionally.  Every edit
-        starts the sibling with no columnar kernel inputs (``_plans``):
-        each of them reads periods, ranks and channel capacities.
-        """
-        t0 = _time.perf_counter()
-        clone = CompiledScenario.__new__(CompiledScenario)
-        clone.semantics = self.semantics
-        clone._let = self._let
-        graph = system.graph
-        clone.system = system
-        clone.graph = graph
-        clone.task = self.task
-        tasks = tuple(graph.tasks)
-        clone.tasks = tasks
-        clone.n = self.n
-        clone.names = self.names
-        clone._gid = self._gid
-        clone.inst = self.inst
-        # The fault plan and release models ride along unchanged:
-        # edits replace periods/priorities/capacities only, and table
-        # construction reads ``clone.tasks`` fresh per replication, so
-        # a period edit of a jittered task re-draws its table from the
-        # new grid automatically (nothing stale survives the edit).
-        clone.faults = self.faults
-        clone._faults_sig = self._faults_sig
-        clone._needs_tables = self._needs_tables
-        clone.periods = (
-            [t.period for t in tasks] if periods_changed else self.periods
-        )
-        clone.bcets = self.bcets
-        clone.wcets = self.wcets
-        clone.spans = self.spans
-        clone.unit_names = self.unit_names
-        clone.unit_of = self.unit_of
-        clone.n_units = self.n_units
-        clone._track = self._track
-        if priorities_changed:
-            clone.rank_tid, clone.bit_of, reasons = clone._rank_tables(tasks)
-            clone.ineligible_reasons = tuple(reasons)
-        else:
-            clone.rank_tid = self.rank_tid
-            clone.bit_of = self.bit_of
-            clone.ineligible_reasons = self.ineligible_reasons
-        clone.keep = self.keep
-        clone.m_gid = self.m_gid
-        clone.is_source = self.is_source
-        clone.in_edges = (
-            clone._channel_tables(graph)
-            if capacities_changed
-            else self.in_edges
-        )
-        clone._plans = {}
-        elapsed = _time.perf_counter() - t0
-        clone.compile_s = elapsed
-        PHASE_TIMES["compile_s"] += elapsed
-        return clone
 
     # ------------------------------------------------------------------
     # fallback

@@ -18,9 +18,8 @@ Two deliberate properties of the stream derivation:
   workloads draw nothing here, so adding the mechanism changed no
   existing schedule, and a jittered run consumes the policy stream
   exactly like a periodic one.
-* It is keyed on the task *name*, so structurally derived scenarios
-  (offset/period edits) re-draw per task rather than shifting every
-  stream.
+* It is keyed on the task *name*, so edited scenarios (new offsets
+  or periods) re-draw per task rather than shifting every stream.
 
 Fault plans compose as a boolean **mask over the table**: a
 :class:`~repro.sim.faults.FaultPlan` never changes which instants are

@@ -263,24 +263,3 @@ class TestCompiledCacheBound:
         params = inspect.signature(AnalysisSession).parameters
         assert set(params) == {"system", "bounds_strategy", "semantics"}
 
-
-class TestEditScenario:
-    def test_unknown_edit_key_raises_value_error_listing_choices(
-        self, session, scenario
-    ):
-        core = session.compiled_scenario(scenario.sink)
-        with pytest.raises(ValueError) as excinfo:
-            core.edit(capacity={})
-        message = str(excinfo.value)
-        assert "capacities" in message and "periods" in message
-
-    def test_structural_edit_reuses_the_cached_core(self, session, scenario):
-        core = session.compiled_scenario(scenario.sink)
-        name = next(
-            t.name for t in session.graph.tasks if not t.is_instantaneous
-        )
-        derived = session.compiled_scenario(scenario.sink).edit(
-            periods={name: session.graph.task(name).period * 2}
-        )
-        assert derived is not core
-        assert derived.rank_tid is core.rank_tid

@@ -12,10 +12,11 @@ call) — so its results must be byte-identical to
   graph (an independent reference that shares none of the delta code).
 
 Both identities are exercised on hypothesis-generated systems, under
-both communication semantics, with zero-BCET finish-cascades, and for
-out-of-domain offsets (outside ``[0, T]``), where the replay must fall
-back to the per-replication simulator rather than replaying the
-compiled tables.
+both communication semantics, with zero-BCET finish-cascades, with
+jittered/sporadic release tables, and for scenarios the columnar tier
+cannot replay (offsets outside ``[0, T]``, duplicate priorities on one
+unit), where the replay must fall back to the per-replication
+simulator rather than replaying the compiled tables.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.gen import generate_random_scenario
 from repro.model.system import System
-from repro.model.task import ModelError
+from repro.model.task import ModelError, ReleaseModel
 from repro.sim.batch import CompiledScenario
 from repro.sim.engine import simulate
 from repro.sim.exec_time import named_policy
@@ -168,6 +169,102 @@ def test_out_of_domain_offsets_fall_back_identically():
     assert not shared.in_domain(mixed)
 
 
+def test_duplicate_priority_falls_back_identically():
+    """A per-unit priority collision leaves the columnar tier."""
+    system, sink = _scenario(19, 9)
+    assert CompiledScenario(system, sink).eligible
+    by_unit = {}
+    for t in system.graph.tasks:
+        if not t.is_instantaneous and t.ecu is not None:
+            by_unit.setdefault(t.ecu, []).append(t)
+    a, b = next(ts for ts in by_unit.values() if len(ts) >= 2)[:2]
+    graph = system.graph.copy()
+    graph.replace_task(a.with_priority(b.priority))
+    edited = System(graph=graph, response_times=system.response_times)
+    compiled = CompiledScenario(edited, sink)
+    assert not compiled.eligible
+    assert "duplicate priorities" in compiled.ineligible_reason
+    vector = _offset_vectors(system, 19, 1)[0]
+    duration = 2 * max(task.period for task in system.graph.tasks)
+    assert compiled.disparity(vector, 5, duration, duration // 4, "uniform") == (
+        _simulator_reference(
+            edited,
+            sink,
+            vector,
+            seed=5,
+            duration=duration,
+            warmup=duration // 4,
+            policy="uniform",
+            semantics="implicit",
+        )
+    )
+
+
+def _nonperiodic_variant(system, seed: int):
+    """Some tasks re-released with jittered/sporadic models."""
+    rng = random.Random(seed)
+    graph = system.graph.copy()
+    converted = 0
+    for task in system.graph.tasks:
+        u = rng.random()
+        if u < 0.35:
+            jitter = max(1, task.period // 4)
+            model = ReleaseModel.jittered(min(task.period - 1, jitter))
+        elif u < 0.6:
+            model = ReleaseModel.sporadic(
+                max(1, task.period // 2), task.period + task.period // 2
+            )
+        else:
+            continue
+        graph.replace_task(task.with_release_model(model))
+        converted += 1
+    if not converted:
+        first = next(iter(system.graph.tasks))
+        graph.replace_task(
+            first.with_release_model(
+                ReleaseModel.jittered(max(1, first.period // 4))
+            )
+        )
+    return System(graph=graph, response_times=system.response_times)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    semantics=st.sampled_from(["implicit", "let"]),
+)
+def test_offset_edits_redraw_nonperiodic_release_tables(seed, semantics):
+    """Offset replays of jittered/sporadic scenarios never reuse stale tables.
+
+    The release streams are keyed on the task *name*, so an offset
+    edit must yield the exact tables of a fresh compile of the
+    offset-edited system — pinned against both a fresh compile and the
+    plain simulator.
+    """
+    base_system, sink = _scenario(seed, 7)
+    system = _nonperiodic_variant(base_system, seed ^ 0x0FF5E7)
+    duration = 2 * max(task.period for task in system.graph.tasks)
+    warmup = duration // 4
+    shared = CompiledScenario(system, sink, semantics=semantics)
+    for index in range(2):
+        vector = _offset_vectors(system, (seed ^ 0x51) + index, 1)[0]
+        got = shared.disparity(vector, seed + index, duration, warmup, "uniform")
+        fresh = CompiledScenario(system, sink, semantics=semantics).disparity(
+            vector, seed + index, duration, warmup, "uniform"
+        )
+        assert got == fresh
+        assert got == _simulator_reference(
+            system,
+            sink,
+            vector,
+            seed=seed + index,
+            duration=duration,
+            warmup=warmup,
+            policy="uniform",
+            semantics=semantics,
+        )
+
+
 def test_wrong_length_offsets_raise_model_error():
     """Both replay methods reject a vector that is not one per task."""
     system, sink = _scenario(5, 6)
@@ -181,11 +278,6 @@ def test_wrong_length_offsets_raise_model_error():
             shared.disparity(bad, 3, duration)
         with pytest.raises(ModelError, match=expected):
             shared.windowed_maxima(bad, duration, 0, duration, 1)
-    # Offsets are not an edit: they are passed to each evaluation.
-    with pytest.raises(
-        ModelError, match=r"\['offsets'\].*'periods', 'priorities', 'capacities'"
-    ):
-        shared.edit(offsets=vector)
 
 
 def test_windowed_probe_reuses_plan_per_horizon():
@@ -224,7 +316,12 @@ def test_columnar_plan_cached_per_horizon():
     assert compiled._plans[duration] is plan
     assert compiled.disparity(first, 1, duration) == a
     assert compiled.disparity(second, 1, duration) == b
-    # An edit derives a sibling with its own (capacity-dependent) plan.
+    # A capacity-edited system compiles with its own (capacity-dependent)
+    # plan, built on its first replay.
     edge = system.graph.channels[0]
-    derived = compiled.edit(capacities={(edge.src, edge.dst): 3})
-    assert derived._plans == {}
+    edited = CompiledScenario(
+        system.with_channel_capacity(edge.src, edge.dst, 3), sink
+    )
+    assert edited._plans == {}
+    edited.disparity(first, 1, duration)
+    assert edited._plans[duration] is not plan

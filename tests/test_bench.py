@@ -37,10 +37,8 @@ TOY = {
     "sim": {"n_tasks": 6, "sims": 1, "duration_s": 0.3},
     "batch": REPLICATION,
     "let": REPLICATION,
-    "columnar": REPLICATION,
     "fault": REPLICATION,
     "delta": SWEEP,
-    "structural": SWEEP,
     "search": {"n_tasks": 5, "candidates": 3, "max_windows": 4},
     "campaign": CAMPAIGN,
     "cluster": {**CAMPAIGN, "shards": 2, "workers": 1},
@@ -52,19 +50,14 @@ TOY = {
 SECTION_KEYS = {
     "kernel": {"n_tasks", "sims", "duration_s", "jobs", "wall_s", "jobs_per_s",
                "sims_per_s"},
-    "batch": {"n_tasks", "sims", "duration_s", "engine", "sequential_s",
-              "batched_s", "speedup", "sims_per_s"},
-    "let": {"n_tasks", "sims", "duration_s", "engine", "sequential_s",
-            "batched_s", "speedup", "sims_per_s"},
-    "columnar": {"n_tasks", "sims", "duration_s", "engine", "sequential_s",
-                 "columnar_s", "speedup", "sims_per_s", "phases"},
-    "fault": {"n_tasks", "sims", "duration_s", "engine", "victim",
+    "batch": {"n_tasks", "sims", "duration_s", "engine", "phases",
+              "sequential_s", "batched_s", "speedup", "sims_per_s"},
+    "let": {"n_tasks", "sims", "duration_s", "engine", "phases",
+            "sequential_s", "batched_s", "speedup", "sims_per_s"},
+    "fault": {"n_tasks", "sims", "duration_s", "engine", "phases", "victim",
               "sequential_s", "batched_s", "speedup", "sims_per_s"},
     "delta": {"n_tasks", "candidates", "duration_s", "delta_replay", "fresh_s",
               "delta_s", "speedup", "candidates_per_s"},
-    "structural": {"n_tasks", "candidates", "period_candidates",
-                   "capacity_candidates", "duration_s", "delta_replay",
-                   "fresh_s", "view_s", "speedup", "candidates_per_s"},
     "search": {"n_tasks", "candidates", "max_windows", "engine",
                "reference_s", "batched_s", "speedup", "candidates_per_s"},
     "campaign": {"points", "graphs_per_point", "sims_per_graph", "n_tasks",

@@ -90,23 +90,31 @@ class TestObservedSweeps:
 
     def test_observed_below_bound_and_jobs_invariant(self, merged_system):
         kwargs = dict(
-            max_capacity=3,
             observed_sims=3,
             observed_duration=ms(400),
             observed_warmup=ms(100),
             seed=9,
         )
-        serial = buffer_capacity_sweep(
-            merged_system, ("sa", "pa"), "sink", jobs=1, **kwargs
+        sweeps = (
+            lambda jobs: buffer_capacity_sweep(
+                merged_system, ("sa", "pa"), "sink", max_capacity=3,
+                jobs=jobs, **kwargs
+            ),
+            lambda jobs: period_sensitivity(
+                merged_system, "pb", "sink", [ms(50), ms(20), ms(1)],
+                jobs=jobs, **kwargs
+            ),
         )
-        parallel = buffer_capacity_sweep(
-            merged_system, ("sa", "pa"), "sink", jobs=2, **kwargs
-        )
-        assert serial == parallel
-        for point in serial:
-            assert point.observed is not None
-            # Observed disparity is a lower bound on the analytic one.
-            assert 0 <= point.observed <= point.bound
+        for sweep in sweeps:
+            serial = sweep(1)
+            assert serial == sweep(2)
+            for point in serial:
+                if not point.schedulable:
+                    assert point.observed is None
+                    continue
+                assert point.observed is not None
+                # Observed disparity is a lower bound on the analytic one.
+                assert 0 <= point.observed <= point.bound
 
     def test_observed_default_off(self, merged_system):
         points = period_sensitivity(
