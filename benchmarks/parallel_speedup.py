@@ -4,10 +4,11 @@ Usage::
 
     python -m benchmarks.parallel_speedup --preset default --jobs 4
 
-Runs the (a)/(b) sweep twice on the same preset — once with every
-replication forced through the per-replication reference simulator and
-no worker pool (the seed's configuration), once with the batched
-replay tiers and ``--jobs`` workers — and writes the wall times,
+Runs the (a)/(b) sweep twice on the same preset — once with the C
+kernel reported unavailable, so every replication falls back to the
+per-replication reference simulator, and no worker pool (the seed's
+configuration), once with the batched replay tiers and ``--jobs``
+workers — and writes the wall times,
 speedup, and worker utilization to
 ``benchmarks/out/parallel_speedup_<preset>_ab.json``.
 
@@ -22,30 +23,27 @@ says so.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.api import AnalysisSession
 from repro.experiments.fig6 import AB_PART
 from repro.parallel import run_campaign
+from repro.sim import ckernel
 
 
 def measure_speedup(config, *, jobs: int = 4) -> dict:
     """Baseline (seed-equivalent serial) vs optimized (batched + pool)."""
-    original = AnalysisSession.observed_disparity
-    AnalysisSession.observed_disparity = functools.partialmethod(
-        original, engine="simulator"
-    )
+    original = ckernel.load_kernel
+    ckernel.load_kernel = lambda: (None, "disabled for the baseline pass")
     try:
         started = time.perf_counter()
         run_campaign(AB_PART, config, jobs=1)
         baseline_s = time.perf_counter() - started
     finally:
-        AnalysisSession.observed_disparity = original
+        ckernel.load_kernel = original
 
     started = time.perf_counter()
     _, timing = run_campaign(AB_PART, config, jobs=jobs)

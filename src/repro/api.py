@@ -324,7 +324,6 @@ class AnalysisSession:
         seed: int = 0,
         policy: PolicyLike = "uniform",
         semantics: Optional[str] = None,
-        engine: str = "auto",
     ) -> Time:
         """Max observed disparity of ``task`` over randomized runs.
 
@@ -338,9 +337,6 @@ class AnalysisSession:
         (:mod:`repro.sim.batch`): the scenario is compiled once per
         session and reused, with results byte-identical to ``sims``
         sequential :meth:`simulate` calls under the same generator.
-        ``engine`` pins a tier (``"auto"``/``"columnar"``/
-        ``"simulator"``) exactly as in
-        :func:`~repro.sim.batch.run_batch`.
         """
         return self.observed_batch(
             task,
@@ -351,7 +347,6 @@ class AnalysisSession:
             seed=seed,
             policy=policy,
             semantics=semantics,
-            engine=engine,
         ).max_disparity
 
     def compiled_scenario(
@@ -415,7 +410,6 @@ class AnalysisSession:
         seed: int = 0,
         policy: PolicyLike = "uniform",
         semantics: Optional[str] = None,
-        engine: str = "auto",
     ) -> BatchResult:
         """Batched replications of ``task`` with per-run disparities.
 
@@ -426,9 +420,8 @@ class AnalysisSession:
         data flow here, never implicit), and the offset-independent
         compiled core is cached per ``(task, semantics)`` on this
         session (see :meth:`compiled_scenario`) — each replication is
-        an offset-delta replay of that shared core.  ``engine`` selects
-        the replay tier (``"auto"`` picks the fastest eligible one; see
-        :func:`~repro.sim.batch.run_batch`).
+        an offset-delta replay of that shared core.  The replay tier
+        follows eligibility, as in :func:`~repro.sim.batch.run_batch`.
         """
         sem = self._semantics if semantics is None else semantics
         compiled = self.compiled_scenario(task, semantics=sem)
@@ -443,7 +436,6 @@ class AnalysisSession:
             policy=policy,
             compiled=compiled,
             semantics=sem,
-            engine=engine,
         )
 
     def observed_stats(
@@ -457,7 +449,6 @@ class AnalysisSession:
         seed: int = 0,
         policy: PolicyLike = "uniform",
         semantics: Optional[str] = None,
-        engine: str = "auto",
         chunk: int = 256,
         quantiles: Sequence[float] = (0.5, 0.9, 0.99),
     ) -> Dict[str, object]:
@@ -497,7 +488,6 @@ class AnalysisSession:
                 rng=generator,
                 policy=policy,
                 semantics=semantics,
-                engine=engine,
             )
             remaining -= batch.sims
             if not engines or engines[-1] != batch.engine:

@@ -14,8 +14,9 @@ Two structural properties make the search fast and parallel:
   system with nothing but the offset vector changed — exactly the
   shape :class:`repro.sim.batch.CompiledScenario` amortizes.  The
   scenario is compiled once per restart, and a task's whole candidate
-  batch is evaluated in one columnar kernel call per phase of the
-  steady-state probe (:func:`repro.sim.columnar.run_windowed`): the
+  batch goes through the steady-state rule's one home,
+  :class:`~repro.exact.hyperperiod.SteadyStateRule`, with one columnar
+  kernel call (:func:`repro.sim.columnar.run_windowed`) per phase: the
   two-window convergence probe for every row, then the full
   ``max_windows`` run for the rows that did not converge.  Every row
   advances to one fixed horizon per phase, so the kernel inputs are
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.exact.hyperperiod import steady_state_disparity
+from repro.exact.hyperperiod import SteadyStateRule, steady_state_disparity
 from repro.model.system import System
 from repro.model.task import ModelError
 from repro.parallel.engine import PoolRunner
@@ -89,17 +90,18 @@ class _CompiledObjective:
     """The steady-state objective, evaluated a batch at a time.
 
     Replays :func:`~repro.exact.hyperperiod.steady_state_disparity`
-    (seed 0, implicit semantics) for a batch of offset vectors on the
-    columnar tier, with everything offset-independent hoisted out of
-    the per-evaluation path: the hyperperiod, the offset-free part of
-    the warmup horizon, the response-time gate of the two-window
-    convergence probe and the columnar rules of the scenario and
-    policy.  Rows the columnar tier cannot replay — an ineligible
-    scenario (see :attr:`CompiledScenario.ineligible_reason`), release
-    tables (jittered or sporadic tasks), a policy the kernel cannot
-    draw, a kernel that does not load, offsets outside ``[0, T]`` —
-    evaluate through the reference implementation instead, so results
-    never depend on eligibility.
+    (seed 0, implicit semantics) for a batch of offset vectors: the
+    in-domain rows settle together under the system's
+    :class:`~repro.exact.hyperperiod.SteadyStateRule`, with
+    :func:`~repro.sim.columnar.run_windowed` as their window source,
+    and the rule, the compiled scenario and its columnar rules are
+    built once per objective.  Rows the columnar tier cannot replay
+    — an ineligible scenario (see
+    :attr:`CompiledScenario.ineligible_reason`), release tables
+    (jittered or sporadic tasks), a policy the kernel cannot draw, a
+    kernel that does not load, offsets outside ``[0, T]`` — evaluate
+    through the reference implementation instead, so results never
+    depend on eligibility.
     """
 
     def __init__(
@@ -117,24 +119,8 @@ class _CompiledObjective:
         self.probe_eligible = not self.compiled._needs_tables and not (
             self.compiled.columnar_reasons(policy)
         )
-        graph = system.graph
-        self.order = [t.name for t in graph.tasks]
-        self.hyperperiod = graph.hyperperiod()
-        # warmup_horizon(system) minus its max-offset term; offsets
-        # are the search variables, the rest is fixed per system.
-        self.warmup_base = 2 * sum(t.period for t in graph.tasks) + sum(
-            (channel.capacity - 1) * graph.task(channel.src).period
-            for channel in graph.channels
-        )
-        # The largest warmup an in-domain vector can have: every row of
-        # a phase advances to this plus the phase's windows, so one
-        # kernel plan per phase serves every batch.
-        self.max_warmup = (
-            max(t.period for t in graph.tasks) + self.warmup_base
-        )
-        self.probe_ok = max_windows >= 3 and all(
-            system.R(t.name) <= self.hyperperiod for t in graph.tasks
-        )
+        self.order = [t.name for t in system.graph.tasks]
+        self.rule = SteadyStateRule(system, max_windows)
 
     def value(self, offsets: Dict[str, Time]) -> Time:
         """The objective of one candidate (a one-row batch)."""
@@ -157,49 +143,26 @@ class _CompiledObjective:
                     policy=self.policy,
                     max_windows=self.max_windows,
                 ).disparity
-        if rows and self.probe_ok:
-            first = self._windows(vectors, rows, 3, 2)
-            for index, (a, b) in zip(rows, first):
-                if a == b:
-                    results[index] = b
-            rows = [index for index in rows if results[index] is None]
-        if rows:
-            count = self.max_windows
-            for index, windows in zip(
-                rows, self._windows(vectors, rows, count, count)
-            ):
-                results[index] = _settled(windows)
-        return results
+        draws = [(0, vectors[index]) for index in rows]
 
-    def _windows(
-        self, vectors, rows: List[int], horizon_windows: int, count: int
-    ) -> List[List[Time]]:
-        """Per-window maxima of ``rows``, each to its own horizon.
+        def windowed(picked, starts, cutoffs, duration, window, count):
+            return run_windowed(
+                self.compiled,
+                [draws[row] for row in picked],
+                starts,
+                cutoffs,
+                duration,
+                window,
+                count,
+                self.policy,
+            )
 
-        Row ``i`` starts its windows at its own warmup, ``max(vector)
-        + warmup_base``, and counts jobs finished by ``warmup +
-        horizon_windows * H``, exactly the reference's run.
-        """
-        hyperperiod = self.hyperperiod
-        starts = [max(vectors[index]) + self.warmup_base for index in rows]
-        return run_windowed(
-            self.compiled,
-            [(0, vectors[index]) for index in rows],
-            starts,
-            [start + horizon_windows * hyperperiod for start in starts],
-            self.max_warmup + horizon_windows * hyperperiod,
-            hyperperiod,
-            count,
-            self.policy,
+        settled = self.rule.settle(
+            [max(offsets) for _seed, offsets in draws], windowed
         )
-
-
-def _settled(values: List[Time]) -> Time:
-    """The first value two consecutive windows agree on, else the max."""
-    for index in range(1, len(values)):
-        if values[index] == values[index - 1]:
-            return values[index]
-    return max(values)
+        for index, result in zip(rows, settled):
+            results[index] = result.disparity
+        return results
 
 
 def _run_restart(

@@ -2,11 +2,11 @@
 
 The Fig. 6 harness averages per-graph results; when comparing runs (or
 judging whether an ablation's improvement is real) the dispersion
-matters too.  This module provides the small, dependency-free pieces:
+matters too.  This module provides two small pieces:
 
-* :class:`RunningStats` — Welford's online mean/variance;
 * :func:`summarize` — mean, sample standard deviation, and a normal-
-  approximation confidence half-width for a sample;
+  approximation confidence half-width for a sample, folded through
+  Welford's update (:class:`repro.parallel.aggregate.StreamingStats`);
 * :func:`paired_improvement` — mean and dispersion of per-item paired
   differences (e.g. ``Sim - Sim-B`` per graph), the right view for
   "does the optimization help" questions.
@@ -16,52 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-
-class RunningStats:
-    """Welford online accumulator for mean and variance."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, value: float) -> None:
-        """Fold one value into the accumulator."""
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Fold several values into the accumulator."""
-        for value in values:
-            self.add(value)
-
-    @property
-    def mean(self) -> float:
-        """Running arithmetic mean."""
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (Bessel-corrected); 0 for fewer than 2 points."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        """Sample standard deviation."""
-        return math.sqrt(self.variance)
-
-    @property
-    def stderr(self) -> float:
-        """Standard error of the mean."""
-        if self.count == 0:
-            return 0.0
-        return self.std / math.sqrt(self.count)
+from repro.parallel.aggregate import StreamingStats
 
 
 @dataclass(frozen=True)
@@ -83,13 +40,15 @@ _Z95 = 1.959963984540054
 
 def summarize(values: Sequence[float]) -> Summary:
     """Mean / std / 95% half-width of a sample (normal approximation)."""
-    stats = RunningStats()
-    stats.extend(values)
+    stats = StreamingStats()
+    for value in values:
+        stats.add(value)
+    stderr = stats.std / math.sqrt(stats.count) if stats.count else 0.0
     return Summary(
         count=stats.count,
         mean=stats.mean,
         std=stats.std,
-        ci95=_Z95 * stats.stderr,
+        ci95=_Z95 * stderr,
     )
 
 

@@ -122,7 +122,7 @@ def write_worker_spec(
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     entries = [src_dir] + [os.path.abspath(p) for p in sys_path]
     payload = {
-        "part": part if isinstance(part, str) else part,
+        "part": part,
         "config": config,
         "shard": str(shard),
         "out": out,

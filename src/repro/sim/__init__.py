@@ -30,9 +30,7 @@ from repro.sim.metrics import (
     ObservedRange,
 )
 from repro.sim.provenance import (
-    PackedProvenance,
     Provenance,
-    ProvenancePacker,
     Token,
     disparity_of,
     merge_provenance,
@@ -60,8 +58,6 @@ __all__ = [
     "FaultPlan",
     "StalenessMonitor",
     "render_gantt",
-    "PackedProvenance",
-    "ProvenancePacker",
     "BackwardTimeMonitor",
     "DataAgeMonitor",
     "DisparityMonitor",

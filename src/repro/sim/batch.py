@@ -14,7 +14,10 @@ inputs (offsets and execution-time seeds).
 :func:`run_batch` replays through one of two tiers, both
 **byte-identical** to N independent :func:`simulate` calls under the
 same derived seeds (pinned by ``tests/test_sim_batch.py``,
-``tests/test_engine_fastpath.py`` and ``tests/test_let_fastpath.py``):
+``tests/test_engine_fastpath.py`` and ``tests/test_let_fastpath.py``).
+The input alone picks the tier — there is no caller option — and
+:attr:`BatchResult.engine` and :attr:`BatchResult.reason` record which
+one ran and why:
 
 * the **columnar** tier (:mod:`repro.sim.columnar`) advances every
   replication in one C-kernel call and derives their disparities in
@@ -28,10 +31,8 @@ same derived seeds (pinned by ``tests/test_sim_batch.py``,
   :class:`~repro.model.task.ModelError` naming it.
 
 :meth:`CompiledScenario.disparity` is the one-replication case of the
-same tier choice, and :meth:`CompiledScenario.windowed_maxima` (the
-per-window maxima of the steady-state probe) is the one-row case of
-:func:`repro.sim.columnar.run_windowed`.  The only event loops are the
-simulator's and the C kernel's.
+same tier choice.  The only event loops are the simulator's and the C
+kernel's.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from repro.sim.exec_time import (
     ExecTimePolicy,
     named_policy,
     uniform_policy,
-    wcet_policy,
 )
 from repro.sim.metrics import DisparityMonitor
 from repro.sim.release import needs_tables
@@ -104,8 +104,8 @@ class BatchResult:
         semantics: The communication semantics the replications ran
             under (``"implicit"`` or ``"let"``).
         reason: Why the run fell back to the simulator (every failed
-            columnar rule, ``"; "``-joined, or the engine the caller
-            forced), ``None`` when the columnar tier ran.
+            columnar rule, ``"; "``-joined), ``None`` when the columnar
+            tier ran.
     """
 
     task: str
@@ -179,8 +179,9 @@ class CompiledScenario:
     ``semantics`` selects the communication model the replications
     reproduce: ``"implicit"`` (read at start / write at finish) or
     ``"let"`` (read at release, publish at deadline, deadline checked
-    per finish).  Both replay on the columnar tier; the windowed
-    probe of :meth:`windowed_maxima` is implicit-only.
+    per finish).  Both replay on the columnar tier; the offset
+    search's windowed probe (:func:`repro.sim.columnar.run_windowed`)
+    is implicit-only.
     """
 
     def __init__(
@@ -376,12 +377,6 @@ class CompiledScenario:
             reasons.append("offsets outside [0, T]")
         return reasons
 
-    def _check_offsets(self, offsets: Sequence[Time]) -> None:
-        if len(offsets) != self.n:
-            raise ModelError(
-                f"expected {self.n} offsets, got {len(offsets)}"
-            )
-
     def disparity(
         self,
         offsets: Sequence[Time],
@@ -400,7 +395,10 @@ class CompiledScenario:
         simulator run.  A vector of the wrong length or a horizon of 0
         or less raises :class:`~repro.model.task.ModelError`.
         """
-        self._check_offsets(offsets)
+        if len(offsets) != self.n:
+            raise ModelError(
+                f"expected {self.n} offsets, got {len(offsets)}"
+            )
         values, _engine, _reason = _replay(
             self,
             [(seed, tuple(offsets))],
@@ -409,53 +407,6 @@ class CompiledScenario:
             _resolve_policy(policy),
         )
         return values[0]
-
-    def windowed_maxima(
-        self,
-        offsets: Sequence[Time],
-        duration: Time,
-        start: Time,
-        window: Time,
-        count: int,
-        *,
-        seed: int = 0,
-        policy: PolicyLike = wcet_policy,
-    ) -> List[Time]:
-        """Per-window disparity maxima of the monitored task.
-
-        The equivalent of the steady-state probe's ``_WindowedDisparity``
-        observer on one simulator run of ``duration``: completed jobs
-        released at or after ``start`` are bucketed into consecutive
-        windows of length ``window``; windows without a sample read 0.
-        The one-row case of :func:`repro.sim.columnar.run_windowed`, as
-        :meth:`disparity` is for :func:`run_batch`.  Requires implicit
-        semantics with periodic releases and no fault plan, and every
-        columnar rule (eligible scenario, batchable policy, kernel
-        loaded, offsets in ``[0, T]``); anything else raises
-        :class:`~repro.model.task.ModelError` listing what is unmet.
-        """
-        # Imported here: repro.sim.columnar imports this module.
-        from repro.sim import columnar as _columnar
-
-        self._check_offsets(offsets)
-        if duration <= 0:
-            raise ModelError(f"duration must be positive, got {duration}")
-        resolved = _resolve_policy(policy)
-        reasons = self.columnar_reasons(resolved, [offsets])
-        if reasons:
-            raise ModelError(
-                f"windowed probe needs the columnar tier: {'; '.join(reasons)}"
-            )
-        return _columnar.run_windowed(
-            self,
-            [(seed, tuple(offsets))],
-            [start],
-            [duration],
-            duration,
-            window,
-            count,
-            resolved,
-        )[0]
 
     # ------------------------------------------------------------------
     # fallback
@@ -496,7 +447,6 @@ def _replay(
     duration: Time,
     warmup: Time,
     policy: ExecTimePolicy,
-    engine: str = "auto",
 ) -> Tuple[List[Time], str, Optional[str]]:
     """Disparities of ``(seed, offsets)`` draws through one replay tier.
 
@@ -504,30 +454,22 @@ def _replay(
     :meth:`CompiledScenario.disparity` share: the columnar tier when
     every rule holds — the scenario's table rules, the columnar ones
     (batchable policy, kernel loaded, ranks fit) and offsets in
-    ``[0, T]`` — else the per-replication simulator.  ``engine`` is
-    ``"auto"``, ``"columnar"`` (raise listing every unmet rule instead
-    of falling back) or ``"simulator"``.  Returns ``(disparities,
-    engine that ran, reason)``.
+    ``[0, T]`` — else the per-replication simulator.  Returns
+    ``(disparities, engine that ran, reason)``.
     """
     # Imported here: repro.sim.columnar imports this module.
     from repro.sim import columnar as _columnar
 
     if duration <= 0:
         raise ModelError(f"duration must be positive, got {duration}")
-    if engine == "simulator":
-        reason = compiled.ineligible_reason or "engine='simulator' requested"
-    else:
-        reasons = compiled.columnar_reasons(
-            policy, [offsets for _seed, offsets in draws]
+    reasons = compiled.columnar_reasons(
+        policy, [offsets for _seed, offsets in draws]
+    )
+    if not reasons:
+        values = _columnar.run_columnar(
+            compiled, draws, duration, warmup, policy
         )
-        if not reasons:
-            values = _columnar.run_columnar(
-                compiled, draws, duration, warmup, policy
-            )
-            return values, "columnar", None
-        reason = "; ".join(reasons)
-        if engine == "columnar":
-            raise ModelError(f"columnar engine unavailable: {reason}")
+        return values, "columnar", None
     t0 = _time.perf_counter()
     try:
         values = [
@@ -536,7 +478,7 @@ def _replay(
         ]
     finally:
         PHASE_TIMES["replicate_s"] += _time.perf_counter() - t0
-    return values, "simulator", reason
+    return values, "simulator", "; ".join(reasons)
 
 
 def run_batch(
@@ -551,7 +493,6 @@ def run_batch(
     policy: PolicyLike = uniform_policy,
     compiled: Optional[CompiledScenario] = None,
     semantics: str = "implicit",
-    engine: str = "auto",
     faults=None,
 ) -> BatchResult:
     """Run ``sims`` randomized replications against one compiled scenario.
@@ -565,15 +506,13 @@ def run_batch(
     ``semantics`` (``"implicit"`` or ``"let"``).  A pre-``compiled``
     scenario must have been compiled under the same semantics.
 
-    ``engine`` selects the replay tier.  ``"auto"`` (default) takes
-    the **columnar** batch engine (all replications advanced in one
-    C-kernel call, provenance derived in bulk — requires a batchable
-    named policy and the runtime C kernel) when the scenario is
-    eligible, else the per-replication **simulator**.  ``"columnar"``
-    forces the columnar tier and raises a
-    :class:`~repro.model.task.ModelError` listing every unmet rule;
-    ``"simulator"`` forces the plain simulator.  Both tiers return
-    identical disparities.  Every replication's seed/offsets are drawn
+    The replications run on the **columnar** batch engine (all
+    replications advanced in one C-kernel call, provenance derived in
+    bulk — requires a batchable named policy and the runtime C kernel)
+    when the scenario is eligible, else on the per-replication
+    **simulator**; both tiers return identical disparities, and the
+    result's ``engine`` and ``reason`` say which ran and why.  Every
+    replication's seed/offsets are drawn
     up front, so after a mid-batch LET-violation error ``rng`` has
     advanced past all ``sims`` draws (the sequential loop stops at the
     violating replication).  A horizon of 0 or less raises
@@ -586,11 +525,6 @@ def run_batch(
     """
     if sims < 0:
         raise ModelError(f"sims must be >= 0, got {sims}")
-    if engine not in ("auto", "columnar", "simulator"):
-        raise ModelError(
-            f"unknown engine {engine!r}; choose from "
-            f"('auto', 'columnar', 'simulator')"
-        )
     resolved = _resolve_policy(policy)
     if rng is None:
         rng = random.Random(seed)
@@ -624,7 +558,7 @@ def run_batch(
         for _ in range(sims)
     ]
     disparities, ran, reason = _replay(
-        compiled, draws, duration, warmup, resolved, engine
+        compiled, draws, duration, warmup, resolved
     )
     return BatchResult(
         task=task,

@@ -21,7 +21,7 @@ maximum pairwise difference only depends on the extremes).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.units import Time
 
@@ -96,120 +96,6 @@ def disparity_of(provenance: Provenance) -> Optional[Time]:
     lo = min(pair[0] for pair in provenance.values())
     hi = max(pair[1] for pair in provenance.values())
     return hi - lo
-
-
-#: Interned provenance: ``(mask, stamps)`` where bit ``i`` of ``mask``
-#: says source index ``i`` contributed, and ``stamps[2*i] / stamps[2*i+1]``
-#: hold that source's min/max timestamp (0 when the bit is clear).
-PackedProvenance = Tuple[int, Tuple[Time, ...]]
-
-
-class ProvenancePacker:
-    """Interned source-index bitmask form of :data:`Provenance`.
-
-    The simulator's hot path merges provenance mappings once per job;
-    with dicts that is hashing and tuple churn per source.  Packing the
-    (fixed, known up front) source set into integer indices turns a
-    merge into bitmask union plus min/max on a flat stamp array —
-    integer ops only, no hashing.  ``pack``/``unpack`` convert at the
-    boundary so observers keep seeing plain dicts.
-
-    The packed form is equivalent to the dict form by construction:
-    ``unpack(merge(map(pack, parts))) == merge_provenance(parts)``
-    (property-tested in ``tests/test_sim_provenance_packed.py``).
-    """
-
-    __slots__ = ("sources", "index", "_empty")
-
-    def __init__(self, sources: Sequence[str]) -> None:
-        self.sources: Tuple[str, ...] = tuple(sources)
-        self.index: Dict[str, int] = {
-            name: i for i, name in enumerate(self.sources)
-        }
-        self._empty: PackedProvenance = (0, (0,) * (2 * len(self.sources)))
-
-    @property
-    def empty(self) -> PackedProvenance:
-        """The packed form of ``{}``."""
-        return self._empty
-
-    def source(self, name: str, timestamp: Time) -> PackedProvenance:
-        """Packed ``{name: (timestamp, timestamp)}``."""
-        i = self.index[name]
-        stamps = list(self._empty[1])
-        stamps[2 * i] = timestamp
-        stamps[2 * i + 1] = timestamp
-        return (1 << i, tuple(stamps))
-
-    def pack(self, provenance: Provenance) -> PackedProvenance:
-        """Dict form -> packed form."""
-        mask = 0
-        stamps = list(self._empty[1])
-        for name, (lo, hi) in provenance.items():
-            i = self.index[name]
-            mask |= 1 << i
-            stamps[2 * i] = lo
-            stamps[2 * i + 1] = hi
-        return (mask, tuple(stamps))
-
-    def unpack(self, packed: PackedProvenance) -> Provenance:
-        """Packed form -> dict form (insertion order = source index)."""
-        mask, stamps = packed
-        out: Provenance = {}
-        sources = self.sources
-        while mask:
-            bit = mask & -mask
-            i = bit.bit_length() - 1
-            out[sources[i]] = (stamps[2 * i], stamps[2 * i + 1])
-            mask ^= bit
-        return out
-
-    def merge(self, parts: Iterable[PackedProvenance]) -> PackedProvenance:
-        """Packed :func:`merge_provenance`: mask union + min/max folds."""
-        acc_mask = -1
-        acc: list = []
-        for mask, stamps in parts:
-            if acc_mask < 0:
-                acc_mask = mask
-                acc = list(stamps)
-                continue
-            fresh = mask & ~acc_mask
-            shared = mask & acc_mask
-            acc_mask |= mask
-            while fresh:
-                bit = fresh & -fresh
-                i2 = 2 * (bit.bit_length() - 1)
-                acc[i2] = stamps[i2]
-                acc[i2 + 1] = stamps[i2 + 1]
-                fresh ^= bit
-            while shared:
-                bit = shared & -shared
-                i2 = 2 * (bit.bit_length() - 1)
-                if stamps[i2] < acc[i2]:
-                    acc[i2] = stamps[i2]
-                if stamps[i2 + 1] > acc[i2 + 1]:
-                    acc[i2 + 1] = stamps[i2 + 1]
-                shared ^= bit
-        if acc_mask < 0:
-            return self._empty
-        return (acc_mask, tuple(acc))
-
-    def disparity(self, packed: PackedProvenance) -> Optional[Time]:
-        """Packed :func:`disparity_of`."""
-        mask, stamps = packed
-        if not mask:
-            return None
-        lo: Optional[Time] = None
-        hi: Optional[Time] = None
-        while mask:
-            bit = mask & -mask
-            i2 = 2 * (bit.bit_length() - 1)
-            if lo is None or stamps[i2] < lo:
-                lo = stamps[i2]
-            if hi is None or stamps[i2 + 1] > hi:
-                hi = stamps[i2 + 1]
-            mask ^= bit
-        return hi - lo  # type: ignore[operator]
 
 
 def pairwise_disparity_of(

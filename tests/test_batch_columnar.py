@@ -3,15 +3,15 @@
 The columnar tier advances every replication's NP-FP schedule in one
 C-kernel call and derives provenance/disparity columns in bulk, so its
 correctness contract is strict equality with the reference: for any
-eligible scenario, ``run_batch(engine="columnar")`` must return the
-same per-replication disparities as ``sims`` independent ``Simulator``
-runs (``engine="simulator"``), and each row must equal the
-one-replication :meth:`CompiledScenario.disparity` at the same draw.
-The suite pins that identity across implicit and LET semantics, all
-four batchable policies, zero-BCET cascades, and the fallback edges
-(unbatchable policies, ineligible scenarios, C toolchain absent) —
-plus the jobs-invariance of campaign CSVs with the columnar engine
-active underneath.
+eligible scenario, ``run_batch`` must run the columnar tier and return
+the same per-replication disparities as ``sims`` independent
+``Simulator`` runs (``tests.tiers.simulator_disparities``), and each
+row must equal the one-replication :meth:`CompiledScenario.disparity`
+at the same draw.  The suite pins that identity across implicit and
+LET semantics, all four batchable policies, zero-BCET cascades, and
+the fallback edges the input itself selects (unbatchable policies,
+ineligible scenarios, C toolchain absent) — plus the jobs-invariance
+of campaign CSVs with the columnar engine active underneath.
 
 Columnar-only tests skip, with the kernel's reason, when the kernel
 cannot load here; the fallback-parity tests still run.
@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 import subprocess
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -35,8 +36,12 @@ from repro.model.task import ModelError
 from repro.sim import ckernel
 from repro.sim.batch import CompiledScenario, run_batch
 from repro.sim.exec_time import named_policy, per_task_policy, wcet_policy
-from repro.sim.metrics import DisparityMonitor
-from tests.tiers import assert_tiers_match, buffered_system, fused_tasks
+from tests.tiers import (
+    assert_tiers_match,
+    buffered_system,
+    fused_tasks,
+    simulator_disparities,
+)
 
 _KERNEL, _WHY = ckernel.load_kernel()
 needs_columnar = pytest.mark.skipif(
@@ -49,22 +54,19 @@ def _scenario(seed: int, n_tasks: int):
     return scenario.system, scenario.sink
 
 
-def _sequential(system, task, *, sims, duration, warmup, rng, policy,
+def _sequential(system, task, *, sims, duration, warmup, seed, policy,
                 semantics="implicit"):
     """The ground truth: N independent simulator runs, shared generator."""
-    session = AnalysisSession(system, semantics=semantics)
-    out = []
-    for _ in range(sims):
-        monitor = DisparityMonitor([task], warmup=warmup)
-        session.simulate(
-            duration,
-            seed=rng.randrange(2**31),
-            policy=policy,
-            observers=[monitor],
-            offsets_rng=rng,
-        )
-        out.append(monitor.disparity(task))
-    return tuple(out)
+    return simulator_disparities(
+        system,
+        [task],
+        sims=sims,
+        duration=duration,
+        warmup=warmup,
+        seed=seed,
+        policy=named_policy(policy) if isinstance(policy, str) else policy,
+        semantics=semantics,
+    )[task]
 
 
 def _one_row_each(system, task, *, sims, duration, warmup, seed, policy,
@@ -83,7 +85,7 @@ def _one_row_each(system, task, *, sims, duration, warmup, seed, policy,
 
 
 def _run(system, task, *, sims, duration, warmup, seed, policy,
-         semantics="implicit", engine="auto"):
+         semantics="implicit"):
     return run_batch(
         system,
         task,
@@ -93,7 +95,6 @@ def _run(system, task, *, sims, duration, warmup, seed, policy,
         rng=random.Random(seed),
         policy=policy,
         semantics=semantics,
-        engine=engine,
     )
 
 
@@ -120,12 +121,10 @@ def test_columnar_matches_simulator(seed, n_tasks, policy):
         sims=3, duration=duration, warmup=duration // 4, seed=seed,
         policy=policy,
     )
-    columnar = _run(system, sink, engine="columnar", **shape)
-    simulator = _run(system, sink, engine="simulator", **shape)
+    columnar = _run(system, sink, **shape)
     assert columnar.engine == "columnar"
     assert columnar.reason is None
-    assert simulator.engine == "simulator"
-    assert columnar.disparities == simulator.disparities
+    assert columnar.disparities == _sequential(system, sink, **shape)
     assert columnar.disparities == _one_row_each(system, sink, **shape)
 
 
@@ -143,14 +142,10 @@ def test_columnar_let_matches_sequential(seed, n_tasks, policy):
         sims=3, duration=duration, warmup=duration // 4, seed=seed,
         policy=policy, semantics="let",
     )
-    columnar = _run(system, sink, engine="columnar", **shape)
+    columnar = _run(system, sink, **shape)
     assert columnar.engine == "columnar"
     assert columnar.disparities == _one_row_each(system, sink, **shape)
-    expected = _sequential(
-        system, sink, sims=3, duration=duration, warmup=duration // 4,
-        rng=random.Random(seed), policy=policy, semantics="let",
-    )
-    assert columnar.disparities == expected
+    assert columnar.disparities == _sequential(system, sink, **shape)
 
 
 @needs_columnar
@@ -170,9 +165,9 @@ def test_columnar_zero_bcet_cascades(seed, n_tasks, semantics):
             sims=3, duration=duration, warmup=0, seed=seed, policy=policy,
             semantics=semantics,
         )
-        columnar = _run(lowered, sink, engine="columnar", **shape)
-        simulator = _run(lowered, sink, engine="simulator", **shape)
-        assert columnar.disparities == simulator.disparities
+        columnar = _run(lowered, sink, **shape)
+        assert columnar.engine == "columnar"
+        assert columnar.disparities == _sequential(lowered, sink, **shape)
 
 
 @needs_columnar
@@ -214,21 +209,15 @@ def test_unbatchable_policy_falls_back_to_simulator():
     assert result.engine == "simulator"
     assert "not a batchable named policy" in (result.reason or "")
     expected = _sequential(
-        system, sink, sims=3, duration=duration, warmup=0,
-        rng=random.Random(5), policy=policy,
+        system, sink, sims=3, duration=duration, warmup=0, seed=5,
+        policy=policy,
     )
     assert result.disparities == expected
-    with pytest.raises(ModelError) as err:
-        _run(
-            system, sink, sims=3, duration=duration, warmup=0, seed=5,
-            policy=policy, engine="columnar",
-        )
-    assert "columnar engine unavailable" in str(err.value)
 
 
 def test_duplicate_priorities_fall_back_to_simulator():
-    """Ineligible scenarios reach the simulator on auto, with the same
-    results, and a forced columnar run refuses with reasons."""
+    """Ineligible scenarios reach the simulator, with the same results
+    and the failed rule as the reason."""
     from repro.model.graph import CauseEffectGraph
     from repro.model.task import Task, source_task
     from repro.units import ms
@@ -250,25 +239,25 @@ def test_duplicate_priorities_fall_back_to_simulator():
     assert auto.engine == "simulator"
     assert "duplicate priorities" in (auto.reason or "")
     expected = _sequential(
-        system, "b", sims=3, duration=ms(200), warmup=ms(40),
-        rng=random.Random(3), policy="uniform",
+        system, "b", sims=3, duration=ms(200), warmup=ms(40), seed=3,
+        policy="uniform",
     )
     assert auto.disparities == expected
-    with pytest.raises(ModelError) as err:
-        _run(
-            system, "b", sims=3, duration=ms(200), warmup=ms(40), seed=3,
-            policy="uniform", engine="columnar",
-        )
-    assert "columnar engine unavailable" in str(err.value)
-    assert "duplicate priorities" in str(err.value)
 
 
 def test_unknown_engine_rejected():
-    """Two tiers remain; the retired ``"compiled"`` name is unknown too."""
+    """The input alone picks the tier: no entry takes an ``engine``."""
     system, sink = _scenario(4, 6)
-    for engine in ("warp", "compiled"):
-        with pytest.raises(ModelError, match=f"unknown engine '{engine}'"):
-            run_batch(system, sink, sims=1, duration=10**9, engine=engine)
+    session = AnalysisSession(system)
+    entries = (
+        partial(run_batch, system),
+        session.observed_disparity,
+        session.observed_batch,
+        session.observed_stats,
+    )
+    for entry in entries:
+        with pytest.raises(TypeError, match="engine"):
+            entry(sink, sims=1, duration=10**9, engine="simulator")
 
 
 @needs_columnar
@@ -292,16 +281,18 @@ def test_let_violation_parity_across_engines():
     overloaded = System(
         graph=overloaded_graph, response_times=built.response_times
     )
-    messages = []
-    for engine in ("columnar", "simulator"):
-        with pytest.raises(ModelError) as err:
-            _run(
-                overloaded, "late", sims=3, duration=ms(100), warmup=0,
-                seed=9, policy="uniform", semantics="let", engine=engine,
-            )
-        messages.append(str(err.value))
-    assert "LET violation" in messages[0]
-    assert messages[0] == messages[1]
+    with pytest.raises(ModelError) as columnar:
+        _run(
+            overloaded, "late", sims=3, duration=ms(100), warmup=0,
+            seed=9, policy="uniform", semantics="let",
+        )
+    with pytest.raises(ModelError) as simulator:
+        _sequential(
+            overloaded, "late", sims=3, duration=ms(100), warmup=0,
+            seed=9, policy="uniform", semantics="let",
+        )
+    assert "LET violation" in str(columnar.value)
+    assert str(columnar.value) == str(simulator.value)
 
 
 def test_no_ckernel_falls_back_to_simulator(monkeypatch):
@@ -309,9 +300,9 @@ def test_no_ckernel_falls_back_to_simulator(monkeypatch):
 
     system, sink = _scenario(78, 8)
     duration = 2 * max(task.period for task in system.graph.tasks)
-    reference = _run(
+    reference = _sequential(
         system, sink, sims=3, duration=duration, warmup=0, seed=6,
-        policy="uniform", engine="simulator",
+        policy="uniform",
     )
     monkeypatch.setattr(
         columnar_mod.ckernel, "load_kernel", lambda: (None, "cc missing")
@@ -322,7 +313,7 @@ def test_no_ckernel_falls_back_to_simulator(monkeypatch):
     )
     assert result.engine == "simulator"
     assert "advance kernel unavailable: cc missing" in (result.reason or "")
-    assert result.disparities == reference.disparities
+    assert result.disparities == reference
 
 
 def test_build_removes_temp_object_when_compiler_launch_fails(

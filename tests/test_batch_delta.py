@@ -32,8 +32,9 @@ from repro.gen import generate_random_scenario
 from repro.model.system import System
 from repro.model.task import ModelError, ReleaseModel
 from repro.sim.batch import CompiledScenario
+from repro.sim.columnar import run_windowed
 from repro.sim.engine import simulate
-from repro.sim.exec_time import named_policy
+from repro.sim.exec_time import named_policy, wcet_policy
 from repro.sim.metrics import DisparityMonitor
 from tests.tiers import require_columnar
 
@@ -266,7 +267,7 @@ def test_offset_edits_redraw_nonperiodic_release_tables(seed, semantics):
 
 
 def test_wrong_length_offsets_raise_model_error():
-    """Both replay methods reject a vector that is not one per task."""
+    """The one-row replay rejects a vector that is not one per task."""
     system, sink = _scenario(5, 6)
     duration = 2 * max(task.period for task in system.graph.tasks)
     shared = CompiledScenario(system, sink)
@@ -276,8 +277,6 @@ def test_wrong_length_offsets_raise_model_error():
         expected = f"expected {n} offsets, got {len(bad)}"
         with pytest.raises(ModelError, match=expected):
             shared.disparity(bad, 3, duration)
-        with pytest.raises(ModelError, match=expected):
-            shared.windowed_maxima(bad, duration, 0, duration, 1)
 
 
 def test_windowed_probe_reuses_plan_per_horizon():
@@ -290,7 +289,10 @@ def test_windowed_probe_reuses_plan_per_horizon():
     first, second = _offset_vectors(system, 31, 2)
 
     def probe(vector):
-        return compiled.windowed_maxima(vector, duration, 0, duration, 1)
+        return run_windowed(
+            compiled, [(0, vector)], [0], [duration], duration, duration, 1,
+            wcet_policy,
+        )
 
     a = probe(first)
     assert list(compiled._plans) == [duration]

@@ -246,8 +246,11 @@ class TestCompiledObjective:
     def test_windowed_probe_rejects_let_and_release_tables(self):
         from repro.model.task import ReleaseModel
         from repro.sim.batch import CompiledScenario
+        from repro.sim.columnar import run_windowed
         from repro.sim.faults import FaultPlan
+        from tests.tiers import require_columnar
 
+        require_columnar()
         system = fusion_system(0)
         offsets = tuple(t.period for t in system.graph.tasks)
         horizon = system.graph.hyperperiod()
@@ -264,13 +267,17 @@ class TestCompiledObjective:
                 system, "fuse", faults=FaultPlan().drop("cam", 0, ms(20))
             ),
         )
+
+        def probe(compiled):
+            return run_windowed(
+                compiled, [(0, offsets)], [0], [horizon], horizon, horizon,
+                1, wcet_policy,
+            )
+
         for compiled in refused:
             with pytest.raises(ModelError, match="windowed probe"):
-                compiled.windowed_maxima(offsets, horizon, 0, horizon, 1)
-        accepted = CompiledScenario(system, "fuse")
-        assert len(
-            accepted.windowed_maxima(offsets, horizon, 0, horizon, 1)
-        ) == 1
+                probe(compiled)
+        assert len(probe(CompiledScenario(system, "fuse"))) == 1
 
 
 class TestSteadyStateEarlyExit:
@@ -279,21 +286,19 @@ class TestSteadyStateEarlyExit:
     @staticmethod
     def _reference(system, task, max_windows=8):
         """The pre-probe algorithm: one full-horizon run, then scan."""
-        from repro.exact.hyperperiod import _window_values
+        from repro.exact.hyperperiod import _WindowedDisparity
+        from repro.sim.engine import Simulator
 
         hyperperiod = system.graph.hyperperiod()
         warmup = warmup_horizon(system)
-        values = _window_values(
+        monitor = _WindowedDisparity(task, hyperperiod, warmup)
+        Simulator(
             system,
-            task,
+            warmup + max_windows * hyperperiod,
             policy=wcet_policy,
-            seed=0,
-            semantics="implicit",
-            warmup=warmup,
-            hyperperiod=hyperperiod,
-            horizon_windows=max_windows,
-            count=max_windows,
-        )
+            observers=[monitor],
+        ).run()
+        values = [monitor.per_window.get(i, 0) for i in range(max_windows)]
         for index in range(1, max_windows):
             if values[index] == values[index - 1]:
                 return (values[index], True, index + 1)

@@ -6,43 +6,46 @@ import random
 import pytest
 
 from repro.experiments.stats import (
-    RunningStats,
     Summary,
     paired_improvement,
     summarize,
 )
+from repro.parallel.aggregate import StreamingStats
 
 
 class TestRunningStats:
+    """The Welford accumulator :func:`summarize` folds through."""
+
     def test_mean(self):
-        stats = RunningStats()
-        stats.extend([1.0, 2.0, 3.0])
-        assert stats.mean == pytest.approx(2.0)
+        assert summarize([1.0, 2.0, 3.0]).mean == pytest.approx(2.0)
 
     def test_variance_matches_textbook(self):
         values = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        stats = RunningStats()
-        stats.extend(values)
+        stats = StreamingStats()
+        for value in values:
+            stats.add(value)
         mean = sum(values) / len(values)
         variance = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
         assert stats.variance == pytest.approx(variance)
         assert stats.std == pytest.approx(math.sqrt(variance))
+        assert summarize(values).std == stats.std
 
     def test_few_points(self):
-        stats = RunningStats()
-        assert stats.variance == 0.0
-        assert stats.stderr == 0.0
+        assert summarize([]) == Summary(count=0, mean=0.0, std=0.0, ci95=0.0)
+        stats = StreamingStats()
         stats.add(5.0)
         assert stats.variance == 0.0
         assert stats.mean == 5.0
+        assert summarize([5.0]) == Summary(
+            count=1, mean=5.0, std=0.0, ci95=0.0
+        )
 
     def test_numerically_stable_for_large_offsets(self):
         # Welford's method must not lose precision when values share a
         # huge common offset (naive sum-of-squares does).
         base = 1e12
-        stats = RunningStats()
-        stats.extend([base + v for v in (1.0, 2.0, 3.0)])
-        assert stats.variance == pytest.approx(1.0)
+        summary = summarize([base + v for v in (1.0, 2.0, 3.0)])
+        assert summary.std == pytest.approx(1.0)
 
 
 class TestSummarize:

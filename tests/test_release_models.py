@@ -56,7 +56,7 @@ from tests.tiers import (
     assert_tiers_match,
     buffered_system,
     fused_tasks,
-    require_columnar,
+    simulator_disparities,
 )
 
 
@@ -260,21 +260,28 @@ class TestBoundarySemantics:
             system, "fuse", seed=9, duration=ms(300), policy=wcet_policy,
             faults=plan,
         )
-        # Both tiers agree replication for replication.
-        per_engine = {}
-        for engine in ("simulator", "columnar", "auto"):
-            per_engine[engine] = run_batch(
-                system,
-                "fuse",
-                sims=4,
-                duration=ms(300),
-                rng=random.Random(5),
-                policy=wcet_policy,
-                faults=plan,
-                engine=engine,
-            ).disparities
-        assert per_engine["columnar"] == per_engine["simulator"]
-        assert per_engine["auto"] == per_engine["simulator"]
+        # The batch runs on the columnar tier and agrees with the
+        # simulator replication for replication.
+        batch = run_batch(
+            system,
+            "fuse",
+            sims=4,
+            duration=ms(300),
+            rng=random.Random(5),
+            policy=wcet_policy,
+            faults=plan,
+        )
+        assert batch.engine == "columnar", batch.reason
+        assert batch.disparities == simulator_disparities(
+            system,
+            ["fuse"],
+            sims=4,
+            duration=ms(300),
+            warmup=0,
+            seed=5,
+            policy=wcet_policy,
+            faults=plan,
+        )["fuse"]
 
     def test_staleness_ages_agree_at_boundary(self):
         # Ending the window exactly at a release must restore freshness
@@ -341,23 +348,16 @@ def _assert_batch_matches_general(system, sink, *, duration, seed, semantics,
                                   faults=None, policy="uniform"):
     from repro.sim.exec_time import named_policy
 
-    require_columnar()
-    per_engine = {}
-    for engine in ("simulator", "columnar", "auto"):
-        per_engine[engine] = run_batch(
-            system,
-            sink,
-            sims=3,
-            duration=duration,
-            warmup=duration // 4,
-            rng=random.Random(seed),
-            policy=named_policy(policy),
-            semantics=semantics,
-            faults=faults,
-            engine=engine,
-        )
-    assert per_engine["columnar"].disparities == per_engine["simulator"].disparities
-    assert per_engine["auto"].disparities == per_engine["simulator"].disparities
+    assert_tiers_match(
+        system,
+        sims=3,
+        duration=duration,
+        seed=seed,
+        policy=named_policy(policy),
+        semantics=semantics,
+        faults=faults,
+        tasks=[sink],
+    )
 
 
 @settings(max_examples=20, deadline=None)

@@ -50,9 +50,9 @@ def _sequential(system, task, *, sims, duration, warmup, rng, policy):
 
 
 def _assert_batch_matches(system, task, *, sims, duration, warmup, seed,
-                          policy, engine="columnar"):
-    """Auto-selected ``run_batch`` == sequential runs, on tier ``engine``."""
-    if engine == "columnar":
+                          policy, tier="columnar"):
+    """``run_batch`` == sequential runs, on the tier the input selects."""
+    if tier == "columnar":
         require_columnar()
     result = run_batch(
         system,
@@ -72,7 +72,7 @@ def _assert_batch_matches(system, task, *, sims, duration, warmup, seed,
         rng=random.Random(seed),
         policy=policy,
     )
-    assert result.engine == engine, result.reason
+    assert result.engine == tier, result.reason
     assert result.disparities == expected
     assert result.max_disparity == max(expected, default=0)
     return result
@@ -230,7 +230,7 @@ def test_ineligible_duplicate_priorities_falls_back_identically():
         warmup=ms(40),
         seed=3,
         policy="uniform",
-        engine="simulator",
+        tier="simulator",
     )
 
 
@@ -267,15 +267,27 @@ def test_run_batch_validation():
     assert empty.max_disparity == 0
 
 
-@pytest.mark.parametrize("engine", ["auto", "columnar", "simulator"])
+@pytest.mark.parametrize("tier", ["auto", "columnar", "simulator"])
 @pytest.mark.parametrize("duration", [0, -5])
-def test_run_batch_rejects_non_positive_horizon(engine, duration):
+def test_run_batch_rejects_non_positive_horizon(tier, duration, monkeypatch):
     """Every tier, and the one-replication ``disparity``, refuse a
-    horizon of 0 or less with the simulator's message."""
+    horizon of 0 or less with the simulator's message.
+
+    The input picks the tier: ``auto`` leaves the kernel as found,
+    ``columnar`` needs it loaded and ``simulator`` reports it missing.
+    """
+    from repro.sim import columnar
+
+    if tier == "columnar":
+        require_columnar()
+    elif tier == "simulator":
+        monkeypatch.setattr(
+            columnar.ckernel, "load_kernel", lambda: (None, "cc missing")
+        )
     system, sink = _scenario(4, 6)
     message = f"duration must be positive, got {duration}"
     with pytest.raises(ModelError, match=message):
-        run_batch(system, sink, sims=2, duration=duration, engine=engine)
+        run_batch(system, sink, sims=2, duration=duration)
     compiled = CompiledScenario(system, sink)
     offsets = tuple(t.offset for t in system.graph.tasks)
     with pytest.raises(ModelError, match=message):

@@ -209,8 +209,8 @@ def assert_tiers_match(
             policy=policy,
             semantics=semantics,
             faults=faults,
-            engine="columnar",
         )
+        assert result.engine == "columnar", result.reason
         assert result.disparities == expected[task], task
 
 
