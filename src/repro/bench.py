@@ -29,7 +29,7 @@ from typing import (
 from repro.api import AnalysisSession
 from repro.chains.backward import BackwardBoundsCache
 from repro.exact.hyperperiod import steady_state_disparity
-from repro.exact.search import _apply_offsets, _CompiledObjective
+from repro.exact.search import _CompiledObjective
 from repro.experiments.fig6 import StageTiming, graph_tasks
 from repro.gen import generate_random_scenario
 from repro.model.chain import enumerate_source_chains
@@ -302,7 +302,7 @@ def _search_arms(rng, *, n_tasks: int, candidates: int, max_windows: int):
     def reference(note):
         return [
             steady_state_disparity(
-                _apply_offsets(system, offsets), sink,
+                system.with_offsets(offsets), sink,
                 policy=wcet_policy, max_windows=max_windows,
             ).disparity
             for offsets in batch

@@ -73,13 +73,6 @@ class OffsetSearchResult:
     evaluations: int
 
 
-def _apply_offsets(system: System, offsets: Dict[str, Time]) -> System:
-    graph = system.graph.copy()
-    for name, offset in offsets.items():
-        graph.replace_task(graph.task(name).with_offset(offset))
-    return System(graph=graph, response_times=system.response_times)
-
-
 def _random_offsets(system: System, rng: random.Random) -> Dict[str, Time]:
     return {
         task.name: rng.randint(1, task.period) for task in system.graph.tasks
@@ -138,7 +131,7 @@ class _CompiledObjective:
                 rows.append(index)
             else:
                 results[index] = steady_state_disparity(
-                    _apply_offsets(self.system, batch[index]),
+                    self.system.with_offsets(batch[index]),
                     self.task,
                     policy=self.policy,
                     max_windows=self.max_windows,

@@ -132,6 +132,13 @@ class CauseEffectGraph:
             clone.add_channel(channel.src, channel.dst, capacity=channel.capacity)
         return clone
 
+    def with_offsets(self, offsets: Mapping[str, Time]) -> "CauseEffectGraph":
+        """A copy whose named tasks carry the given release offsets."""
+        clone = self.copy()
+        for name, offset in offsets.items():
+            clone.replace_task(clone.task(name).with_offset(offset))
+        return clone
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ parameters), ``R`` (WCRT), ``hp`` membership, and same-unit tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.model.chain import Chain
 from repro.model.graph import CauseEffectGraph
@@ -110,6 +110,17 @@ class System:
         modified = self.graph.copy()
         modified.set_channel_capacity(src, dst, capacity)
         return System(graph=modified, response_times=self.response_times)
+
+    def with_offsets(self, offsets: Mapping[str, Time]) -> "System":
+        """A new system whose named tasks have the given release offsets.
+
+        Offsets do not enter the response-time analysis, so the table
+        is reused as-is.
+        """
+        return System(
+            graph=self.graph.with_offsets(offsets),
+            response_times=self.response_times,
+        )
 
     def with_buffer_plan(self, plan: Dict[Tuple[str, str], int]) -> "System":
         """Apply several channel capacities at once (Algorithm 1 output)."""

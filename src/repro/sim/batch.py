@@ -412,14 +412,6 @@ class CompiledScenario:
     # fallback
     # ------------------------------------------------------------------
 
-    def _system_at(self, offsets: Sequence[Time]) -> System:
-        graph = self.graph.copy()
-        for name, offset in zip(self.names, offsets):
-            graph.replace_task(graph.task(name).with_offset(offset))
-        return System(
-            graph=graph, response_times=self.system.response_times
-        )
-
     def _fallback_disparity(
         self,
         offsets: Sequence[Time],
@@ -430,7 +422,7 @@ class CompiledScenario:
     ) -> Time:
         monitor = DisparityMonitor([self.task], warmup=warmup)
         simulate(
-            self._system_at(offsets),
+            self.system.with_offsets(dict(zip(self.names, offsets))),
             duration,
             seed=seed,
             policy=policy,

@@ -483,10 +483,9 @@ def randomize_offsets(
     Matches the paper's evaluation setup ("the release offset of each
     task is randomly picked from the range of [1, T_i]").
     """
-    shifted = graph.copy()
-    for task in shifted.tasks:
-        shifted.replace_task(task.with_offset(rng.randint(1, task.period)))
-    return shifted
+    return graph.with_offsets(
+        {task.name: rng.randint(1, task.period) for task in graph.tasks}
+    )
 
 
 def simulate(

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.disparity import disparity_bound
 from repro.exact import (
-    OffsetSearchResult,
     maximize_disparity_offsets,
     steady_state_disparity,
     warmup_horizon,
@@ -14,10 +13,8 @@ from repro.exact import (
 from repro.model.graph import CauseEffectGraph
 from repro.model.system import System
 from repro.model.task import ModelError, Task, source_task
-from repro.sim.engine import simulate
 from repro.sim.exec_time import wcet_policy
-from repro.sim.metrics import DisparityMonitor
-from repro.units import ms, seconds
+from repro.units import ms
 
 
 def fusion_system(lidar_offset_ms: int = 0) -> System:
@@ -163,7 +160,7 @@ class TestCompiledObjective:
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        from repro.exact.search import _CompiledObjective, _apply_offsets
+        from repro.exact.search import _CompiledObjective
         from repro.gen import generate_random_scenario
 
         @settings(max_examples=20, deadline=None)
@@ -184,7 +181,7 @@ class TestCompiledObjective:
                 for t in system.graph.tasks
             }
             expected = steady_state_disparity(
-                _apply_offsets(system, offsets),
+                system.with_offsets(offsets),
                 sink,
                 policy=wcet_policy,
                 max_windows=max_windows,
@@ -194,7 +191,7 @@ class TestCompiledObjective:
         check()
 
     def test_matches_reference_on_fusion(self):
-        from repro.exact.search import _CompiledObjective, _apply_offsets
+        from repro.exact.search import _CompiledObjective
 
         system = fusion_system(0)
         objective = _CompiledObjective(system, "fuse", wcet_policy, 4)
@@ -205,7 +202,7 @@ class TestCompiledObjective:
                 for t in system.graph.tasks
             }
             expected = steady_state_disparity(
-                _apply_offsets(system, offsets),
+                system.with_offsets(offsets),
                 "fuse",
                 policy=wcet_policy,
                 max_windows=4,
@@ -216,7 +213,7 @@ class TestCompiledObjective:
     def test_jittered_system_falls_back_to_reference(self):
         """Release tables leave the windowed probe's domain; the
         objective then evaluates through the reference and agrees."""
-        from repro.exact.search import _CompiledObjective, _apply_offsets
+        from repro.exact.search import _CompiledObjective
         from repro.model.task import ReleaseModel
 
         base = fusion_system(0)
@@ -236,7 +233,7 @@ class TestCompiledObjective:
                 for t in system.graph.tasks
             }
             expected = steady_state_disparity(
-                _apply_offsets(system, offsets),
+                system.with_offsets(offsets),
                 "fuse",
                 policy=wcet_policy,
                 max_windows=4,

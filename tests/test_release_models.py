@@ -36,9 +36,9 @@ from repro.analysis_regime import (
 from repro.gen import generate_random_scenario
 from repro.model.graph import CauseEffectGraph
 from repro.model.system import System
-from repro.model.task import ModelError, ReleaseModel, Task, source_task
+from repro.model.task import ReleaseModel, Task, source_task
 from repro.sim.batch import run_batch
-from repro.sim.engine import Simulator, simulate
+from repro.sim.engine import Simulator
 from repro.sim.exec_time import bcet_policy, uniform_policy, wcet_policy
 from repro.sim.faults import DropoutWindow, FaultPlan, StalenessMonitor
 from repro.sim.metrics import JobTableMonitor

@@ -21,7 +21,6 @@ from repro.exact import search
 from repro.exact.hyperperiod import _WindowedDisparity, steady_state_disparity
 from repro.exact.search import (
     _CompiledObjective,
-    _apply_offsets,
     maximize_disparity_offsets,
 )
 from repro.sim.batch import CompiledScenario
@@ -55,7 +54,7 @@ def _batch(system, rng: random.Random, size: int):
 def _reference(system, task, batch, policy, max_windows):
     return [
         steady_state_disparity(
-            _apply_offsets(system, offsets),
+            system.with_offsets(offsets),
             task,
             policy=policy,
             max_windows=max_windows,
@@ -135,7 +134,7 @@ def test_run_windowed_matches_windowed_observer(seed, n_tasks, kind, policy):
     for (row_seed, offsets, start, cutoff), windows in zip(rows, got):
         monitor = _WindowedDisparity(task, window, start)
         Simulator(
-            compiled._system_at(offsets),
+            compiled.system.with_offsets(dict(zip(compiled.names, offsets))),
             cutoff,
             seed=row_seed,
             policy=policy,
