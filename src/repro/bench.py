@@ -14,38 +14,29 @@ machines is still noisy, so the CLI gate soft-fails by default.
 from __future__ import annotations
 
 import json
-import os
 import random
-import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
 from pathlib import Path
 from typing import (
     Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
 )
 
-from repro.api import AnalysisSession
 from repro.chains.backward import BackwardBoundsCache
 from repro.exact.hyperperiod import steady_state_disparity
 from repro.exact.search import _CompiledObjective
-from repro.experiments.fig6 import StageTiming, graph_tasks
 from repro.gen import generate_random_scenario
 from repro.model.chain import enumerate_source_chains
 from repro.model.graph import CauseEffectGraph
 from repro.model.system import System
 from repro.model.task import Task
-from repro.parallel.campaign import CampaignPart, run_campaign
-from repro.parallel.checkpoint import config_fingerprint
-from repro.parallel.cluster import run_cluster
-from repro.parallel.engine import PoolRunner
 from repro.sim.batch import PHASE_TIMES, CompiledScenario, run_batch
 from repro.sim.engine import Simulator, randomize_offsets
 from repro.sim.exec_time import wcet_policy
 from repro.sim.faults import FaultPlan
 from repro.sim.metrics import DisparityMonitor
-from repro.units import ms, seconds, to_ms
+from repro.units import ms, seconds
 
 #: Bump when the JSON layout changes incompatibly.
 SCHEMA_VERSION = 1
@@ -315,195 +306,6 @@ def _search_arms(rng, *, n_tasks: int, candidates: int, max_windows: int):
     return {"reference": reference, "batched": batched}, {}
 
 
-@dataclass(frozen=True)
-class _BenchResult:
-    """One graph of the synthetic campaign: id, observed, bound."""
-
-    x: int
-    graph_index: int
-    seed: int
-    sim_ms: float
-    s_diff_ms: float
-    timing: StageTiming
-
-
-@dataclass(frozen=True)
-class _BenchRow:
-    """One point (X value) of the synthetic campaign."""
-
-    x: int
-    sim_ms: float
-    s_diff_ms: float
-
-
-@dataclass(frozen=True)
-class _BenchCampaignConfig:
-    """Points-heavy campaign shape: X is a point id, not a size knob.
-
-    The Fig. 6 parts sweep structural sizes along X, so a
-    10^4-scenario campaign there would mean enormous graphs.  The
-    benchmark part instead holds the scenario size fixed
-    (``n_tasks``) and makes X a plain point index — the many-points /
-    cheap-points shape where per-point engine overhead (task filtering,
-    checkpoint rewriting, pool barriers) is measurable against real
-    generate/analyze/simulate work.
-    """
-
-    x_values: Tuple[int, ...]
-    graphs_per_point: int
-    sims_per_graph: int
-    duration_s: float
-    n_tasks: int
-    seed: int = SEED
-
-
-def _bench_campaign_run_graph(config: _BenchCampaignConfig, task):
-    """Generate + analyze + simulate one fixed-size graph (pure)."""
-    rng = random.Random(task.seed)
-    t0 = time.perf_counter()
-    scenario = generate_random_scenario(config.n_tasks, rng)
-    t1 = time.perf_counter()
-    session = AnalysisSession(scenario.system)
-    s_diff = to_ms(session.disparity(scenario.sink))
-    t2 = time.perf_counter()
-    duration = seconds(config.duration_s)
-    sim = to_ms(
-        session.observed_disparity(
-            scenario.sink, sims=config.sims_per_graph, duration=duration,
-            warmup=duration // 4, rng=rng,
-        )
-    )
-    timing = StageTiming(t1 - t0, t2 - t1, time.perf_counter() - t2)
-    return _BenchResult(task.x, task.graph_index, task.seed, sim, s_diff, timing)
-
-
-def _bench_campaign_aggregate(x: int, results) -> _BenchRow:
-    ordered = sorted(results, key=lambda r: r.graph_index)
-    return _BenchRow(
-        x=x,
-        sim_ms=sum(r.sim_ms for r in ordered) / len(ordered),
-        s_diff_ms=sum(r.s_diff_ms for r in ordered) / len(ordered),
-    )
-
-
-def _bench_campaign_decode(data: dict) -> _BenchResult:
-    return _BenchResult(**{**data, "timing": StageTiming(**data["timing"])})
-
-
-def _bench_campaign_format(row: _BenchRow) -> str:
-    return f"x={row.x}: Sim={row.sim_ms:.1f}ms S-diff={row.s_diff_ms:.1f}ms"
-
-
-def _bench_campaign_csv(rows) -> str:
-    lines = ["x,sim_ms,s_diff_ms"]
-    lines += [f"{r.x},{r.sim_ms:.6f},{r.s_diff_ms:.6f}" for r in rows]
-    return "\n".join(lines) + "\n"
-
-
-def bench_campaign_part() -> CampaignPart:
-    """The synthetic points-heavy campaign as a :class:`CampaignPart`."""
-    return CampaignPart(
-        name="bench",
-        tasks=graph_tasks,
-        run_graph=_bench_campaign_run_graph,
-        aggregate=_bench_campaign_aggregate,
-        result_type=_BenchResult,
-        decode_result=_bench_campaign_decode,
-        format_progress=_bench_campaign_format,
-        to_csv=_bench_campaign_csv,
-        metric=attrgetter("sim_ms"),
-    )
-
-
-def _legacy_campaign(config: _BenchCampaignConfig, checkpoint_path: Path):
-    """The pre-streaming campaign loop, faithfully reproduced.
-
-    One pool ``map_ordered`` barrier per point over tasks selected by a
-    linear filter of the full task list (O(points² × graphs) across the
-    campaign), one result list per point, and — after every point — an
-    atomic rewrite of the *entire* checkpoint document in the old
-    whole-file JSON format (O(points²) bytes across the campaign).
-    """
-    tasks = graph_tasks(config)
-    rows = []
-    saved_rows: Dict[str, dict] = {}
-    order: List[str] = []
-    fingerprint = config_fingerprint("bench", config)
-    with PoolRunner(1) as pool:
-        for x in config.x_values:
-            point_tasks = [task for task in tasks if task.x == x]
-            results, _stats = pool.map_ordered(
-                partial(_bench_campaign_run_graph, config), point_tasks
-            )
-            row = _bench_campaign_aggregate(x, results)
-            rows.append(row)
-            saved_rows[str(x)] = asdict(row)
-            order.append(str(x))
-            payload = {"fingerprint": fingerprint, "order": order, "rows": saved_rows}
-            tmp = f"{checkpoint_path}.tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, str(checkpoint_path))
-    return rows
-
-
-def _campaign_arms(
-    rng, *, points: int, graphs_per_point: int, sims_per_graph: int,
-    duration_s: float, n_tasks: int, shards: int = 1, workers: int = 1,
-):
-    """One points-heavy campaign through four engines, rows compared.
-
-    ``legacy`` is :func:`_legacy_campaign`; ``streaming`` is
-    :func:`repro.parallel.campaign.run_campaign` on one worker (single
-    adaptive map, bounded accumulators, O(1) JSONL appends), both
-    checkpointing, and records the accumulator's *measured* peak
-    residency next to the legacy loop's whole-campaign row dict.
-    ``pool`` runs ``run_campaign`` on a ``workers``-wide process pool;
-    ``cluster`` runs :func:`repro.parallel.cluster.run_cluster` with
-    ``shards`` shards on ``workers`` worker subprocesses (launch, shard
-    JSONL writes, tail polling and merge included): its overhead over
-    ``pool`` is the measured price of fault tolerance.
-    """
-    config = _BenchCampaignConfig(
-        tuple(range(points)), graphs_per_point, sims_per_graph, duration_s, n_tasks
-    )
-    part = bench_campaign_part()
-
-    def legacy(note):
-        with tempfile.TemporaryDirectory() as tmpdir:
-            rows = _legacy_campaign(config, Path(tmpdir) / "legacy.ckpt")
-        note["legacy_resident_rows"] = points
-        return rows
-
-    def streaming(note):
-        with tempfile.TemporaryDirectory() as tmpdir:
-            checkpoint = str(Path(tmpdir) / "stream.ckpt")
-            rows, timing = run_campaign(part, config, jobs=1, checkpoint=checkpoint)
-        stream = timing.stream or {}
-        for key in ("peak_in_flight_results", "peak_points_open"):
-            note[key] = stream.get(key, 0)
-        return rows
-
-    def pool(note):
-        return run_campaign(part, config, jobs=workers)[0]
-
-    def cluster(note):
-        with tempfile.TemporaryDirectory() as tmpdir:
-            rows, report = run_cluster(
-                part, config, shards=shards, workers=workers, out_dir=tmpdir,
-                heartbeat_timeout=300.0, poll_s=0.02,
-            )
-        if report.deaths:
-            raise AssertionError(
-                f"benchmark run saw {report.deaths} unexpected worker death(s)"
-            )
-        return rows
-
-    arms = {"legacy": legacy, "streaming": streaming, "pool": pool, "cluster": cluster}
-    return arms, {"scenarios": points * graphs_per_point * sims_per_graph}
-
-
 def _diamond_ladder(levels: int, width: int = 2):
     """``levels`` fork/join stages of ``width`` branches each.
 
@@ -560,17 +362,13 @@ def _analysis_arms(rng, *, levels: int, width: int):
 _BATCH_FULL = {"n_tasks": 10, "sims": 20, "duration_s": 6.0, "repeats": 3}
 _BATCH_QUICK = {**_BATCH_FULL, "sims": 8, "duration_s": 2.0, "repeats": 2}
 _SWEEP = {"n_tasks": 20, "candidates": 150, "duration_s": 0.25, "repeats": 3}
-_CAMPAIGN = {"points": 120, "graphs_per_point": 1, "sims_per_graph": 2,
-             "duration_s": 0.2, "n_tasks": 5}
-_CLUSTER = {**_CAMPAIGN, "points": 200, "shards": 2, "workers": 2}
 _SIMS_PER_S = Column("sims_per_s", "sims", "batched_s")
 _REPLICATION = (Column("speedup", "sequential_s", "batched_s"), _SIMS_PER_S)
 
 #: Every kernel, in document order.  The batched tiers gate ratios at
-#: any shape; the reference-simulator throughput, the legacy loop's
-#: quadratic overhead, the coordinator's fixed costs and the per-chain
-#: analysis cost all depend on the shape, so those gates compare only
-#: rows whose ``shape_keys`` equal the baseline's.
+#: any shape; the reference-simulator throughput and the per-chain
+#: analysis cost depend on the shape, so those gates compare only rows
+#: whose ``shape_keys`` equal the baseline's.
 SPECS: Tuple[Spec, ...] = (
     Spec(
         "sim", "kernel", _sim_arms, ("wall",),
@@ -614,22 +412,6 @@ SPECS: Tuple[Spec, ...] = (
         {"n_tasks": 12, "candidates": 96, "max_windows": 4, "repeats": 3},
         {"n_tasks": 12, "candidates": 48, "max_windows": 4, "repeats": 2},
         winner="batched",
-    ),
-    Spec(
-        "campaign", "campaign", _campaign_arms, ("legacy", "streaming"),
-        (Column("speedup", "legacy_s", "streaming_s"),
-         Column("scenarios_per_s", "scenarios", "streaming_s", 1)),
-        Gate("speedup", "higher", "streaming campaign speedup"),
-        {**_CAMPAIGN, "points": 1250, "sims_per_graph": 8}, _CAMPAIGN,
-        shape_keys=("points", "sims_per_graph"), winner="streaming",
-    ),
-    Spec(
-        "cluster", "cluster", _campaign_arms, ("pool", "cluster"),
-        (Column("overhead", "cluster_s", "pool_s"),
-         Column("scenarios_per_s", "scenarios", "cluster_s", 1)),
-        Gate("overhead", "lower", "cluster coordinator overhead"),
-        _CLUSTER, {**_CLUSTER, "points": 24},
-        shape_keys=("points", "sims_per_graph", "shards"),
     ),
     Spec(
         "analysis", "analysis", _analysis_arms, ("wall",),

@@ -310,6 +310,23 @@ def _cmd_fig6(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_system(args: argparse.Namespace) -> tuple:
+    """``(system, sink)`` of ``--input``, or of a ``--seed``/``--tasks``
+    scenario; ``--task``, where the command has it, overrides the sink."""
+    from repro.gen import generate_random_scenario
+    from repro.model.system import System
+
+    if args.input:
+        from repro.io import load_graph
+
+        system = System.build(load_graph(args.input))
+        sink = system.graph.sinks()[0]
+    else:
+        scenario = generate_random_scenario(args.tasks, random.Random(args.seed))
+        system, sink = scenario.system, scenario.sink
+    return system, getattr(args, "task", None) or sink
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if getattr(args, "profile", False):
         code, text = _profiled(_cmd_analyze, args)
@@ -319,22 +336,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.buffers import design_buffers_multi
     from repro.chains import BackwardBoundsCache
     from repro.core import worst_case_disparity
-    from repro.gen import generate_random_scenario
     from repro.model.chain import enumerate_source_chains
 
-    rng = random.Random(args.seed)
-    if args.input:
-        from repro.io import load_graph
-        from repro.model.system import System
-
-        graph = load_graph(args.input)
-        system = System.build(graph)
-        sinks = system.graph.sinks()
-        sink = args.task if args.task else sinks[0]
-    else:
-        scenario = generate_random_scenario(args.tasks, rng)
-        system = scenario.system
-        sink = args.task if args.task else scenario.sink
+    system, sink = _load_system(args)
     if args.output:
         from repro.io import save_graph
 
@@ -384,18 +388,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.gen import generate_random_scenario
-    from repro.model.system import System
     from repro.report import analyze_system, render_report
     from repro.units import ms as to_ns_ms
 
-    if args.input:
-        from repro.io import load_graph
-
-        system = System.build(load_graph(args.input))
-    else:
-        scenario = generate_random_scenario(args.tasks, random.Random(args.seed))
-        system = scenario.system
+    system, _ = _load_system(args)
     if _regime_note(system, system.graph.sinks()[0], args):
         return 0
     requirements = {}
@@ -418,18 +414,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         return code
 
     from repro.explore import explain_disparity, render_explanation
-    from repro.gen import generate_random_scenario
-    from repro.model.system import System
 
-    if args.input:
-        from repro.io import load_graph
-
-        system = System.build(load_graph(args.input))
-        task = args.task if args.task else system.graph.sinks()[0]
-    else:
-        scenario = generate_random_scenario(args.tasks, random.Random(args.seed))
-        system = scenario.system
-        task = args.task if args.task else scenario.sink
+    system, task = _load_system(args)
     if _regime_note(system, task, args):
         return 0
     print(render_explanation(explain_disparity(system, task)))

@@ -52,7 +52,6 @@ from repro.parallel.cluster import (
 from repro.parallel.engine import (
     MapStats,
     PoolRunner,
-    default_chunk_size,
     resolve_jobs,
 )
 from repro.parallel.shard import (
@@ -83,7 +82,6 @@ __all__ = [
     "ShardSpec",
     "StreamingStats",
     "config_fingerprint",
-    "default_chunk_size",
     "get_part",
     "merge_shards",
     "register_part",

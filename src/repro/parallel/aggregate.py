@@ -22,8 +22,8 @@ million-scenario campaign can afford: O(1) state per sketch.
 
 Peak residency is instrumented (:attr:`CampaignAccumulator.peak_in_flight`,
 :attr:`~CampaignAccumulator.peak_points_open`) so the bounded-memory
-claim is measured, not asserted; the campaign benchmark records it in
-``BENCH_kernel.json``.
+claim is measured, not asserted: :meth:`CampaignAccumulator.summary`
+carries it into a campaign's timing report.
 """
 
 from __future__ import annotations
@@ -219,6 +219,9 @@ class CampaignAccumulator:
         #: Results resident right now / the high-water mark.
         self.in_flight = 0
         self.peak_in_flight = 0
+        #: Points holding at least one unfolded result / the high-water
+        #: mark.
+        self.points_open = 0
         self.peak_points_open = 0
         self.rows_emitted = 0
 
@@ -241,6 +244,10 @@ class CampaignAccumulator:
         from a shard file) adds no wall time.
         """
         slot = self._slots[x]
+        if not slot.results:
+            self.points_open += 1
+            if self.points_open > self.peak_points_open:
+                self.peak_points_open = self.points_open
         slot.results.append(result)
         slot.busy_s += elapsed_s
         if now is not None:
@@ -250,9 +257,6 @@ class CampaignAccumulator:
         self.in_flight += 1
         if self.in_flight > self.peak_in_flight:
             self.peak_in_flight = self.in_flight
-        open_points = sum(1 for s in self._slots.values() if s.results)
-        if open_points > self.peak_points_open:
-            self.peak_points_open = open_points
         if self._metric is not None:
             value = self._metric(result)
             self.stats.add(value)
@@ -269,6 +273,7 @@ class CampaignAccumulator:
     ) -> CompletedPoint:
         """Fold ``slot`` exactly as a serial run would, and free it."""
         self.in_flight -= len(slot.results)
+        self.points_open -= 1
         return CompletedPoint(
             x=x,
             row=self._fold(x, slot.results),

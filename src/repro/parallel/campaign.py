@@ -2,7 +2,7 @@
 
 A *campaign* is one sweep along an X axis — classically the Fig. 6
 parts ``"ab"`` / ``"cd"``, but any workload can register a
-:class:`CampaignPart` (the benchmark suite registers a synthetic one).
+:class:`CampaignPart` with :func:`register_part` or pass one directly.
 The part bundles everything the engine needs to stay generic: how to
 derive the task list, run one graph, fold a point's results into a row,
 encode/decode per-graph results for shard files, and render rows as

@@ -54,7 +54,7 @@ import subprocess
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, Optional, Set, Union
 
 from repro.parallel.aggregate import CompletedPoint
 from repro.parallel.campaign import CampaignPart, _accumulator, get_part
@@ -107,21 +107,13 @@ def write_worker_spec(
     shard: ShardSpec,
     out: str,
     jobs: int = 1,
-    sys_path: Sequence[str] = (),
     fault: Optional[ClusterFault] = None,
 ) -> str:
-    """Write the two-pickle spec file a worker subprocess consumes.
+    """Write the spec file a worker subprocess consumes: one pickled dict.
 
-    ``sys_path`` entries are pickled separately ahead of the payload so
-    the worker can extend its import path before the part/config
-    classes (possibly defined in test or benchmark modules) unpickle.
-    The source tree of this very ``repro`` package is always included,
-    so workers resolve the same code the coordinator runs.
+    The part and config classes must be importable in the worker, which
+    inherits the coordinator's environment and working directory.
     """
-    import repro
-
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    entries = [src_dir] + [os.path.abspath(p) for p in sys_path]
     payload = {
         "part": part,
         "config": config,
@@ -131,7 +123,6 @@ def write_worker_spec(
         "fault": fault if fault is not None and fault.worker_side else None,
     }
     with open(path, "wb") as handle:
-        pickle.dump(entries, handle)
         pickle.dump(payload, handle)
     return path
 
@@ -400,7 +391,6 @@ def run_cluster(
     progress: Optional[Callable[[str], None]] = None,
     heartbeat: Optional[Callable[[ClusterStatus], None]] = None,
     faults: Optional[Dict[int, ClusterFault]] = None,
-    sys_path: Sequence[str] = (),
     python: Optional[str] = None,
 ) -> tuple:
     """Run a whole campaign through fault-tolerant local workers.
@@ -433,7 +423,6 @@ def run_cluster(
         heartbeat: Optional hook observing a :class:`ClusterStatus`
             snapshot after every poll (feeds the CLI status line).
         faults: Optional fault plan per shard index (the test layer).
-        sys_path: Extra import-path entries for workers (test modules).
         python: Interpreter for workers (default: ``sys.executable``).
     """
     resolved = get_part(part)
@@ -499,7 +488,6 @@ def run_cluster(
             shard=state.spec,
             out=state.path,
             jobs=jobs,
-            sys_path=sys_path,
             fault=fault,
         )
         n_procs = 2 if fault is not None and fault.double_issue else 1

@@ -18,21 +18,22 @@ Two consumption modes share one dispatch core:
   results into bounded accumulators this way, so resident memory stays
   O(items in flight) even on million-scenario campaigns.
 
-Items are dispatched in chunks (several items per pickle round-trip)
-to amortize IPC overhead on short tasks.  Unless a fixed
-``chunk_size`` is requested, chunk sizes *adapt*: the runner starts
-small, measures per-item wall time inside the workers, and resizes
-subsequent chunks toward ``chunk_target_s`` seconds of work each —
-long items get chunk size 1 (maximum stealing), sub-millisecond items
-get batched hundreds at a time.  At most two chunks per worker are in
-flight, so a cost cliff mid-campaign never strands a stale chunk size.
+Pool items are dispatched in chunks (several items per pickle
+round-trip) to amortize IPC overhead on short tasks, and chunk sizes
+*adapt*: the runner starts small, measures per-item wall time inside
+the workers, and resizes subsequent chunks toward
+:data:`CHUNK_TARGET_S` seconds of work each — long items get chunk
+size 1 (maximum stealing), sub-millisecond items get batched hundreds
+at a time.  At most two chunks per worker are in flight, so a cost
+cliff mid-campaign never strands a stale chunk size.  Inline
+(``jobs=1``) maps run one item at a time.
 
 Every item's wall time is measured inside the worker so the caller can
 report worker utilization (busy time / (wall time × workers)) — the
 honest number for judging whether a sweep is IPC-bound or
-compute-bound.  A ``heartbeat`` hook observes the running
-:class:`MapStats` after every chunk, which is what feeds the live
-``--progress`` line of campaign runs.
+compute-bound.  :meth:`PoolRunner.map_consume` takes a ``heartbeat``
+hook that observes the running :class:`MapStats` after every chunk,
+which is what feeds the live ``--progress`` line of campaign runs.
 """
 
 from __future__ import annotations
@@ -40,14 +41,14 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
 
 #: Seconds of work the adaptive dispatcher aims to pack per chunk.
-DEFAULT_CHUNK_TARGET_S = 0.2
+CHUNK_TARGET_S = 0.2
 
 #: Upper bound on an adaptive chunk (keeps pickles and latency sane).
 MAX_ADAPTIVE_CHUNK = 256
@@ -58,19 +59,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs is None or jobs <= 0:
         return os.cpu_count() or 1
     return jobs
-
-
-def default_chunk_size(n_items: int, jobs: int) -> int:
-    """A fixed chunk size keeping roughly four chunks per worker.
-
-    This is the non-adaptive fallback (and the documented meaning of an
-    explicit ``chunk_size=None`` before adaptive dispatch existed):
-    small enough for load balancing, large enough that the per-chunk
-    pickle round-trip stays amortized.
-    """
-    if jobs <= 1:
-        return max(1, n_items)
-    return max(1, n_items // (jobs * 4))
 
 
 def _run_chunk(
@@ -97,10 +85,6 @@ class MapStats:
     wall_s: float = 0.0
     #: Summed in-worker wall time of every item (CPU-side busy time).
     busy_s: float = 0.0
-    #: Per-item in-worker seconds, in input order (``map_ordered``
-    #: only; ``map_consume`` leaves it empty and hands the per-item
-    #: time to the callback instead).
-    item_s: List[float] = field(default_factory=list)
     #: Smallest / largest chunk the adaptive dispatcher actually sent.
     chunk_min: int = 0
     chunk_max: int = 0
@@ -137,22 +121,10 @@ class PoolRunner:
 
     Args:
         jobs: Worker processes (``0``/negative resolve to every CPU).
-        chunk_size: Pin a fixed chunk size (disables adaptation).
-        chunk_target_s: Seconds of work the adaptive dispatcher packs
-            per chunk; chunk sizes are re-derived from observed
-            per-item wall times as the map runs.
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        *,
-        chunk_size: Optional[int] = None,
-        chunk_target_s: float = DEFAULT_CHUNK_TARGET_S,
-    ) -> None:
+    def __init__(self, jobs: int = 1) -> None:
         self.jobs = resolve_jobs(jobs)
-        self._chunk_size = chunk_size
-        self._chunk_target_s = chunk_target_s
         self._executor: Optional[ProcessPoolExecutor] = None
 
     def __enter__(self) -> "PoolRunner":
@@ -173,9 +145,6 @@ class PoolRunner:
         self,
         fn: Callable[[Item], Result],
         items: Sequence[Item],
-        *,
-        on_item: Optional[Callable[[int, Result], None]] = None,
-        heartbeat: Optional[Callable[[MapStats], None]] = None,
     ) -> Tuple[List[Result], MapStats]:
         """Apply ``fn`` to every item; results come back in input order.
 
@@ -183,23 +152,13 @@ class PoolRunner:
             fn: Picklable callable (top-level function or a
                 ``functools.partial`` of one) applied to each item.
             items: The inputs; each must be picklable under ``jobs>1``.
-            on_item: Optional progress hook called as ``(index, result)``
-                in **completion** order (use only for reporting — the
-                returned list is always in input order).
-            heartbeat: Optional hook observing the running
-                :class:`MapStats` after every completed chunk.
         """
         results: List[Optional[Result]] = [None] * len(items)
-        timings: List[float] = [0.0] * len(items)
 
         def deliver(index: int, result: Result, elapsed: float) -> None:
             results[index] = result
-            timings[index] = elapsed
-            if on_item is not None:
-                on_item(index, result)
 
-        stats = self._dispatch(fn, items, deliver, heartbeat)
-        stats.item_s = timings
+        stats = self._dispatch(fn, items, deliver, None)
         return results, stats  # type: ignore[return-value]
 
     def map_consume(
@@ -249,11 +208,9 @@ class PoolRunner:
         if self._executor is None:
             # Inline: one item at a time is both the simplest and the
             # most responsive chunking (no IPC to amortize).
-            size = self._chunk_size or 1
-            stats.chunk_min = stats.chunk_max = min(size, len(items)) or 0
-            indexed = list(enumerate(items))
-            for start in range(0, len(indexed), size):
-                account_chunk(_run_chunk(fn, indexed[start : start + size]))
+            stats.chunk_min = stats.chunk_max = min(1, len(items))
+            for indexed in enumerate(items):
+                account_chunk(_run_chunk(fn, [indexed]))
         else:
             self._dispatch_pool(fn, items, stats, account_chunk)
 
@@ -275,12 +232,10 @@ class PoolRunner:
         ewma_item_s: Optional[float] = None
 
         def next_size(remaining: int) -> int:
-            if self._chunk_size is not None:
-                return self._chunk_size
             if ewma_item_s is None:
                 # Cold start: small chunks so timings arrive quickly.
                 return max(1, min(4, remaining // (self.jobs * 4) or 1))
-            size = int(self._chunk_target_s / max(ewma_item_s, 1e-9))
+            size = int(CHUNK_TARGET_S / max(ewma_item_s, 1e-9))
             # Never let the tail collapse onto too few workers.
             fair = max(1, remaining // (self.jobs * 2))
             return max(1, min(size or 1, fair, MAX_ADAPTIVE_CHUNK))
@@ -305,7 +260,7 @@ class PoolRunner:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
                 chunk_results = future.result()
-                if chunk_results and self._chunk_size is None:
+                if chunk_results:
                     mean = sum(r[2] for r in chunk_results) / len(
                         chunk_results
                     )
@@ -320,10 +275,9 @@ class PoolRunner:
 
 
 __all__ = [
-    "DEFAULT_CHUNK_TARGET_S",
+    "CHUNK_TARGET_S",
     "MAX_ADAPTIVE_CHUNK",
     "MapStats",
     "PoolRunner",
-    "default_chunk_size",
     "resolve_jobs",
 ]

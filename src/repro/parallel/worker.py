@@ -3,13 +3,11 @@
 The coordinator (:mod:`repro.parallel.cluster`) starts a worker as
 ``python -m repro.parallel.worker`` and writes one spec-file path per
 line to its stdin; the worker runs each spec in turn until EOF.  A spec
-file holds two consecutive pickles: first a plain list of ``sys.path``
-entries to prepend (so the campaign part's defining modules resolve
-before the second pickle is loaded), then the payload dict — the part
-(a name to resolve through the registry, or a pickled
-:class:`CampaignPart` whose callables are module-level functions), the
-config, the shard spec, the output path, the per-worker ``jobs`` count,
-and an optional :class:`~repro.parallel.cluster.ClusterFault`.
+file is one pickled dict: the part (a name to resolve through the
+registry, or a pickled :class:`CampaignPart` whose callables are
+module-level functions), the config, the shard spec, the output path,
+the per-worker ``jobs`` count, and an optional
+:class:`~repro.parallel.cluster.ClusterFault`.
 
 A worker is deliberately nothing more than :func:`run_shard` plus the
 fault-injection layer: all coordination (liveness, retry, merge) lives
@@ -58,16 +56,8 @@ def _faulted(original, fault):
 
 
 def load_spec(path: str) -> dict:
-    """Read a worker spec file, extending ``sys.path`` first.
-
-    The path entries are pickled separately *before* the payload so the
-    part/config classes (which may live in a test or benchmark module)
-    are importable by the time the payload unpickles.
-    """
+    """Read a worker spec file."""
     with open(path, "rb") as handle:
-        for entry in pickle.load(handle):
-            if entry not in sys.path:
-                sys.path.insert(0, entry)
         return pickle.load(handle)
 
 

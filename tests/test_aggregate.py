@@ -101,18 +101,30 @@ class TestCampaignAccumulator:
         assert acc.pending == 0
 
     def test_peak_residency_is_measured(self):
-        acc = CampaignAccumulator([(1, 2), (2, 2)], _concat_fold)
+        acc = CampaignAccumulator([(1, 2), (2, 2), (3, 2)], _concat_fold)
         acc.add(1, "a")
         acc.add(2, "c")  # two open points, two resident results
+        assert acc.points_open == 2
         report = acc.memory_report()
         assert report["resident_results"] == 2
-        acc.add(1, "b")
+        acc.add(1, "b")  # point 1 folds and frees
+        assert acc.points_open == 1
+        acc.add(3, "e")  # interleaved: point 3 opens while 2 is open
+        assert acc.points_open == 2
         acc.add(2, "d")
+        assert acc.points_open == 1
         report = acc.memory_report()
-        assert report["resident_results"] == 0
-        # The completing third result is counted before its point folds
+        assert report["resident_results"] == 1
+        # A completing second result is counted before its point folds
         # and frees, so the high-water mark is 3.
         assert report["peak_in_flight_results"] == 3
+        assert report["peak_points_open"] == 2
+        # Force-folding the partial point closes it; the mark stays.
+        (done,) = acc.flush_incomplete()
+        assert done.partial and done.row == (3, ("e",))
+        assert acc.points_open == 0
+        report = acc.memory_report()
+        assert report["resident_results"] == 0
         assert report["peak_points_open"] == 2
 
     def test_metric_feeds_sketches(self):

@@ -3,9 +3,10 @@
 ``repro bench`` and the committed ``BENCH_kernel.json`` gate are only
 timed under ``benchmarks/``; these tests run every spec on tiny inputs
 through the paired-arm primitive, so a change to the simulator, the
-batch tiers or the campaign engines that makes two arms disagree fails
-in the unit suite.  They also pin the document layout the committed
-baseline depends on, the report formatting and the gate's rules.
+batch tiers, delta replay or the search objective that makes two arms
+disagree fails in the unit suite.  They also pin the document layout
+the committed baseline depends on, the report formatting and the
+gate's rules.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 
 REPLICATION = {"n_tasks": 6, "sims": 2, "duration_s": 0.3}
 SWEEP = {"n_tasks": 6, "candidates": 4, "duration_s": 0.1}
-CAMPAIGN = {"points": 3, "graphs_per_point": 1, "sims_per_graph": 1,
-            "duration_s": 0.1, "n_tasks": 5}
 TOY = {
     "sim": {"n_tasks": 6, "sims": 1, "duration_s": 0.3},
     "batch": REPLICATION,
@@ -40,8 +39,6 @@ TOY = {
     "fault": REPLICATION,
     "delta": SWEEP,
     "search": {"n_tasks": 5, "candidates": 3, "max_windows": 4},
-    "campaign": CAMPAIGN,
-    "cluster": {**CAMPAIGN, "shards": 2, "workers": 1},
     "analysis": [{"levels": 2, "width": 1}, {"levels": 2, "width": 2}],
 }
 
@@ -60,13 +57,6 @@ SECTION_KEYS = {
               "delta_s", "speedup", "candidates_per_s"},
     "search": {"n_tasks", "candidates", "max_windows", "engine",
                "reference_s", "batched_s", "speedup", "candidates_per_s"},
-    "campaign": {"points", "graphs_per_point", "sims_per_graph", "n_tasks",
-                 "duration_s", "scenarios", "legacy_s", "streaming_s",
-                 "speedup", "scenarios_per_s", "peak_in_flight_results",
-                 "peak_points_open", "legacy_resident_rows"},
-    "cluster": {"points", "graphs_per_point", "sims_per_graph", "n_tasks",
-                "duration_s", "scenarios", "shards", "workers", "pool_s",
-                "cluster_s", "overhead", "scenarios_per_s"},
     "analysis": {"levels", "width", "chains", "wall_s", "per_chain_us"},
 }
 
@@ -91,7 +81,6 @@ def test_kernels_report_positive_throughput(document):
     assert document["kernel"]["jobs"] > 0
     assert document["kernel"]["jobs_per_s"] > 0
     assert document["delta"]["candidates"] == 4
-    assert document["campaign"]["scenarios"] == 3
     assert [row["chains"] for row in document["analysis"]] == [1, 4]
     json.dumps(document)  # the committed baseline is plain JSON
 

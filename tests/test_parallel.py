@@ -28,7 +28,6 @@ from repro.parallel import (
     PoolRunner,
     ShardSpec,
     config_fingerprint,
-    default_chunk_size,
     merge_shards,
     resolve_jobs,
     run_campaign,
@@ -69,7 +68,7 @@ class TestPoolEngine:
         fn = partial(run_graph_ab, config)
         with PoolRunner(1) as pool:
             serial, _ = pool.map_ordered(fn, tasks)
-        with PoolRunner(3, chunk_size=1) as pool:
+        with PoolRunner(3) as pool:
             parallel, stats = pool.map_ordered(fn, tasks)
 
         def measured(result):
@@ -79,20 +78,7 @@ class TestPoolEngine:
 
         assert [measured(r) for r in serial] == [measured(r) for r in parallel]
         assert stats.jobs == 3
-        assert stats.n_chunks == len(tasks)
-
-    def test_completion_order_callback_covers_every_item(self):
-        config = TINY_AB
-        tasks = graph_tasks(config)
-        seen = []
-        with PoolRunner(2) as pool:
-            results, _ = pool.map_ordered(
-                partial(run_graph_ab, config),
-                tasks,
-                on_item=lambda index, result: seen.append(index),
-            )
-        assert sorted(seen) == list(range(len(tasks)))
-        assert all(r is not None for r in results)
+        assert stats.completed == len(tasks)
 
     def test_map_consume_streams_without_retaining(self):
         config = TINY_AB
@@ -112,9 +98,8 @@ class TestPoolEngine:
         assert beats and beats[-1].completed == len(tasks)
 
     def test_adaptive_chunks_stay_within_bounds(self):
-        # Fast items with no explicit chunk_size: the adaptive sizer
-        # may batch many per chunk but must cover every item exactly
-        # once and report chunk extents.
+        # Fast items: the adaptive sizer may batch many per chunk but
+        # must cover every item exactly once and report chunk extents.
         items = list(range(200))
         with PoolRunner(2) as pool:
             results, stats = pool.map_ordered(_double, items)
@@ -128,11 +113,6 @@ class TestPoolEngine:
         assert resolve_jobs(4) == 4
         assert resolve_jobs(0) >= 1
         assert resolve_jobs(None) >= 1
-
-    def test_default_chunk_size(self):
-        assert default_chunk_size(100, 1) == 100
-        assert default_chunk_size(100, 4) == 6
-        assert default_chunk_size(2, 8) == 1  # never zero
 
 
 class TestSeedDerivation:
