@@ -32,6 +32,7 @@ from repro.model.graph import CauseEffectGraph
 from repro.model.system import System
 from repro.model.task import Task
 from repro.sim.batch import PHASE_TIMES, CompiledScenario, run_batch
+from repro.sim.ckernel import set_thread_budget, thread_budget
 from repro.sim.engine import Simulator, randomize_offsets
 from repro.sim.exec_time import wcet_policy
 from repro.sim.faults import FaultPlan
@@ -231,6 +232,38 @@ def _replication_arms(
     return {"sequential": sequential, "batched": batched}, info
 
 
+def _split_arms(rng, *, n_tasks: int, sims: int, duration_s: float):
+    """One columnar batch on one kernel thread and split across threads.
+
+    Both arms run the same :func:`run_batch` call; ``serial`` under a
+    thread budget of 1, ``split`` under ``threads`` = this process's
+    budget, capped at 2 so hosts with more CPUs still record a
+    comparable row.  The shapes are above the split threshold
+    (``columnar.SPLIT_MIN_WORK``).
+    """
+    scenario = generate_random_scenario(n_tasks, rng)
+    system, sink = scenario.system, scenario.sink
+    duration = seconds(duration_s)
+    threads = min(2, thread_budget())
+
+    def arm(count: int) -> Arm:
+        def run(note):
+            budget = thread_budget()
+            set_thread_budget(count)
+            try:
+                result = run_batch(
+                    system, sink, sims=sims, duration=duration,
+                    warmup=duration // 4, rng=rng,
+                )
+            finally:
+                set_thread_budget(budget)
+            return list(result.disparities)
+
+        return run
+
+    return {"serial": arm(1), "split": arm(threads)}, {"threads": threads}
+
+
 def _sweep_arms(rng, *, n_tasks: int, candidates: int, duration_s: float):
     """Offset candidates against one compiled scenario vs a compile each.
 
@@ -361,14 +394,22 @@ def _analysis_arms(rng, *, levels: int, width: int):
 
 _BATCH_FULL = {"n_tasks": 10, "sims": 20, "duration_s": 6.0, "repeats": 3}
 _BATCH_QUICK = {**_BATCH_FULL, "sims": 8, "duration_s": 2.0, "repeats": 2}
+#: Full runs record the quick shape too, so CI compares like with like.
+_BATCH_SHAPES = [_BATCH_FULL, _BATCH_QUICK]
+_BATCH_KEYS = ("n_tasks", "sims", "duration_s")
+_SPLIT_FULL = {**_BATCH_FULL, "repeats": 5}
+_SPLIT_QUICK = {**_SPLIT_FULL, "sims": 10, "duration_s": 3.0}
 _SWEEP = {"n_tasks": 20, "candidates": 150, "duration_s": 0.25, "repeats": 3}
-_SIMS_PER_S = Column("sims_per_s", "sims", "batched_s")
-_REPLICATION = (Column("speedup", "sequential_s", "batched_s"), _SIMS_PER_S)
+_REPLICATION = (
+    Column("speedup", "sequential_s", "batched_s"),
+    Column("sims_per_s", "sims", "batched_s"),
+)
 
-#: Every kernel, in document order.  The batched tiers gate ratios at
-#: any shape; the reference-simulator throughput and the per-chain
-#: analysis cost depend on the shape, so those gates compare only rows
-#: whose ``shape_keys`` equal the baseline's.
+#: Every kernel, in document order.  A gate whose metric depends on the
+#: shape compares only rows whose ``shape_keys`` equal the baseline's:
+#: the reference-simulator throughput, the replication speedups (the
+#: batched arm's fixed costs weigh more on short batches), the split
+#: speedup (and its thread count) and the per-chain analysis cost.
 SPECS: Tuple[Spec, ...] = (
     Spec(
         "sim", "kernel", _sim_arms, ("wall",),
@@ -382,20 +423,26 @@ SPECS: Tuple[Spec, ...] = (
     Spec(
         "batch", "batch", _replication_arms, ("sequential", "batched"),
         _REPLICATION, Gate("speedup", "higher", "batch replication speedup"),
-        _BATCH_FULL, _BATCH_QUICK, winner="batched",
+        _BATCH_SHAPES, _BATCH_QUICK, _BATCH_KEYS, winner="batched",
     ),
     Spec(
         "let", "let", partial(_replication_arms, semantics="let"),
         ("sequential", "batched"),
         _REPLICATION, Gate("speedup", "higher", "LET batch speedup"),
-        _BATCH_FULL, _BATCH_QUICK, winner="batched",
+        _BATCH_SHAPES, _BATCH_QUICK, _BATCH_KEYS, winner="batched",
     ),
     Spec(
         "fault", "fault", partial(_replication_arms, dropout=True),
         ("sequential", "batched"),
-        (Column("speedup", "sequential_s", "batched_s"), _SIMS_PER_S),
-        Gate("speedup", "higher", "faulted batch speedup"),
-        _BATCH_FULL, _BATCH_QUICK, winner="batched",
+        _REPLICATION, Gate("speedup", "higher", "faulted batch speedup"),
+        _BATCH_SHAPES, _BATCH_QUICK, _BATCH_KEYS, winner="batched",
+    ),
+    Spec(
+        "split", "split", _split_arms, ("serial", "split"),
+        (Column("speedup", "serial_s", "split_s"),),
+        Gate("speedup", "higher", "kernel thread-split speedup"),
+        [_SPLIT_FULL, _SPLIT_QUICK], _SPLIT_QUICK,
+        _BATCH_KEYS + ("threads",),
     ),
     Spec(
         "delta", "delta", _sweep_arms, ("fresh", "delta"),

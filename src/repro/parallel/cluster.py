@@ -61,6 +61,7 @@ from repro.parallel.campaign import CampaignPart, _accumulator, get_part
 from repro.parallel.checkpoint import JsonlTail, shard_header, valid_record
 from repro.parallel.engine import resolve_jobs
 from repro.parallel.shard import ShardSpec
+from repro.sim.ckernel import thread_budget
 
 
 class ClusterError(RuntimeError):
@@ -107,6 +108,7 @@ def write_worker_spec(
     shard: ShardSpec,
     out: str,
     jobs: int = 1,
+    threads: int = 1,
     fault: Optional[ClusterFault] = None,
 ) -> str:
     """Write the spec file a worker subprocess consumes: one pickled dict.
@@ -120,6 +122,7 @@ def write_worker_spec(
         "shard": str(shard),
         "out": out,
         "jobs": jobs,
+        "threads": threads,
         "fault": fault if fault is not None and fault.worker_side else None,
     }
     with open(path, "wb") as handle:
@@ -409,6 +412,8 @@ def run_cluster(
         out_dir: Directory for shard JSONL files, worker specs/logs.
         workers: Concurrent local worker processes (``0`` = all CPUs).
         jobs: ``--jobs`` inside each worker (its own process pool).
+            Each worker's kernel threads are this process's
+            :func:`~repro.sim.ckernel.thread_budget` over ``workers``.
         heartbeat_timeout: Seconds without a new complete record before
             a running shard is declared dead and its workers killed.
         max_retries: Re-issues allowed per shard after its first issue.
@@ -429,6 +434,7 @@ def run_cluster(
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     workers_n = resolve_jobs(workers)
+    threads = max(1, thread_budget() // workers_n)
     faults = dict(faults or {})
     os.makedirs(out_dir, exist_ok=True)
     width = len(str(shards - 1))
@@ -488,6 +494,7 @@ def run_cluster(
             shard=state.spec,
             out=state.path,
             jobs=jobs,
+            threads=threads,
             fault=fault,
         )
         n_procs = 2 if fault is not None and fault.double_issue else 1

@@ -44,6 +44,8 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.sim.ckernel import set_thread_budget, thread_budget
+
 Item = TypeVar("Item")
 Result = TypeVar("Result")
 
@@ -119,6 +121,10 @@ class PoolRunner:
     campaign reuses it across the whole sweep so workers are forked
     once, not once per point).
 
+    Each worker process gets ``thread_budget() // jobs`` (at least 1)
+    kernel threads, so pool workers and kernel threads together stay
+    within this process's CPUs.
+
     Args:
         jobs: Worker processes (``0``/negative resolve to every CPU).
     """
@@ -129,7 +135,11 @@ class PoolRunner:
 
     def __enter__(self) -> "PoolRunner":
         if self.jobs > 1:
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                initializer=set_thread_budget,
+                initargs=(max(1, thread_budget() // self.jobs),),
+            )
         return self
 
     def __exit__(self, *exc_info) -> None:

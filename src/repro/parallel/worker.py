@@ -6,7 +6,7 @@ line to its stdin; the worker runs each spec in turn until EOF.  A spec
 file is one pickled dict: the part (a name to resolve through the
 registry, or a pickled :class:`CampaignPart` whose callables are
 module-level functions), the config, the shard spec, the output path,
-the per-worker ``jobs`` count, and an optional
+the per-worker ``jobs`` count, its kernel ``threads``, and an optional
 :class:`~repro.parallel.cluster.ClusterFault`.
 
 A worker is deliberately nothing more than :func:`run_shard` plus the
@@ -15,7 +15,8 @@ on the coordinator side, reading the shard's append-only JSONL file.
 The fault layer wraps ``JsonlLog.append`` for one spec, counting its
 records from zero, so a test or CI leg can make a worker SIGKILL itself
 mid-shard, leave a torn half-record behind, or stall without exiting —
-the failure modes the coordinator's watchdog must survive.
+the failure modes the coordinator's watchdog must survive.  The kernel
+thread budget, too, holds for one spec.
 """
 
 from __future__ import annotations
@@ -65,11 +66,13 @@ def run_spec(path: str) -> int:
     """Execute one worker spec: ``run_shard`` under its own fault plan."""
     from repro.parallel.checkpoint import JsonlLog
     from repro.parallel.shard import ShardSpec, run_shard
+    from repro.sim.ckernel import set_thread_budget, thread_budget
 
     payload = load_spec(path)
-    original = JsonlLog.append
+    original, budget = JsonlLog.append, thread_budget()
     if payload.get("fault") is not None:
         JsonlLog.append = _faulted(original, payload["fault"])
+    set_thread_budget(payload["threads"])
     try:
         run_shard(
             payload["part"],
@@ -80,6 +83,7 @@ def run_spec(path: str) -> int:
         )
     finally:
         JsonlLog.append = original
+        set_thread_budget(budget)
     return 0
 
 

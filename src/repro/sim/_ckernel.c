@@ -35,20 +35,42 @@
  * (enforced by ``tests/test_batch_columnar.py`` and the other
  * differential suites).
  *
- * Error protocol: both entry points return 0 on success and
+ * Threading (ABI 5): both entry points take a ``threads`` count and
+ * run the batch on that many threads: the calling thread and
+ * ``threads - 1`` pthreads, each claiming the next unclaimed sim from a
+ * shared counter until none are left.  Every pthread is joined before
+ * the call returns, so no thread outlives a call (and a later ``fork``
+ * is safe).  Claims rather than fixed ranges, because a helper thread
+ * can start late (waking an idle vCPU took 0.2-1.5 ms on average, up
+ * to 5 ms, on a 2-CPU VM): a late helper then claims fewer sims instead
+ * of holding the call back with a fixed half of them.  Sims share
+ * nothing and each writes only its own output rows, so the outputs are
+ * the same bytes for any thread count.  The calling thread allocates
+ * every thread's scratch, one cache-line-aligned block each: threads
+ * that called malloc themselves would each get a fresh glibc arena
+ * (more peak memory), and scratch of two threads on one cache line made
+ * two threads slower than one.  A thread that cannot start leaves its
+ * share to the others.
+ *
+ * Error protocol: both entry points return 0 on success,
  * ``-(sim + 1)`` when an internal invariant broke in ``sim`` (variate
  * underrun, job-slot overflow, a read past a producer's jobs — caller
- * sizing bugs, never expected), or -1 - sims when scratch allocation
- * failed.  LET deadline violations are not errors at this layer: the
- * violating sim stops, its ``viol_out`` row records ``(tid, job, at,
- * deadline)``, and the caller raises the engine-identical ModelError
- * for the lowest violating sim index.
+ * sizing bugs, never expected; across threads the lowest such sim wins,
+ * as in a sequential run), or ``ERR_NOMEM`` (positive, so it names no
+ * sim) when scratch allocation failed.  LET deadline violations are not
+ * errors at this layer: the violating sim stops, its ``viol_out`` row
+ * records ``(tid, job, at, deadline)``, and the caller raises the
+ * engine-identical ModelError for the lowest violating sim index.
  */
 
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 
-#define REPRO_CKERNEL_ABI 4
+#define REPRO_CKERNEL_ABI 5
+
+/* Return code of a failed scratch allocation. */
+#define ERR_NOMEM 1
 
 /* Absorbing "no contribution" stamp: far above any schedule instant,
  * far from int64 overflow under the min/max folds. */
@@ -547,13 +569,223 @@ static void run_sim(Sim *s, int32_t *touched, int32_t *fin2)
     }
 }
 
+/* ------------------------------------------------------------------ */
+/* sims on threads                                                     */
+/* ------------------------------------------------------------------ */
+
+/* Cache line: no two threads' scratch share one (false sharing made
+ * two threads slower than one). */
+#define LINE 64
+
+/* One thread of a batch: the first member of every per-thread record,
+ * so run_threads can treat them alike (and, line-aligned, so records
+ * in one array never share a line). */
+typedef struct {
+    _Alignas(LINE) int64_t *next;  /* the batch's next unclaimed sim */
+    int64_t sims;
+    int64_t rc;      /* 0, or -(sim + 1) of this thread's broken sim */
+    pthread_t tid;
+    int live;        /* tid runs and must be joined */
+    void *raw;       /* this thread's scratch allocation */
+} Thread;
+
+/* The next unclaimed sim of the batch, or -1 once all are claimed.
+ * Each thread claims ascending sims and stops at its first broken one,
+ * so the lowest broken sim of the batch is the lowest one reported. */
+static int64_t claim(Thread *sp)
+{
+    int64_t i = __atomic_fetch_add(sp->next, 1, __ATOMIC_RELAXED);
+    return i < sp->sims ? i : -1;
+}
+
+/* count elements of size bytes at offset *top of a thread's scratch
+ * block at base (NULL while measuring the block); *top moves on to the
+ * next cache line.  An absurd count saturates *top, so the block's
+ * allocation fails. */
+static void *carve(char *base, size_t *top, int64_t count, size_t size)
+{
+    const size_t cap = SIZE_MAX / 8;
+    size_t at = *top;
+    size_t n = count < 1 ? 1 : (size_t)count;
+    if (n > (cap - at) / size) {
+        *top = cap;
+        return NULL;
+    }
+    *top = at + (n * size + LINE - 1) / LINE * LINE;
+    return base ? base + at : NULL;
+}
+
+/* The first cache-line boundary at or after raw. */
+static char *line_up(void *raw)
+{
+    return (char *)raw + (LINE - (uintptr_t)raw % LINE) % LINE;
+}
+
+/* count zeroed per-thread records of size bytes (a multiple of LINE),
+ * each starting with a Thread whose raw gets a scratch block of per
+ * bytes (use line_up(raw)).  Every block is its own malloc, so it can
+ * reuse freed heap: one block for all threads, or aligned_alloc, kept
+ * up to 1.7 MiB more of fig6's peak RSS resident.  NULL when out of
+ * memory; release with free_parts(*raw, ...) either way. */
+static void *alloc_parts(int64_t count, size_t size, size_t per,
+                         void **raw)
+{
+    char *parts;
+    int64_t k;
+    *raw = per < SIZE_MAX / 8 ? calloc(1, (size_t)count * size + LINE)
+                              : NULL;
+    if (!*raw)
+        return NULL;
+    parts = line_up(*raw);
+    for (k = 0; k < count; k++) {
+        Thread *sp = (Thread *)(parts + k * size);
+        sp->raw = malloc(per + LINE);
+        if (!sp->raw)
+            return NULL;
+    }
+    return parts;
+}
+
+static void free_parts(void *raw, size_t size, int64_t count)
+{
+    int64_t k;
+    if (!raw)
+        return;
+    for (k = 0; k < count; k++)
+        free(((Thread *)(line_up(raw) + k * size))->raw);
+    free(raw);
+}
+
+/* Run fn once per thread record (count records of size bytes at
+ * parts, each starting with a Thread): record 0 in the calling thread,
+ * the others on their own threads, each claiming sims until none are
+ * left.  Every thread is joined before this returns; the result is the
+ * lowest broken sim's code. */
+static int64_t run_threads(void *(*fn)(void *), void *parts, size_t size,
+                           int64_t count, int64_t sims)
+{
+    char *at = parts;
+    int64_t next = 0;
+    int64_t k, rc = 0;
+    for (k = 0; k < count; k++) {
+        Thread *sp = (Thread *)(at + k * size);
+        sp->next = &next;
+        sp->sims = sims;
+        sp->rc = 0;
+        sp->live = k > 0 && pthread_create(&sp->tid, NULL, fn, sp) == 0;
+    }
+    fn(at);
+    for (k = 1; k < count; k++) {
+        Thread *sp = (Thread *)(at + k * size);
+        if (sp->live)
+            pthread_join(sp->tid, NULL);
+    }
+    for (k = 0; k < count; k++) {
+        Thread *sp = (Thread *)(at + k * size);
+        if (sp->rc && (!rc || sp->rc > rc))
+            rc = sp->rc;
+    }
+    return rc;
+}
+
+/* Threads for a batch of sims: at least 1, at most one per sim. */
+static int64_t clamp_threads(int64_t threads, int64_t sims)
+{
+    if (threads > sims)
+        threads = sims;
+    return threads < 1 ? 1 : threads;
+}
+
 int64_t repro_ckernel_abi(void)
 {
     return REPRO_CKERNEL_ABI;
 }
 
+/* Per-sim rows of a columnar_advance batch. */
+typedef struct {
+    int64_t tab_w;
+    int64_t slots;
+    const double *variates;
+    const int64_t *offsets;
+    const int64_t *tab;
+    const uint8_t *tab_keep;
+    const int64_t *tab_len;
+    int64_t *starts_out;
+    int64_t *fins_out;
+    int32_t *casc_out;
+    int64_t *rec_out;
+    int64_t *viol_out;
+} AdvanceRows;
+
+/* One thread of a columnar_advance batch and its scratch. */
+typedef struct {
+    Thread thread;
+    const AdvanceRows *rows;
+    Sim s;
+    int32_t *touched;
+    int32_t *fin2;
+} AdvancePart;
+
+static void *advance_worker(void *arg)
+{
+    AdvancePart *p = arg;
+    const AdvanceRows *r = p->rows;
+    Sim *s = &p->s;
+    const int64_t n = s->tb->n;
+    int64_t i;
+    while ((i = claim(&p->thread)) >= 0) {
+        s->offs = r->offsets + i * n;
+        if (r->tab) {
+            s->tab = r->tab + i * r->tab_w;
+            s->keep = r->tab_keep + i * r->tab_w;
+            s->tlen = r->tab_len + i * n;
+        }
+        s->var = r->variates + i * s->tb->n_draws;
+        s->starts = r->starts_out + i * r->slots;
+        s->fins = r->fins_out + i * r->slots;
+        s->casc = r->casc_out + i * r->slots;
+        s->rec = r->rec_out + i * n;
+        s->viol = r->viol_out + i * 4;
+        run_sim(s, p->touched, p->fin2);
+        if (s->err == 2) {
+            p->thread.rc = -(i + 1);
+            break;
+        }
+        /* err == 1 (LET violation) is recorded in viol_out; later
+         * sims are independent, so keep advancing — the caller
+         * raises for the lowest violating index. */
+    }
+    return NULL;
+}
+
+/* Point p at its scratch in the block at base (NULL: only measure);
+ * returns the block's size. */
+static size_t advance_scratch(AdvancePart *p, char *base, int64_t n,
+                              int64_t n_units, int64_t n_grp, int64_t n_krel)
+{
+    Sim *s = &p->s;
+    size_t top = 0;
+    s->ready = carve(base, &top, n_units, sizeof(uint64_t));
+    s->running = carve(base, &top, n_units, sizeof(int32_t));
+    s->fin_time = carve(base, &top, n_units, sizeof(int64_t));
+    s->fin_seq = carve(base, &top, n_units, sizeof(int64_t));
+    s->zrun = carve(base, &top, n_units, sizeof(uint8_t));
+    s->cur_batch = carve(base, &top, n_units, sizeof(int32_t));
+    s->pend = carve(base, &top, n, sizeof(int64_t));
+    s->heap = carve(base, &top, n_grp + 1, sizeof(Rel));
+    s->tseq = carve(base, &top, n, sizeof(int64_t));
+    s->gmem = carve(base, &top, n, sizeof(int32_t));
+    s->gpos = carve(base, &top, n_grp + 1, sizeof(int64_t));
+    s->grnd = carve(base, &top, n_grp + 1, sizeof(int64_t));
+    s->krel = carve(base, &top, n_krel, sizeof(int64_t));
+    p->touched = carve(base, &top, n + n_units, sizeof(int32_t));
+    p->fin2 = carve(base, &top, n_units, sizeof(int32_t));
+    return top;
+}
+
 int64_t columnar_advance(
-    int64_t sims, int64_t n, int64_t n_units, int64_t duration,
+    int64_t sims, int64_t threads,
+    int64_t n, int64_t n_units, int64_t duration,
     const int64_t *bcet, const int64_t *wcet, const int64_t *span,
     const int64_t *periods,
     const int32_t *unit_of, const uint64_t *bit_of,
@@ -578,113 +810,47 @@ int64_t columnar_advance(
     int64_t *rec_out,            /* sims x n */
     int64_t *viol_out)           /* sims x 4 */
 {
-    Tables tb;
-    Sim s;
-    int64_t i;
-    int64_t rc = 0;
-    uint64_t *ready = malloc((size_t)n_units * sizeof(uint64_t));
-    int32_t *running = malloc((size_t)n_units * sizeof(int32_t));
-    int64_t *fin_time = malloc((size_t)n_units * sizeof(int64_t));
-    int64_t *fin_seq = malloc((size_t)n_units * sizeof(int64_t));
-    uint8_t *zrun = malloc((size_t)n_units * sizeof(uint8_t));
-    int32_t *cur_batch = malloc((size_t)n_units * sizeof(int32_t));
-    int64_t *pend = malloc((size_t)n * sizeof(int64_t));
-    int32_t *touched = malloc((size_t)(n + n_units) * sizeof(int32_t));
-    int32_t *fin2 = malloc((size_t)n_units * sizeof(int32_t));
-    Rel *heap = malloc((size_t)(n_grp + 1) * sizeof(Rel));
-    int64_t *tseq = malloc((size_t)n * sizeof(int64_t));
-    int32_t *gmem = malloc((size_t)n * sizeof(int32_t));
-    int64_t *gpos = malloc((size_t)(n_grp + 1) * sizeof(int64_t));
-    int64_t *grnd = malloc((size_t)(n_grp + 1) * sizeof(int64_t));
-    int64_t *krel = malloc((size_t)(tab ? tab_w : 1) * sizeof(int64_t));
+    const Tables tb = {
+        .n = n, .n_units = n_units, .duration = duration,
+        .sentinel = duration + 1, .policy_mode = policy_mode,
+        .let_mode = let_mode, .track = track, .max_ranks = max_ranks,
+        .n_draws = n_draws, .bcet = bcet, .wcet = wcet, .span = span,
+        .periods = periods, .unit_of = unit_of, .bit_of = bit_of,
+        .rank_tid = rank_tid, .job_base = job_base, .job_cap = job_cap,
+        .tab_base = tab_base, .n_grp = n_grp, .grp_ptr = grp_ptr,
+        .grp_tid = grp_tid,
+    };
+    const AdvanceRows rows = {
+        .tab_w = tab_w, .slots = slots, .variates = variates,
+        .offsets = offsets, .tab = tab, .tab_keep = tab_keep,
+        .tab_len = tab_len, .starts_out = starts_out, .fins_out = fins_out,
+        .casc_out = casc_out, .rec_out = rec_out, .viol_out = viol_out,
+    };
+    int64_t k;
+    const int64_t nt = clamp_threads(threads, sims);
+    const int64_t n_krel = tab ? tab_w : 1;
+    AdvancePart probe;
+    const size_t per = advance_scratch(&probe, NULL, n, n_units, n_grp,
+                                       n_krel);
+    void *raw;
+    AdvancePart *parts = alloc_parts(nt, sizeof(AdvancePart), per, &raw);
+    int64_t rc = ERR_NOMEM;
 
-    if (!ready || !running || !fin_time || !fin_seq || !zrun ||
-        !cur_batch || !pend || !touched || !fin2 || !heap || !tseq ||
-        !gmem || !gpos || !grnd || !krel) {
-        rc = -1 - sims;
+    if (!parts)
         goto done;
+    for (k = 0; k < nt; k++) {
+        AdvancePart *p = &parts[k];
+        advance_scratch(p, line_up(p->thread.raw), n, n_units, n_grp, n_krel);
+        p->rows = &rows;
+        p->s.tb = &tb;
+        p->s.tab = NULL;
+        p->s.keep = NULL;
+        p->s.tlen = NULL;
     }
-
-    tb.n = n;
-    tb.n_units = n_units;
-    tb.duration = duration;
-    tb.sentinel = duration + 1;
-    tb.policy_mode = policy_mode;
-    tb.let_mode = let_mode;
-    tb.track = track;
-    tb.max_ranks = max_ranks;
-    tb.n_draws = n_draws;
-    tb.bcet = bcet;
-    tb.wcet = wcet;
-    tb.span = span;
-    tb.periods = periods;
-    tb.unit_of = unit_of;
-    tb.bit_of = bit_of;
-    tb.rank_tid = rank_tid;
-    tb.job_base = job_base;
-    tb.job_cap = job_cap;
-    tb.tab_base = tab_base;
-    tb.n_grp = n_grp;
-    tb.grp_ptr = grp_ptr;
-    tb.grp_tid = grp_tid;
-
-    s.tb = &tb;
-    s.heap = heap;
-    s.tseq = tseq;
-    s.gmem = gmem;
-    s.gpos = gpos;
-    s.grnd = grnd;
-    s.krel = krel;
-    s.ready = ready;
-    s.running = running;
-    s.fin_time = fin_time;
-    s.fin_seq = fin_seq;
-    s.zrun = zrun;
-    s.cur_batch = cur_batch;
-    s.pend = pend;
-    s.tab = NULL;
-    s.keep = NULL;
-    s.tlen = NULL;
-
-    for (i = 0; i < sims; i++) {
-        s.offs = offsets + i * n;
-        if (tab) {
-            s.tab = tab + i * tab_w;
-            s.keep = tab_keep + i * tab_w;
-            s.tlen = tab_len + i * n;
-        }
-        s.var = variates + i * n_draws;
-        s.starts = starts_out + i * slots;
-        s.fins = fins_out + i * slots;
-        s.casc = casc_out + i * slots;
-        s.rec = rec_out + i * n;
-        s.viol = viol_out + i * 4;
-        run_sim(&s, touched, fin2);
-        if (s.err == 2) {
-            rc = -(i + 1);
-            goto done;
-        }
-        /* err == 1 (LET violation) is recorded in viol_out; later
-         * sims are independent, so keep advancing — the caller
-         * raises for the lowest violating index. */
-    }
+    rc = run_threads(advance_worker, parts, sizeof(AdvancePart), nt, sims);
 
 done:
-    free(ready);
-    free(running);
-    free(fin_time);
-    free(fin_seq);
-    free(zrun);
-    free(cur_batch);
-    free(pend);
-    free(touched);
-    free(fin2);
-    free(heap);
-    free(tseq);
-    free(gmem);
-    free(gpos);
-    free(grnd);
-    free(krel);
+    free_parts(raw, sizeof(AdvancePart), nt);
     return rc;
 }
 
@@ -887,8 +1053,106 @@ static int derive_sim(const Derive *d, int64_t n_order, const int32_t *order,
     return 0;
 }
 
+/* Per-sim rows and batch-invariant walk of a columnar_derive batch. */
+typedef struct {
+    int64_t n;
+    int64_t n_order;
+    const int32_t *order;
+    const int64_t *edge_ptr;
+    const int32_t *edge_src;
+    const int64_t *edge_cap;
+    const int64_t *src_col;
+    const int64_t *block;
+    int64_t monitored;
+    int64_t height;
+    int64_t tab_w;
+    int64_t slots;
+    const int64_t *offsets;
+    const int64_t *tab;
+    const uint8_t *tab_keep;
+    const int64_t *tab_len;
+    const int64_t *starts;
+    const int64_t *fins;
+    const int32_t *casc;
+    const int64_t *rec;
+    int64_t *disp_out;
+} DeriveRows;
+
+/* One thread of a columnar_derive batch and its scratch. */
+typedef struct {
+    Thread thread;
+    const DeriveRows *rows;
+    Derive d;
+    Stamp *arena;
+    int64_t *krel;
+    int64_t *nkept;
+} DerivePart;
+
+static void *derive_worker(void *arg)
+{
+    DerivePart *p = arg;
+    const DeriveRows *r = p->rows;
+    Derive *d = &p->d;
+    const int64_t n = r->n, height = r->height, n_src = d->n_src;
+    int64_t i, k, j;
+    while ((i = claim(&p->thread)) >= 0) {
+        int64_t *out = r->disp_out + i * height;
+        int64_t count, rows;
+        const Stamp *blk;
+        d->offs = r->offsets + i * n;
+        d->starts = r->starts + i * r->slots;
+        d->fins = r->fins + i * r->slots;
+        d->casc = r->casc + i * r->slots;
+        d->rec = r->rec + i * n;
+        if (r->tab)
+            compact_kept(n, d->tab_base, r->tab + i * r->tab_w,
+                         r->tab_keep + i * r->tab_w, r->tab_len + i * n,
+                         p->krel, p->nkept);
+        if (derive_sim(d, r->n_order, r->order, r->edge_ptr, r->edge_src,
+                       r->edge_cap, r->src_col, r->block, p->arena)) {
+            p->thread.rc = -(i + 1);
+            break;
+        }
+        /* Monitored column: disparity of each job that completed
+         * within the horizon and read any source, else -1. */
+        count = d->inst[r->monitored] ? released(d, r->monitored)
+                                      : completed(d, r->monitored);
+        rows = job_rows(d, r->monitored);
+        if (count > rows)
+            count = rows;
+        blk = p->arena + r->block[r->monitored];
+        for (k = 0; k < height; k++) {
+            int64_t lo = STAMP_NONE, hi = -STAMP_NONE;
+            if (k < count) {
+                const Stamp *row = blk + k * n_src;
+                for (j = 0; j < n_src; j++) {
+                    if (row[j].lo < lo)
+                        lo = row[j].lo;
+                    if (row[j].hi > hi)
+                        hi = row[j].hi;
+                }
+            }
+            out[k] = lo < STAMP_NONE ? hi - lo : -1;
+        }
+    }
+    return NULL;
+}
+
+/* Point p at its scratch in the block at base (NULL: only measure);
+ * returns the block's size. */
+static size_t derive_scratch(DerivePart *p, char *base, int64_t n,
+                             int64_t arena_len, int64_t n_krel)
+{
+    size_t top = 0;
+    p->arena = carve(base, &top, arena_len, sizeof(Stamp));
+    p->krel = carve(base, &top, n_krel, sizeof(int64_t));
+    p->nkept = carve(base, &top, n, sizeof(int64_t));
+    return top;
+}
+
 int64_t columnar_derive(
-    int64_t sims, int64_t n, int64_t duration,
+    int64_t sims, int64_t threads,
+    int64_t n, int64_t duration,
     const int64_t *periods, const uint8_t *inst, const uint8_t *is_source,
     int64_t let_mode, int64_t track,
     int64_t n_order, const int32_t *order, /* kept tasks, topological */
@@ -914,73 +1178,41 @@ int64_t columnar_derive(
     const int64_t *rec,          /* sims x n */
     int64_t *disp_out)           /* sims x height */
 {
-    Derive d;
-    int64_t i, k, j;
-    int64_t rc = 0;
-    Stamp *arena = malloc((size_t)(arena_len > 0 ? arena_len : 1) *
-                          sizeof(Stamp));
-    int64_t *krel = malloc((size_t)(tab ? tab_w : 1) * sizeof(int64_t));
-    int64_t *nkept = malloc((size_t)n * sizeof(int64_t));
+    const DeriveRows rows = {
+        .n = n, .n_order = n_order, .order = order, .edge_ptr = edge_ptr,
+        .edge_src = edge_src, .edge_cap = edge_cap, .src_col = src_col,
+        .block = block, .monitored = monitored, .height = height,
+        .tab_w = tab_w, .slots = slots, .offsets = offsets, .tab = tab,
+        .tab_keep = tab_keep, .tab_len = tab_len, .starts = starts,
+        .fins = fins, .casc = casc, .rec = rec, .disp_out = disp_out,
+    };
+    const Derive shared = {
+        .duration = duration, .let_mode = let_mode, .track = track,
+        .n_src = n_src, .periods = periods, .inst = inst,
+        .is_source = is_source, .job_base = job_base, .tab_base = tab_base,
+    };
+    int64_t k;
+    const int64_t nt = clamp_threads(threads, sims);
+    const int64_t n_krel = tab ? tab_w : 1;
+    DerivePart probe;
+    const size_t per = derive_scratch(&probe, NULL, n, arena_len, n_krel);
+    void *raw;
+    DerivePart *parts = alloc_parts(nt, sizeof(DerivePart), per, &raw);
+    int64_t rc = ERR_NOMEM;
 
-    if (!arena || !krel || !nkept) {
-        rc = -1 - sims;
+    if (!parts)
         goto done;
+    for (k = 0; k < nt; k++) {
+        DerivePart *p = &parts[k];
+        derive_scratch(p, line_up(p->thread.raw), n, arena_len, n_krel);
+        p->rows = &rows;
+        p->d = shared;
+        p->d.krel = tab ? p->krel : NULL;
+        p->d.nkept = p->nkept;
     }
-    d.duration = duration;
-    d.let_mode = let_mode;
-    d.track = track;
-    d.n_src = n_src;
-    d.periods = periods;
-    d.inst = inst;
-    d.is_source = is_source;
-    d.job_base = job_base;
-    d.tab_base = tab_base;
-    d.krel = tab ? krel : NULL;
-    d.nkept = nkept;
-
-    for (i = 0; i < sims; i++) {
-        int64_t *out = disp_out + i * height;
-        int64_t count, rows;
-        const Stamp *blk;
-        d.offs = offsets + i * n;
-        d.starts = starts + i * slots;
-        d.fins = fins + i * slots;
-        d.casc = casc + i * slots;
-        d.rec = rec + i * n;
-        if (tab)
-            compact_kept(n, tab_base, tab + i * tab_w, tab_keep + i * tab_w,
-                         tab_len + i * n, krel, nkept);
-        if (derive_sim(&d, n_order, order, edge_ptr, edge_src, edge_cap,
-                       src_col, block, arena)) {
-            rc = -(i + 1);
-            goto done;
-        }
-        /* Monitored column: disparity of each job that completed
-         * within the horizon and read any source, else -1. */
-        count = inst[monitored] ? released(&d, monitored)
-                                : completed(&d, monitored);
-        rows = job_rows(&d, monitored);
-        if (count > rows)
-            count = rows;
-        blk = arena + block[monitored];
-        for (k = 0; k < height; k++) {
-            int64_t lo = STAMP_NONE, hi = -STAMP_NONE;
-            if (k < count) {
-                const Stamp *row = blk + k * n_src;
-                for (j = 0; j < n_src; j++) {
-                    if (row[j].lo < lo)
-                        lo = row[j].lo;
-                    if (row[j].hi > hi)
-                        hi = row[j].hi;
-                }
-            }
-            out[k] = lo < STAMP_NONE ? hi - lo : -1;
-        }
-    }
+    rc = run_threads(derive_worker, parts, sizeof(DerivePart), nt, sims);
 
 done:
-    free(arena);
-    free(krel);
-    free(nkept);
+    free_parts(raw, sizeof(DerivePart), nt);
     return rc;
 }

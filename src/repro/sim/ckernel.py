@@ -18,7 +18,15 @@ Environment knobs:
 * ``REPRO_CKERNEL_CACHE`` — directory for the compiled ``.so``
   (default: ``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``, falling
   back to a per-user tempdir).  The object name embeds a hash of the C
-  source, so stale caches are never loaded after a source change.
+  source and the compile flags, so a stale object is never loaded after
+  a change to either.
+
+Build flags: :data:`CFLAGS` (``-O2 -fPIC -shared -pthread``).  The
+kernel splits each batch's sims across POSIX threads it starts and
+joins within one call; :func:`thread_budget` is how many one call may
+use in this process (the CPUs it may run on, unless a process pool or a
+cluster coordinator handed it a share through
+:func:`set_thread_budget`).
 """
 
 from __future__ import annotations
@@ -33,13 +41,23 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 #: ABI stamp; must match ``REPRO_CKERNEL_ABI`` in ``_ckernel.c``.
-ABI_VERSION = 4
+ABI_VERSION = 5
+
+#: Compiler flags of the shared object (hashed into its cache name).
+CFLAGS = ("-O2", "-fPIC", "-shared", "-pthread")
+
+#: Return code of a kernel call whose scratch allocation failed
+#: (``ERR_NOMEM`` in ``_ckernel.c``); negative codes name a sim.
+ERR_NOMEM = 1
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 
 #: ``(kernel, reason)`` memo of :func:`load_kernel` — ``None`` until
 #: the first call, then a stable answer for the process lifetime.
 _STATE: Optional[Tuple[Optional["Kernel"], Optional[str]]] = None
+
+#: Threads one kernel call may use; ``None`` until first asked.
+_THREADS: Optional[int] = None
 
 _I64 = ctypes.c_int64
 _P_I64 = ctypes.POINTER(ctypes.c_int64)
@@ -50,7 +68,8 @@ _P_U8 = ctypes.POINTER(ctypes.c_uint8)
 
 #: ``columnar_advance`` signature (see ``_ckernel.c`` for the layout).
 _ADVANCE_ARGTYPES = [
-    _I64, _I64, _I64, _I64,    # sims, n, n_units, duration
+    _I64, _I64,                # sims, threads
+    _I64, _I64, _I64,          # n, n_units, duration
     _P_I64, _P_I64, _P_I64,    # bcet, wcet, span
     _P_I64,                    # periods
     _P_I32, _P_U64,            # unit_of, bit_of
@@ -68,7 +87,8 @@ _ADVANCE_ARGTYPES = [
 
 #: ``columnar_derive`` signature (see ``_ckernel.c`` for the layout).
 _DERIVE_ARGTYPES = [
-    _I64, _I64, _I64,          # sims, n, duration
+    _I64, _I64,                # sims, threads
+    _I64, _I64,                # n, duration
     _P_I64, _P_U8, _P_U8,      # periods, inst, is_source
     _I64, _I64,                # let_mode, track
     _I64, _P_I32,              # n_order, order
@@ -141,7 +161,7 @@ def _build(source: Path, target: Path) -> Optional[str]:
     last = "compile failed"
     for cc in compilers:
         tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-        cmd = [cc, "-O2", "-fPIC", "-shared", "-o", str(tmp), str(source)]
+        cmd = [cc, *CFLAGS, "-o", str(tmp), str(source)]
         try:
             proc = subprocess.run(
                 cmd, capture_output=True, text=True, timeout=120
@@ -158,6 +178,13 @@ def _build(source: Path, target: Path) -> Optional[str]:
         os.replace(tmp, target)  # atomic: concurrent builders agree
         return None
     return last
+
+
+def _object_name(source: bytes) -> str:
+    """Cache name of the object :data:`CFLAGS` build from ``source``."""
+    flags = " ".join(CFLAGS).encode()
+    digest = hashlib.sha256(source + b"\0" + flags).hexdigest()[:16]
+    return f"ckernel-abi{ABI_VERSION}-{digest}.so"
 
 
 def load_kernel() -> Tuple[Optional[Kernel], Optional[str]]:
@@ -181,9 +208,8 @@ def _load_uncached() -> Tuple[Optional[Kernel], Optional[str]]:
         source_bytes = _SOURCE.read_bytes()
     except OSError as exc:
         return None, f"kernel source unreadable: {exc}"
-    digest = hashlib.sha256(source_bytes).hexdigest()[:16]
     try:
-        target = _cache_dir() / f"ckernel-abi{ABI_VERSION}-{digest}.so"
+        target = _cache_dir() / _object_name(source_bytes)
         if not target.exists():
             reason = _build(_SOURCE, target)
             if reason is not None:
@@ -206,9 +232,34 @@ def reset_kernel_state() -> None:
     _STATE = None
 
 
+def thread_budget() -> int:
+    """Threads one kernel call may use in this process.
+
+    By default the CPUs this process may run on; a process pool or a
+    cluster worker sets its share with :func:`set_thread_budget`.
+    """
+    global _THREADS
+    if _THREADS is None:
+        try:
+            _THREADS = len(os.sched_getaffinity(0))
+        except AttributeError:  # pragma: no cover - no affinity API
+            _THREADS = os.cpu_count() or 1
+    return _THREADS
+
+
+def set_thread_budget(count: int) -> None:
+    """Let each kernel call in this process use up to ``count`` threads."""
+    global _THREADS
+    _THREADS = max(1, int(count))
+
+
 __all__ = [
     "ABI_VERSION",
+    "CFLAGS",
+    "ERR_NOMEM",
     "Kernel",
     "load_kernel",
     "reset_kernel_state",
+    "set_thread_budget",
+    "thread_budget",
 ]

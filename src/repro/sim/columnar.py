@@ -25,6 +25,11 @@ processes the batch as struct-of-arrays in three phases:
   per-window maxima with a per-row window start and cutoff (the
   offset search's steady-state probe).
 
+Both kernel calls split a batch's sims across threads when the batch
+holds at least :data:`SPLIT_MIN_WORK` ``sims * slots`` (:func:`_threads`;
+the count is :func:`repro.sim.ckernel.thread_budget`).  Sims share
+nothing, so the outputs are the same bytes for any thread count.
+
 Every step reproduces the simulator exactly: the variate streams are
 bit-identical, the kernel replays its release-heap and dispatch order
 (with LET deadlines and release tables), and the derive implements
@@ -59,6 +64,17 @@ from repro.units import Time
 #: The C kernel's ready masks are one ``uint64`` per unit.
 MAX_RANKS = 64
 
+#: Smallest batch, in ``sims * slots``, whose kernel calls split their
+#: sims across threads (:func:`repro.sim.ckernel.thread_budget` of
+#: them).  Measured on a 2-CPU VM, kernel time per call split against
+#: one thread: a split costs about 0.05-0.1 ms, so 2-sim calls of
+#: 3,000-10,000 ran 10-18% slower split; fig6's own calls of
+#: 35,000-75,000 ran 0.78-0.85x and those over 200,000 0.76x while the
+#: second CPU was free.  The break-even lies between 10,000 and 35,000;
+#: 50,000 keeps a margin for a busy host and leaves every offset-search
+#: call (2 sims, at most 21,550) whole.
+SPLIT_MIN_WORK = 50_000
+
 _P_I64 = ctypes.POINTER(ctypes.c_int64)
 _P_I32 = ctypes.POINTER(ctypes.c_int32)
 _P_U64 = ctypes.POINTER(ctypes.c_uint64)
@@ -84,6 +100,26 @@ def _pf64(a):
 
 def _pu8(a):
     return a.ctypes.data_as(_P_U8)
+
+
+def _threads(sims: int, slots: int) -> int:
+    """Kernel threads for a batch: 1 below :data:`SPLIT_MIN_WORK`."""
+    if sims * slots < SPLIT_MIN_WORK:
+        return 1
+    return min(ckernel.thread_budget(), sims)
+
+
+def _check(rc: int, phase: str) -> None:
+    """Raise the ModelError a nonzero kernel return code stands for."""
+    if rc == ckernel.ERR_NOMEM:
+        raise ModelError(
+            f"columnar {phase} kernel could not allocate its scratch memory"
+        )
+    if rc != 0:
+        raise ModelError(
+            f"columnar {phase} kernel failed in replication {-rc - 1} "
+            f"(internal invariant broke; please report)"
+        )
 
 
 def ineligibility_reasons(compiled, policy) -> List[str]:
@@ -469,6 +505,7 @@ def _advance(compiled, plan: _Plan, draws, offs, duration: Time, policy):
     viol = _np.empty((sims, 4), dtype=_np.int64)
     rc = kernel.advance(
         sims,
+        _threads(sims, plan.slots),
         n,
         compiled.n_units,
         duration,
@@ -504,11 +541,7 @@ def _advance(compiled, plan: _Plan, draws, offs, duration: Time, policy):
         _p64(viol),
     )
     _batch.PHASE_TIMES["advance_s"] += _time.perf_counter() - t0
-    if rc != 0:
-        raise ModelError(
-            f"columnar advance kernel failed in replication {-rc - 1} "
-            f"(internal invariant broke; please report)"
-        )
+    _check(rc, "advance")
     if compiled._let:
         bad = _np.nonzero(viol[:, 0] >= 0)[0]
         if bad.size:
@@ -539,6 +572,7 @@ def _disparity_column(compiled, plan: _Plan, adv, offs, duration: Time):
     tab, keep, lens = _table_args(tables)
     rc = kernel.derive(
         sims,
+        _threads(sims, plan.slots),
         n,
         duration,
         _p64(plan.periods),
@@ -571,11 +605,7 @@ def _disparity_column(compiled, plan: _Plan, adv, offs, duration: Time):
         _p64(rec),
         _p64(disp),
     )
-    if rc != 0:
-        raise ModelError(
-            f"columnar derive kernel failed in replication {-rc - 1} "
-            f"(internal invariant broke; please report)"
-        )
+    _check(rc, "derive")
     return disp
 
 

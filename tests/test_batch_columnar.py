@@ -11,7 +11,11 @@ at the same draw.  The suite pins that identity across implicit and
 LET semantics, all four batchable policies, zero-BCET cascades, and
 the fallback edges the input itself selects (unbatchable policies,
 ineligible scenarios, C toolchain absent) — plus the jobs-invariance
-of campaign CSVs with the columnar engine active underneath.
+of campaign CSVs with the columnar engine active underneath.  The
+kernel splits a batch's sims across threads: its outputs must be the
+same bytes at any thread count, the lowest failing sim must be the one
+reported, and no thread may outlive a call (a forked ``--jobs`` pool
+follows a threaded call safely).
 
 Columnar-only tests skip, with the kernel's reason, when the kernel
 cannot load here; the fallback-parity tests still run.
@@ -19,12 +23,16 @@ cannot load here; the fallback-parity tests still run.
 
 from __future__ import annotations
 
+import os
 import random
 import subprocess
+import sys
+import time
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,13 +41,19 @@ from repro.api import AnalysisSession
 from repro.gen import generate_random_scenario
 from repro.model.system import System
 from repro.model.task import ModelError
-from repro.sim import ckernel
+from repro.sim import ckernel, columnar
 from repro.sim.batch import CompiledScenario, run_batch
+from repro.sim.engine import Simulator
 from repro.sim.exec_time import named_policy, per_task_policy, wcet_policy
 from tests.tiers import (
+    THREAD_COUNTS,
+    assert_split_invariant,
     assert_tiers_match,
+    batch_draws,
     buffered_system,
     fused_tasks,
+    kernel_bytes,
+    kernel_threads,
     simulator_disparities,
 )
 
@@ -195,6 +209,193 @@ def test_columnar_matches_simulator_buffered(
         semantics=semantics,
         tasks=fused_tasks(system) or system.graph.sinks(),
     )
+
+
+@needs_columnar
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    n_tasks=st.integers(min_value=5, max_value=10),
+    sims=st.sampled_from([1, 2, 5]),
+    semantics=st.sampled_from(["implicit", "let"]),
+    zero_bcet=st.booleans(),
+)
+def test_split_is_byte_identical_across_thread_counts(
+    seed, n_tasks, sims, semantics, zero_bcet
+):
+    """1, 2 and 3 threads write the same bytes, ``sims < threads`` too."""
+    system = buffered_system(seed, n_tasks)
+    if zero_bcet:
+        system = _zero_bcet(system)
+    task = (fused_tasks(system) or system.graph.sinks())[0]
+    assert_split_invariant(
+        system,
+        task,
+        sims=sims,
+        duration=3 * max(t.period for t in system.graph.tasks),
+        seed=seed,
+        semantics=semantics,
+    )
+
+
+@needs_columnar
+def test_split_with_more_threads_than_cpus():
+    """Eight threads claiming 24 sims from one counter, five times over,
+    write the single-threaded bytes."""
+    system = buffered_system(29, 10)
+    task = (fused_tasks(system) or system.graph.sinks())[0]
+    duration = 6 * max(t.period for t in system.graph.tasks)
+    compiled = CompiledScenario(system, task)
+    draws = batch_draws(system, 24, 29)
+    policy = named_policy("uniform")
+    with kernel_threads(1):
+        expected = kernel_bytes(compiled, draws, duration, policy)
+    with kernel_threads(8):
+        for _ in range(5):
+            assert kernel_bytes(compiled, draws, duration, policy) == expected
+
+
+def _blocked_reader():
+    """``late`` (high priority) queued behind a 9 ms job of ``hog``.
+
+    Under LET, ``late`` (T = 10 ms, C = 3 ms) meets its deadline at
+    offset 0, where it runs first, and misses it at offsets in (0, 2)
+    ms, where ``hog`` (released at 0) blocks it until 9 ms.
+    """
+    from repro.model.graph import CauseEffectGraph
+    from repro.model.task import Task, source_task
+    from repro.units import ms
+
+    graph = CauseEffectGraph()
+    graph.add_task(source_task("src", ms(10), ecu="e", priority=0))
+    graph.add_task(Task("hog", ms(20), ms(2), ms(2), ecu="e", priority=2))
+    graph.add_task(Task("late", ms(10), ms(3), ms(3), ecu="e", priority=1))
+    graph.add_channel("src", "hog")
+    graph.add_channel("hog", "late")
+    built = System.build(graph)
+    blocking = built.graph.copy()
+    blocking.replace_task(replace(blocking.task("hog"), wcet=ms(9), bcet=ms(9)))
+    return System(graph=blocking, response_times=built.response_times)
+
+
+def _first_error(system, draws, duration, **kwargs):
+    """The message of the first sequential simulator run that raises."""
+    names = [task.name for task in system.graph.tasks]
+    for seed, offsets in draws:
+        try:
+            Simulator(
+                system.with_offsets(dict(zip(names, offsets))), duration,
+                seed=seed, **kwargs,
+            ).run()
+        except ModelError as exc:
+            return str(exc)
+    raise AssertionError("no run raised")
+
+
+@needs_columnar
+def test_split_reports_the_lowest_let_violation():
+    """Sims 3 and 5 of 6 miss deadlines at different instants; every
+    thread count reports sim 3's, as the sequential simulator does."""
+    from repro.units import ms
+
+    system = _blocked_reader()
+    late = {0: 0, 3: ms(1) + ms(1) // 2, 5: ms(1)}
+    draws = [(s, (0, 0, late.get(s, 0))) for s in range(6)]
+    duration = ms(100)
+    expected = _first_error(
+        system, draws, duration, policy=wcet_policy, semantics="let"
+    )
+    assert "late#0" in expected
+    compiled = CompiledScenario(system, "late", semantics="let")
+    for threads in THREAD_COUNTS:
+        with kernel_threads(threads), pytest.raises(ModelError) as err:
+            columnar.run_columnar(compiled, draws, duration, 0, wcet_policy)
+        assert str(err.value) == expected, threads
+
+
+@needs_columnar
+def test_split_reports_the_lowest_broken_sim():
+    """Job slots one short per task: the sims whose reader releases a
+    job at the horizon (offset 0) overflow, and the lowest is named."""
+    from repro.units import ms
+
+    system = _blocked_reader()
+    duration = ms(100)
+    compiled = CompiledScenario(system, "late")
+    plan = columnar._Plan(compiled, duration)
+    plan.job_cap = plan.job_cap - (plan.job_base >= 0)
+    draws = [(s, (0, ms(5), 0 if s in (3, 5) else ms(5))) for s in range(6)]
+    offs = np.array([offsets for _seed, offsets in draws], dtype=np.int64)
+    for threads in THREAD_COUNTS:
+        with kernel_threads(threads), pytest.raises(
+            ModelError, match=r"failed in replication 3 \(internal invariant"
+        ):
+            columnar._advance(compiled, plan, draws, offs, duration, wcet_policy)
+
+
+@needs_columnar
+def test_failed_scratch_allocation_is_reported_as_such():
+    """An allocation failure names no replication."""
+    from repro.units import ms
+
+    system = _blocked_reader()
+    duration = ms(100)
+    compiled = CompiledScenario(system, "late")
+    plan = columnar._Plan(compiled, duration)
+    draws = [(1, (0, 0, 0)), (2, (0, 0, ms(5)))]
+    offs = np.array([offsets for _seed, offsets in draws], dtype=np.int64)
+    adv = columnar._advance(compiled, plan, draws, offs, duration, wcet_policy)
+    plan.arena = 2**62  # stamps per sim: no allocator can serve it
+    for threads in (1, 2):
+        with kernel_threads(threads), pytest.raises(ModelError) as err:
+            columnar._disparity_column(compiled, plan, adv, offs, duration)
+        assert "could not allocate its scratch memory" in str(err.value)
+        assert "replication" not in str(err.value)
+
+
+def _live_threads() -> int:
+    return len(os.listdir("/proc/self/task"))
+
+
+@needs_columnar
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task"
+)
+def test_kernel_call_leaves_no_thread_behind():
+    system, sink = _scenario(12, 10)
+    before = _live_threads()
+    with kernel_threads(3):
+        _run(system, sink, sims=6, duration=10**9, warmup=0, seed=1,
+             policy="uniform")
+    # A joined thread leaves the task list as it exits; allow it that.
+    for _ in range(100):
+        if _live_threads() == before:
+            break
+        time.sleep(0.001)
+    assert _live_threads() == before
+
+
+def test_default_thread_budget_is_the_process_affinity():
+    code = (
+        "import os; from repro.sim.ckernel import thread_budget; "
+        "print(thread_budget(), len(os.sched_getaffinity(0)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=env, check=True,
+    ).stdout.split()
+    assert out[0] == out[1]
+
+
+def test_object_name_hashes_the_compile_flags(monkeypatch):
+    """A flag change alone never loads an object built without it."""
+    source = ckernel._SOURCE.read_bytes()
+    name = ckernel._object_name(source)
+    assert name == ckernel._object_name(source)
+    monkeypatch.setattr(ckernel, "CFLAGS", ckernel.CFLAGS[:-1])
+    assert ckernel._object_name(source) != name
+
 
 def test_unbatchable_policy_falls_back_to_simulator():
     """Per-task policies (fault injection) run on the simulator."""
@@ -354,3 +555,28 @@ def test_campaign_csv_is_jobs_invariant():
     serial = csv_ab(run_fig6_ab(config))
     parallel = csv_ab(run_fig6_ab(config, jobs=2))
     assert serial == parallel
+
+
+def test_jobs_campaign_after_a_threaded_call_is_fork_safe():
+    """A ``--jobs 2`` pool forks after a threaded kernel call in the
+    parent; its workers (2 threads each) give the serial CSV bytes."""
+    from repro.experiments.config import Fig6ABConfig
+    from repro.experiments.fig6 import run_fig6_ab
+    from repro.experiments.reporting import csv_ab
+    from repro.units import seconds
+
+    config = Fig6ABConfig(
+        x_values=(5, 7),
+        graphs_per_point=2,
+        sims_per_graph=3,
+        sim_duration=seconds(1),
+        warmup=seconds(0.5),
+        seed=11,
+    )
+    serial = csv_ab(run_fig6_ab(config))
+    system, sink = _scenario(12, 10)
+    with kernel_threads(4):
+        _run(system, sink, sims=6, duration=10**9, warmup=0, seed=1,
+             policy="uniform")
+        parallel = csv_ab(run_fig6_ab(config, jobs=2))
+    assert parallel == serial

@@ -37,6 +37,7 @@ TOY = {
     "batch": REPLICATION,
     "let": REPLICATION,
     "fault": REPLICATION,
+    "split": REPLICATION,
     "delta": SWEEP,
     "search": {"n_tasks": 5, "candidates": 3, "max_windows": 4},
     "analysis": [{"levels": 2, "width": 1}, {"levels": 2, "width": 2}],
@@ -53,6 +54,8 @@ SECTION_KEYS = {
             "sequential_s", "batched_s", "speedup", "sims_per_s"},
     "fault": {"n_tasks", "sims", "duration_s", "engine", "phases", "victim",
               "sequential_s", "batched_s", "speedup", "sims_per_s"},
+    "split": {"n_tasks", "sims", "duration_s", "threads", "serial_s",
+              "split_s", "speedup"},
     "delta": {"n_tasks", "candidates", "duration_s", "delta_replay", "fresh_s",
               "delta_s", "speedup", "candidates_per_s"},
     "search": {"n_tasks", "candidates", "max_windows", "engine",
@@ -143,6 +146,20 @@ def test_sim_throughput_gated_only_at_the_baseline_shape():
     messages = compare_to_baseline(current, inflated)
     assert len(messages) == 1
     assert messages[0].startswith("sim kernel throughput")
+
+
+def test_quick_shapes_of_the_batch_gates_have_a_committed_row():
+    """CI's quick rows of these gates meet a baseline row of their shape."""
+    committed = load_baseline(BASELINE_PATH)
+    for spec in SPECS:
+        if spec.kernel not in ("batch", "let", "fault", "split"):
+            continue
+        keys = [key for key in spec.shape_keys if key in spec.quick]
+        assert keys == ["n_tasks", "sims", "duration_s"], spec.kernel
+        assert any(
+            all(row[key] == spec.quick[key] for key in keys)
+            for row in _rows(committed[spec.section])
+        ), spec.kernel
 
 
 def test_run_benchmarks_selects_sections():

@@ -48,7 +48,9 @@ from repro.parallel import (
 )
 from repro.parallel.checkpoint import SHARD_FORMAT, JsonlLog
 from repro.parallel.worker import load_spec, main as worker_main, run_spec
+from repro.sim.ckernel import thread_budget
 from repro.units import seconds
+from tests.tiers import kernel_threads
 
 ORIGINAL_APPEND = JsonlLog.append
 
@@ -351,7 +353,7 @@ class TestWorkerSpec:
         spec = tmp_path / "w.spec.pkl"
         write_worker_spec(
             str(spec), part="ab", config=TINY, shard=ShardSpec(1, 3),
-            out=str(tmp_path / "out.jsonl"), jobs=2,
+            out=str(tmp_path / "out.jsonl"), jobs=2, threads=3,
             fault=ClusterFault(double_issue=True),  # not worker-side
         )
         payload = load_spec(str(spec))
@@ -359,6 +361,7 @@ class TestWorkerSpec:
         assert payload["config"] == TINY
         assert payload["shard"] == "1/3"
         assert payload["jobs"] == 2
+        assert payload["threads"] == 3
         # Coordinator-side faults never ship to the worker.
         assert payload["fault"] is None
 
@@ -377,6 +380,37 @@ class TestWorkerSpec:
             for line in out.read_text().splitlines()[1:]
         ]
         assert sorted(ordinals) == [0, 2]
+
+    def test_thread_budget_holds_for_one_spec(self, tmp_path, monkeypatch):
+        # The spec's kernel threads apply while its shard runs; the
+        # worker's own budget is back once it returns.
+        seen = []
+        monkeypatch.setattr(
+            "repro.parallel.shard.run_shard",
+            lambda *args, **kwargs: seen.append(thread_budget()),
+        )
+        spec = tmp_path / "w.spec.pkl"
+        write_worker_spec(
+            str(spec), part="ab", config=TINY, shard=ShardSpec(0, 2),
+            out=str(tmp_path / "s0.jsonl"), threads=3,
+        )
+        with kernel_threads(5):
+            assert run_spec(str(spec)) == 0
+            assert thread_budget() == 5
+        assert seen == [3]
+
+    def test_workers_get_a_share_of_the_thread_budget(
+        self, baselines, tmp_path
+    ):
+        with kernel_threads(4):
+            rows, report = run_cluster(
+                AB_PART, TINY, shards=2, workers=2,
+                out_dir=str(tmp_path), **FAST,
+            )
+        assert AB_PART.to_csv(rows) == baselines["implicit"]["csv"]
+        specs = sorted(tmp_path.glob("*.spec.pkl"))
+        assert specs
+        assert [load_spec(str(p))["threads"] for p in specs] == [2] * len(specs)
 
     def test_main_runs_each_spec_line_until_eof(self, tmp_path, monkeypatch):
         # One worker runs several specs; a fault plan is scoped to its

@@ -33,10 +33,16 @@ from repro.parallel import (
     run_campaign,
     run_shard,
 )
+from repro.sim.ckernel import thread_budget
 from repro.units import seconds
+from tests.tiers import kernel_threads
 
 def _double(value: int) -> int:
     return 2 * value
+
+
+def _kernel_threads(_item) -> int:
+    return thread_budget()
 
 
 TINY_AB = SMOKE_AB.scaled(
@@ -107,6 +113,15 @@ class TestPoolEngine:
         assert stats.n_items == 200
         assert 1 <= stats.chunk_min <= stats.chunk_max
         assert stats.n_chunks >= 1
+
+    @pytest.mark.parametrize("budget, share", ((4, 2), (3, 1), (1, 1)))
+    def test_workers_share_the_kernel_thread_budget(self, budget, share):
+        # Pool workers and their kernel threads stay within the
+        # parent's CPUs: each worker gets budget // jobs, at least 1.
+        with kernel_threads(budget), PoolRunner(2) as pool:
+            results, _stats = pool.map_ordered(_kernel_threads, range(4))
+            assert thread_budget() == budget
+        assert results == [share] * 4
 
     def test_resolve_jobs(self):
         assert resolve_jobs(1) == 1

@@ -52,6 +52,7 @@ from repro.sim.release import (
 )
 from repro.units import ms
 from tests.tiers import (
+    assert_split_invariant,
     assert_provenance_matches,
     assert_tiers_match,
     buffered_system,
@@ -456,6 +457,32 @@ def test_batch_tiers_match_simulator_faulted_jittered_buffered(seed, semantics):
         faults=plan,
         tasks=fused_tasks(system) or system.graph.sinks(),
     )
+
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    semantics=st.sampled_from(["implicit", "let"]),
+    sims=st.sampled_from([1, 4]),
+)
+def test_split_is_byte_identical_in_table_mode(seed, semantics, sims):
+    """Drawn release tables and fault masks, split across 1-3 threads."""
+    system = _with_release_models(buffered_system(seed, 7), seed ^ 0x7AB)
+    duration = 3 * max(task.period for task in system.graph.tasks)
+    rng = random.Random(seed ^ 0x5EED)
+    plan = FaultPlan()
+    for name in rng.sample([t.name for t in system.graph.tasks], 2):
+        start = rng.randrange(duration // 2)
+        plan.drop(name, start, start + rng.randrange(1, duration // 3))
+    assert_split_invariant(
+        system,
+        (fused_tasks(system) or system.graph.sinks())[0],
+        sims=sims,
+        duration=duration,
+        seed=seed,
+        semantics=semantics,
+        faults=plan,
+    )
+
 
 # ---------------------------------------------------------------------------
 # Analysis regimes

@@ -16,7 +16,11 @@ and the offset search's windowed probe must agree with it exactly:
   token the simulator hands to observers for the same job, under any
   semantics, release model and fault plan; then the columnar
   disparity with the simulator's;
-* :func:`assert_equivalent` runs both, the latter for every sink.
+* :func:`assert_equivalent` runs both, the latter for every sink;
+* :func:`assert_split_invariant` runs the kernel at every thread count
+  of :data:`THREAD_COUNTS` (every batch split, however small): each
+  count must write the same bytes, and ``run_batch`` must match
+  sequential simulator runs at each.
 
 Every comparison needs the columnar kernel; where it cannot load, the
 test skips with the kernel's reason instead of comparing nothing.
@@ -25,6 +29,7 @@ test skips with the kernel's reason instead of comparing nothing.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,6 +47,10 @@ from repro.sim.exec_time import ExecTimePolicy, uniform_policy
 from repro.sim.metrics import DisparityMonitor
 from repro.sim.provenance import disparity_of
 from repro.units import Time
+
+
+#: Kernel thread counts whose outputs must be the same bytes.
+THREAD_COUNTS = (1, 2, 3)
 
 
 def require_columnar() -> None:
@@ -314,3 +323,98 @@ def assert_equivalent(
             system, task, seed=seed, duration=duration, policy=policy,
             semantics=semantics,
         )
+
+
+@contextmanager
+def kernel_threads(count: int):
+    """Split every kernel call across ``count`` threads, however small.
+
+    Sets the process's thread budget (inherited by forked ``--jobs``
+    workers as their share) and lowers the split threshold to 0.
+    """
+    budget, floor = ckernel.thread_budget(), columnar.SPLIT_MIN_WORK
+    ckernel.set_thread_budget(count)
+    columnar.SPLIT_MIN_WORK = 0
+    try:
+        yield
+    finally:
+        ckernel.set_thread_budget(budget)
+        columnar.SPLIT_MIN_WORK = floor
+
+
+def batch_draws(
+    system: System, sims: int, seed: int
+) -> List[Tuple[int, Tuple[Time, ...]]]:
+    """``run_batch``'s draws: per sim a seed, then an offset per task."""
+    rng = random.Random(seed)
+    return [
+        (
+            rng.randrange(2**31),
+            tuple(rng.randint(1, t.period) for t in system.graph.tasks),
+        )
+        for _ in range(sims)
+    ]
+
+
+def kernel_bytes(
+    compiled: CompiledScenario,
+    draws: Sequence[Tuple[int, Tuple[Time, ...]]],
+    duration: Time,
+    policy: ExecTimePolicy,
+) -> Tuple[bytes, ...]:
+    """Every byte the kernel writes for ``draws``.
+
+    The written start/finish/cascade slots (a task's first ``rec``
+    slots), the dispatch counts and the monitored disparity column.
+    """
+    offs = np.array([offsets for _seed, offsets in draws], dtype=np.int64)
+    plan = columnar._plan(compiled, duration)
+    adv = columnar._advance(compiled, plan, draws, offs, duration, policy)
+    disp = columnar._disparity_column(compiled, plan, adv, offs, duration)
+    starts, fins, casc, rec, _tables = adv
+    tid_of = np.repeat(np.arange(compiled.n), plan.job_cap)
+    written = np.arange(plan.slots) - plan.job_base[tid_of] < rec[:, tid_of]
+    slots = tuple(
+        column[:, : plan.slots][written].tobytes()
+        for column in (starts, fins, casc)
+    )
+    return slots + (rec.tobytes(), disp.tobytes())
+
+
+def assert_split_invariant(
+    system: System,
+    task: str,
+    *,
+    sims: int,
+    duration: Time,
+    seed: int,
+    policy: ExecTimePolicy = uniform_policy,
+    semantics: str = "implicit",
+    faults=None,
+) -> None:
+    """The kernel writes the same bytes at every thread count.
+
+    At each count of :data:`THREAD_COUNTS`, :func:`kernel_bytes` of
+    ``run_batch``'s draws must equal the single-threaded bytes, and
+    ``run_batch`` must match ``sims`` sequential simulator runs.
+    """
+    require_columnar()
+    warmup = duration // 4
+    expected = simulator_disparities(
+        system, [task], sims=sims, duration=duration, warmup=warmup,
+        seed=seed, policy=policy, semantics=semantics, faults=faults,
+    )[task]
+    compiled = CompiledScenario(system, task, semantics=semantics, faults=faults)
+    draws = batch_draws(system, sims, seed)
+    outputs = []
+    for threads in THREAD_COUNTS:
+        with kernel_threads(threads):
+            outputs.append(kernel_bytes(compiled, draws, duration, policy))
+            result = run_batch(
+                system, task, sims=sims, duration=duration, warmup=warmup,
+                rng=random.Random(seed), policy=policy, semantics=semantics,
+                faults=faults,
+            )
+        assert result.engine == "columnar", result.reason
+        assert result.disparities == expected, threads
+        assert outputs[-1] == outputs[0], threads
