@@ -46,7 +46,13 @@ from repro.model.graph import CauseEffectGraph
 from repro.model.system import System
 from repro.sched.response_time import ResponseTimeTable
 from repro.sim.batch import BatchResult, CompiledScenario, run_batch
-from repro.sim.engine import Observer, SimulationResult, randomize_offsets, simulate
+from repro.sim.engine import (
+    Observer,
+    SimulationResult,
+    check_semantics,
+    randomize_offsets,
+    simulate,
+)
 from repro.sim.exec_time import ExecTimePolicy, named_policy
 from repro.sim.metrics import DisparityMonitor  # noqa: F401  (re-export)
 from repro.units import Time
@@ -90,11 +96,7 @@ class AnalysisSession:
         bounds_strategy=None,
         semantics: str = "implicit",
     ) -> None:
-        if semantics not in ("implicit", "let"):
-            raise ValueError(
-                f"unknown semantics {semantics!r}; "
-                f"choose from ('implicit', 'let')"
-            )
+        check_semantics(semantics)
         self._system = system
         self._semantics = semantics
         self._regime = regime_of(system)

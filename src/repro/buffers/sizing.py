@@ -22,7 +22,6 @@ aligning every chain's Lemma-1 window midpoint to the leftmost one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, Optional, Tuple
 
 from repro.chains.backward import BackwardBoundsCache
@@ -170,42 +169,6 @@ class MultiChainDesign:
     observed_after: Optional[Time] = None
 
 
-def _observed_pair(
-    system: System,
-    plan: Dict[Tuple[str, str], int],
-    task: str,
-    sims: int,
-    duration: Optional[Time],
-    warmup: Time,
-    seed: int,
-) -> Tuple[Time, Time]:
-    """Paired observed disparities of the base and buffered systems.
-
-    Both sides replay the same ``(seed, offsets)`` draws, so the pair
-    isolates the effect of the buffer plan.
-    """
-    if duration is None or duration <= 0:
-        raise ModelError(
-            "observed_sims > 0 requires a positive observed_duration"
-        )
-    import random
-
-    from repro.sim.batch import run_batch
-
-    before, after = (
-        run_batch(
-            side,
-            task,
-            sims=sims,
-            duration=duration,
-            warmup=warmup,
-            rng=random.Random(seed),
-        ).max_disparity
-        for side in (system, system.with_buffer_plan(plan))
-    )
-    return before, after
-
-
 def design_buffers_greedy(
     system: System,
     task: str,
@@ -231,9 +194,10 @@ def design_buffers_greedy(
     the cost of one full analysis per round.  With ``observed_sims >
     0`` the final plan is additionally measured by paired batched
     replications against the undesigned system (see
-    :func:`_observed_pair`).
+    :func:`repro.sim.batch.observed_pair`).
     """
     from repro.core.disparity import worst_case_disparity
+    from repro.sim.batch import observed_pair
 
     if max_iterations < 1:
         raise ModelError(f"max_iterations must be >= 1, got {max_iterations}")
@@ -265,14 +229,14 @@ def design_buffers_greedy(
         plan, current, best = candidate_plan, candidate, candidate_bound
     observed_before = observed_after = None
     if observed_sims > 0:
-        observed_before, observed_after = _observed_pair(
+        observed_before, observed_after = observed_pair(
             system,
-            plan,
+            system.with_buffer_plan(plan),
             task,
-            observed_sims,
-            observed_duration,
-            observed_warmup,
-            observed_seed,
+            sims=observed_sims,
+            duration=observed_duration,
+            warmup=observed_warmup,
+            seed=observed_seed,
         )
     return MultiChainDesign(
         task=task,

@@ -32,14 +32,12 @@ Two structural properties make the search fast and parallel:
   derived up front from the caller's ``rng``, so restarts can fan out
   across :class:`repro.parallel.PoolRunner` workers and the result is
   bit-identical for any ``jobs`` value.  Restart costs are highly
-  heterogeneous (early termination, fallback evaluations), which is
-  exactly what the pool's adaptive chunk resizing absorbs: observed
-  restart timings shrink or grow the chunks in flight so no worker
-  idles behind one slow restart.  Within a sweep, the candidate
-  offsets of one task are drawn as a batch before any is evaluated and
-  acceptance is replayed as a running max afterwards — equivalent to
-  the serial draw-then-test loop, with every evaluation of the batch
-  independent.
+  heterogeneous (early termination, fallback evaluations), and the
+  pool hands out one restart at a time, so no worker idles behind one
+  slow restart.  Within a sweep, the candidate offsets of one task are
+  drawn as a batch before any is evaluated and acceptance is replayed
+  as a running max afterwards — equivalent to the serial
+  draw-then-test loop, with every evaluation of the batch independent.
 
 The result is still a *lower* bound on the true worst case (execution
 times are pinned to WCET during the search), but a substantially

@@ -187,27 +187,6 @@ def _session_for(system: System, semantics: str) -> AnalysisSession:
     return AnalysisSession(system)
 
 
-def _max_observed_disparity(
-    session: AnalysisSession,
-    task: str,
-    *,
-    sims: int,
-    duration: Time,
-    warmup: Time,
-    policy_name: str,
-    rng: random.Random,
-) -> Time:
-    """Max observed disparity over ``sims`` runs with random offsets."""
-    return session.observed_disparity(
-        task,
-        sims=sims,
-        duration=duration,
-        warmup=warmup,
-        rng=rng,
-        policy=policy_name,
-    )
-
-
 def _buffer_fill_warmup(system: System, base_warmup: Time, duration: Time) -> Time:
     """Warm-up long enough for every FIFO to fill (Lemma 6's premise)."""
     fill = 0
@@ -233,14 +212,13 @@ def run_graph_ab(
     s_diff = to_ms(session.disparity(scenario.sink, method="forkjoin"))
     t2 = time.perf_counter()
     sim = to_ms(
-        _max_observed_disparity(
-            session,
+        session.observed_disparity(
             scenario.sink,
             sims=config.sims_per_graph,
             duration=config.sim_duration,
             warmup=config.warmup,
-            policy_name=config.policy,
             rng=rng,
+            policy=config.policy,
         )
     )
     t3 = time.perf_counter()
@@ -274,14 +252,13 @@ def run_graph_cd(
     s_diff_b = to_ms(base.bound - design.shift)
     t2 = time.perf_counter()
     sim = to_ms(
-        _max_observed_disparity(
-            session,
+        session.observed_disparity(
             scenario.sink,
             sims=config.sims_per_graph,
             duration=config.sim_duration,
             warmup=config.warmup,
-            policy_name=config.policy,
             rng=rng,
+            policy=config.policy,
         )
     )
     buffered = _session_for(
@@ -291,14 +268,13 @@ def run_graph_cd(
         buffered.system, config.warmup, config.sim_duration
     )
     sim_b = to_ms(
-        _max_observed_disparity(
-            buffered,
+        buffered.observed_disparity(
             scenario.sink,
             sims=config.sims_per_graph,
             duration=config.sim_duration,
             warmup=warmup_b,
-            policy_name=config.policy,
             rng=rng,
+            policy=config.policy,
         )
     )
     t3 = time.perf_counter()
@@ -418,7 +394,6 @@ AB_PART = register_part(
         tasks=graph_tasks,
         run_graph=run_graph_ab,
         aggregate=aggregate_ab,
-        result_type=GraphResultAB,
         decode_result=_decode_result_ab,
         format_progress=_format_progress_ab,
         to_csv=_csv_ab,
@@ -431,7 +406,6 @@ CD_PART = register_part(
         tasks=graph_tasks,
         run_graph=run_graph_cd,
         aggregate=aggregate_cd,
-        result_type=GraphResultCD,
         decode_result=_decode_result_cd,
         format_progress=_format_progress_cd,
         to_csv=_csv_cd,

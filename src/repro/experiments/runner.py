@@ -67,7 +67,7 @@ class LiveLine:
 
     ``render(snapshot)`` turns each snapshot into the line's text: the
     campaign's live :class:`~repro.parallel.engine.MapStats` after every
-    completed chunk, or a :class:`~repro.parallel.cluster.ClusterStatus`
+    completed graph, or a :class:`~repro.parallel.cluster.ClusterStatus`
     after every coordinator poll.  Only attached when the output stream
     is a terminal, so piped/CI logs never fill with carriage returns.
     """
@@ -91,11 +91,7 @@ class LiveLine:
 
 
 def _render_map(stats) -> str:
-    return (
-        f"{stats.completed}/{stats.n_items} graphs, "
-        f"{stats.utilization:.0%} busy, "
-        f"chunks {stats.chunk_min}-{stats.chunk_max}"
-    )
+    return f"{stats.completed}/{stats.n_items} graphs, {stats.utilization:.0%} busy"
 
 
 def _render_cluster(status) -> str:

@@ -27,7 +27,6 @@ from repro.core.disparity import worst_case_disparity
 from repro.core.pairwise import PairwiseResult, disparity_bound_independent
 from repro.model.chain import Chain
 from repro.model.system import System
-from repro.model.task import ModelError
 from repro.units import Time, format_time
 
 

@@ -20,7 +20,6 @@ intermediate assignment schedulable.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
@@ -28,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.disparity import disparity_bound
 from repro.model.system import System
 from repro.model.task import ModelError
+from repro.sim.batch import observed_pair
 from repro.units import Time
 
 
@@ -70,40 +70,6 @@ def _swap_priorities(system: System, a: str, b: str) -> Optional[System]:
         return System.build(graph)
     except ModelError:
         return None
-
-
-def _observed_pair(
-    system: System,
-    final: System,
-    task: str,
-    sims: int,
-    duration: Optional[Time],
-    warmup: Time,
-    seed: int,
-) -> Tuple[Time, Time]:
-    """Paired observed disparities of the start and final assignments.
-
-    Both sides replay the same ``(seed, offsets)`` draws, so the pair
-    isolates the effect of the reassignment.
-    """
-    if duration is None or duration <= 0:
-        raise ModelError(
-            "observed_sims > 0 requires a positive observed_duration"
-        )
-    from repro.sim.batch import run_batch
-
-    before, after = (
-        run_batch(
-            side,
-            task,
-            sims=sims,
-            duration=duration,
-            warmup=warmup,
-            rng=random.Random(seed),
-        ).max_disparity
-        for side in (system, final)
-    )
-    return before, after
 
 
 def optimize_priorities(
@@ -157,14 +123,14 @@ def optimize_priorities(
             break
     observed_before = observed_after = None
     if observed_sims > 0:
-        observed_before, observed_after = _observed_pair(
+        observed_before, observed_after = observed_pair(
             system,
             current,
             task,
-            observed_sims,
-            observed_duration,
-            observed_warmup,
-            observed_seed,
+            sims=observed_sims,
+            duration=observed_duration,
+            warmup=observed_warmup,
+            seed=observed_seed,
         )
     return PriorityOptResult(
         system=current,

@@ -40,6 +40,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.disparity import disparity_bound
 from repro.model.system import System
 from repro.model.task import ModelError
+from repro.sim.batch import check_observed_duration, run_batch
+from repro.sim.engine import check_semantics
 from repro.units import Time
 
 
@@ -78,8 +80,6 @@ def _observe(
     """Max observed disparity of one candidate (batched replications)."""
     if spec is None or spec.sims <= 0:
         return None
-    from repro.sim.batch import run_batch
-
     return run_batch(
         system,
         analyzed_task,
@@ -89,14 +89,6 @@ def _observe(
         rng=random.Random(spec.point_seed),
         semantics=spec.semantics,
     ).max_disparity
-
-
-def _check_semantics(semantics: str) -> None:
-    if semantics not in ("implicit", "let"):
-        raise ModelError(
-            f"unknown semantics {semantics!r}; "
-            f"choose from ('implicit', 'let')"
-        )
 
 
 def _candidate_bound(
@@ -123,10 +115,7 @@ def _observed_specs(
     """One spec per candidate, seeds derived up front in input order."""
     if sims <= 0:
         return [None] * n_points
-    if duration is None or duration <= 0:
-        raise ModelError(
-            "observed_sims > 0 requires a positive observed_duration"
-        )
+    check_observed_duration(duration)
     rng = random.Random(seed)
     return [
         _ObservedSpec(
@@ -188,7 +177,7 @@ def period_sensitivity(
     """
     from repro.parallel.engine import PoolRunner
 
-    _check_semantics(semantics)
+    check_semantics(semantics)
     specs = _observed_specs(
         len(candidate_periods),
         observed_sims,
@@ -252,7 +241,7 @@ def buffer_capacity_sweep(
     system.graph.channel(src, dst)  # existence check
     from repro.parallel.engine import PoolRunner
 
-    _check_semantics(semantics)
+    check_semantics(semantics)
     capacities = list(range(1, max_capacity + 1))
     specs = _observed_specs(
         len(capacities),

@@ -33,8 +33,6 @@ periods in the long term.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis_regime import max_release_gap
 from repro.chains.backward import BackwardBounds, BackwardBoundsCache, buffer_shift
 from repro.model.chain import Chain

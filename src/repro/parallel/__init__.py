@@ -2,8 +2,8 @@
 
 Fans per-graph experiment work across a process pool with
 deterministic per-task seeding: ``jobs=1`` and ``jobs=N`` produce
-byte-identical CSVs (see :mod:`repro.parallel.engine` for adaptive
-chunked dispatch and the ordering guarantee, and
+byte-identical CSVs (see :mod:`repro.parallel.engine` for per-item
+dispatch and the ordering guarantee, and
 :func:`repro.experiments.fig6.graph_tasks` for the seed derivation).
 
 :mod:`repro.parallel.campaign` streams completed graphs into bounded

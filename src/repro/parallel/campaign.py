@@ -15,8 +15,7 @@ call, results are folded into a
 arrive, and completed rows are released in X order and printed while
 later points are still computing.  No per-point barrier, no per-point
 result lists: resident memory is O(points in flight), and a single
-adaptive chunk stream keeps workers saturated across heterogeneous
-point costs.
+item stream keeps workers saturated across heterogeneous point costs.
 
 A checkpoint is a one-shard log (shard ``0/1``, see
 :mod:`repro.parallel.checkpoint`): every fresh graph result is appended
@@ -64,27 +63,23 @@ class CampaignPart:
         run_graph: Pure worker function ``(config, task) -> result``.
         aggregate: Exact fold ``(x, results) -> row`` (must sort by
             replica index internally so completion order never leaks).
-        result_type: Per-graph result dataclass.
-        decode_result: Inverse of ``dataclasses.asdict`` for
-            ``result_type`` (shard files and checkpoints round-trip
-            results as JSON).
+        decode_result: Inverse of ``dataclasses.asdict`` for the
+            per-graph result dataclass (shard files and checkpoints
+            round-trip results as JSON).
         format_progress: One human line per completed row.
         to_csv: Render rows to the part's CSV text.
         metric: Scalar per-result observable feeding the campaign-wide
             streaming sketches (mean/min/max/percentiles).
-        metric_name: Label of that observable in reports.
     """
 
     name: str
     tasks: Callable[[object], Sequence[object]]
     run_graph: Callable[[object, object], object]
     aggregate: Callable[[int, Sequence[object]], object]
-    result_type: type
     decode_result: Callable[[dict], object]
     format_progress: Callable[[object], str]
     to_csv: Callable[[Sequence[object]], str]
     metric: Callable[[object], float]
-    metric_name: str = "sim_ms"
 
 
 _REGISTRY: Dict[str, CampaignPart] = {}
@@ -324,7 +319,7 @@ def run_campaign(
             is a valid input to :func:`~repro.parallel.shard.merge_shards`.
         heartbeat: Optional hook observing the live
             :class:`~repro.parallel.engine.MapStats` after every
-            completed chunk — what feeds the CLI's ``--progress``
+            completed graph — what feeds the CLI's ``--progress``
             utilization line.
     """
     resolved = get_part(part)

@@ -197,8 +197,6 @@ class JsonlTail:
         self._header_ok = False
         #: Complete-but-unparseable record lines skipped so far.
         self.corrupt_lines = 0
-        #: Polls that saw a non-matching header (stale/foreign file).
-        self.header_mismatches = 0
 
     def reset(self) -> None:
         self._offset = 0
@@ -249,7 +247,6 @@ class JsonlTail:
                 ):
                     # Stale or foreign header: report nothing and keep
                     # watching from the start of the file.
-                    self.header_mismatches += 1
                     self.reset()
                     return [], 0
                 self._header_ok = True

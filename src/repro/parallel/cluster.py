@@ -394,7 +394,6 @@ def run_cluster(
     progress: Optional[Callable[[str], None]] = None,
     heartbeat: Optional[Callable[[ClusterStatus], None]] = None,
     faults: Optional[Dict[int, ClusterFault]] = None,
-    python: Optional[str] = None,
 ) -> tuple:
     """Run a whole campaign through fault-tolerant local workers.
 
@@ -428,7 +427,6 @@ def run_cluster(
         heartbeat: Optional hook observing a :class:`ClusterStatus`
             snapshot after every poll (feeds the CLI status line).
         faults: Optional fault plan per shard index (the test layer).
-        python: Interpreter for workers (default: ``sys.executable``).
     """
     resolved = get_part(part)
     if shards < 1:
@@ -451,7 +449,6 @@ def run_cluster(
         shard_count=shards,
         paths={state.index: state.path for state in states},
     )
-    interpreter = python or sys.executable
 
     def say(message: str) -> None:
         if progress is not None:
@@ -467,7 +464,7 @@ def run_cluster(
     def start_worker() -> subprocess.Popen:
         with open(os.path.join(out_dir, f"worker{len(pool)}.log"), "ab") as log:
             proc = subprocess.Popen(
-                [interpreter, "-m", "repro.parallel.worker"],
+                [sys.executable, "-m", "repro.parallel.worker"],
                 stdin=subprocess.PIPE,
                 bufsize=0,  # a path is one write, never a buffered flush
                 stdout=log,

@@ -34,7 +34,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.parallel.campaign import CampaignPart, _run_recorded, get_part
 from repro.parallel.checkpoint import JsonlLog, shard_header, valid_record
-from repro.parallel.engine import MapStats
 
 _SPEC_RE = re.compile(r"^(\d+)/(\d+)$")
 
@@ -107,7 +106,6 @@ def run_shard(
     *,
     jobs: int = 1,
     progress: Optional[Callable[[str], None]] = None,
-    heartbeat: Optional[Callable[[MapStats], None]] = None,
 ) -> ShardRunReport:
     """Run one shard of a campaign, appending per-graph results to JSONL.
 
@@ -129,7 +127,7 @@ def run_shard(
         spec,
         jobs=jobs,
         on_result=None,
-        heartbeat=heartbeat,
+        heartbeat=None,
         progress=progress,
         label=f"shard {shard}",
     )

@@ -53,7 +53,7 @@ from typing import (
 
 from repro.model.system import System
 from repro.model.task import ModelError
-from repro.sim.engine import simulate
+from repro.sim.engine import check_semantics, simulate
 from repro.sim.exec_time import (
     ExecTimePolicy,
     named_policy,
@@ -193,11 +193,7 @@ class CompiledScenario:
         faults=None,
     ) -> None:
         t0 = _time.perf_counter()
-        if semantics not in ("implicit", "let"):
-            raise ModelError(
-                f"unknown semantics {semantics!r}; "
-                f"choose from ('implicit', 'let')"
-            )
+        check_semantics(semantics)
         self.semantics = semantics
         self._let = semantics == "let"
         graph = system.graph
@@ -563,11 +559,52 @@ def run_batch(
     )
 
 
+def check_observed_duration(duration: Optional[Time]) -> None:
+    """Raise :class:`ModelError` unless an observed horizon is positive."""
+    if duration is None or duration <= 0:
+        raise ModelError(
+            "observed_sims > 0 requires a positive observed_duration"
+        )
+
+
+def observed_pair(
+    before: System,
+    after: System,
+    task: str,
+    *,
+    sims: int,
+    duration: Optional[Time],
+    warmup: Time,
+    seed: int,
+) -> Tuple[Time, Time]:
+    """Paired max observed disparities of two variants of one system.
+
+    Both sides replay ``sims`` replications drawn from
+    ``random.Random(seed)`` — the same seeds and offsets — so the pair
+    isolates the design change between ``before`` and ``after``.
+    """
+    check_observed_duration(duration)
+    first, second = (
+        run_batch(
+            side,
+            task,
+            sims=sims,
+            duration=duration,
+            warmup=warmup,
+            rng=random.Random(seed),
+        ).max_disparity
+        for side in (before, after)
+    )
+    return first, second
+
+
 __all__ = [
     "BatchResult",
     "CompiledScenario",
     "PHASE_TIMES",
     "PolicyLike",
+    "check_observed_duration",
+    "observed_pair",
     "reset_phase_times",
     "run_batch",
 ]

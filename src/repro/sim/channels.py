@@ -16,7 +16,6 @@ from typing import Deque, Optional, Tuple
 
 from repro.model.task import ModelError
 from repro.sim.provenance import Token
-from repro.units import Time
 
 
 class ChannelState:

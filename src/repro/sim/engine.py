@@ -61,6 +61,14 @@ _PHASE_FINISH = 2
 _SEMANTICS = ("implicit", "let")
 
 
+def check_semantics(semantics: str) -> None:
+    """Raise :class:`ModelError` unless ``semantics`` is a known model."""
+    if semantics not in _SEMANTICS:
+        raise ModelError(
+            f"unknown semantics {semantics!r}; choose from {_SEMANTICS}"
+        )
+
+
 class Job:
     """One activation of a task at run time."""
 
@@ -180,10 +188,7 @@ class Simulator:
     ) -> None:
         if duration <= 0:
             raise ModelError(f"duration must be positive, got {duration}")
-        if semantics not in _SEMANTICS:
-            raise ModelError(
-                f"unknown semantics {semantics!r}; choose from {_SEMANTICS}"
-            )
+        check_semantics(semantics)
         unmapped = [
             task.name
             for task in system.graph.tasks

@@ -19,7 +19,12 @@ import repro
 import repro.api
 from repro import AnalysisSession, generate_random_scenario, seconds
 from repro.core.disparity import METHOD_ALIASES, normalize_method
+from repro.explore import buffer_capacity_sweep, period_sensitivity
+from repro.model.task import ModelError
+from repro.sim.batch import CompiledScenario
+from repro.sim.engine import simulate
 from repro.sim.metrics import DisparityMonitor
+from repro.units import ms
 
 
 @pytest.fixture(scope="module")
@@ -263,3 +268,35 @@ class TestCompiledCacheBound:
         params = inspect.signature(AnalysisSession).parameters
         assert set(params) == {"system", "bounds_strategy", "semantics"}
 
+
+
+class TestSemanticsCheck:
+    """Every semantics entry point rejects an unknown model alike."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        (
+            lambda system: simulate(system, ms(100), semantics="bogus"),
+            lambda system: CompiledScenario(system, "sink", semantics="bogus"),
+            lambda system: AnalysisSession(system, semantics="bogus"),
+            lambda system: period_sensitivity(
+                system, "pb", "sink", [ms(50)], semantics="bogus"
+            ),
+            lambda system: buffer_capacity_sweep(
+                system, ("sa", "pa"), "sink", semantics="bogus"
+            ),
+        ),
+        ids=(
+            "simulate",
+            "CompiledScenario",
+            "AnalysisSession",
+            "period_sensitivity",
+            "buffer_capacity_sweep",
+        ),
+    )
+    def test_unknown_semantics_rejected(self, merged_system, entry):
+        with pytest.raises(ModelError) as excinfo:
+            entry(merged_system)
+        assert str(excinfo.value) == (
+            "unknown semantics 'bogus'; choose from ('implicit', 'let')"
+        )

@@ -10,6 +10,8 @@ Section IV setting.  Hand derivation (ms):
   floor(40/10)+1 = 5, L = 40; Theorem 3: 102 - 40 = 62.
 """
 
+import random
+
 import pytest
 
 from repro.buffers.bounds import buffered_backward_bounds
@@ -22,6 +24,7 @@ from repro.chains.backward import BackwardBoundsCache, bcbt_lower, wcbt_upper
 from repro.core.disparity import disparity_bound
 from repro.model.chain import Chain
 from repro.model.task import ModelError
+from repro.sim.batch import run_batch
 from repro.units import ms
 
 
@@ -172,6 +175,42 @@ class TestGreedyDesign:
 
         with pytest.raises(ModelError):
             design_buffers_greedy(merged_system, "sink", max_iterations=0)
+
+    def test_observed_pair_replays_both_systems_alike(self, merged_system):
+        from repro.buffers.sizing import design_buffers_greedy
+
+        design = design_buffers_greedy(
+            merged_system,
+            "sink",
+            observed_sims=3,
+            observed_duration=ms(400),
+            observed_warmup=ms(100),
+            observed_seed=5,
+        )
+        expected = tuple(
+            run_batch(
+                side,
+                "sink",
+                sims=3,
+                duration=ms(400),
+                warmup=ms(100),
+                rng=random.Random(5),
+            ).max_disparity
+            for side in (
+                merged_system,
+                merged_system.with_buffer_plan(design.plan),
+            )
+        )
+        assert (design.observed_before, design.observed_after) == expected
+
+    def test_observed_requires_duration(self, merged_system):
+        from repro.buffers.sizing import design_buffers_greedy
+
+        with pytest.raises(
+            ModelError,
+            match="observed_sims > 0 requires a positive observed_duration",
+        ):
+            design_buffers_greedy(merged_system, "sink", observed_sims=2)
 
 
 class TestMultiChainHeuristic:

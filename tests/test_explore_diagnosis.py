@@ -1,5 +1,7 @@
 """Tests for disparity diagnosis and priority optimization."""
 
+import random
+
 import pytest
 
 from repro.core.disparity import disparity_bound
@@ -12,6 +14,7 @@ from repro.explore.priority_opt import optimize_priorities
 from repro.model.graph import CauseEffectGraph
 from repro.model.system import System
 from repro.model.task import ModelError, Task, source_task
+from repro.sim.batch import run_batch
 from repro.units import ms
 
 
@@ -101,3 +104,34 @@ class TestPriorityOptimization:
     def test_parameter_validation(self, merged_system):
         with pytest.raises(ModelError):
             optimize_priorities(merged_system, "sink", max_rounds=0)
+
+    def test_observed_pair_replays_both_assignments_alike(self):
+        system = self.build_inverted_system()
+        result = optimize_priorities(
+            system,
+            "sink",
+            observed_sims=3,
+            observed_duration=ms(400),
+            observed_warmup=ms(100),
+            observed_seed=5,
+        )
+        assert result.swaps_applied
+        expected = tuple(
+            run_batch(
+                side,
+                "sink",
+                sims=3,
+                duration=ms(400),
+                warmup=ms(100),
+                rng=random.Random(5),
+            ).max_disparity
+            for side in (system, result.system)
+        )
+        assert (result.observed_before, result.observed_after) == expected
+
+    def test_observed_requires_duration(self, merged_system):
+        with pytest.raises(
+            ModelError,
+            match="observed_sims > 0 requires a positive observed_duration",
+        ):
+            optimize_priorities(merged_system, "sink", observed_sims=2)

@@ -96,23 +96,20 @@ class TestPoolEngine:
                 partial(run_graph_ab, config),
                 tasks,
                 on_item=lambda i, r, elapsed: seen.setdefault(i, r),
-                heartbeat=beats.append,
+                heartbeat=lambda snapshot: beats.append(snapshot.completed),
             )
         assert sorted(seen) == list(range(len(tasks)))
         assert all(seen[i].seed == t.seed for i, t in enumerate(tasks))
         assert stats.completed == len(tasks)
-        assert beats and beats[-1].completed == len(tasks)
+        # One heartbeat per item, each after one more delivery.
+        assert beats == list(range(1, len(tasks) + 1))
 
-    def test_adaptive_chunks_stay_within_bounds(self):
-        # Fast items: the adaptive sizer may batch many per chunk but
-        # must cover every item exactly once and report chunk extents.
+    def test_fast_items_each_come_back_once_in_order(self):
         items = list(range(200))
         with PoolRunner(2) as pool:
             results, stats = pool.map_ordered(_double, items)
         assert results == [2 * i for i in items]
-        assert stats.n_items == 200
-        assert 1 <= stats.chunk_min <= stats.chunk_max
-        assert stats.n_chunks >= 1
+        assert stats.completed == stats.n_items == 200
 
     @pytest.mark.parametrize("budget, share", ((4, 2), (3, 1), (1, 1)))
     def test_workers_share_the_kernel_thread_budget(self, budget, share):
