@@ -49,6 +49,9 @@ GOLDEN_CD = Fig6CDConfig(
     warmup=seconds(1),
     seed=2023,
 )
+#: The same sweeps under LET: LET backward bounds and LET replay.
+GOLDEN_AB_LET = GOLDEN_AB.scaled(semantics="let")
+GOLDEN_CD_LET = GOLDEN_CD.scaled(semantics="let")
 
 
 def _check(name: str, text: str) -> None:
@@ -87,6 +90,22 @@ def test_fig6_ab_golden_parallel_matches():
 
 def test_fig6_cd_golden_parallel_matches():
     _check("fig6_cd.csv", csv_cd(run_fig6_cd(GOLDEN_CD, jobs=2)))
+
+
+def test_fig6_ab_let_golden_serial():
+    _check("fig6_ab_let.csv", csv_ab(run_fig6_ab(GOLDEN_AB_LET)))
+
+
+def test_fig6_cd_let_golden_serial():
+    _check("fig6_cd_let.csv", csv_cd(run_fig6_cd(GOLDEN_CD_LET)))
+
+
+def test_fig6_ab_let_golden_parallel_matches():
+    _check("fig6_ab_let.csv", csv_ab(run_fig6_ab(GOLDEN_AB_LET, jobs=2)))
+
+
+def test_fig6_cd_let_golden_parallel_matches():
+    _check("fig6_cd_let.csv", csv_cd(run_fig6_cd(GOLDEN_CD_LET, jobs=2)))
 
 
 def test_fig6_ab_golden_sharded_merge_matches(tmp_path):
