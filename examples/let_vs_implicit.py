@@ -25,9 +25,8 @@ from repro import (
     ms,
     source_task,
 )
-from repro.chains.backward import BackwardBoundsCache
-from repro.let import let_bounds_cache, semantics_tradeoff
-from repro.model.chain import enumerate_source_chains
+from repro.api import AnalysisSession
+from repro.let import semantics_tradeoff
 from repro.units import seconds
 
 
@@ -49,11 +48,12 @@ def main() -> None:
     system = build_system()
 
     print("=== per-chain backward-time windows ===")
-    implicit_cache = BackwardBoundsCache(system)
-    let_cache = let_bounds_cache(system)
-    for chain in enumerate_source_chains(system.graph, "fuse"):
-        imp = implicit_cache.bounds(chain)
-        let = let_cache.bounds(chain)
+    # One session per semantics: its ``semantics`` picks the bounds.
+    implicit_session = AnalysisSession(system)
+    let_session = AnalysisSession(system, semantics="let")
+    for chain in implicit_session.chains("fuse"):
+        imp = implicit_session.backward(chain)
+        let = let_session.backward(chain)
         print(f"  {' -> '.join(chain.tasks)}")
         print(
             f"    implicit: [{format_time(imp.bcbt)}, {format_time(imp.wcbt)}]"

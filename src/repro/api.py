@@ -15,6 +15,8 @@ callers to thread ``(system, cache)`` through every call site.
     bounds = session.backward(session.chains("sink")[0])
     result = session.simulate(seconds(10), seed=7)
 
+    let = AnalysisSession(system, semantics="let")  # LET bounds + replay
+
 Sessions memoize chain enumeration and per-``(task, method)`` disparity
 results on top of the shared backward-bounds cache, so repeated queries
 (the CLI's report, the Fig. 6 worker computing P-diff *and* S-diff of
@@ -41,11 +43,12 @@ from repro.core.disparity import (
     normalize_method,
     worst_case_disparity,
 )
+from repro.let.analysis import backward_bounds_let
 from repro.model.chain import Chain, enumerate_source_chains
 from repro.model.graph import CauseEffectGraph
 from repro.model.system import System
 from repro.sched.response_time import ResponseTimeTable
-from repro.sim.batch import BatchResult, CompiledScenario, run_batch
+from repro.sim.batch import BatchResult, CompiledScenario
 from repro.sim.engine import (
     Observer,
     SimulationResult,
@@ -60,8 +63,8 @@ from repro.units import Time
 #: A policy given either by CLI name or as a callable.
 PolicyLike = Union[str, ExecTimePolicy]
 
-#: Bound on the per-``(task, semantics)`` compiled-scenario memo of a
-#: session (see :meth:`AnalysisSession.compiled_scenario`).
+#: Bound on the per-task compiled-scenario memo of a session (see
+#: :meth:`AnalysisSession.compiled_scenario`).
 COMPILED_CACHE_SIZE = 8
 
 
@@ -75,37 +78,27 @@ class AnalysisSession:
 
     Args:
         system: The analyzed system.
-        bounds_strategy: Optional per-chain bounds function passed to
-            the :class:`BackwardBoundsCache` — e.g.
-            :func:`repro.let.backward_bounds_let` retargets every query
-            of this session to LET semantics.
-        semantics: Communication semantics this session simulates by
-            default (``"implicit"`` or ``"let"``).  A LET session pins
-            both sides at construction — pass
-            ``bounds_strategy=backward_bounds_let`` for the analytical
-            bounds and ``semantics="let"`` so :meth:`simulate`,
-            :meth:`observed_disparity` and :meth:`observed_batch`
-            replay LET data flow; per-call ``semantics=`` overrides
-            remain available.
+        semantics: The communication model of every query
+            (``"implicit"`` or ``"let"``).  It picks both sides at
+            once: the backward bounds every theorem reads (the
+            Lemma 4/5 dynamic program, or
+            :func:`repro.let.backward_bounds_let` under LET) and the
+            data flow :meth:`simulate`, :meth:`observed_disparity`
+            and :meth:`observed_batch` replay — so a session's bounds
+            and observations always describe one system.
     """
 
-    def __init__(
-        self,
-        system: System,
-        *,
-        bounds_strategy=None,
-        semantics: str = "implicit",
-    ) -> None:
+    def __init__(self, system: System, *, semantics: str = "implicit") -> None:
         check_semantics(semantics)
         self._system = system
         self._semantics = semantics
         self._regime = regime_of(system)
-        self._cache = BackwardBoundsCache(system, strategy=bounds_strategy)
+        self._cache = BackwardBoundsCache(
+            system, strategy=backward_bounds_let if semantics == "let" else None
+        )
         self._chains: Dict[str, Tuple[Chain, ...]] = {}
         self._results: Dict[Tuple[str, str, bool], TaskDisparityResult] = {}
-        self._compiled: "OrderedDict[Tuple[str, str], CompiledScenario]" = (
-            OrderedDict()
-        )
+        self._compiled: "OrderedDict[str, CompiledScenario]" = OrderedDict()
         self._compiled_hits = 0
         self._compiled_misses = 0
         self._compiled_evictions = 0
@@ -121,12 +114,11 @@ class AnalysisSession:
         *,
         validate: bool = True,
         preemptive: bool = False,
-        bounds_strategy=None,
         semantics: str = "implicit",
     ) -> "AnalysisSession":
         """Validate and analyze ``graph``, then open a session on it."""
         system = System.build(graph, validate=validate, preemptive=preemptive)
-        return cls(system, bounds_strategy=bounds_strategy, semantics=semantics)
+        return cls(system, semantics=semantics)
 
     # ------------------------------------------------------------------
     # shared state
@@ -144,7 +136,7 @@ class AnalysisSession:
 
     @property
     def semantics(self) -> str:
-        """The communication semantics this session simulates by default."""
+        """The communication semantics of this session's bounds and replay."""
         return self._semantics
 
     @property
@@ -159,10 +151,9 @@ class AnalysisSession:
         structured :class:`~repro.analysis_regime.RegimeError`, while
         :meth:`simulate`, :meth:`observed_disparity` and
         :meth:`observed_batch` support every release model
-        byte-identically across engine tiers.  LET backward bounds
-        (``bounds_strategy=backward_bounds_let``) survive non-periodic
-        releases with widened upper bounds (see
-        :mod:`repro.let.analysis`).
+        byte-identically across engine tiers.  LET backward bounds (a
+        ``semantics="let"`` session) survive non-periodic releases
+        with widened upper bounds (see :mod:`repro.let.analysis`).
         """
         return self._regime
 
@@ -263,9 +254,12 @@ class AnalysisSession:
 
         Buffer capacities do not change scheduling, so the response-time
         table carries over; backward bounds do change (Lemma 6), so the
-        new session starts a fresh bounds cache.
+        new session starts a fresh bounds cache under the same
+        semantics.
         """
-        return AnalysisSession(self._system.with_buffer_plan(plan))
+        return AnalysisSession(
+            self._system.with_buffer_plan(plan), semantics=self._semantics
+        )
 
     # ------------------------------------------------------------------
     # simulation
@@ -278,7 +272,6 @@ class AnalysisSession:
         seed: int = 0,
         policy: PolicyLike = "uniform",
         observers: Sequence[Observer] = (),
-        semantics: Optional[str] = None,
         faults=None,
         offsets_rng: Optional[random.Random] = None,
     ) -> SimulationResult:
@@ -290,8 +283,6 @@ class AnalysisSession:
             policy: Execution-time policy — a CLI name (``"uniform"``,
                 ``"wcet"``, ``"bcet"``, ``"extremes"``) or a callable.
             observers: Metric collectors (see :mod:`repro.sim.metrics`).
-            semantics: ``"implicit"`` or ``"let"``; defaults to the
-                semantics the session was constructed with.
             faults: Optional release-dropout plan.
             offsets_rng: When given, every task first receives a random
                 offset in ``[1, T]`` drawn from this generator (the
@@ -311,7 +302,7 @@ class AnalysisSession:
             seed=seed,
             policy=resolved,
             observers=observers,
-            semantics=self._semantics if semantics is None else semantics,
+            semantics=self._semantics,
             faults=faults,
         )
 
@@ -325,7 +316,6 @@ class AnalysisSession:
         rng: Optional[random.Random] = None,
         seed: int = 0,
         policy: PolicyLike = "uniform",
-        semantics: Optional[str] = None,
     ) -> Time:
         """Max observed disparity of ``task`` over randomized runs.
 
@@ -348,40 +338,38 @@ class AnalysisSession:
             rng=rng,
             seed=seed,
             policy=policy,
-            semantics=semantics,
         ).max_disparity
 
-    def compiled_scenario(
-        self, task: str, *, semantics: Optional[str] = None
-    ) -> CompiledScenario:
+    def compiled_scenario(self, task: str) -> CompiledScenario:
         """The offset-independent compiled core of ``task`` (memoized).
 
         A :class:`~repro.sim.batch.CompiledScenario` carries only
         offset-independent state (task/unit tables, priority ranks,
         backward closure, per-horizon columnar kernel inputs), so one
-        core per ``(task, semantics)`` serves every replication and
-        every offset candidate of this session: :meth:`observed_batch`
-        replays every batch on it and callers evaluate candidates
-        directly via ``compiled_scenario(task).disparity(offsets, ...)``.
+        core per task, compiled under the session's semantics, serves
+        every replication and every offset candidate of this session:
+        :meth:`observed_batch` replays every batch on it and callers
+        evaluate candidates directly via
+        ``compiled_scenario(task).disparity(offsets, ...)``.
         An edited system (periods, priorities, capacities) is a new
         session or a new :class:`~repro.sim.batch.CompiledScenario`.
         Least-recently-used cores are evicted past
         :data:`COMPILED_CACHE_SIZE`, so a long-lived session sweeping
         many monitored tasks holds a bounded number of them.
         """
-        sem = self._semantics if semantics is None else semantics
-        key = (task, sem)
-        compiled = self._compiled.get(key)
+        compiled = self._compiled.get(task)
         if compiled is None:
             self._compiled_misses += 1
-            compiled = CompiledScenario(self._system, task, semantics=sem)
-            self._compiled[key] = compiled
+            compiled = CompiledScenario(
+                self._system, task, semantics=self._semantics
+            )
+            self._compiled[task] = compiled
             if len(self._compiled) > COMPILED_CACHE_SIZE:
                 self._compiled.popitem(last=False)
                 self._compiled_evictions += 1
         else:
             self._compiled_hits += 1
-            self._compiled.move_to_end(key)
+            self._compiled.move_to_end(task)
         return compiled
 
     def compiled_cache_stats(self) -> Dict[str, int]:
@@ -411,33 +399,28 @@ class AnalysisSession:
         rng: Optional[random.Random] = None,
         seed: int = 0,
         policy: PolicyLike = "uniform",
-        semantics: Optional[str] = None,
     ) -> BatchResult:
         """Batched replications of ``task`` with per-run disparities.
 
         Like :meth:`observed_disparity` but returns the full
         :class:`~repro.sim.batch.BatchResult` (per-replication
         disparities, percentiles, engine label and phase timing).  The
-        semantics default to the session's (a LET session replays LET
-        data flow here, never implicit), and the offset-independent
-        compiled core is cached per ``(task, semantics)`` on this
-        session (see :meth:`compiled_scenario`) — each replication is
-        an offset-delta replay of that shared core.  The replay tier
-        follows eligibility, as in :func:`~repro.sim.batch.run_batch`.
+        replications replay the session's semantics (a LET session
+        replays LET data flow, never implicit) on the compiled core
+        cached per task on this session (see
+        :meth:`compiled_scenario` and
+        :meth:`~repro.sim.batch.CompiledScenario.replay`) — each
+        replication is an offset-delta replay of that shared core.
+        The replay tier follows eligibility, as in
+        :func:`~repro.sim.batch.run_batch`.
         """
-        sem = self._semantics if semantics is None else semantics
-        compiled = self.compiled_scenario(task, semantics=sem)
-        return run_batch(
-            self._system,
-            task,
+        return self.compiled_scenario(task).replay(
             sims=sims,
             duration=duration,
             warmup=warmup,
             rng=rng,
             seed=seed,
             policy=policy,
-            compiled=compiled,
-            semantics=sem,
         )
 
     def observed_stats(
@@ -450,7 +433,6 @@ class AnalysisSession:
         rng: Optional[random.Random] = None,
         seed: int = 0,
         policy: PolicyLike = "uniform",
-        semantics: Optional[str] = None,
         chunk: int = 256,
         quantiles: Sequence[float] = (0.5, 0.9, 0.99),
     ) -> Dict[str, object]:
@@ -489,7 +471,6 @@ class AnalysisSession:
                 warmup=warmup,
                 rng=generator,
                 policy=policy,
-                semantics=semantics,
             )
             remaining -= batch.sims
             if not engines or engines[-1] != batch.engine:

@@ -43,10 +43,7 @@ def _offset_grid(period: Time, steps: int) -> List[Time]:
 
 def grid_size(system: System, steps: int) -> int:
     """Number of offset combinations a sweep would evaluate."""
-    size = 1
-    for _task in system.graph.tasks:
-        size *= steps
-    return size
+    return steps ** len(system.graph.tasks)
 
 
 def exhaustive_offset_disparity(
@@ -86,12 +83,11 @@ def exhaustive_offset_disparity(
     all_converged = True
     for combo in product(*grids):
         offsets = dict(zip(names, combo))
-        graph = system.graph.copy()
-        for name, offset in offsets.items():
-            graph.replace_task(graph.task(name).with_offset(offset))
-        variant = System(graph=graph, response_times=system.response_times)
         result = steady_state_disparity(
-            variant, task, policy=policy, max_windows=max_windows
+            system.with_offsets(offsets),
+            task,
+            policy=policy,
+            max_windows=max_windows,
         )
         evaluated += 1
         all_converged = all_converged and result.converged

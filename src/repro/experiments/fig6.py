@@ -170,23 +170,6 @@ def graph_tasks(
     return tasks
 
 
-def _session_for(system: System, semantics: str) -> AnalysisSession:
-    """A session matching the sweep's semantics.
-
-    ``"implicit"`` builds the plain session the paper's evaluation uses;
-    ``"let"`` pins the LET pair — :func:`repro.let.backward_bounds_let`
-    for every analytical bound plus LET data-flow replay for every
-    simulation — so one config field switches the whole sweep.
-    """
-    if semantics == "let":
-        from repro.let import backward_bounds_let
-
-        return AnalysisSession(
-            system, bounds_strategy=backward_bounds_let, semantics="let"
-        )
-    return AnalysisSession(system)
-
-
 def _buffer_fill_warmup(system: System, base_warmup: Time, duration: Time) -> Time:
     """Warm-up long enough for every FIFO to fill (Lemma 6's premise)."""
     fill = 0
@@ -207,7 +190,7 @@ def run_graph_ab(
     t0 = time.perf_counter()
     scenario = generate_random_scenario(task.x, rng, config.scenario)
     t1 = time.perf_counter()
-    session = _session_for(scenario.system, config.semantics)
+    session = AnalysisSession(scenario.system, semantics=config.semantics)
     p_diff = to_ms(session.disparity(scenario.sink, method="independent"))
     s_diff = to_ms(session.disparity(scenario.sink, method="forkjoin"))
     t2 = time.perf_counter()
@@ -244,7 +227,7 @@ def run_graph_cd(
     t0 = time.perf_counter()
     scenario = generate_merged_pair_scenario(task.x, rng, config.scenario)
     t1 = time.perf_counter()
-    session = _session_for(scenario.system, config.semantics)
+    session = AnalysisSession(scenario.system, semantics=config.semantics)
     lam, nu = session.chains(scenario.sink)
     base = disparity_bound_forkjoin(lam, nu, session.cache)
     design = design_buffer_pair(lam, nu, session.cache)
@@ -261,9 +244,7 @@ def run_graph_cd(
             policy=config.policy,
         )
     )
-    buffered = _session_for(
-        session.system.with_buffer_plan(design.plan), config.semantics
-    )
+    buffered = session.with_buffer_plan(design.plan)
     warmup_b = _buffer_fill_warmup(
         buffered.system, config.warmup, config.sim_duration
     )

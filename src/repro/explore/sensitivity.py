@@ -18,17 +18,18 @@ All sweeps re-run the full analysis per candidate (response times
 included, since periods change them), so results are exact rather than
 incremental approximations.  Each sweep can additionally measure an
 *observed* disparity per candidate (``observed_sims`` batched
-replications through :func:`repro.sim.batch.run_batch`, which
-compiles the candidate system once and replays every replication
-against it).  Per-candidate seeds are derived up front from ``seed``
-in input order, and every candidate runs the same code inline or in a
-worker process, so the observed column is identical for any ``jobs``.
+replications through
+:meth:`repro.api.AnalysisSession.observed_disparity`, which compiles
+the candidate system once and replays every replication against it).
+Per-candidate seeds are derived up front from ``seed`` in input order,
+and every candidate runs the same code inline or in a worker process,
+so the observed column is identical for any ``jobs``.
 
 Both sweeps accept ``semantics="let"`` to retarget the candidate
 analysis to the LET backward bounds (:mod:`repro.let`) *and* replay
-the observed replications under LET data flow — the pair stays
-consistent, exactly like an ``AnalysisSession`` constructed with
-``bounds_strategy=backward_bounds_let, semantics="let"``.
+the observed replications under LET data flow: each candidate opens
+one :class:`~repro.api.AnalysisSession` under the sweep's semantics,
+which yields both its bound and its observed column.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ import random
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api import AnalysisSession
 from repro.core.disparity import disparity_bound
 from repro.model.system import System
 from repro.model.task import ModelError
-from repro.sim.batch import check_observed_duration, run_batch
+from repro.sim.batch import check_observed_duration
 from repro.sim.engine import check_semantics
 from repro.units import Time
 
@@ -69,39 +71,31 @@ class _ObservedSpec:
     duration: Time
     warmup: Time
     point_seed: int
-    semantics: str = "implicit"
 
 
-def _observe(
-    system: System,
+def _candidate_point(
+    candidate: System,
+    value: int,
     analyzed_task: str,
+    method: str,
+    semantics: str,
     spec: Optional[_ObservedSpec],
-) -> Optional[Time]:
-    """Max observed disparity of one candidate (batched replications)."""
-    if spec is None or spec.sims <= 0:
-        return None
-    return run_batch(
-        system,
-        analyzed_task,
-        sims=spec.sims,
-        duration=spec.duration,
-        warmup=spec.warmup,
-        rng=random.Random(spec.point_seed),
-        semantics=spec.semantics,
-    ).max_disparity
-
-
-def _candidate_bound(
-    system: System, analyzed_task: str, method: str, semantics: str
-) -> Time:
-    """One candidate's analytical bound under the sweep's semantics."""
-    if semantics == "let":
-        from repro.let.analysis import let_bounds_cache
-
-        return disparity_bound(
-            system, analyzed_task, method=method, cache=let_bounds_cache(system)
+) -> SweepPoint:
+    """One candidate's bound and observed column, from one session."""
+    session = AnalysisSession(candidate, semantics=semantics)
+    bound = session.disparity(analyzed_task, method=method)
+    observed = None
+    if spec is not None:
+        observed = session.observed_disparity(
+            analyzed_task,
+            sims=spec.sims,
+            duration=spec.duration,
+            warmup=spec.warmup,
+            rng=random.Random(spec.point_seed),
         )
-    return disparity_bound(system, analyzed_task, method=method)
+    return SweepPoint(
+        value=value, bound=bound, schedulable=True, observed=observed
+    )
 
 
 def _observed_specs(
@@ -110,7 +104,6 @@ def _observed_specs(
     duration: Optional[Time],
     warmup: Time,
     seed: int,
-    semantics: str,
 ) -> List[Optional[_ObservedSpec]]:
     """One spec per candidate, seeds derived up front in input order."""
     if sims <= 0:
@@ -123,7 +116,6 @@ def _observed_specs(
             duration=duration,
             warmup=warmup,
             point_seed=rng.randrange(2**31),
-            semantics=semantics,
         )
         for _ in range(n_points)
     ]
@@ -139,10 +131,8 @@ def _period_point(
     try:
         graph.replace_task(replace(original, period=period))
         candidate = System.build(graph)
-        bound = _candidate_bound(candidate, analyzed_task, method, semantics)
-        observed = _observe(candidate, analyzed_task, spec)
-        return SweepPoint(
-            value=period, bound=bound, schedulable=True, observed=observed
+        return _candidate_point(
+            candidate, period, analyzed_task, method, semantics, spec
         )
     except ModelError:
         return SweepPoint(value=period, bound=None, schedulable=False)
@@ -184,7 +174,6 @@ def period_sensitivity(
         observed_duration,
         observed_warmup,
         seed,
-        semantics,
     )
     params = [
         (system, task, analyzed_task, period, method, semantics, spec)
@@ -201,10 +190,8 @@ def _capacity_point(
     """One candidate of :func:`buffer_capacity_sweep` (pool-safe)."""
     system, src, dst, analyzed_task, capacity, method, semantics, spec = params
     candidate = system.with_channel_capacity(src, dst, capacity)
-    bound = _candidate_bound(candidate, analyzed_task, method, semantics)
-    observed = _observe(candidate, analyzed_task, spec)
-    return SweepPoint(
-        value=capacity, bound=bound, schedulable=True, observed=observed
+    return _candidate_point(
+        candidate, capacity, analyzed_task, method, semantics, spec
     )
 
 
@@ -249,7 +236,6 @@ def buffer_capacity_sweep(
         observed_duration,
         observed_warmup,
         seed,
-        semantics,
     )
     params = [
         (system, src, dst, analyzed_task, capacity, method, semantics, spec)

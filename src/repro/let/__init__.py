@@ -8,15 +8,13 @@ backward-time bounds; the simulator supports LET via
 replay LET through the batch tiers, where LET data flow is pure
 release/deadline arithmetic — see ``docs/performance.md``).
 
-For both sides of a LET study in one object, construct the session
-with the matching pair::
+For both sides of a LET study in one object, open a LET session; its
+one ``semantics`` switch picks the LET backward bounds
+(:func:`backward_bounds_let`) *and* LET replay::
 
     from repro.api import AnalysisSession
-    from repro.let import backward_bounds_let
 
-    session = AnalysisSession(
-        system, bounds_strategy=backward_bounds_let, semantics="let"
-    )
+    session = AnalysisSession(system, semantics="let")
     bound = session.disparity(sink)                  # LET Theorem 2
     seen = session.observed_batch(sink, sims=100, duration=horizon)
 
@@ -24,14 +22,13 @@ with the matching pair::
 batch engine (byte-identical to sequential ``simulate`` calls, several
 times faster than the reference loop).  :func:`semantics_tradeoff` runs
 the full paired implicit/LET study (bound + observed per semantics) on
-such sessions.
+one such session per semantics.
 """
 
 from repro.let.analysis import (
     backward_bounds_let,
     bcbt_lower_let,
     disparity_bound_let,
-    let_bounds_cache,
     wcbt_upper_let,
 )
 from repro.let.sweep import (
@@ -48,7 +45,6 @@ __all__ = [
     "backward_bounds_let",
     "bcbt_lower_let",
     "disparity_bound_let",
-    "let_bounds_cache",
     "semantics_tradeoff",
     "wcbt_upper_let",
 ]

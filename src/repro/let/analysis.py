@@ -24,7 +24,9 @@ source-specific refinement is applied below).
 
 Because Theorems 1-3 consume only per-chain ``[B, W]`` intervals plus
 task periodicity, the entire disparity machinery retargets to LET by
-swapping the bounds strategy — see :func:`disparity_bound_let`.
+swapping the bounds strategy — a ``semantics="let"``
+:class:`~repro.api.AnalysisSession` builds its bounds cache on
+:func:`backward_bounds_let` (see :func:`disparity_bound_let`).
 
 Buffered channels compose exactly as under implicit communication:
 a capacity-``n`` FIFO delays the consumed token by ``(n-1)`` producer
@@ -34,7 +36,7 @@ periods in the long term.
 from __future__ import annotations
 
 from repro.analysis_regime import max_release_gap
-from repro.chains.backward import BackwardBounds, BackwardBoundsCache, buffer_shift
+from repro.chains.backward import BackwardBounds, buffer_shift
 from repro.model.chain import Chain
 from repro.model.system import System
 from repro.units import Time
@@ -107,11 +109,6 @@ def backward_bounds_let(chain: Chain, system: System) -> BackwardBounds:
     )
 
 
-def let_bounds_cache(system: System) -> BackwardBoundsCache:
-    """A bounds cache that evaluates chains under LET semantics."""
-    return BackwardBoundsCache(system, strategy=backward_bounds_let)
-
-
 def disparity_bound_let(
     system: System,
     task: str,
@@ -122,18 +119,16 @@ def disparity_bound_let(
     """Worst-case time disparity of ``task`` under LET communication.
 
     Identical pair enumeration and theorems as the implicit-semantics
-    analysis, evaluated over the LET backward-time intervals.  Useful
-    for the classic LET trade-off study: LET removes all scheduling
-    jitter from the data flow (often *shrinking* the disparity bound,
-    since sampling windows become narrow) at the price of one extra
-    period of latency per hop.
+    analysis, evaluated over the LET backward-time intervals — a LET
+    :class:`~repro.api.AnalysisSession`'s
+    :meth:`~repro.api.AnalysisSession.disparity`.  Useful for the
+    classic LET trade-off study: LET removes all scheduling jitter from
+    the data flow (often *shrinking* the disparity bound, since
+    sampling windows become narrow) at the price of one extra period of
+    latency per hop.
     """
-    from repro.core.disparity import disparity_bound
+    from repro.api import AnalysisSession
 
-    return disparity_bound(
-        system,
-        task,
-        method=method,
-        truncate_suffix=truncate_suffix,
-        cache=let_bounds_cache(system),
+    return AnalysisSession(system, semantics="let").disparity(
+        task, method=method, truncate_suffix=truncate_suffix
     )

@@ -89,9 +89,9 @@ def semantics_tradeoff(
 ) -> TradeoffResult:
     """Analytical bound and observed disparity under both semantics.
 
-    For each semantics the function opens a matched
-    :class:`~repro.api.AnalysisSession` (LET sessions pair
-    ``backward_bounds_let`` with ``semantics="let"``), reads the
+    For each semantics the function opens an
+    :class:`~repro.api.AnalysisSession` under it (whose ``semantics``
+    picks both the backward bounds and the replay), reads the
     Theorem 2 bound, and replays ``sims`` batched replications of
     ``duration`` (discarding ``warmup``).  Replications of both
     semantics draw from identical ``random.Random(seed)`` streams, so
@@ -108,17 +108,12 @@ def semantics_tradeoff(
         policy: Execution-time policy name for the replications.
     """
     from repro.api import AnalysisSession
-    from repro.let.analysis import backward_bounds_let
 
     if sims < 1:
         raise ModelError(f"sims must be >= 1, got {sims}")
     points = {}
     for semantics in SEMANTICS:
-        session = AnalysisSession(
-            system,
-            bounds_strategy=backward_bounds_let if semantics == "let" else None,
-            semantics=semantics,
-        )
+        session = AnalysisSession(system, semantics=semantics)
         batch = session.observed_batch(
             task,
             sims=sims,

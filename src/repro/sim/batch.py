@@ -11,7 +11,8 @@ run but never changes the scenario), all of that is loop-invariant.
 into immutable tables, and each replication varies only the RNG-drawn
 inputs (offsets and execution-time seeds).
 
-:func:`run_batch` replays through one of two tiers, both
+:meth:`CompiledScenario.replay` (and :func:`run_batch`, which
+compiles and then replays) runs through one of two tiers, both
 **byte-identical** to N independent :func:`simulate` calls under the
 same derived seeds (pinned by ``tests/test_sim_batch.py``,
 ``tests/test_engine_fastpath.py`` and ``tests/test_let_fastpath.py``).
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import random
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil
 from typing import (
@@ -98,8 +99,9 @@ class BatchResult:
             order (replication ``i`` used the ``i``-th derived seed).
         engine: ``"columnar"`` when the batched columnar tier ran,
             otherwise ``"simulator"`` (per-replication fallback).
-        compile_s: Wall seconds spent compiling the scenario (0 when a
-            pre-compiled scenario was reused).
+        compile_s: Wall seconds spent compiling the scenario (0 when
+            :meth:`CompiledScenario.replay` ran an already compiled
+            one).
         run_s: Wall seconds spent replaying the replications.
         semantics: The communication semantics the replications ran
             under (``"implicit"`` or ``"let"``).
@@ -213,7 +215,6 @@ class CompiledScenario:
         if faults is not None:
             faults.validate(self.names)
         self.faults = faults if faults else None
-        self._faults_sig = faults.signature() if self.faults else ()
         self._needs_tables = needs_tables(tasks, self.faults)
         gid = {t.name: i for i, t in enumerate(tasks)}
         if task not in gid:
@@ -386,7 +387,7 @@ class CompiledScenario:
         Equals ``simulate()`` + :class:`DisparityMonitor` on the system
         with these ``offsets`` (listed in graph-task order) under the
         same ``seed`` and ``policy``.  The one-replication case of
-        :func:`run_batch`'s tier choice: the columnar tier when the
+        :meth:`replay`'s tier choice: the columnar tier when the
         scenario, policy and offsets are eligible, else exactly that
         simulator run.  A vector of the wrong length or a horizon of 0
         or less raises :class:`~repro.model.task.ModelError`.
@@ -395,14 +396,110 @@ class CompiledScenario:
             raise ModelError(
                 f"expected {self.n} offsets, got {len(offsets)}"
             )
-        values, _engine, _reason = _replay(
-            self,
+        values, _engine, _reason = self._disparities(
             [(seed, tuple(offsets))],
             duration,
             warmup,
             _resolve_policy(policy),
         )
         return values[0]
+
+    def replay(
+        self,
+        *,
+        sims: int,
+        duration: Time,
+        warmup: Time = 0,
+        rng: Optional[random.Random] = None,
+        seed: int = 0,
+        policy: PolicyLike = uniform_policy,
+    ) -> BatchResult:
+        """Run ``sims`` randomized replications of this scenario.
+
+        Seeds and offsets are drawn exactly like
+        ``AnalysisSession.observed_disparity``: per replication, first
+        an execution-time seed from ``rng`` (or a local generator seeded
+        with ``seed``), then one offset in ``[1, T]`` per task in graph
+        order — so the per-replication disparities are byte-identical
+        to the sequential ``simulate()`` loop under the same generator
+        state, semantics and fault plan.
+
+        The replications run on the **columnar** batch engine (all
+        replications advanced in one C-kernel call, provenance derived
+        in bulk — requires a batchable named policy and the runtime C
+        kernel) when the scenario is eligible, else on the
+        per-replication **simulator**; both tiers return identical
+        disparities, and the result's ``engine`` and ``reason`` say
+        which ran and why.  Every replication's seed/offsets are drawn
+        up front, so after a mid-batch LET-violation error ``rng`` has
+        advanced past all ``sims`` draws (the sequential loop stops at
+        the violating replication).  A negative ``sims`` or a horizon
+        of 0 or less raises :class:`~repro.model.task.ModelError`.
+        """
+        if sims < 0:
+            raise ModelError(f"sims must be >= 0, got {sims}")
+        resolved = _resolve_policy(policy)
+        if rng is None:
+            rng = random.Random(seed)
+        t0 = _time.perf_counter()
+        draws = [
+            (
+                rng.randrange(2**31),
+                tuple(rng.randint(1, period) for period in self.periods),
+            )
+            for _ in range(sims)
+        ]
+        disparities, ran, reason = self._disparities(
+            draws, duration, warmup, resolved
+        )
+        return BatchResult(
+            task=self.task,
+            disparities=tuple(disparities),
+            engine=ran,
+            compile_s=0.0,
+            run_s=_time.perf_counter() - t0,
+            semantics=self.semantics,
+            reason=reason,
+        )
+
+    def _disparities(
+        self,
+        draws: Sequence[Tuple[int, Tuple[Time, ...]]],
+        duration: Time,
+        warmup: Time,
+        policy: ExecTimePolicy,
+    ) -> Tuple[List[Time], str, Optional[str]]:
+        """Disparities of ``(seed, offsets)`` draws through one replay tier.
+
+        The tier choice :meth:`replay` and :meth:`disparity` share: the
+        columnar tier when every rule holds — the scenario's table
+        rules, the columnar ones (batchable policy, kernel loaded,
+        ranks fit) and offsets in ``[0, T]`` — else the
+        per-replication simulator.  Returns ``(disparities, engine
+        that ran, reason)``.
+        """
+        # Imported here: repro.sim.columnar imports this module.
+        from repro.sim import columnar as _columnar
+
+        if duration <= 0:
+            raise ModelError(f"duration must be positive, got {duration}")
+        reasons = self.columnar_reasons(
+            policy, [offsets for _seed, offsets in draws]
+        )
+        if not reasons:
+            values = _columnar.run_columnar(
+                self, draws, duration, warmup, policy
+            )
+            return values, "columnar", None
+        t0 = _time.perf_counter()
+        try:
+            values = [
+                self._fallback_disparity(offsets, seed, duration, warmup, policy)
+                for seed, offsets in draws
+            ]
+        finally:
+            PHASE_TIMES["replicate_s"] += _time.perf_counter() - t0
+        return values, "simulator", "; ".join(reasons)
 
     # ------------------------------------------------------------------
     # fallback
@@ -429,46 +526,6 @@ class CompiledScenario:
         return monitor.disparity(self.task)
 
 
-def _replay(
-    compiled: CompiledScenario,
-    draws: Sequence[Tuple[int, Tuple[Time, ...]]],
-    duration: Time,
-    warmup: Time,
-    policy: ExecTimePolicy,
-) -> Tuple[List[Time], str, Optional[str]]:
-    """Disparities of ``(seed, offsets)`` draws through one replay tier.
-
-    The tier choice :func:`run_batch` and
-    :meth:`CompiledScenario.disparity` share: the columnar tier when
-    every rule holds — the scenario's table rules, the columnar ones
-    (batchable policy, kernel loaded, ranks fit) and offsets in
-    ``[0, T]`` — else the per-replication simulator.  Returns
-    ``(disparities, engine that ran, reason)``.
-    """
-    # Imported here: repro.sim.columnar imports this module.
-    from repro.sim import columnar as _columnar
-
-    if duration <= 0:
-        raise ModelError(f"duration must be positive, got {duration}")
-    reasons = compiled.columnar_reasons(
-        policy, [offsets for _seed, offsets in draws]
-    )
-    if not reasons:
-        values = _columnar.run_columnar(
-            compiled, draws, duration, warmup, policy
-        )
-        return values, "columnar", None
-    t0 = _time.perf_counter()
-    try:
-        values = [
-            compiled._fallback_disparity(offsets, seed, duration, warmup, policy)
-            for seed, offsets in draws
-        ]
-    finally:
-        PHASE_TIMES["replicate_s"] += _time.perf_counter() - t0
-    return values, "simulator", "; ".join(reasons)
-
-
 def run_batch(
     system: System,
     task: str,
@@ -479,84 +536,28 @@ def run_batch(
     rng: Optional[random.Random] = None,
     seed: int = 0,
     policy: PolicyLike = uniform_policy,
-    compiled: Optional[CompiledScenario] = None,
     semantics: str = "implicit",
     faults=None,
 ) -> BatchResult:
-    """Run ``sims`` randomized replications against one compiled scenario.
+    """Compile ``task``'s scenario, then run ``sims`` randomized replications.
 
-    Seeds and offsets are drawn exactly like
-    ``AnalysisSession.observed_disparity``: per replication, first an
-    execution-time seed from ``rng`` (or a local generator seeded with
-    ``seed``), then one offset in ``[1, T]`` per task in graph order —
-    so the per-replication disparities are byte-identical to the
-    sequential ``simulate()`` loop under the same generator state and
-    ``semantics`` (``"implicit"`` or ``"let"``).  A pre-``compiled``
-    scenario must have been compiled under the same semantics.
-
-    The replications run on the **columnar** batch engine (all
-    replications advanced in one C-kernel call, provenance derived in
-    bulk — requires a batchable named policy and the runtime C kernel)
-    when the scenario is eligible, else on the per-replication
-    **simulator**; both tiers return identical disparities, and the
-    result's ``engine`` and ``reason`` say which ran and why.  Every
-    replication's seed/offsets are drawn
-    up front, so after a mid-batch LET-violation error ``rng`` has
-    advanced past all ``sims`` draws (the sequential loop stops at the
-    violating replication).  A horizon of 0 or less raises
-    :class:`~repro.model.task.ModelError`.
-
-    ``faults`` (a :class:`~repro.sim.faults.FaultPlan`) compiles into
-    the scenario as per-replication release masks, so faulted runs
-    stay eligible for the columnar tier; a pre-``compiled`` scenario
-    must have been compiled under a plan with the same signature.
+    One :class:`CompiledScenario` under ``semantics`` (``"implicit"``
+    or ``"let"``) and ``faults`` (a :class:`~repro.sim.faults.FaultPlan`,
+    compiled into per-replication release masks so faulted runs stay
+    eligible for the columnar tier), replayed by
+    :meth:`CompiledScenario.replay`; the result's ``compile_s`` is the
+    compile time.
     """
-    if sims < 0:
-        raise ModelError(f"sims must be >= 0, got {sims}")
-    resolved = _resolve_policy(policy)
-    if rng is None:
-        rng = random.Random(seed)
-    compile_s = 0.0
-    if compiled is None:
-        compiled = CompiledScenario(
-            system, task, semantics=semantics, faults=faults
-        )
-        compile_s = compiled.compile_s
-    elif compiled.task != task:
-        raise ModelError(
-            f"compiled scenario monitors {compiled.task!r}, not {task!r}"
-        )
-    elif compiled.semantics != semantics:
-        raise ModelError(
-            f"compiled scenario replays {compiled.semantics!r} semantics, "
-            f"not {semantics!r}"
-        )
-    elif compiled._faults_sig != (faults.signature() if faults else ()):
-        raise ModelError(
-            "compiled scenario was compiled under a different fault plan; "
-            "recompile with CompiledScenario(..., faults=...)"
-        )
-    t0 = _time.perf_counter()
-    periods = compiled.periods
-    draws = [
-        (
-            rng.randrange(2**31),
-            tuple(rng.randint(1, period) for period in periods),
-        )
-        for _ in range(sims)
-    ]
-    disparities, ran, reason = _replay(
-        compiled, draws, duration, warmup, resolved
+    compiled = CompiledScenario(system, task, semantics=semantics, faults=faults)
+    result = compiled.replay(
+        sims=sims,
+        duration=duration,
+        warmup=warmup,
+        rng=rng,
+        seed=seed,
+        policy=policy,
     )
-    return BatchResult(
-        task=task,
-        disparities=tuple(disparities),
-        engine=ran,
-        compile_s=compile_s,
-        run_s=_time.perf_counter() - t0,
-        semantics=semantics,
-        reason=reason,
-    )
+    return replace(result, compile_s=compiled.compile_s)
 
 
 def check_observed_duration(duration: Optional[Time]) -> None:

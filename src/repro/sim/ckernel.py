@@ -19,7 +19,8 @@ Environment knobs:
   (default: ``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``, falling
   back to a per-user tempdir).  The object name embeds a hash of the C
   source and the compile flags, so a stale object is never loaded after
-  a change to either.
+  a change to either; a fresh build removes the superseded
+  ``ckernel-abi*.so`` objects it finds there.
 
 Build flags: :data:`CFLAGS` (``-O2 -fPIC -shared -pthread``).  The
 kernel splits each batch's sims across POSIX threads it starts and
@@ -31,6 +32,7 @@ cluster coordinator handed it a share through
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -187,6 +189,20 @@ def _object_name(source: bytes) -> str:
     return f"ckernel-abi{ABI_VERSION}-{digest}.so"
 
 
+def _prune_superseded(target: Path) -> None:
+    """Best-effort removal of the cache's other kernel objects.
+
+    Each source or flag change builds a new object next to the old
+    ones; only ``target`` can load from now on.  In-progress ``.tmp``
+    builds never match the pattern.
+    """
+    with contextlib.suppress(OSError):
+        for path in target.parent.glob("ckernel-abi*.so"):
+            if path != target:
+                with contextlib.suppress(OSError):
+                    path.unlink()
+
+
 def load_kernel() -> Tuple[Optional[Kernel], Optional[str]]:
     """The process-wide kernel, building it on first use.
 
@@ -214,6 +230,7 @@ def _load_uncached() -> Tuple[Optional[Kernel], Optional[str]]:
             reason = _build(_SOURCE, target)
             if reason is not None:
                 return None, reason
+            _prune_superseded(target)
         lib = ctypes.CDLL(str(target))
         abi = lib.repro_ckernel_abi
         abi.restype = _I64

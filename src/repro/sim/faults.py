@@ -60,7 +60,7 @@ class FaultPlan:
         Windows are normalized to a sorted, **disjoint** form:
         overlapping, adjacent, and duplicate windows merge into one, so
         the stored shape — and everything derived from it
-        (:meth:`windows_for` order, release masks, cache signatures) —
+        (:meth:`windows_for` order, release masks) —
         depends only on the *set* of suppressed instants, never on
         insertion order.
         """
@@ -94,21 +94,6 @@ class FaultPlan:
     def windows_for(self, task: str) -> Tuple[DropoutWindow, ...]:
         """The normalized (sorted, disjoint) windows of one task."""
         return tuple(self._windows.get(task, ()))
-
-    def signature(self) -> Tuple:
-        """Hashable identity of the suppressed-instant set.
-
-        Two plans with the same signature drop exactly the same
-        releases; the batch tiers key their schedule/advance memos on
-        it (plans are mutable, so the object itself cannot be the key).
-        """
-        return tuple(
-            sorted(
-                (name, tuple((w.start, w.end) for w in windows))
-                for name, windows in self._windows.items()
-                if windows
-            )
-        )
 
     @property
     def tasks(self) -> Tuple[str, ...]:

@@ -266,7 +266,7 @@ class TestCompiledCacheBound:
         # per-instance override that could set it out of range.
         assert repro.api.COMPILED_CACHE_SIZE >= 1
         params = inspect.signature(AnalysisSession).parameters
-        assert set(params) == {"system", "bounds_strategy", "semantics"}
+        assert set(params) == {"system", "semantics"}
 
 
 

@@ -397,6 +397,36 @@ def test_object_name_hashes_the_compile_flags(monkeypatch):
     assert ckernel._object_name(source) != name
 
 
+def test_fresh_build_prunes_superseded_objects(tmp_path, monkeypatch):
+    """A fresh build removes the cache's older kernel objects; a cache
+    hit, in-progress ``.tmp`` builds and unrelated files stay."""
+    if not ckernel._compilers():
+        pytest.skip("no C compiler on PATH")
+    monkeypatch.setenv("REPRO_CKERNEL_CACHE", str(tmp_path))
+    monkeypatch.delenv("REPRO_NO_CKERNEL", raising=False)
+    monkeypatch.setattr(ckernel, "_STATE", None)
+    stale = [tmp_path / "ckernel-abi4-0123456789abcdef.so",
+             tmp_path / "ckernel-abi5-fedcba9876543210.so"]
+    kept = [tmp_path / ".ckernel-abi5-fedcba9876543210.so.7.tmp",
+            tmp_path / "notes.txt"]
+    for path in stale + kept:
+        path.write_bytes(b"")
+    kernel, reason = ckernel.load_kernel()
+    assert kernel is not None, reason
+    assert kernel.path.parent == tmp_path
+    assert not any(path.exists() for path in stale)
+    assert all(path.exists() for path in kept)
+    late = tmp_path / "ckernel-abi5-0000000000000000.so"
+    late.write_bytes(b"")
+    ckernel.reset_kernel_state()
+    kernel, reason = ckernel.load_kernel()
+    assert kernel is not None, reason
+    assert late.exists()
+    assert sorted(p.name for p in tmp_path.glob("ckernel-abi*.so")) == sorted(
+        [late.name, kernel.path.name]
+    )
+
+
 def test_unbatchable_policy_falls_back_to_simulator():
     """Per-task policies (fault injection) run on the simulator."""
     system, sink = _scenario(31, 8)

@@ -10,7 +10,6 @@ from repro.let import (
     backward_bounds_let,
     bcbt_lower_let,
     disparity_bound_let,
-    let_bounds_cache,
     wcbt_upper_let,
 )
 from repro.model.chain import Chain
@@ -70,10 +69,48 @@ class TestLetBounds:
 
     def test_strategy_cache(self):
         system = chain_system()
-        cache = let_bounds_cache(system)
+        cache = BackwardBoundsCache(system, strategy=backward_bounds_let)
         bounds = cache.bounds(Chain.of("s", "a", "b"))
         assert bounds.wcbt == ms(30)
         assert bounds.bcbt == ms(10)
+
+
+class TestLetSession:
+    """One ``semantics`` switch picks a session's bounds and replay."""
+
+    @staticmethod
+    def _let_reference(system, task):
+        return disparity_bound(
+            system,
+            task,
+            cache=BackwardBoundsCache(system, strategy=backward_bounds_let),
+        )
+
+    def test_let_session_reads_let_bounds(self):
+        from repro.api import AnalysisSession
+        from repro.gen import generate_random_scenario
+
+        scenario = generate_random_scenario(12, random.Random(5))
+        system, sink = scenario.system, scenario.sink
+        let = AnalysisSession(system, semantics="let")
+        assert let.disparity(sink) == self._let_reference(system, sink)
+        assert let.disparity(sink) == ms(420)
+        assert AnalysisSession(system).disparity(sink) == 221_844_804
+        assert disparity_bound_let(system, sink) == ms(420)
+
+    def test_buffered_let_session_stays_let(self):
+        from repro.api import AnalysisSession
+        from repro.gen import generate_random_scenario
+
+        scenario = generate_random_scenario(12, random.Random(5))
+        system, sink = scenario.system, scenario.sink
+        plan = {("s2", "fuse"): 11, ("s3", "fuse"): 11}
+        buffered = AnalysisSession(system, semantics="let").with_buffer_plan(
+            plan
+        )
+        assert buffered.semantics == "let"
+        reference = self._let_reference(system.with_buffer_plan(plan), sink)
+        assert buffered.disparity(sink) == reference == ms(330)
 
 
 class TestLetDisparity:

@@ -214,15 +214,11 @@ def test_let_batch_matches_sequential_zero_bcet(seed, n_tasks):
     duration = 2 * max(task.period for task in graph.tasks)
     compiled = CompiledScenario(system, sink, semantics="let")
     assert compiled.eligible
-    result = run_batch(
-        system,
-        sink,
+    result = compiled.replay(
         sims=3,
         duration=duration,
         warmup=duration // 4,
         rng=random.Random(seed),
-        compiled=compiled,
-        semantics="let",
     )
     expected = _sequential_let(
         system,
@@ -255,15 +251,11 @@ def test_let_batch_fallback_matches_sequential():
     system = System(graph=collided, response_times=built.response_times)
     compiled = CompiledScenario(system, "b", semantics="let")
     assert not compiled.eligible
-    result = run_batch(
-        system,
-        "b",
+    result = compiled.replay(
         sims=4,
         duration=ms(200),
         warmup=ms(20),
         rng=random.Random(11),
-        compiled=compiled,
-        semantics="let",
     )
     expected = _sequential_let(
         system,
@@ -283,12 +275,6 @@ def test_let_batch_fallback_matches_sequential():
 def test_run_batch_rejects_semantics_mismatch():
     scenario = generate_random_scenario(6, random.Random(8))
     system, sink = scenario.system, scenario.sink
-    implicit = CompiledScenario(system, sink)
-    with pytest.raises(ModelError):
-        run_batch(
-            system, sink, sims=1, duration=10**9,
-            compiled=implicit, semantics="let",
-        )
     with pytest.raises(ModelError):
         CompiledScenario(system, sink, semantics="lett")
 
@@ -323,16 +309,6 @@ def test_let_session_observed_batch_replays_let():
     assert session.observed_disparity(
         sink, sims=5, duration=duration, warmup=warmup, seed=17
     ) == max(expected)
-
-    # The compiled scenario is cached per (task, semantics): an explicit
-    # implicit-semantics request on the same session compiles separately
-    # and does not disturb the LET entry.
-    implicit = session.observed_batch(
-        sink, sims=5, duration=duration, warmup=warmup, seed=17,
-        semantics="implicit",
-    )
-    assert implicit.semantics == "implicit"
-    assert set(session._compiled) == {(sink, "let"), (sink, "implicit")}
 
 
 def test_session_rejects_unknown_semantics():

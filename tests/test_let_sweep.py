@@ -27,13 +27,10 @@ import random
 import pytest
 
 from repro.api import AnalysisSession
+from repro.chains.backward import BackwardBoundsCache
 from repro.core.disparity import disparity_bound
 from repro.explore import buffer_capacity_sweep, period_sensitivity
-from repro.let import (
-    backward_bounds_let,
-    let_bounds_cache,
-    semantics_tradeoff,
-)
+from repro.let import backward_bounds_let, semantics_tradeoff
 from repro.model.graph import CauseEffectGraph
 from repro.model.system import System
 from repro.model.task import ModelError, Task, source_task
@@ -131,7 +128,9 @@ def test_buffer_capacity_sweep_let_semantics():
     for point in points:
         candidate = system.with_channel_capacity("img", "fuse", point.value)
         assert point.bound == disparity_bound(
-            candidate, "fuse", cache=let_bounds_cache(candidate)
+            candidate,
+            "fuse",
+            cache=BackwardBoundsCache(candidate, strategy=backward_bounds_let),
         )
         assert point.observed is not None
         assert point.observed <= point.bound
@@ -155,11 +154,12 @@ def test_period_sensitivity_let_semantics_matches_session():
     )
     assert all(p.schedulable for p in points)
     # The ms(10) candidate is the unmodified system: its bound must
-    # agree with a LET session's Theorem 2 answer.
-    session = AnalysisSession(
-        system, bounds_strategy=backward_bounds_let, semantics="let"
+    # agree with Theorem 2 over the LET backward bounds.
+    assert points[0].bound == disparity_bound(
+        system,
+        "fuse",
+        cache=BackwardBoundsCache(system, strategy=backward_bounds_let),
     )
-    assert points[0].bound == session.disparity("fuse")
 
 
 def test_explore_sweeps_reject_unknown_semantics():

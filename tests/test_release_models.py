@@ -185,9 +185,7 @@ class TestFaultPlanNormalization:
                 plan.drop("t", *windows[i])
             plans.append(plan)
         shapes = {p.windows_for("t") for p in plans}
-        signatures = {p.signature() for p in plans}
         assert len(shapes) == 1
-        assert len(signatures) == 1
         assert plans[0].windows_for("t") == (
             DropoutWindow(5, 50),
             DropoutWindow(60, 70),

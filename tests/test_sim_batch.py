@@ -239,10 +239,10 @@ def test_session_observed_batch_caches_compiled_scenario():
     duration = 2 * max(task.period for task in system.graph.tasks)
     session = AnalysisSession(system)
     first = session.observed_batch(sink, sims=2, duration=duration, seed=1)
-    compiled = session._compiled[(sink, "implicit")]
+    compiled = session._compiled[sink]
     second = session.observed_batch(sink, sims=2, duration=duration, seed=1)
     # reused, not recompiled
-    assert session._compiled[(sink, "implicit")] is compiled
+    assert session._compiled[sink] is compiled
     assert first.disparities == second.disparities
     assert second.compile_s == 0.0
     assert session.observed_disparity(
@@ -254,14 +254,6 @@ def test_run_batch_validation():
     system, sink = _scenario(4, 6)
     with pytest.raises(ModelError):
         run_batch(system, sink, sims=-1, duration=10**9)
-    other = next(
-        t.name for t in system.graph.tasks if t.name != sink
-    )
-    compiled = CompiledScenario(system, sink)
-    with pytest.raises(ModelError):
-        run_batch(
-            system, other, sims=1, duration=10**9, compiled=compiled
-        )
     empty = run_batch(system, sink, sims=0, duration=10**9)
     assert empty.sims == 0
     assert empty.max_disparity == 0
