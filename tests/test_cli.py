@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: Expected ``repro analyze`` stdout, captured once and compared byte
+#: for byte: the chains, both bounds with their pair counts and worst
+#: pairs, and the buffer design.
+ANALYZE_DIR = Path(__file__).resolve().parent / "analyze"
 
 
 class TestParser:
@@ -71,6 +78,15 @@ class TestCommands:
         assert "P-diff" in out
         assert "S-diff" in out
         assert "chains into" in out
+
+    @pytest.mark.parametrize(
+        "tasks, seed, expected",
+        [(8, 1, "tasks8_seed1.txt"), (12, 5, "tasks12_seed5.txt")],
+    )
+    def test_analyze_output_is_pinned(self, capsys, tasks, seed, expected):
+        assert main(["analyze", "--tasks", str(tasks), "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out
+        assert out == (ANALYZE_DIR / expected).read_text()
 
     def test_analyze_save_and_load(self, capsys, tmp_path):
         path = tmp_path / "workload.json"
