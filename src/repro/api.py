@@ -43,7 +43,6 @@ from repro.core.disparity import (
     normalize_method,
     worst_case_disparity,
 )
-from repro.let.analysis import backward_bounds_let
 from repro.model.chain import Chain, enumerate_source_chains
 from repro.model.graph import CauseEffectGraph
 from repro.model.system import System
@@ -81,8 +80,8 @@ class AnalysisSession:
         semantics: The communication model of every query
             (``"implicit"`` or ``"let"``).  It picks both sides at
             once: the backward bounds every theorem reads (the
-            Lemma 4/5 dynamic program, or
-            :func:`repro.let.backward_bounds_let` under LET) and the
+            cache's prefix sums of Lemma 4/5 hop terms, or of
+            :func:`repro.let.analysis.let_hop_terms` under LET) and the
             data flow :meth:`simulate`, :meth:`observed_disparity`
             and :meth:`observed_batch` replay — so a session's bounds
             and observations always describe one system.
@@ -93,9 +92,7 @@ class AnalysisSession:
         self._system = system
         self._semantics = semantics
         self._regime = regime_of(system)
-        self._cache = BackwardBoundsCache(
-            system, strategy=backward_bounds_let if semantics == "let" else None
-        )
+        self._cache = BackwardBoundsCache(system, semantics=semantics)
         self._chains: Dict[str, Tuple[Chain, ...]] = {}
         self._results: Dict[Tuple[str, str, bool], TaskDisparityResult] = {}
         self._compiled: "OrderedDict[str, CompiledScenario]" = OrderedDict()
@@ -189,8 +186,11 @@ class AnalysisSession:
         method: str = "forkjoin",
         truncate_suffix: bool = True,
     ) -> TaskDisparityResult:
-        """Full disparity result of ``task`` with per-pair evidence.
+        """Full disparity result of ``task``.
 
+        ``pair_bounds`` lists every chain pair's bound and
+        ``worst_pair`` carries the evidence (decomposition, offsets,
+        sampling windows) of the first pair attaining the maximum.
         Results are memoized per ``(task, method, truncate_suffix)``;
         the memo key uses the canonical method name, so
         ``method="s-diff"`` and ``method="forkjoin"`` share one entry.
@@ -240,12 +240,14 @@ class AnalysisSession:
         return self.disparity(task, method=method) <= threshold
 
     def design_buffers(self, task: str, *, method: str = "forkjoin"):
-        """Multi-chain buffer design (Algorithm 1 generalization)."""
-        from repro.buffers.sizing import design_buffers_multi
+        """Multi-chain buffer design (Algorithm 1 generalization).
 
-        return design_buffers_multi(
-            self._system, task, method=normalize_method(method)
-        )
+        Designs on this session's bounds and reports ``bound_before`` /
+        ``bound_after`` under its semantics.
+        """
+        from repro.buffers.sizing import _design_buffers_multi
+
+        return _design_buffers_multi(self, task, normalize_method(method))
 
     def with_buffer_plan(
         self, plan: Dict[Tuple[str, str], int]

@@ -25,13 +25,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.chains.backward import BackwardBoundsCache
-from repro.core.pairwise import (
-    PairwiseResult,
-    disparity_bound_forkjoin,
-    offset_intervals,
-    sampling_windows,
-)
-from repro.model.chain import Chain, decompose_pair, enumerate_source_chains, truncate_common_suffix
+from repro.core.pairwise import PairwiseResult, disparity_bound_forkjoin
+from repro.model.chain import Chain
 from repro.model.system import System
 from repro.model.task import ModelError
 from repro.units import Time, floor_div
@@ -79,16 +74,20 @@ def design_buffer_pair(
     7–12 shift the window with the larger midpoint left by the largest
     multiple of its source period not exceeding the midpoint gap.
     """
-    system = cache.system
-    work_lam, work_nu = lam, nu
-    if truncate_suffix:
-        work_lam, work_nu, _ = truncate_common_suffix(lam, nu)
-        if len(work_lam) == 1 and len(work_nu) == 1:
-            return BufferDesign(channel=None, capacity=1, shift=0, shifted_chain=None)
+    return _design_from(
+        disparity_bound_forkjoin(lam, nu, cache, truncate_suffix=truncate_suffix),
+        cache.system,
+    )
 
-    decomposition = decompose_pair(work_lam, work_nu, system.graph)
-    offsets = offset_intervals(decomposition, cache)
-    window_lam, window_nu = sampling_windows(decomposition, offsets, cache)
+
+def _design_from(evidence: PairwiseResult, system: System) -> BufferDesign:
+    """Lines 7–12 of Algorithm 1 on a Theorem 2 result's windows."""
+    decomposition = evidence.decomposition
+    if decomposition is None:
+        # Identical chains: nothing to align.
+        return BufferDesign(channel=None, capacity=1, shift=0, shifted_chain=None)
+    work_lam, work_nu = decomposition.lam, decomposition.nu
+    window_lam, window_nu = evidence.window_lam, evidence.window_nu
 
     # Compare midpoints exactly: M = (A + B) / 2, so compare A + B.
     m_lam_x2 = window_lam.midpoint_x2
@@ -129,7 +128,7 @@ def disparity_bound_buffered(
     design's plan to obtain the deployed system the bound describes.
     """
     base = disparity_bound_forkjoin(lam, nu, cache, truncate_suffix=truncate_suffix)
-    design = design_buffer_pair(lam, nu, cache, truncate_suffix=truncate_suffix)
+    design = _design_from(base, cache.system)
     bound = base.bound - design.shift
     if bound < 0:
         raise ModelError(
@@ -266,11 +265,16 @@ def design_buffers_multi(
     the resulting system is re-analyzed from scratch for the certified
     bound).
     """
-    from repro.core.disparity import disparity_bound
+    from repro.api import AnalysisSession
 
-    cache = BackwardBoundsCache(system)
-    chains = enumerate_source_chains(system.graph, task)
-    bound_before = disparity_bound(system, task, method=method, cache=cache)
+    return _design_buffers_multi(AnalysisSession(system), task, method)
+
+
+def _design_buffers_multi(session, task: str, method: str) -> MultiChainDesign:
+    """:func:`design_buffers_multi` on a session's bounds and semantics."""
+    cache = session.cache
+    chains = session.chains(task)
+    bound_before = session.disparity(task, method=method)
     if len(chains) < 2:
         return MultiChainDesign(task=task, plan={}, bound_before=bound_before,
                                 bound_after=bound_before)
@@ -286,7 +290,7 @@ def design_buffers_multi(
         if len(chain) < 2:
             continue
         gap_x2 = (lo + hi) - target_x2
-        period = system.T(chain.head)
+        period = session.system.T(chain.head)
         m = floor_div(gap_x2, 2 * period)
         if m <= 0:
             continue
@@ -300,8 +304,7 @@ def design_buffers_multi(
     if not requested:
         return MultiChainDesign(task=task, plan={}, bound_before=bound_before,
                                 bound_after=bound_before)
-    buffered = system.with_buffer_plan(requested)
-    bound_after = disparity_bound(buffered, task, method=method)
+    bound_after = session.with_buffer_plan(requested).disparity(task, method=method)
     if bound_after >= bound_before:
         # The heuristic did not help (possible with interacting chains);
         # keep the base design.

@@ -15,6 +15,8 @@ from repro.core.pairwise import (
     SamplingWindow,
     disparity_bound_forkjoin,
     disparity_bound_independent,
+    forkjoin_terms,
+    independent_bound,
     independent_operator,
     offset_intervals,
     sampling_windows,
@@ -34,6 +36,8 @@ __all__ = [
     "SamplingWindow",
     "disparity_bound_forkjoin",
     "disparity_bound_independent",
+    "forkjoin_terms",
+    "independent_bound",
     "independent_operator",
     "offset_intervals",
     "sampling_windows",

@@ -25,11 +25,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from repro.chains.backward import BackwardBoundsCache
+from repro.chains.backward import BackwardBoundsCache, ChainSpans
 from repro.core.pairwise import (
     PairwiseResult,
     disparity_bound_forkjoin,
     disparity_bound_independent,
+    forkjoin_terms,
+    independent_bound,
 )
 from repro.model.chain import Chain, enumerate_source_chains
 from repro.model.system import System
@@ -76,39 +78,53 @@ def normalize_method(method: Method) -> Method:
 
 @dataclass(frozen=True)
 class TaskDisparityResult:
-    """Worst-case disparity bound of one task, with per-pair evidence."""
+    """Worst-case disparity bound of one task, with the worst pair's evidence.
+
+    ``pair_bounds`` holds every pair's bound in ``combinations(chains,
+    2)`` order; ``worst_pair`` is the full evidence of the first pair
+    that attains the maximum (``None`` with fewer than two chains).
+    """
 
     task: str
     method: Method
     bound: Time
     chains: Tuple[Chain, ...]
-    pair_results: Tuple[PairwiseResult, ...]
+    pair_bounds: Tuple[Time, ...]
     worst_pair: Optional[PairwiseResult]
 
     @property
     def n_pairs(self) -> int:
         """Number of chain pairs the maximum ranged over."""
-        return len(self.pair_results)
+        return len(self.pair_bounds)
 
 
 def _pair_bound(
+    lam: ChainSpans, nu: ChainSpans, method: Method, truncate_suffix: bool
+) -> Time:
+    if method == "independent":
+        return independent_bound(lam, nu)
+    forkjoin = forkjoin_terms(lam, nu, truncate_suffix)[0]
+    if method == "forkjoin":
+        return forkjoin
+    # "best": fork-join wherever it is no worse than independent.
+    return min(forkjoin, independent_bound(lam, nu))
+
+
+def _pair_evidence(
     lam: Chain,
     nu: Chain,
     cache: BackwardBoundsCache,
     method: Method,
     truncate_suffix: bool,
 ) -> PairwiseResult:
+    if method == "best":
+        spans_lam, spans_nu = cache.spans(lam), cache.spans(nu)
+        forkjoin = forkjoin_terms(spans_lam, spans_nu, truncate_suffix)[0]
+        independent = independent_bound(spans_lam, spans_nu)
+        method = "forkjoin" if forkjoin <= independent else "independent"
     if method == "independent":
         return disparity_bound_independent(lam, nu, cache)
-    if method == "forkjoin":
-        return disparity_bound_forkjoin(lam, nu, cache, truncate_suffix=truncate_suffix)
-    if method == "best":
-        independent = disparity_bound_independent(lam, nu, cache)
-        forkjoin = disparity_bound_forkjoin(
-            lam, nu, cache, truncate_suffix=truncate_suffix
-        )
-        return forkjoin if forkjoin.bound <= independent.bound else independent
-    raise ModelError(f"unknown disparity method {method!r}; use one of {_VALID_METHODS}")
+    return disparity_bound_forkjoin(lam, nu, cache, truncate_suffix=truncate_suffix)
 
 
 def worst_case_disparity(
@@ -124,7 +140,10 @@ def worst_case_disparity(
 
     Enumerates ``P`` and maximizes the selected pairwise bound over all
     unordered pairs of distinct chains.  A task reachable from at most
-    one source chain has zero disparity by definition.
+    one source chain has zero disparity by definition.  Every pair is
+    evaluated on the chains' prefix sums (integer arithmetic, no object
+    per pair); only the first pair attaining the maximum gets its
+    evidence built, as ``worst_pair``.
 
     Args:
         system: The analyzed system.
@@ -154,28 +173,30 @@ def worst_case_disparity(
     )
     method = normalize_method(method)
     if cache is None:
-        # Standalone call: hoist everything shareable out of the
-        # all-pairs loop — one DAG-shared bounds cache, warmed for
-        # every enumerated chain up front so the pair loop below
-        # performs dictionary hits only.
         cache = BackwardBoundsCache(system)
     if chains is None:
         chains = enumerate_source_chains(system.graph, task)
     cache.register(chains)
-    pair_results: List[PairwiseResult] = []
-    worst: Optional[PairwiseResult] = None
-    for lam, nu in combinations(chains, 2):
-        result = _pair_bound(lam, nu, cache, method, truncate_suffix)
-        pair_results.append(result)
-        if worst is None or result.bound > worst.bound:
-            worst = result
+    spans = [cache.spans(chain) for chain in chains]
+    pair_bounds: List[Time] = []
+    worst: Optional[Tuple[int, int]] = None
+    bound = 0
+    for i, j in combinations(range(len(spans)), 2):
+        pair = _pair_bound(spans[i], spans[j], method, truncate_suffix)
+        pair_bounds.append(pair)
+        if worst is None or pair > bound:
+            worst, bound = (i, j), pair
+    evidence = None
+    if worst is not None:
+        lam, nu = chains[worst[0]], chains[worst[1]]
+        evidence = _pair_evidence(lam, nu, cache, method, truncate_suffix)
     return TaskDisparityResult(
         task=task,
         method=method,
-        bound=worst.bound if worst is not None else 0,
+        bound=bound,
         chains=chains,
-        pair_results=tuple(pair_results),
-        worst_pair=worst,
+        pair_bounds=tuple(pair_bounds),
+        worst_pair=evidence,
     )
 
 

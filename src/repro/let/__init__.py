@@ -9,8 +9,9 @@ replay LET through the batch tiers, where LET data flow is pure
 release/deadline arithmetic — see ``docs/performance.md``).
 
 For both sides of a LET study in one object, open a LET session; its
-one ``semantics`` switch picks the LET backward bounds
-(:func:`backward_bounds_let`) *and* LET replay::
+one ``semantics`` switch picks the LET backward bounds (the bounds of
+:func:`backward_bounds_let`, summed from :func:`let_hop_terms`) *and*
+LET replay::
 
     from repro.api import AnalysisSession
 
@@ -29,6 +30,7 @@ from repro.let.analysis import (
     backward_bounds_let,
     bcbt_lower_let,
     disparity_bound_let,
+    let_hop_terms,
     wcbt_upper_let,
 )
 from repro.let.sweep import (
@@ -45,6 +47,7 @@ __all__ = [
     "backward_bounds_let",
     "bcbt_lower_let",
     "disparity_bound_let",
+    "let_hop_terms",
     "semantics_tradeoff",
     "wcbt_upper_let",
 ]

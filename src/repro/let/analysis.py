@@ -24,9 +24,10 @@ source-specific refinement is applied below).
 
 Because Theorems 1-3 consume only per-chain ``[B, W]`` intervals plus
 task periodicity, the entire disparity machinery retargets to LET by
-swapping the bounds strategy — a ``semantics="let"``
-:class:`~repro.api.AnalysisSession` builds its bounds cache on
-:func:`backward_bounds_let` (see :func:`disparity_bound_let`).
+swapping the per-hop terms: a ``semantics="let"``
+:class:`~repro.api.AnalysisSession` sums :func:`let_hop_terms` in its
+bounds cache's prefix sums, which equal :func:`backward_bounds_let`
+on every chain (see :func:`disparity_bound_let`).
 
 Buffered channels compose exactly as under implicit communication:
 a capacity-``n`` FIFO delays the consumed token by ``(n-1)`` producer
@@ -35,11 +36,33 @@ periods in the long term.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.analysis_regime import max_release_gap
 from repro.chains.backward import BackwardBounds, buffer_shift
 from repro.model.chain import Chain
 from repro.model.system import System
 from repro.units import Time
+
+
+def let_hop_terms(system: System, producer: str) -> Tuple[Time, Time]:
+    """``(W, B)`` terms of one LET hop out of ``producer``, before shifts.
+
+    ``W`` costs the producer's maximum release gap ``gap_max`` for a
+    source (it publishes at release) and ``T + gap_max`` otherwise (it
+    publishes one period after release).  ``B`` costs ``T`` for a
+    non-source producer and nothing for a source.  Both chain bounds
+    below and the prefix sums of a ``semantics="let"``
+    :class:`~repro.chains.backward.BackwardBoundsCache` add these up.
+    """
+    gap_max = max_release_gap(system.graph.task(producer))
+    if system.is_source(producer):
+        return gap_max, 0
+    # Publish happens one nominal period after release, and the
+    # producing release trails the consumer's read by less than one
+    # maximal inter-release gap on top of that.
+    period = system.T(producer)
+    return period + gap_max, period
 
 
 def wcbt_upper_let(chain: Chain, system: System) -> Time:
@@ -66,14 +89,7 @@ def wcbt_upper_let(chain: Chain, system: System) -> Time:
         return 0
     total = 0
     for producer, _consumer in chain.edges():
-        gap_max = max_release_gap(system.graph.task(producer))
-        if system.is_source(producer):
-            total += gap_max
-        else:
-            # Publish happens one nominal period after release, and the
-            # producing release trails the consumer's read by less than
-            # one maximal inter-release gap on top of that.
-            total += system.T(producer) + gap_max
+        total += let_hop_terms(system, producer)[0]
     return total + buffer_shift(chain, system)
 
 
@@ -95,13 +111,12 @@ def bcbt_lower_let(chain: Chain, system: System) -> Time:
         return 0
     total = 0
     for producer, _consumer in chain.edges():
-        if not system.is_source(producer):
-            total += system.T(producer)
+        total += let_hop_terms(system, producer)[1]
     return total + buffer_shift(chain, system)
 
 
 def backward_bounds_let(chain: Chain, system: System) -> BackwardBounds:
-    """Strategy function for :class:`BackwardBoundsCache` under LET."""
+    """Per-chain LET bounds (the reference a LET cache's sums must match)."""
     return BackwardBounds(
         chain=chain,
         wcbt=wcbt_upper_let(chain, system),

@@ -3,8 +3,8 @@
 ``repro bench`` and the committed ``BENCH_kernel.json`` gate are only
 timed under ``benchmarks/``; these tests run every spec on tiny inputs
 through the paired-arm primitive, so a change to the simulator, the
-batch tiers, delta replay or the search objective that makes two arms
-disagree fails in the unit suite.  They also pin the document layout
+batch tiers, delta replay, the search objective or the pair loop that
+makes two arms disagree fails in the unit suite.  They also pin the document layout
 the committed baseline depends on, the report formatting and the
 gate's rules.
 """
@@ -41,6 +41,7 @@ TOY = {
     "delta": SWEEP,
     "search": {"n_tasks": 5, "candidates": 3, "max_windows": 4},
     "analysis": [{"levels": 2, "width": 1}, {"levels": 2, "width": 2}],
+    "pairs": {"n_tasks": 8, "graphs": 2},
 }
 
 #: Key sets of every section of the committed ``BENCH_kernel.json``;
@@ -61,6 +62,8 @@ SECTION_KEYS = {
     "search": {"n_tasks", "candidates", "max_windows", "engine",
                "reference_s", "batched_s", "speedup", "candidates_per_s"},
     "analysis": {"levels", "width", "chains", "wall_s", "per_chain_us"},
+    "pairs": {"n_tasks", "graphs", "pairs", "evidence_s", "loop_s", "speedup",
+              "pairs_per_s"},
 }
 
 

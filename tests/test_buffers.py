@@ -234,3 +234,23 @@ class TestMultiChainHeuristic:
         for system, task in ((diamond_system, "sink"), (two_source_system, "fuse")):
             design = design_buffers_multi(system, task)
             assert design.bound_after <= design.bound_before
+
+    def test_session_designs_under_its_semantics(self):
+        from repro.api import AnalysisSession
+        from repro.gen import generate_random_scenario
+
+        scenario = generate_random_scenario(12, random.Random(5))
+        system, sink = scenario.system, scenario.sink
+        let = AnalysisSession(system, semantics="let")
+        design = let.design_buffers(sink)
+        assert design.bound_before == let.disparity(sink) == ms(420)
+        if design.plan:
+            assert design.bound_after == let.with_buffer_plan(
+                design.plan
+            ).disparity(sink)
+        else:
+            assert design.bound_after == design.bound_before
+        # The functional entry point stays the implicit design.
+        implicit = AnalysisSession(system).design_buffers(sink)
+        assert implicit == design_buffers_multi(system, sink)
+        assert implicit.bound_before == AnalysisSession(system).disparity(sink)

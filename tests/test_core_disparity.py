@@ -59,7 +59,7 @@ class TestWorstCaseDisparity:
 
     def test_pair_results_recorded(self, diamond_system):
         result = worst_case_disparity(diamond_system, "sink", method="forkjoin")
-        bounds = sorted(pair.bound for pair in result.pair_results)
+        bounds = sorted(result.pair_bounds)
         assert bounds[-1] == result.bound
         # The two truncated pairs come out at 30 ms.
         assert bounds[0] == ms(30)
