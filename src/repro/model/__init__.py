@@ -7,7 +7,6 @@ from repro.model.chain import (
     decompose_pair,
     enumerate_all_chains,
     enumerate_source_chains,
-    truncate_common_suffix,
 )
 from repro.model.graph import CauseEffectGraph, Channel
 from repro.model.platform import (
@@ -42,7 +41,6 @@ __all__ = [
     "decompose_pair",
     "enumerate_all_chains",
     "enumerate_source_chains",
-    "truncate_common_suffix",
     "CauseEffectGraph",
     "Channel",
     "DEFAULT_FRAME_TIME",

@@ -18,6 +18,7 @@ import pytest
 import repro
 import repro.api
 from repro import AnalysisSession, generate_random_scenario, seconds
+from repro.chains.backward import BackwardBoundsCache
 from repro.core.disparity import METHOD_ALIASES, normalize_method
 from repro.explore import buffer_capacity_sweep, period_sensitivity
 from repro.model.task import ModelError
@@ -279,6 +280,7 @@ class TestSemanticsCheck:
             lambda system: simulate(system, ms(100), semantics="bogus"),
             lambda system: CompiledScenario(system, "sink", semantics="bogus"),
             lambda system: AnalysisSession(system, semantics="bogus"),
+            lambda system: BackwardBoundsCache(system, semantics="bogus"),
             lambda system: period_sensitivity(
                 system, "pb", "sink", [ms(50)], semantics="bogus"
             ),
@@ -290,6 +292,7 @@ class TestSemanticsCheck:
             "simulate",
             "CompiledScenario",
             "AnalysisSession",
+            "BackwardBoundsCache",
             "period_sensitivity",
             "buffer_capacity_sweep",
         ),

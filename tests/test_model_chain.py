@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.chains.backward import BackwardBoundsCache
+from repro.core.pairwise import disparity_bound_forkjoin
 from repro.model.chain import (
     Chain,
     common_tasks,
     decompose_pair,
     enumerate_all_chains,
     enumerate_source_chains,
-    truncate_common_suffix,
+    joint_positions,
 )
 from repro.model.task import ModelError
 
@@ -110,6 +112,29 @@ class TestCommonTasks:
         nu = Chain.of("sb", "pb", "sink")
         assert common_tasks(lam, nu, merged_graph) == ("sink",)
 
+    def test_positions_in_chain_order(self):
+        lam = ("s", "a", "m", "x", "sink")
+        nu = ("s", "b", "m", "y", "sink")
+        positions = {name: k for k, name in enumerate(nu)}
+        assert joint_positions(lam, nu, positions, 1) == [(2, 2), (4, 4)]
+        # Positions past a truncated nu are ignored.
+        assert joint_positions(lam[:3], nu[:3], positions, 1) == [(2, 2)]
+
+    def test_order_disagreement_rejected(self, diamond_graph):
+        lam = Chain.of("s", "a", "m", "sink")
+        nu = Chain.of("s", "m", "a", "sink")
+        message = (
+            "common tasks of Chain(s -> a -> m -> sink) and "
+            "Chain(s -> m -> a -> sink) disagree in order: "
+            "['a', 'm', 'sink'] vs ['m', 'a', 'sink']"
+        )
+        with pytest.raises(ModelError) as err:
+            common_tasks(lam, nu, diamond_graph)
+        assert str(err.value) == message
+        with pytest.raises(ModelError) as err:
+            decompose_pair(lam, nu, diamond_graph)
+        assert str(err.value) == message
+
 
 class TestDecomposition:
     def test_diamond_pair(self, diamond_graph):
@@ -141,37 +166,51 @@ class TestDecomposition:
 
 
 class TestSuffixTruncation:
-    def test_shared_suffix_cut(self):
-        lam = Chain.of("sa", "a1", "m", "k", "sink")
-        nu = Chain.of("sb", "b1", "m", "k", "sink")
-        cut_lam, cut_nu, tail = truncate_common_suffix(lam, nu)
-        assert tail == "m"
-        assert cut_lam.tasks == ("sa", "a1", "m")
-        assert cut_nu.tasks == ("sb", "b1", "m")
+    """Theorem 2 cuts a shared suffix before decomposing (by index).
 
-    def test_no_shared_suffix_beyond_tail(self):
-        lam = Chain.of("sa", "a1", "sink")
-        nu = Chain.of("sb", "b1", "sink")
-        cut_lam, cut_nu, tail = truncate_common_suffix(lam, nu)
-        assert tail == "sink"
-        assert cut_lam == lam and cut_nu == nu
+    The evidence of :func:`disparity_bound_forkjoin` shows the cut: its
+    decomposition holds the truncated pair and ``analyzed_task`` is the
+    first task of the shared suffix.
+    """
 
-    def test_identical_chains_degenerate(self):
-        lam = Chain.of("s", "a", "sink")
-        cut_lam, cut_nu, tail = truncate_common_suffix(lam, lam)
-        assert tail == "s"
-        assert cut_lam.tasks == ("s",)
-        assert cut_nu.tasks == ("s",)
+    @staticmethod
+    def _evidence(system, lam, nu):
+        return disparity_bound_forkjoin(lam, nu, BackwardBoundsCache(system))
 
-    def test_diamond_not_truncated_through_divergence(self):
+    def test_shared_suffix_cut(self, diamond_system):
+        lam = Chain.of("s", "a", "m", "x", "sink")
+        nu = Chain.of("s", "b", "m", "x", "sink")
+        result = self._evidence(diamond_system, lam, nu)
+        assert result.analyzed_task == "m"
+        assert result.decomposition.lam.tasks == ("s", "a", "m")
+        assert result.decomposition.nu.tasks == ("s", "b", "m")
+
+    def test_no_shared_suffix_beyond_tail(self, merged_system):
+        lam = Chain.of("sa", "pa", "sink")
+        nu = Chain.of("sb", "pb", "sink")
+        result = self._evidence(merged_system, lam, nu)
+        assert result.analyzed_task == "sink"
+        assert result.decomposition.lam == lam
+        assert result.decomposition.nu == nu
+
+    def test_identical_chains_degenerate(self, diamond_system):
+        lam = Chain.of("s", "a", "m", "x", "sink")
+        result = self._evidence(diamond_system, lam, lam)
+        assert result.analyzed_task == "s"
+        assert result.bound == 0
+        assert result.decomposition is None
+
+    def test_diamond_not_truncated_through_divergence(self, diamond_system):
         # Shared suffix is only the sink; the diamond (x vs y) blocks
         # further truncation even though m is common.
         lam = Chain.of("s", "a", "m", "x", "sink")
         nu = Chain.of("s", "b", "m", "y", "sink")
-        cut_lam, cut_nu, tail = truncate_common_suffix(lam, nu)
-        assert tail == "sink"
-        assert cut_lam == lam
+        result = self._evidence(diamond_system, lam, nu)
+        assert result.analyzed_task == "sink"
+        assert result.decomposition.lam == lam
 
-    def test_mismatched_tails_rejected(self):
-        with pytest.raises(ModelError):
-            truncate_common_suffix(Chain.of("a", "b"), Chain.of("a", "c"))
+    def test_mismatched_tails_rejected(self, diamond_system):
+        with pytest.raises(ModelError, match="must end at the same task"):
+            self._evidence(
+                diamond_system, Chain.of("s", "a", "m"), Chain.of("s", "b", "m", "x")
+            )
