@@ -189,7 +189,8 @@ def _replication_arms(
     ``sequential`` runs independent :class:`Simulator` calls (per-run
     setup, the pre-batch Fig. 6 path); ``batched`` runs
     :func:`run_batch` on its auto-selected tier and records the
-    columnar draw/advance/derive split.  ``dropout`` drops the
+    columnar phase split (``draw_s`` key extraction, ``advance_s`` the
+    kernel call, ``derive_s`` the numpy fold).  ``dropout`` drops the
     first source mid-horizon: the fault plan compiles to release masks
     in the columnar tier and to suppressed releases in the simulator.
     """

@@ -1,73 +1,85 @@
-/* Columnar NP-FP kernel: batched advance and derive.
+/* Columnar NP-FP kernel: one fused replay per batch.
  *
- * Two entry points replay every replication of a batch, with no
- * Python inside any per-sim loop:
+ * One entry point, ``columnar_replay``, replays every replication of a
+ * batch with no Python inside any per-sim loop.  Each kernel thread
+ * claims a sim and, in that thread's own scratch, draws, advances and
+ * derives it:
  *
- * ``columnar_advance`` is a C transliteration of the simulator's event
- * loop (``Simulator`` in ``repro/sim/engine.py``), applied to every
- * replication in one call.  Each sim merges its compute
- * tasks' releases in place, with the simulator's ``(time, seq)`` heap
- * discipline: initial entries in task order, and a successor entered
- * (with a fresh sequence number) when its predecessor pops.  Periodic
- * tasks generate ``offset + k * T`` on the fly; in table mode (jitter,
- * sporadic or a fault plan) the caller passes each sim's drawn release
- * tables and kept masks, and suppressed releases are filtered at pop.
- * The simulator's finish *heap* becomes a per-unit ``(fin_time,
- * fin_seq)`` pair plus a sentinel-aware min scan (``rehead``): the
- * heap never holds more than one live entry per unit, so the scan is
- * O(n_units) and reproduces the heap's pop order exactly.  Recorded
- * per kept job: start, finish and (zero-BCET implicit scenarios) the
+ * draw — the sim's execution times come from CPython's MT19937,
+ * seeded from the key ``random.Random(seed).getstate()`` exposes (624
+ * words and their position) and stepped on demand inside ``dispatch``:
+ * ``mt_random`` is ``genrand_uint32`` with the ``(a >> 5, b >> 6)``
+ * 53-bit double, so the stream is bit for bit ``rng.random()``'s.
+ *
+ * advance — ``run_sim`` is a C transliteration of the simulator's event
+ * loop (``Simulator`` in ``repro/sim/engine.py``).  Each sim merges its
+ * compute tasks' releases in place, with the simulator's ``(time,
+ * seq)`` heap discipline: initial entries in task order, and a
+ * successor entered (with a fresh sequence number) when its
+ * predecessor pops.  Periodic tasks generate ``offset + k * T`` on the
+ * fly; in table mode (jitter, sporadic or a fault plan) the caller
+ * passes each sim's drawn release tables and kept masks, and
+ * suppressed releases are filtered at pop.  The simulator's finish
+ * *heap* becomes a per-unit ``(fin_time, fin_seq)`` pair plus a
+ * sentinel-aware min scan (``rehead``): the heap never holds more than
+ * one live entry per unit, so the scan is O(n_units) and reproduces
+ * the heap's pop order exactly.  Recorded per kept job, into the
+ * thread's start/finish/cascade rows (``slots`` long, reused from sim
+ * to sim): start, finish and (zero-BCET implicit scenarios) the
  * same-instant cascade depth.
  *
- * ``columnar_derive`` walks the monitored task's backward closure in
- * topological order and, per sim, resolves every read edge to the
- * producer job it reads — the simulator's FIFO-head and cascade
- * visibility rules — folding the per-source ``(min, max)`` timestamp
- * stamps of that job into the reader's.  Each task's ``(jobs x
- * sources)`` stamp block lives in a per-sim arena at an offset the
+ * derive — ``derive_sim`` walks the monitored task's backward closure
+ * in topological order over those hot rows and resolves every read
+ * edge to the producer job it reads — the simulator's FIFO-head and
+ * cascade visibility rules — folding the per-source ``(min, max)``
+ * timestamp stamps of that job into the reader's.  Each task's ``(jobs
+ * x sources)`` stamp block lives in the thread's arena at an offset the
  * caller planned, so a block's storage is reused once its last
- * consumer has folded it.  The output is the monitored task's per-job
- * disparity column.
+ * consumer has folded it.
+ *
+ * A call writes only, per sim: the monitored task's per-job disparity
+ * column, its per-job finish column (the windowed probe's "completed
+ * by the cutoff" mask) and the LET-violation row.
  *
  * The Python side (``repro/sim/ckernel.py``) compiles this file on
- * first use with the host C compiler and binds both entry points via
+ * first use with the host C compiler and binds the entry point via
  * ctypes; every output must stay byte-identical to the simulator
  * (enforced by ``tests/test_batch_columnar.py`` and the other
  * differential suites).
  *
- * Threading (ABI 5): both entry points take a ``threads`` count and
- * run the batch on that many threads: the calling thread and
- * ``threads - 1`` pthreads, each claiming the next unclaimed sim from a
- * shared counter until none are left.  Every pthread is joined before
- * the call returns, so no thread outlives a call (and a later ``fork``
- * is safe).  Claims rather than fixed ranges, because a helper thread
- * can start late (waking an idle vCPU took 0.2-1.5 ms on average, up
- * to 5 ms, on a 2-CPU VM): a late helper then claims fewer sims instead
- * of holding the call back with a fixed half of them.  Sims share
- * nothing and each writes only its own output rows, so the outputs are
- * the same bytes for any thread count.  The calling thread allocates
- * every thread's scratch, one cache-line-aligned block each: threads
- * that called malloc themselves would each get a fresh glibc arena
- * (more peak memory), and scratch of two threads on one cache line made
- * two threads slower than one.  A thread that cannot start leaves its
- * share to the others.
+ * Threading: a call runs the batch on ``threads`` threads: the calling
+ * thread and ``threads - 1`` pthreads, each claiming the next unclaimed
+ * sim from a shared counter until none are left.  Every pthread is
+ * joined before the call returns, so no thread outlives a call (and a
+ * later ``fork`` is safe).  Claims rather than fixed ranges, because a
+ * helper thread can start late (waking an idle vCPU took 0.2-1.5 ms on
+ * average, up to 5 ms, on a 2-CPU VM): a late helper then claims fewer
+ * sims instead of holding the call back with a fixed half of them.
+ * Sims share nothing and each writes only its own output rows, so the
+ * outputs are the same bytes for any thread count.  The calling thread
+ * allocates every thread's scratch, one cache-line-aligned block each:
+ * threads that called malloc themselves would each get a fresh glibc
+ * arena (more peak memory), and scratch of two threads on one cache
+ * line made two threads slower than one.  A thread that cannot start
+ * leaves its share to the others.
  *
- * Error protocol: both entry points return 0 on success,
- * ``-(sim + 1)`` when an internal invariant broke in ``sim`` (variate
- * underrun, job-slot overflow, a read past a producer's jobs — caller
- * sizing bugs, never expected; across threads the lowest such sim wins,
- * as in a sequential run), or ``ERR_NOMEM`` (positive, so it names no
- * sim) when scratch allocation failed.  LET deadline violations are not
- * errors at this layer: the violating sim stops, its ``viol_out`` row
- * records ``(tid, job, at, deadline)``, and the caller raises the
- * engine-identical ModelError for the lowest violating sim index.
+ * Error protocol: the call returns 0 on success, ``-(sim + 1)`` when an
+ * internal invariant broke in ``sim`` (job-slot overflow, a read past a
+ * producer's jobs — caller sizing bugs, never expected; across threads
+ * the lowest such sim wins, as in a sequential run), or ``ERR_NOMEM``
+ * (positive, so it names no sim) when scratch allocation failed.  LET
+ * deadline violations are not errors at this layer: the violating sim
+ * stops, skips its derive, its ``viol_out`` row records ``(tid, job,
+ * at, deadline)``, and the caller raises the engine-identical
+ * ModelError for the lowest violating sim index.
  */
 
 #include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
-#define REPRO_CKERNEL_ABI 5
+#define REPRO_CKERNEL_ABI 6
 
 /* Return code of a failed scratch allocation. */
 #define ERR_NOMEM 1
@@ -75,6 +87,10 @@
 /* Absorbing "no contribution" stamp: far above any schedule instant,
  * far from int64 overflow under the min/max folds. */
 #define STAMP_NONE ((int64_t)1 << 62)
+
+/* MT19937 state words, and the twist's middle offset. */
+#define MT_N 624
+#define MT_M 397
 
 /* The head release of one stream in a sim's merge heap. */
 typedef struct {
@@ -99,7 +115,6 @@ typedef struct {
     int64_t let_mode;   /* LET semantics: deadline-check each finish */
     int64_t track;      /* implicit + zero-BCET: record cascade depths */
     int64_t max_ranks;  /* columns of rank_tid */
-    int64_t n_draws;    /* variate columns per sim */
     const int64_t *bcet;
     const int64_t *wcet;
     const int64_t *span;     /* wcet - bcet + 1 */
@@ -122,9 +137,9 @@ typedef struct {
     const int64_t *tab;  /* this sim's release tables, NULL = periodic */
     const uint8_t *keep; /* this sim's kept masks (table mode) */
     const int64_t *tlen; /* n: this sim's table lengths (table mode) */
-    int64_t *krel;       /* kept releases per task (LET table mode) */
-    const double *var;   /* n_draws: this sim's U[0,1) variates */
-    int64_t cursor;
+    int64_t *krel;       /* kept releases per task (table mode) */
+    uint32_t *mt;        /* MT_N: this sim's MT19937 state */
+    int64_t mti;         /* next word of mt (MT_N: twist first) */
     Rel *heap;           /* n_grp: release merge heap */
     int64_t h_n;
     int64_t h_seq;
@@ -139,9 +154,9 @@ typedef struct {
     uint8_t *zrun;       /* n_units: running job executes in zero time */
     int32_t *cur_batch;  /* n_units: running job's sub-batch depth */
     int64_t *pend;       /* n: queued job count per task */
-    int64_t *starts;     /* slots: this sim's start row */
-    int64_t *fins;       /* slots: this sim's finish row */
-    int32_t *casc;       /* slots: this sim's cascade-depth row */
+    int64_t *starts;     /* slots: start row */
+    int64_t *fins;       /* slots: finish row */
+    int32_t *casc;       /* slots: cascade-depth row */
     int64_t *rec;        /* n: dispatch count per task (= LET ndisp) */
     int64_t *viol;       /* 4: LET violation (tid, job, at, deadline) */
     int64_t seq;
@@ -151,7 +166,7 @@ typedef struct {
 } Sim;
 
 /* Kept releases of every task, compacted in table order: task t's
- * occupy krel[tab_base[t] ..] and number nkept[t] (if non-NULL). */
+ * occupy krel[tab_base[t] ..] and number nkept[t]. */
 static void compact_kept(int64_t n, const int64_t *tab_base,
                          const int64_t *tab, const uint8_t *keep,
                          const int64_t *tlen, int64_t *krel,
@@ -164,8 +179,7 @@ static void compact_kept(int64_t n, const int64_t *tab_base,
         for (j = 0; j < tlen[t]; j++)
             if (keep[base + j])
                 krel[base + m++] = tab[base + j];
-        if (nkept)
-            nkept[t] = m;
+        nkept[t] = m;
     }
 }
 
@@ -385,6 +399,44 @@ static int check_deadline(Sim *s, int64_t u, int64_t now)
     return 0;
 }
 
+/* CPython's genrand_uint32 (``Modules/_randommodule.c``): the next
+ * tempered word of the sim's MT19937 state, twisting all MT_N words
+ * once they are used up. */
+static uint32_t mt_next(Sim *s)
+{
+    uint32_t *mt = s->mt;
+    uint32_t y;
+    if (s->mti >= MT_N) {
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ ((y & 1U) ? 0x9908b0dfU : 0U);
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^
+                     ((y & 1U) ? 0x9908b0dfU : 0U);
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ ((y & 1U) ? 0x9908b0dfU : 0U);
+        s->mti = 0;
+    }
+    y = mt[s->mti++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= y >> 18;
+    return y;
+}
+
+/* ``random.random()``: a 53-bit double in [0, 1) from two words. */
+static double mt_random(Sim *s)
+{
+    uint32_t a = mt_next(s) >> 5;
+    uint32_t b = mt_next(s) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
 /* Draw tid's execution time and start it on unit u at ``now`` with
  * sub-batch depth nb.  Returns nonzero when the sim must stop. */
 static int dispatch(Sim *s, int64_t u, int32_t tid, int64_t now, int32_t nb)
@@ -393,25 +445,15 @@ static int dispatch(Sim *s, int64_t u, int32_t tid, int64_t now, int32_t nb)
     int64_t e, j, base;
     if (tb->policy_mode == 0) {
         int64_t sp = tb->span[tid];
-        if (sp > 1) {
-            if (s->cursor >= tb->n_draws) {
-                s->err = 2;
-                return 1;
-            }
-            e = tb->bcet[tid] + (int64_t)(s->var[s->cursor++] * (double)sp);
-        } else {
-            e = tb->bcet[tid];
-        }
+        e = tb->bcet[tid];
+        if (sp > 1)
+            e += (int64_t)(mt_random(s) * (double)sp);
     } else if (tb->policy_mode == 1) {
         e = tb->wcet[tid];
     } else if (tb->policy_mode == 2) {
         e = tb->bcet[tid];
     } else {
-        if (s->cursor >= tb->n_draws) {
-            s->err = 2;
-            return 1;
-        }
-        e = s->var[s->cursor++] < 0.5 ? tb->bcet[tid] : tb->wcet[tid];
+        e = mt_random(s) < 0.5 ? tb->bcet[tid] : tb->wcet[tid];
     }
     j = s->rec[tid]++;
     base = tb->job_base[tid];
@@ -460,13 +502,9 @@ static void run_sim(Sim *s, int32_t *touched, int32_t *fin2)
     for (i = 0; i < 4; i++)
         s->viol[i] = -1;
     s->seq = 0;
-    s->cursor = 0;
     s->err = 0;
     s->fin_head = tb->sentinel;
     s->fin_head_u = -1;
-    if (s->tab && tb->let_mode)
-        compact_kept(tb->n, tb->tab_base, s->tab, s->keep, s->tlen,
-                     s->krel, NULL);
     rel_init(s);
 
     for (;;) {
@@ -569,296 +607,12 @@ static void run_sim(Sim *s, int32_t *touched, int32_t *fin2)
     }
 }
 
-/* ------------------------------------------------------------------ */
-/* sims on threads                                                     */
-/* ------------------------------------------------------------------ */
-
-/* Cache line: no two threads' scratch share one (false sharing made
- * two threads slower than one). */
-#define LINE 64
-
-/* One thread of a batch: the first member of every per-thread record,
- * so run_threads can treat them alike (and, line-aligned, so records
- * in one array never share a line). */
-typedef struct {
-    _Alignas(LINE) int64_t *next;  /* the batch's next unclaimed sim */
-    int64_t sims;
-    int64_t rc;      /* 0, or -(sim + 1) of this thread's broken sim */
-    pthread_t tid;
-    int live;        /* tid runs and must be joined */
-    void *raw;       /* this thread's scratch allocation */
-} Thread;
-
-/* The next unclaimed sim of the batch, or -1 once all are claimed.
- * Each thread claims ascending sims and stops at its first broken one,
- * so the lowest broken sim of the batch is the lowest one reported. */
-static int64_t claim(Thread *sp)
-{
-    int64_t i = __atomic_fetch_add(sp->next, 1, __ATOMIC_RELAXED);
-    return i < sp->sims ? i : -1;
-}
-
-/* count elements of size bytes at offset *top of a thread's scratch
- * block at base (NULL while measuring the block); *top moves on to the
- * next cache line.  An absurd count saturates *top, so the block's
- * allocation fails. */
-static void *carve(char *base, size_t *top, int64_t count, size_t size)
-{
-    const size_t cap = SIZE_MAX / 8;
-    size_t at = *top;
-    size_t n = count < 1 ? 1 : (size_t)count;
-    if (n > (cap - at) / size) {
-        *top = cap;
-        return NULL;
-    }
-    *top = at + (n * size + LINE - 1) / LINE * LINE;
-    return base ? base + at : NULL;
-}
-
-/* The first cache-line boundary at or after raw. */
-static char *line_up(void *raw)
-{
-    return (char *)raw + (LINE - (uintptr_t)raw % LINE) % LINE;
-}
-
-/* count zeroed per-thread records of size bytes (a multiple of LINE),
- * each starting with a Thread whose raw gets a scratch block of per
- * bytes (use line_up(raw)).  Every block is its own malloc, so it can
- * reuse freed heap: one block for all threads, or aligned_alloc, kept
- * up to 1.7 MiB more of fig6's peak RSS resident.  NULL when out of
- * memory; release with free_parts(*raw, ...) either way. */
-static void *alloc_parts(int64_t count, size_t size, size_t per,
-                         void **raw)
-{
-    char *parts;
-    int64_t k;
-    *raw = per < SIZE_MAX / 8 ? calloc(1, (size_t)count * size + LINE)
-                              : NULL;
-    if (!*raw)
-        return NULL;
-    parts = line_up(*raw);
-    for (k = 0; k < count; k++) {
-        Thread *sp = (Thread *)(parts + k * size);
-        sp->raw = malloc(per + LINE);
-        if (!sp->raw)
-            return NULL;
-    }
-    return parts;
-}
-
-static void free_parts(void *raw, size_t size, int64_t count)
-{
-    int64_t k;
-    if (!raw)
-        return;
-    for (k = 0; k < count; k++)
-        free(((Thread *)(line_up(raw) + k * size))->raw);
-    free(raw);
-}
-
-/* Run fn once per thread record (count records of size bytes at
- * parts, each starting with a Thread): record 0 in the calling thread,
- * the others on their own threads, each claiming sims until none are
- * left.  Every thread is joined before this returns; the result is the
- * lowest broken sim's code. */
-static int64_t run_threads(void *(*fn)(void *), void *parts, size_t size,
-                           int64_t count, int64_t sims)
-{
-    char *at = parts;
-    int64_t next = 0;
-    int64_t k, rc = 0;
-    for (k = 0; k < count; k++) {
-        Thread *sp = (Thread *)(at + k * size);
-        sp->next = &next;
-        sp->sims = sims;
-        sp->rc = 0;
-        sp->live = k > 0 && pthread_create(&sp->tid, NULL, fn, sp) == 0;
-    }
-    fn(at);
-    for (k = 1; k < count; k++) {
-        Thread *sp = (Thread *)(at + k * size);
-        if (sp->live)
-            pthread_join(sp->tid, NULL);
-    }
-    for (k = 0; k < count; k++) {
-        Thread *sp = (Thread *)(at + k * size);
-        if (sp->rc && (!rc || sp->rc > rc))
-            rc = sp->rc;
-    }
-    return rc;
-}
-
-/* Threads for a batch of sims: at least 1, at most one per sim. */
-static int64_t clamp_threads(int64_t threads, int64_t sims)
-{
-    if (threads > sims)
-        threads = sims;
-    return threads < 1 ? 1 : threads;
-}
-
-int64_t repro_ckernel_abi(void)
-{
-    return REPRO_CKERNEL_ABI;
-}
-
-/* Per-sim rows of a columnar_advance batch. */
-typedef struct {
-    int64_t tab_w;
-    int64_t slots;
-    const double *variates;
-    const int64_t *offsets;
-    const int64_t *tab;
-    const uint8_t *tab_keep;
-    const int64_t *tab_len;
-    int64_t *starts_out;
-    int64_t *fins_out;
-    int32_t *casc_out;
-    int64_t *rec_out;
-    int64_t *viol_out;
-} AdvanceRows;
-
-/* One thread of a columnar_advance batch and its scratch. */
-typedef struct {
-    Thread thread;
-    const AdvanceRows *rows;
-    Sim s;
-    int32_t *touched;
-    int32_t *fin2;
-} AdvancePart;
-
-static void *advance_worker(void *arg)
-{
-    AdvancePart *p = arg;
-    const AdvanceRows *r = p->rows;
-    Sim *s = &p->s;
-    const int64_t n = s->tb->n;
-    int64_t i;
-    while ((i = claim(&p->thread)) >= 0) {
-        s->offs = r->offsets + i * n;
-        if (r->tab) {
-            s->tab = r->tab + i * r->tab_w;
-            s->keep = r->tab_keep + i * r->tab_w;
-            s->tlen = r->tab_len + i * n;
-        }
-        s->var = r->variates + i * s->tb->n_draws;
-        s->starts = r->starts_out + i * r->slots;
-        s->fins = r->fins_out + i * r->slots;
-        s->casc = r->casc_out + i * r->slots;
-        s->rec = r->rec_out + i * n;
-        s->viol = r->viol_out + i * 4;
-        run_sim(s, p->touched, p->fin2);
-        if (s->err == 2) {
-            p->thread.rc = -(i + 1);
-            break;
-        }
-        /* err == 1 (LET violation) is recorded in viol_out; later
-         * sims are independent, so keep advancing — the caller
-         * raises for the lowest violating index. */
-    }
-    return NULL;
-}
-
-/* Point p at its scratch in the block at base (NULL: only measure);
- * returns the block's size. */
-static size_t advance_scratch(AdvancePart *p, char *base, int64_t n,
-                              int64_t n_units, int64_t n_grp, int64_t n_krel)
-{
-    Sim *s = &p->s;
-    size_t top = 0;
-    s->ready = carve(base, &top, n_units, sizeof(uint64_t));
-    s->running = carve(base, &top, n_units, sizeof(int32_t));
-    s->fin_time = carve(base, &top, n_units, sizeof(int64_t));
-    s->fin_seq = carve(base, &top, n_units, sizeof(int64_t));
-    s->zrun = carve(base, &top, n_units, sizeof(uint8_t));
-    s->cur_batch = carve(base, &top, n_units, sizeof(int32_t));
-    s->pend = carve(base, &top, n, sizeof(int64_t));
-    s->heap = carve(base, &top, n_grp + 1, sizeof(Rel));
-    s->tseq = carve(base, &top, n, sizeof(int64_t));
-    s->gmem = carve(base, &top, n, sizeof(int32_t));
-    s->gpos = carve(base, &top, n_grp + 1, sizeof(int64_t));
-    s->grnd = carve(base, &top, n_grp + 1, sizeof(int64_t));
-    s->krel = carve(base, &top, n_krel, sizeof(int64_t));
-    p->touched = carve(base, &top, n + n_units, sizeof(int32_t));
-    p->fin2 = carve(base, &top, n_units, sizeof(int32_t));
-    return top;
-}
-
-int64_t columnar_advance(
-    int64_t sims, int64_t threads,
-    int64_t n, int64_t n_units, int64_t duration,
-    const int64_t *bcet, const int64_t *wcet, const int64_t *span,
-    const int64_t *periods,
-    const int32_t *unit_of, const uint64_t *bit_of,
-    const int32_t *rank_tid, int64_t max_ranks,
-    int64_t policy_mode, int64_t let_mode, int64_t track,
-    const double *variates, int64_t n_draws, /* sims x n_draws */
-    const int64_t *offsets,      /* sims x n */
-    const int64_t *tab,          /* sims x tab_w, NULL = periodic */
-    const uint8_t *tab_keep,     /* sims x tab_w kept masks */
-    const int64_t *tab_len,      /* sims x n table lengths */
-    const int64_t *tab_base,     /* n: first table column per task */
-    int64_t tab_w,
-    int64_t n_grp,               /* release streams */
-    const int64_t *grp_ptr,      /* n_grp + 1 */
-    const int32_t *grp_tid,      /* compute tasks per stream */
-    const int64_t *job_base,     /* n */
-    const int64_t *job_cap,      /* n */
-    int64_t slots,
-    int64_t *starts_out,         /* sims x slots */
-    int64_t *fins_out,           /* sims x slots */
-    int32_t *casc_out,           /* sims x slots */
-    int64_t *rec_out,            /* sims x n */
-    int64_t *viol_out)           /* sims x 4 */
-{
-    const Tables tb = {
-        .n = n, .n_units = n_units, .duration = duration,
-        .sentinel = duration + 1, .policy_mode = policy_mode,
-        .let_mode = let_mode, .track = track, .max_ranks = max_ranks,
-        .n_draws = n_draws, .bcet = bcet, .wcet = wcet, .span = span,
-        .periods = periods, .unit_of = unit_of, .bit_of = bit_of,
-        .rank_tid = rank_tid, .job_base = job_base, .job_cap = job_cap,
-        .tab_base = tab_base, .n_grp = n_grp, .grp_ptr = grp_ptr,
-        .grp_tid = grp_tid,
-    };
-    const AdvanceRows rows = {
-        .tab_w = tab_w, .slots = slots, .variates = variates,
-        .offsets = offsets, .tab = tab, .tab_keep = tab_keep,
-        .tab_len = tab_len, .starts_out = starts_out, .fins_out = fins_out,
-        .casc_out = casc_out, .rec_out = rec_out, .viol_out = viol_out,
-    };
-    int64_t k;
-    const int64_t nt = clamp_threads(threads, sims);
-    const int64_t n_krel = tab ? tab_w : 1;
-    AdvancePart probe;
-    const size_t per = advance_scratch(&probe, NULL, n, n_units, n_grp,
-                                       n_krel);
-    void *raw;
-    AdvancePart *parts = alloc_parts(nt, sizeof(AdvancePart), per, &raw);
-    int64_t rc = ERR_NOMEM;
-
-    if (!parts)
-        goto done;
-    for (k = 0; k < nt; k++) {
-        AdvancePart *p = &parts[k];
-        advance_scratch(p, line_up(p->thread.raw), n, n_units, n_grp, n_krel);
-        p->rows = &rows;
-        p->s.tb = &tb;
-        p->s.tab = NULL;
-        p->s.keep = NULL;
-        p->s.tlen = NULL;
-    }
-    rc = run_threads(advance_worker, parts, sizeof(AdvancePart), nt, sims);
-
-done:
-    free_parts(raw, sizeof(AdvancePart), nt);
-    return rc;
-}
 
 /* ------------------------------------------------------------------ */
 /* derive                                                              */
 /* ------------------------------------------------------------------ */
 
-/* Batch-invariant derive inputs plus one sim's rows. */
+/* Batch-invariant derive inputs plus the thread's rows of one sim. */
 typedef struct {
     int64_t duration;
     int64_t let_mode;
@@ -1053,9 +807,21 @@ static int derive_sim(const Derive *d, int64_t n_order, const int32_t *order,
     return 0;
 }
 
-/* Per-sim rows and batch-invariant walk of a columnar_derive batch. */
+/* ------------------------------------------------------------------ */
+/* sims on threads                                                     */
+/* ------------------------------------------------------------------ */
+
+/* Cache line: no two threads' scratch share one (false sharing made
+ * two threads slower than one). */
+#define LINE 64
+
+/* Words of one sim's key: the MT19937 state and its position. */
+#define KEY_WORDS (MT_N + 1)
+
+/* Per-sim inputs and outputs of a batch, and the derive walk its sims
+ * share. */
 typedef struct {
-    int64_t n;
+    int64_t tab_w;
     int64_t n_order;
     const int32_t *order;
     const int64_t *edge_ptr;
@@ -1065,96 +831,275 @@ typedef struct {
     const int64_t *block;
     int64_t monitored;
     int64_t height;
-    int64_t tab_w;
-    int64_t slots;
+    const uint32_t *keys;
     const int64_t *offsets;
     const int64_t *tab;
     const uint8_t *tab_keep;
     const int64_t *tab_len;
-    const int64_t *starts;
-    const int64_t *fins;
-    const int32_t *casc;
-    const int64_t *rec;
     int64_t *disp_out;
-} DeriveRows;
+    int64_t *fin_out;
+    int64_t *viol_out;
+} Rows;
 
-/* One thread of a columnar_derive batch and its scratch. */
+/* One thread of a batch and its scratch.  Line-aligned, so two
+ * threads' records in one array never share a line. */
 typedef struct {
-    Thread thread;
-    const DeriveRows *rows;
+    _Alignas(LINE) int64_t *next;  /* the batch's next unclaimed sim */
+    int64_t sims;
+    int64_t rc;      /* 0, or -(sim + 1) of this thread's broken sim */
+    pthread_t tid;
+    int live;        /* tid runs and must be joined */
+    void *raw;       /* this thread's scratch allocation */
+    const Rows *rows;
+    Sim s;
     Derive d;
     Stamp *arena;
-    int64_t *krel;
-    int64_t *nkept;
-} DerivePart;
+    int64_t *nkept;  /* n: kept releases per task (table mode) */
+    int32_t *touched;
+    int32_t *fin2;
+} Part;
 
-static void *derive_worker(void *arg)
+/* The next unclaimed sim of the batch, or -1 once all are claimed.
+ * Each thread claims ascending sims and stops at its first broken one,
+ * so the lowest broken sim of the batch is the lowest one reported. */
+static int64_t claim(Part *p)
 {
-    DerivePart *p = arg;
-    const DeriveRows *r = p->rows;
-    Derive *d = &p->d;
-    const int64_t n = r->n, height = r->height, n_src = d->n_src;
-    int64_t i, k, j;
-    while ((i = claim(&p->thread)) >= 0) {
-        int64_t *out = r->disp_out + i * height;
-        int64_t count, rows;
-        const Stamp *blk;
-        d->offs = r->offsets + i * n;
-        d->starts = r->starts + i * r->slots;
-        d->fins = r->fins + i * r->slots;
-        d->casc = r->casc + i * r->slots;
-        d->rec = r->rec + i * n;
-        if (r->tab)
-            compact_kept(n, d->tab_base, r->tab + i * r->tab_w,
-                         r->tab_keep + i * r->tab_w, r->tab_len + i * n,
-                         p->krel, p->nkept);
-        if (derive_sim(d, r->n_order, r->order, r->edge_ptr, r->edge_src,
-                       r->edge_cap, r->src_col, r->block, p->arena)) {
-            p->thread.rc = -(i + 1);
-            break;
-        }
-        /* Monitored column: disparity of each job that completed
-         * within the horizon and read any source, else -1. */
-        count = d->inst[r->monitored] ? released(d, r->monitored)
-                                      : completed(d, r->monitored);
-        rows = job_rows(d, r->monitored);
+    int64_t i = __atomic_fetch_add(p->next, 1, __ATOMIC_RELAXED);
+    return i < p->sims ? i : -1;
+}
+
+/* count elements of size bytes at offset *top of a thread's scratch
+ * block at base (NULL while measuring the block); *top moves on to the
+ * next cache line.  An absurd count saturates *top, so the block's
+ * allocation fails. */
+static void *carve(char *base, size_t *top, int64_t count, size_t size)
+{
+    const size_t cap = SIZE_MAX / 8;
+    size_t at = *top;
+    size_t n = count < 1 ? 1 : (size_t)count;
+    if (n > (cap - at) / size) {
+        *top = cap;
+        return NULL;
+    }
+    *top = at + (n * size + LINE - 1) / LINE * LINE;
+    return base ? base + at : NULL;
+}
+
+/* The first cache-line boundary at or after raw. */
+static char *line_up(void *raw)
+{
+    return (char *)raw + (LINE - (uintptr_t)raw % LINE) % LINE;
+}
+
+/* Point p at its scratch in the block at base (NULL: only measure);
+ * returns the block's size.  The start/finish/cascade and dispatch
+ * rows are the thread's, reused from sim to sim. */
+static size_t scratch(Part *p, char *base, int64_t n, int64_t n_units,
+                      int64_t n_grp, int64_t n_krel, int64_t slots,
+                      int64_t arena_len)
+{
+    Sim *s = &p->s;
+    size_t top = 0;
+    s->ready = carve(base, &top, n_units, sizeof(uint64_t));
+    s->running = carve(base, &top, n_units, sizeof(int32_t));
+    s->fin_time = carve(base, &top, n_units, sizeof(int64_t));
+    s->fin_seq = carve(base, &top, n_units, sizeof(int64_t));
+    s->zrun = carve(base, &top, n_units, sizeof(uint8_t));
+    s->cur_batch = carve(base, &top, n_units, sizeof(int32_t));
+    s->pend = carve(base, &top, n, sizeof(int64_t));
+    s->heap = carve(base, &top, n_grp + 1, sizeof(Rel));
+    s->tseq = carve(base, &top, n, sizeof(int64_t));
+    s->gmem = carve(base, &top, n, sizeof(int32_t));
+    s->gpos = carve(base, &top, n_grp + 1, sizeof(int64_t));
+    s->grnd = carve(base, &top, n_grp + 1, sizeof(int64_t));
+    s->krel = carve(base, &top, n_krel, sizeof(int64_t));
+    s->mt = carve(base, &top, MT_N, sizeof(uint32_t));
+    s->starts = carve(base, &top, slots, sizeof(int64_t));
+    s->fins = carve(base, &top, slots, sizeof(int64_t));
+    s->casc = carve(base, &top, slots, sizeof(int32_t));
+    s->rec = carve(base, &top, n, sizeof(int64_t));
+    p->nkept = carve(base, &top, n, sizeof(int64_t));
+    p->arena = carve(base, &top, arena_len, sizeof(Stamp));
+    p->touched = carve(base, &top, n + n_units, sizeof(int32_t));
+    p->fin2 = carve(base, &top, n_units, sizeof(int32_t));
+    return top;
+}
+
+/* count zeroed thread records, each with a scratch block of per bytes
+ * in raw (use line_up(raw)).  Every block is its own malloc, so it can
+ * reuse freed heap: one block for all threads, or aligned_alloc, kept
+ * up to 1.7 MiB more of fig6's peak RSS resident.  NULL when out of
+ * memory; release with free_parts(*raw, ...) either way. */
+static Part *alloc_parts(int64_t count, size_t per, void **raw)
+{
+    Part *parts;
+    int64_t k;
+    *raw = per < SIZE_MAX / 8 ? calloc(1, (size_t)count * sizeof(Part) + LINE)
+                              : NULL;
+    if (!*raw)
+        return NULL;
+    parts = (Part *)line_up(*raw);
+    for (k = 0; k < count; k++) {
+        parts[k].raw = malloc(per + LINE);
+        if (!parts[k].raw)
+            return NULL;
+    }
+    return parts;
+}
+
+static void free_parts(void *raw, int64_t count)
+{
+    int64_t k;
+    if (!raw)
+        return;
+    for (k = 0; k < count; k++)
+        free(((Part *)line_up(raw))[k].raw);
+    free(raw);
+}
+
+/* Sim i's output rows: the monitored task's per-job disparity (-1 for
+ * a job that read no source or did not complete within the horizon,
+ * and for every job of a sim whose derive was skipped) and its per-job
+ * finish instant (an instantaneous task finishes at release; the
+ * sentinel past the last dispatch or release). */
+static void write_rows(const Part *p, int64_t i, int derived)
+{
+    const Rows *r = p->rows;
+    const Derive *d = &p->d;
+    const int64_t height = r->height, n_src = d->n_src;
+    const int64_t g = r->monitored;
+    const Stamp *blk = p->arena + r->block[g];
+    int64_t *disp = r->disp_out + i * height;
+    int64_t *fin = r->fin_out + i * height;
+    int64_t count = 0, done, k, j;
+    if (derived) {
+        int64_t rows = job_rows(d, g);
+        count = d->inst[g] ? released(d, g) : completed(d, g);
         if (count > rows)
             count = rows;
-        blk = p->arena + r->block[r->monitored];
-        for (k = 0; k < height; k++) {
-            int64_t lo = STAMP_NONE, hi = -STAMP_NONE;
-            if (k < count) {
-                const Stamp *row = blk + k * n_src;
-                for (j = 0; j < n_src; j++) {
-                    if (row[j].lo < lo)
-                        lo = row[j].lo;
-                    if (row[j].hi > hi)
-                        hi = row[j].hi;
-                }
+    }
+    for (k = 0; k < height; k++) {
+        int64_t lo = STAMP_NONE, hi = -STAMP_NONE;
+        if (k < count) {
+            const Stamp *row = blk + k * n_src;
+            for (j = 0; j < n_src; j++) {
+                if (row[j].lo < lo)
+                    lo = row[j].lo;
+                if (row[j].hi > hi)
+                    hi = row[j].hi;
             }
-            out[k] = lo < STAMP_NONE ? hi - lo : -1;
         }
+        disp[k] = lo < STAMP_NONE ? hi - lo : -1;
+    }
+    done = d->inst[g] ? released(d, g) : d->rec[g];
+    for (k = 0; k < height; k++) {
+        if (k >= done)
+            fin[k] = d->duration + 1;
+        else if (d->inst[g])
+            fin[k] = release_at(d, g, k);
+        else
+            fin[k] = d->fins[d->job_base[g] + k];
+    }
+}
+
+/* One thread: claim sims until none are left, each drawn, advanced and
+ * derived in this thread's scratch. */
+static void *replay_worker(void *arg)
+{
+    Part *p = arg;
+    const Rows *r = p->rows;
+    Sim *s = &p->s;
+    Derive *d = &p->d;
+    const int64_t n = s->tb->n;
+    int64_t i;
+    while ((i = claim(p)) >= 0) {
+        s->offs = d->offs = r->offsets + i * n;
+        if (r->tab) {
+            s->tab = r->tab + i * r->tab_w;
+            s->keep = r->tab_keep + i * r->tab_w;
+            s->tlen = r->tab_len + i * n;
+            compact_kept(n, s->tb->tab_base, s->tab, s->keep, s->tlen,
+                         s->krel, p->nkept);
+        }
+        if (r->keys) {
+            const uint32_t *key = r->keys + i * KEY_WORDS;
+            memcpy(s->mt, key, MT_N * sizeof(uint32_t));
+            s->mti = key[MT_N];
+        }
+        s->viol = r->viol_out + i * 4;
+        run_sim(s, p->touched, p->fin2);
+        /* err == 1 (LET violation) is recorded in viol_out and skips
+         * the derive; later sims are independent, so keep going — the
+         * caller raises for the lowest violating index. */
+        if (s->err == 2 ||
+            (s->err == 0 &&
+             derive_sim(d, r->n_order, r->order, r->edge_ptr, r->edge_src,
+                        r->edge_cap, r->src_col, r->block, p->arena))) {
+            p->rc = -(i + 1);
+            break;
+        }
+        write_rows(p, i, s->err == 0);
     }
     return NULL;
 }
 
-/* Point p at its scratch in the block at base (NULL: only measure);
- * returns the block's size. */
-static size_t derive_scratch(DerivePart *p, char *base, int64_t n,
-                             int64_t arena_len, int64_t n_krel)
+/* Run replay_worker once per thread record: record 0 in the calling
+ * thread, the others on their own threads, each claiming sims until
+ * none are left.  Every thread is joined before this returns; the
+ * result is the lowest broken sim's code. */
+static int64_t run_threads(Part *parts, int64_t count, int64_t sims)
 {
-    size_t top = 0;
-    p->arena = carve(base, &top, arena_len, sizeof(Stamp));
-    p->krel = carve(base, &top, n_krel, sizeof(int64_t));
-    p->nkept = carve(base, &top, n, sizeof(int64_t));
-    return top;
+    int64_t next = 0;
+    int64_t k, rc = 0;
+    for (k = 0; k < count; k++) {
+        Part *p = &parts[k];
+        p->next = &next;
+        p->sims = sims;
+        p->rc = 0;
+        p->live = k > 0 &&
+                  pthread_create(&p->tid, NULL, replay_worker, p) == 0;
+    }
+    replay_worker(parts);
+    for (k = 1; k < count; k++)
+        if (parts[k].live)
+            pthread_join(parts[k].tid, NULL);
+    for (k = 0; k < count; k++)
+        if (parts[k].rc && (!rc || parts[k].rc > rc))
+            rc = parts[k].rc;
+    return rc;
 }
 
-int64_t columnar_derive(
-    int64_t sims, int64_t threads,
-    int64_t n, int64_t duration,
-    const int64_t *periods, const uint8_t *inst, const uint8_t *is_source,
+/* Threads for a batch of sims: at least 1, at most one per sim. */
+static int64_t clamp_threads(int64_t threads, int64_t sims)
+{
+    if (threads > sims)
+        threads = sims;
+    return threads < 1 ? 1 : threads;
+}
+
+int64_t repro_ckernel_abi(void)
+{
+    return REPRO_CKERNEL_ABI;
+}
+
+int64_t columnar_replay(
+    int64_t sims, int64_t threads, int64_t policy_mode,
+    /* batch-invariant: one scenario at one horizon */
+    int64_t n, int64_t n_units, int64_t duration,
+    const int64_t *bcet, const int64_t *wcet, const int64_t *span,
+    const int64_t *periods,
+    const int32_t *unit_of, const uint64_t *bit_of,
+    const int32_t *rank_tid, int64_t max_ranks,
     int64_t let_mode, int64_t track,
+    const int64_t *tab_base,     /* n: first table column per task */
+    int64_t tab_w,
+    int64_t n_grp,               /* release streams */
+    const int64_t *grp_ptr,      /* n_grp + 1 */
+    const int32_t *grp_tid,      /* compute tasks per stream */
+    const int64_t *job_base,     /* n */
+    const int64_t *job_cap,      /* n */
+    int64_t slots,
+    const uint8_t *inst, const uint8_t *is_source,
     int64_t n_order, const int32_t *order, /* kept tasks, topological */
     const int64_t *edge_ptr,     /* n + 1: CSR in-edges per task */
     const int32_t *edge_src,     /* producer per in-edge */
@@ -1164,27 +1109,33 @@ int64_t columnar_derive(
     const int64_t *block,        /* n: arena offset of a kept task */
     int64_t arena_len,           /* stamps per sim arena */
     int64_t monitored, int64_t height, /* output rows per sim */
+    /* per sim */
+    const uint32_t *keys,        /* sims x KEY_WORDS, NULL = no draws */
     const int64_t *offsets,      /* sims x n */
     const int64_t *tab,          /* sims x tab_w, NULL = periodic */
-    const uint8_t *tab_keep,     /* sims x tab_w */
-    const int64_t *tab_len,      /* sims x n */
-    const int64_t *tab_base,     /* n */
-    int64_t tab_w,
-    const int64_t *job_base,     /* n */
-    int64_t slots,
-    const int64_t *starts,       /* sims x slots (advance output) */
-    const int64_t *fins,         /* sims x slots */
-    const int32_t *casc,         /* sims x slots */
-    const int64_t *rec,          /* sims x n */
-    int64_t *disp_out)           /* sims x height */
+    const uint8_t *tab_keep,     /* sims x tab_w kept masks */
+    const int64_t *tab_len,      /* sims x n table lengths */
+    int64_t *disp_out,           /* sims x height */
+    int64_t *fin_out,            /* sims x height */
+    int64_t *viol_out)           /* sims x 4 */
 {
-    const DeriveRows rows = {
-        .n = n, .n_order = n_order, .order = order, .edge_ptr = edge_ptr,
-        .edge_src = edge_src, .edge_cap = edge_cap, .src_col = src_col,
-        .block = block, .monitored = monitored, .height = height,
-        .tab_w = tab_w, .slots = slots, .offsets = offsets, .tab = tab,
-        .tab_keep = tab_keep, .tab_len = tab_len, .starts = starts,
-        .fins = fins, .casc = casc, .rec = rec, .disp_out = disp_out,
+    const Tables tb = {
+        .n = n, .n_units = n_units, .duration = duration,
+        .sentinel = duration + 1, .policy_mode = policy_mode,
+        .let_mode = let_mode, .track = track, .max_ranks = max_ranks,
+        .bcet = bcet, .wcet = wcet, .span = span,
+        .periods = periods, .unit_of = unit_of, .bit_of = bit_of,
+        .rank_tid = rank_tid, .job_base = job_base, .job_cap = job_cap,
+        .tab_base = tab_base, .n_grp = n_grp, .grp_ptr = grp_ptr,
+        .grp_tid = grp_tid,
+    };
+    const Rows rows = {
+        .tab_w = tab_w, .n_order = n_order, .order = order,
+        .edge_ptr = edge_ptr, .edge_src = edge_src, .edge_cap = edge_cap,
+        .src_col = src_col, .block = block, .monitored = monitored,
+        .height = height, .keys = keys, .offsets = offsets, .tab = tab,
+        .tab_keep = tab_keep, .tab_len = tab_len, .disp_out = disp_out,
+        .fin_out = fin_out, .viol_out = viol_out,
     };
     const Derive shared = {
         .duration = duration, .let_mode = let_mode, .track = track,
@@ -1194,25 +1145,36 @@ int64_t columnar_derive(
     int64_t k;
     const int64_t nt = clamp_threads(threads, sims);
     const int64_t n_krel = tab ? tab_w : 1;
-    DerivePart probe;
-    const size_t per = derive_scratch(&probe, NULL, n, arena_len, n_krel);
+    Part probe;
+    const size_t per = scratch(&probe, NULL, n, n_units, n_grp, n_krel,
+                               slots, arena_len);
     void *raw;
-    DerivePart *parts = alloc_parts(nt, sizeof(DerivePart), per, &raw);
+    Part *parts = alloc_parts(nt, per, &raw);
     int64_t rc = ERR_NOMEM;
 
     if (!parts)
         goto done;
     for (k = 0; k < nt; k++) {
-        DerivePart *p = &parts[k];
-        derive_scratch(p, line_up(p->thread.raw), n, arena_len, n_krel);
+        Part *p = &parts[k];
+        Sim *s = &p->s;
         p->rows = &rows;
         p->d = shared;
-        p->d.krel = tab ? p->krel : NULL;
+        scratch(p, line_up(p->raw), n, n_units, n_grp, n_krel, slots,
+                arena_len);
+        s->tb = &tb;
+        s->tab = NULL;
+        s->keep = NULL;
+        s->tlen = NULL;
+        p->d.krel = tab ? s->krel : NULL;
         p->d.nkept = p->nkept;
+        p->d.starts = s->starts;
+        p->d.fins = s->fins;
+        p->d.casc = s->casc;
+        p->d.rec = s->rec;
     }
-    rc = run_threads(derive_worker, parts, sizeof(DerivePart), nt, sims);
+    rc = run_threads(parts, nt, sims);
 
 done:
-    free_parts(raw, sizeof(DerivePart), nt);
+    free_parts(raw, nt);
     return rc;
 }

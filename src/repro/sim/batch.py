@@ -20,10 +20,10 @@ The input alone picks the tier — there is no caller option — and
 :attr:`BatchResult.engine` and :attr:`BatchResult.reason` record which
 one ran and why:
 
-* the **columnar** tier (:mod:`repro.sim.columnar`) advances every
-  replication in one C-kernel call and derives their disparities in
-  a second, under implicit and LET semantics, periodic or table-drawn
-  releases and fault plans alike;
+* the **columnar** tier (:mod:`repro.sim.columnar`) draws, advances
+  and derives every replication in one C-kernel call, under implicit
+  and LET semantics, periodic or table-drawn releases and fault plans
+  alike;
 * the per-replication reference :class:`~repro.sim.engine.Simulator`
   runs everything else — duplicate priorities on one unit, offsets
   outside ``[0, T]``, policies the kernel cannot draw, a kernel that
@@ -69,7 +69,10 @@ PolicyLike = Union[str, ExecTimePolicy]
 
 #: Wall-clock accumulators for ``--profile`` reporting: scenario
 #: compilation (batch phase), the per-replication simulator fallback,
-#: and the columnar tier's draw / advance / derive phases.
+#: and the columnar tier's phases: ``draw_s`` the sims' MT19937 keys,
+#: ``advance_s`` the release tables plus the one kernel call that
+#: draws, advances and derives every sim, ``derive_s`` the numpy fold
+#: of its output columns.
 PHASE_TIMES = {
     "compile_s": 0.0,
     "replicate_s": 0.0,
@@ -425,9 +428,9 @@ class CompiledScenario:
         state, semantics and fault plan.
 
         The replications run on the **columnar** batch engine (all
-        replications advanced in one C-kernel call, provenance derived
-        in bulk — requires a batchable named policy and the runtime C
-        kernel) when the scenario is eligible, else on the
+        replications drawn, advanced and derived in one C-kernel call
+        — requires a batchable named policy and the runtime C kernel)
+        when the scenario is eligible, else on the
         per-replication **simulator**; both tiers return identical
         disparities, and the result's ``engine`` and ``reason`` say
         which ran and why.  Every replication's seed/offsets are drawn

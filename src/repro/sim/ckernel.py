@@ -1,7 +1,7 @@
 """Build and bind the columnar kernel (``_ckernel.c``).
 
-The columnar batch engine advances every replication's NP-FP schedule
-and derives its disparities in two calls into a small C kernel,
+The columnar batch engine draws, advances and derives every
+replication of a batch in one call into a small C kernel,
 compiled **on first use** with the host toolchain (``$CC``, else
 ``cc``/``gcc``/``clang``) into a cached shared object — no build-time
 extension, no new dependency.  Loading is strictly best-effort: any
@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 #: ABI stamp; must match ``REPRO_CKERNEL_ABI`` in ``_ckernel.c``.
-ABI_VERSION = 5
+ABI_VERSION = 6
 
 #: Compiler flags of the shared object (hashed into its cache name).
 CFLAGS = ("-O2", "-fPIC", "-shared", "-pthread")
@@ -65,65 +65,45 @@ _I64 = ctypes.c_int64
 _P_I64 = ctypes.POINTER(ctypes.c_int64)
 _P_I32 = ctypes.POINTER(ctypes.c_int32)
 _P_U64 = ctypes.POINTER(ctypes.c_uint64)
-_P_F64 = ctypes.POINTER(ctypes.c_double)
+_P_U32 = ctypes.POINTER(ctypes.c_uint32)
 _P_U8 = ctypes.POINTER(ctypes.c_uint8)
 
-#: ``columnar_advance`` signature (see ``_ckernel.c`` for the layout).
-_ADVANCE_ARGTYPES = [
-    _I64, _I64,                # sims, threads
+#: ``columnar_replay`` signature (see ``_ckernel.c`` for the layout).
+_REPLAY_ARGTYPES = [
+    _I64, _I64, _I64,          # sims, threads, policy_mode
     _I64, _I64, _I64,          # n, n_units, duration
     _P_I64, _P_I64, _P_I64,    # bcet, wcet, span
     _P_I64,                    # periods
     _P_I32, _P_U64,            # unit_of, bit_of
     _P_I32, _I64,              # rank_tid, max_ranks
-    _I64, _I64, _I64,          # policy_mode, let_mode, track
-    _P_F64, _I64,              # variates, n_draws
-    _P_I64,                    # offsets
-    _P_I64, _P_U8, _P_I64,     # tab, tab_keep, tab_len
+    _I64, _I64,                # let_mode, track
     _P_I64, _I64,              # tab_base, tab_w
     _I64, _P_I64, _P_I32,      # n_grp, grp_ptr, grp_tid
     _P_I64, _P_I64, _I64,      # job_base, job_cap, slots
-    _P_I64, _P_I64, _P_I32,    # starts_out, fins_out, casc_out
-    _P_I64, _P_I64,            # rec_out, viol_out
-]
-
-#: ``columnar_derive`` signature (see ``_ckernel.c`` for the layout).
-_DERIVE_ARGTYPES = [
-    _I64, _I64,                # sims, threads
-    _I64, _I64,                # n, duration
-    _P_I64, _P_U8, _P_U8,      # periods, inst, is_source
-    _I64, _I64,                # let_mode, track
+    _P_U8, _P_U8,              # inst, is_source
     _I64, _P_I32,              # n_order, order
     _P_I64, _P_I32, _P_I64,    # edge_ptr, edge_src, edge_cap
     _P_I64, _I64,              # src_col, n_src
     _P_I64, _I64,              # block, arena_len
     _I64, _I64,                # monitored, height
+    _P_U32,                    # keys
     _P_I64,                    # offsets
     _P_I64, _P_U8, _P_I64,     # tab, tab_keep, tab_len
-    _P_I64, _I64,              # tab_base, tab_w
-    _P_I64, _I64,              # job_base, slots
-    _P_I64, _P_I64, _P_I32,    # starts, fins, casc
-    _P_I64,                    # rec
-    _P_I64,                    # disp_out
+    _P_I64, _P_I64, _P_I64,    # disp_out, fin_out, viol_out
 ]
 
 
 class Kernel:
     """A loaded kernel: the ctypes library plus its bound entry points."""
 
-    __slots__ = ("path", "lib", "advance", "derive")
+    __slots__ = ("path", "lib", "replay")
 
     def __init__(self, path: Path, lib: ctypes.CDLL) -> None:
         self.path = path
         self.lib = lib
-        self.advance = _bind(lib.columnar_advance, _ADVANCE_ARGTYPES)
-        self.derive = _bind(lib.columnar_derive, _DERIVE_ARGTYPES)
-
-
-def _bind(func, argtypes):
-    func.argtypes = argtypes
-    func.restype = _I64
-    return func
+        self.replay = lib.columnar_replay
+        self.replay.argtypes = _REPLAY_ARGTYPES
+        self.replay.restype = _I64
 
 
 def _cache_dir() -> Path:

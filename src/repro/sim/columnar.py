@@ -1,33 +1,34 @@
-"""Columnar batch replay: advance and derive a whole batch at once.
+"""Columnar batch replay: draw, advance and derive a whole batch at once.
 
 The fast tier behind :func:`repro.sim.batch.run_batch` (the other is
 the per-replication reference :class:`~repro.sim.engine.Simulator`).
-Instead of one python event loop per replication, this module
-processes the batch as struct-of-arrays in three phases:
+Instead of one python event loop per replication, a batch is one
+``columnar_replay`` call into the runtime-compiled C kernel
+(``_ckernel.c`` via :mod:`repro.sim.ckernel`).  Each kernel thread
+claims a sim and, in its own scratch rows, reused from sim to sim:
 
-* **draw** — every replication's execution-time variates come from one
-  :func:`repro.sim.exec_time.draw_batch` call, bit-for-bit the streams
-  ``random.Random(seed)`` would produce;
-* **advance** — one ``columnar_advance`` call into the runtime-compiled
-  C kernel (``_ckernel.c`` via :mod:`repro.sim.ckernel`) advances
-  every NP-FP schedule.  Each sim merges its own release stream in
-  the kernel: arithmetic for periodic scenarios, else the per-task
-  release tables and fault masks drawn here
-  (:func:`~repro.sim.release.release_table`,
-  :func:`~repro.sim.release.kept_mask`).  It writes ``(sims, slots)``
-  start/finish/cascade columns;
-* **derive** — one ``columnar_derive`` call resolves every read edge
-  of the monitored task's backward closure, folds the per-source
-  ``(min, max)`` stamps per sim and returns the monitored task's
-  per-job disparity column.  Two numpy folds read that column:
-  :func:`run_columnar` takes the per-sim maximum after the warmup
-  (the ``Sim`` estimate), and :func:`run_windowed` buckets it into
-  per-window maxima with a per-row window start and cutoff (the
-  offset search's steady-state probe).
+* **draws** its execution times on demand from CPython's MT19937,
+  seeded from the sim's key (:func:`_keys`:
+  ``random.Random(seed).getstate()``), so the variates are bit for bit
+  the stream ``random.Random(seed).random()`` would produce;
+* **advances** its NP-FP schedule, merging its own release stream:
+  arithmetic for periodic scenarios, else the per-task release tables
+  and fault masks drawn here (:func:`~repro.sim.release.release_table`,
+  :func:`~repro.sim.release.kept_mask`);
+* **derives** it: resolves every read edge of the monitored task's
+  backward closure and folds the per-source ``(min, max)`` stamps.
 
-Both kernel calls split a batch's sims across threads when the batch
-holds at least :data:`SPLIT_MIN_WORK` ``sims * slots`` (:func:`_threads`;
-the count is :func:`repro.sim.ckernel.thread_budget`).  Sims share
+The call writes only the monitored task's ``(sims, height)`` per-job
+disparity and finish columns and the ``(sims, 4)`` LET-violation rows.
+Two numpy folds read the columns: :func:`run_columnar` takes the
+per-sim maximum after the warmup (the ``Sim`` estimate), and
+:func:`run_windowed` buckets them into per-window maxima with a
+per-row window start and cutoff (the offset search's steady-state
+probe).
+
+A call splits a batch's sims across threads when the batch holds at
+least :data:`SPLIT_MIN_WORK` ``sims * slots`` (:func:`_threads`; the
+count is :func:`repro.sim.ckernel.thread_budget`).  Sims share
 nothing, so the outputs are the same bytes for any thread count.
 
 Every step reproduces the simulator exactly: the variate streams are
@@ -41,13 +42,15 @@ event loops.
 
 The batch-invariant kernel inputs (task tables, job-slot layout,
 topological order, in-edges, stamp-block arena) are built once per
-scenario and horizon (:class:`_Plan`), so a batch costs the draws,
-the release tables (table mode only) and two kernel calls.
+scenario and horizon (:class:`_Plan`), so a batch costs the keys, the
+release tables (table mode only) and one kernel call.
 """
 
 from __future__ import annotations
 
+import array
 import ctypes
+import random
 import time as _time
 from collections import deque
 from typing import Dict, List, Sequence, Tuple
@@ -57,14 +60,14 @@ import numpy as _np
 from repro.model.task import ModelError
 from repro.sim import batch as _batch
 from repro.sim import ckernel
-from repro.sim.exec_time import BATCH_POLICY_MODES, draw_batch
+from repro.sim.exec_time import BATCH_POLICY_MODES
 from repro.sim.release import kept_mask, max_jobs, release_table
 from repro.units import Time
 
 #: The C kernel's ready masks are one ``uint64`` per unit.
 MAX_RANKS = 64
 
-#: Smallest batch, in ``sims * slots``, whose kernel calls split their
+#: Smallest batch, in ``sims * slots``, whose kernel call splits its
 #: sims across threads (:func:`repro.sim.ckernel.thread_budget` of
 #: them).  Measured on a 2-CPU VM, kernel time per call split against
 #: one thread: a split costs about 0.05-0.1 ms, so 2-sim calls of
@@ -78,7 +81,7 @@ SPLIT_MIN_WORK = 50_000
 _P_I64 = ctypes.POINTER(ctypes.c_int64)
 _P_I32 = ctypes.POINTER(ctypes.c_int32)
 _P_U64 = ctypes.POINTER(ctypes.c_uint64)
-_P_F64 = ctypes.POINTER(ctypes.c_double)
+_P_U32 = ctypes.POINTER(ctypes.c_uint32)
 _P_U8 = ctypes.POINTER(ctypes.c_uint8)
 
 
@@ -94,8 +97,8 @@ def _pu64(a):
     return a.ctypes.data_as(_P_U64)
 
 
-def _pf64(a):
-    return a.ctypes.data_as(_P_F64)
+def _pu32(a):
+    return a.ctypes.data_as(_P_U32)
 
 
 def _pu8(a):
@@ -109,15 +112,15 @@ def _threads(sims: int, slots: int) -> int:
     return min(ckernel.thread_budget(), sims)
 
 
-def _check(rc: int, phase: str) -> None:
+def _check(rc: int) -> None:
     """Raise the ModelError a nonzero kernel return code stands for."""
     if rc == ckernel.ERR_NOMEM:
         raise ModelError(
-            f"columnar {phase} kernel could not allocate its scratch memory"
+            "columnar replay kernel could not allocate its scratch memory"
         )
     if rc != 0:
         raise ModelError(
-            f"columnar {phase} kernel failed in replication {-rc - 1} "
+            f"columnar replay kernel failed in replication {-rc - 1} "
             f"(internal invariant broke; please report)"
         )
 
@@ -144,7 +147,7 @@ def ineligibility_reasons(compiled, policy) -> List[str]:
         )
     kernel, why = ckernel.load_kernel()
     if kernel is None:
-        reasons.append(f"advance kernel unavailable: {why}")
+        reasons.append(f"replay kernel unavailable: {why}")
     return reasons
 
 
@@ -158,15 +161,36 @@ def run_columnar(
     """Per-replication disparities for ``draws`` ((seed, offsets) pairs).
 
     The columnar equivalent of one simulator run per pair — same
-    values, one batched advance plus one batched derive.  Offsets
-    must lie in ``[0, T]`` (callers draw them in ``[1, T]``).
+    values, one kernel call.  Offsets must lie in ``[0, T]`` (callers
+    draw them in ``[1, T]``).  A sim's value is its disparity column's
+    maximum over ``k >= k0``, the jobs released at or after
+    ``warmup``; an empty range yields 0.
     """
     if not draws:
         return []
     offs = _np.array([offsets for _seed, offsets in draws], dtype=_np.int64)
     plan = _plan(compiled, duration)
-    adv = _advance(compiled, plan, draws, offs, duration, policy)
-    return _derive(compiled, plan, adv, offs, duration, warmup)
+    disp, _fins, _viol, tables = _replay(
+        compiled, plan, draws, offs, duration, policy
+    )
+    t0 = _time.perf_counter()
+    height = plan.height
+    gid = compiled.m_gid
+    if tables is None:
+        off = offs[:, gid]
+        k0 = _np.where(
+            off < warmup, -((off - warmup) // compiled.periods[gid]), 0
+        )
+    else:
+        cols = slice(int(plan.tab_base[gid]), int(plan.tab_base[gid]) + height)
+        k0 = ((tables[0][:, cols] < warmup) & (tables[1][:, cols] > 0)).sum(
+            axis=1
+        )
+    ks = _np.arange(height, dtype=_np.int64)
+    best = _np.where(ks >= k0[:, None], disp, -1).max(axis=1)
+    out = _np.maximum(best, 0)
+    _batch.PHASE_TIMES["derive_s"] += _time.perf_counter() - t0
+    return [int(x) for x in out]
 
 
 def run_windowed(
@@ -213,22 +237,16 @@ def run_windowed(
         )
     offs = _np.array([offsets for _seed, offsets in draws], dtype=_np.int64)
     plan = _plan(compiled, duration)
-    adv = _advance(compiled, plan, draws, offs, duration, policy)
+    disp, fins, _viol, _tables = _replay(
+        compiled, plan, draws, offs, duration, policy
+    )
     t0 = _time.perf_counter()
-    disp = _disparity_column(compiled, plan, adv, offs, duration)
     gid = compiled.m_gid
     rows, height = disp.shape
     ks = _np.arange(height, dtype=_np.int64)
     release = offs[:, gid, None] + ks * compiled.periods[gid]
     start = _np.asarray(starts, dtype=_np.int64)[:, None]
-    cutoff = _np.asarray(cutoffs, dtype=_np.int64)[:, None]
-    if compiled.inst[gid]:
-        done = release <= cutoff
-    else:
-        # Slots past the dispatch count are unwritten, but their
-        # disparity reads -1, so the mask below never keeps them.
-        base = int(plan.job_base[gid])
-        done = adv[1][:, base : base + height] <= cutoff
+    done = fins <= _np.asarray(cutoffs, dtype=_np.int64)[:, None]
     index = (release - start) // window
     keep = (disp >= 0) & (release >= start) & done & (index < count)
     out = _np.zeros((rows, count), dtype=_np.int64)
@@ -311,7 +329,7 @@ class _Plan:
     :func:`repro.sim.release.max_jobs` (``duration // T + 1`` for
     periodic and jittered models, ``duration // min_gap + 1`` for
     sporadic ones) — the one bound the job slots, release-table
-    columns, stamp blocks and variate budgets all agree on.
+    columns and stamp blocks all agree on.
     """
 
     def __init__(self, compiled, duration: Time) -> None:
@@ -396,26 +414,25 @@ def _plan(compiled, duration: Time) -> _Plan:
 
 
 # ----------------------------------------------------------------------
-# phase 1: batched schedule advance
+# per-batch inputs and the kernel call
 # ----------------------------------------------------------------------
 
 
-def _draw_budget(compiled, plan: _Plan, mode: int) -> int:
-    """Offset-independent upper bound on the variates one sim consumes.
+def _keys(draws):
+    """Every sim's ``(sims, 625)`` ``uint32`` MT19937 key.
 
-    Uniform draws once per dispatch of a ``span > 1`` task, extremes
-    once per dispatch of any compute task, WCET/BCET never; dispatches
-    per task are bounded by its job-row bound (fault masks only shrink
-    it).  The kernel's cursor errors out if a sim ever outruns this
-    budget (an invariant, not an input condition).
+    Row ``i`` is ``random.Random(seed).getstate()[1]`` of ``draws[i]``'s
+    seed: the 624 state words and their position, which the kernel
+    steps on demand — so its variates are bit for bit the stream
+    ``random.Random(seed).random()`` yields, for every seed CPython
+    accepts.  The state, not the seed, is the key, so CPython's seeding
+    (``init_by_array`` over the seed's 32-bit words) has no second
+    implementation.
     """
-    if mode in (1, 2):
-        return 0
-    return sum(
-        plan.caps[tid]
-        for tid in range(compiled.n)
-        if not compiled.inst[tid] and (mode != 0 or compiled.spans[tid] > 1)
-    )
+    words = array.array("I")
+    for seed, _offsets in draws:
+        words.extend(random.Random(seed).getstate()[1])
+    return _np.frombuffer(words, dtype=_np.uint32).reshape(len(draws), -1)
 
 
 def _release_tables(compiled, plan: _Plan, draws, duration: Time):
@@ -456,23 +473,17 @@ def _release_tables(compiled, plan: _Plan, draws, duration: Time):
     )
 
 
-def _table_args(tables):
-    """Kernel pointers to the :func:`_release_tables` triple (NULL if none)."""
-    if tables is None:
-        return None, None, None
-    tab, keep, lens = tables
-    return _p64(tab), _pu8(keep), _p64(lens)
+def _replay(compiled, plan: _Plan, draws, offs, duration: Time, policy):
+    """Every sim of ``draws`` drawn, advanced and derived in one call.
 
-
-def _advance(compiled, plan: _Plan, draws, offs, duration: Time, policy):
-    """All replications' recorded schedules, via one kernel call.
-
-    Returns ``(starts, fins, casc, rec, tables)``: ``(sims, slots)``
-    start/finish/cascade columns over the kept compute tasks' job
-    slots (``plan.job_base``/``plan.job_cap`` map task to slot range;
-    only the first ``rec`` slots of a task are written), the
-    ``(sims, n)`` dispatch counts, and in table mode the
-    :func:`_release_tables` triple (``None`` when periodic).
+    Returns ``(disp, fins, viol, tables)``: the monitored task's
+    ``(sims, height)`` per-job disparity column (``-1`` marks a job
+    that read no source or did not complete within the horizon) and
+    finish column (an instantaneous task finishes at release;
+    ``duration + 1`` past the last dispatch), the ``(sims, 4)``
+    LET-violation rows (all ``-1`` once this returns), and in table
+    mode the :func:`_release_tables` triple (``None`` when periodic).
+    WCET and BCET draw nothing, so they pass no keys.
 
     LET deadline violations surface exactly as in the simulator:
     the error of the lowest violating replication index (the first
@@ -481,31 +492,26 @@ def _advance(compiled, plan: _Plan, draws, offs, duration: Time, policy):
     mode = BATCH_POLICY_MODES[policy]
     kernel, why = ckernel.load_kernel()
     if kernel is None:  # pragma: no cover - callers check eligibility
-        raise ModelError(f"columnar advance kernel unavailable: {why}")
+        raise ModelError(f"columnar replay kernel unavailable: {why}")
     sims, n = offs.shape
 
     t0 = _time.perf_counter()
-    n_draws = _draw_budget(compiled, plan, mode)
-    if n_draws:
-        variates = draw_batch([seed for seed, _offs in draws], n_draws)
-    else:
-        variates = _np.zeros((sims, 1), dtype=_np.float64)
+    keys = _keys(draws) if mode in (0, 3) else None
     _batch.PHASE_TIMES["draw_s"] += _time.perf_counter() - t0
 
     t0 = _time.perf_counter()
-    tables = None
+    tables = tab = keep = lens = None
     if compiled._needs_tables:
         tables = _release_tables(compiled, plan, draws, duration)
-    tab, keep, lens = _table_args(tables)
-    width = max(plan.slots, 1)
-    starts = _np.empty((sims, width), dtype=_np.int64)
-    fins = _np.empty((sims, width), dtype=_np.int64)
-    casc = _np.empty((sims, width), dtype=_np.int32)
-    rec = _np.empty((sims, n), dtype=_np.int64)
+        tab, keep, lens = _p64(tables[0]), _pu8(tables[1]), _p64(tables[2])
+    height = plan.height
+    disp = _np.empty((sims, height), dtype=_np.int64)
+    fins = _np.empty((sims, height), dtype=_np.int64)
     viol = _np.empty((sims, 4), dtype=_np.int64)
-    rc = kernel.advance(
+    rc = kernel.replay(
         sims,
         _threads(sims, plan.slots),
+        mode,
         n,
         compiled.n_units,
         duration,
@@ -517,15 +523,8 @@ def _advance(compiled, plan: _Plan, draws, offs, duration: Time, policy):
         _pu64(plan.bit_of),
         _p32(plan.rank_tid),
         plan.max_ranks,
-        mode,
         int(compiled._let),
         int(compiled._track),
-        _pf64(variates),
-        n_draws,
-        _p64(offs),
-        tab,
-        keep,
-        lens,
         _p64(plan.tab_base),
         plan.tab_w,
         plan.n_grp,
@@ -533,53 +532,9 @@ def _advance(compiled, plan: _Plan, draws, offs, duration: Time, policy):
         _p32(plan.grp_tid),
         _p64(plan.job_base),
         _p64(plan.job_cap),
-        width,
-        _p64(starts),
-        _p64(fins),
-        _p32(casc),
-        _p64(rec),
-        _p64(viol),
-    )
-    _batch.PHASE_TIMES["advance_s"] += _time.perf_counter() - t0
-    _check(rc, "advance")
-    if compiled._let:
-        bad = _np.nonzero(viol[:, 0] >= 0)[0]
-        if bad.size:
-            tid, job, at, deadline = (int(x) for x in viol[int(bad[0])])
-            raise ModelError(
-                f"LET violation: job {compiled.names[tid]}#{job} "
-                f"finished at {at} past its deadline {deadline}"
-            )
-    return starts, fins, casc, rec, tables
-
-
-# ----------------------------------------------------------------------
-# phase 2: batched provenance / disparity derivation
-# ----------------------------------------------------------------------
-
-
-def _disparity_column(compiled, plan: _Plan, adv, offs, duration: Time):
-    """The monitored task's ``(sims, height)`` disparity column.
-
-    One ``columnar_derive`` call; ``-1`` marks a job that read no
-    source or did not complete within the horizon.
-    """
-    kernel, _why = ckernel.load_kernel()
-    starts, fins, casc, rec, tables = adv
-    sims, n = offs.shape
-    height = plan.height
-    disp = _np.empty((sims, height), dtype=_np.int64)
-    tab, keep, lens = _table_args(tables)
-    rc = kernel.derive(
-        sims,
-        _threads(sims, plan.slots),
-        n,
-        duration,
-        _p64(plan.periods),
+        plan.slots,
         _pu8(plan.inst),
         _pu8(plan.is_source),
-        int(compiled._let),
-        int(compiled._track),
         len(plan.order),
         _p32(plan.order),
         _p64(plan.edge_ptr),
@@ -591,50 +546,26 @@ def _disparity_column(compiled, plan: _Plan, adv, offs, duration: Time):
         plan.arena,
         compiled.m_gid,
         height,
+        None if keys is None else _pu32(keys),
         _p64(offs),
         tab,
         keep,
         lens,
-        _p64(plan.tab_base),
-        plan.tab_w,
-        _p64(plan.job_base),
-        starts.shape[1],
-        _p64(starts),
-        _p64(fins),
-        _p32(casc),
-        _p64(rec),
         _p64(disp),
+        _p64(fins),
+        _p64(viol),
     )
-    _check(rc, "derive")
-    return disp
-
-
-def _derive(compiled, plan: _Plan, adv, offs, duration: Time, warmup: Time):
-    """Per-sim monitored disparity: the column's maximum after warmup.
-
-    The maximum ranges over ``k >= k0``, the jobs released at or after
-    ``warmup``, and an empty range yields 0.
-    """
-    t0 = _time.perf_counter()
-    disp = _disparity_column(compiled, plan, adv, offs, duration)
-    _starts, _fins, _casc, _rec, tables = adv
-    height = plan.height
-    gid = compiled.m_gid
-    if tables is None:
-        off = offs[:, gid]
-        k0 = _np.where(
-            off < warmup, -((off - warmup) // compiled.periods[gid]), 0
-        )
-    else:
-        cols = slice(int(plan.tab_base[gid]), int(plan.tab_base[gid]) + height)
-        k0 = ((tables[0][:, cols] < warmup) & (tables[1][:, cols] > 0)).sum(
-            axis=1
-        )
-    ks = _np.arange(height, dtype=_np.int64)
-    best = _np.where(ks >= k0[:, None], disp, -1).max(axis=1)
-    out = _np.maximum(best, 0)
-    _batch.PHASE_TIMES["derive_s"] += _time.perf_counter() - t0
-    return [int(x) for x in out]
+    _batch.PHASE_TIMES["advance_s"] += _time.perf_counter() - t0
+    _check(rc)
+    if compiled._let:
+        bad = _np.nonzero(viol[:, 0] >= 0)[0]
+        if bad.size:
+            tid, job, at, deadline = (int(x) for x in viol[int(bad[0])])
+            raise ModelError(
+                f"LET violation: job {compiled.names[tid]}#{job} "
+                f"finished at {at} past its deadline {deadline}"
+            )
+    return disp, fins, viol, tables
 
 
 __all__ = [

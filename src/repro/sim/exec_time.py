@@ -12,9 +12,7 @@ observed disparity closer to the analytical worst case in tests.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Sequence
-
-import numpy as _np
+from typing import Callable, Dict
 
 from repro.model.task import ModelError, Task
 from repro.units import Time
@@ -69,47 +67,20 @@ def per_task_policy(assignments: Dict[str, ExecTimePolicy],
     return policy
 
 
-#: Columnar-kernel encoding of the named policies: how the batched
-#: advance turns one raw U[0,1) variate (or none) into an execution
-#: time.  0 — ``bcet + int(u * span)``, one variate per job of a task
-#: with ``span > 1``; 1/2 — WCET/BCET, no variates; 3 — one variate
-#: per job, ``bcet if u < 0.5 else wcet``.  Policies not listed here
-#: (arbitrary callables, per-task compositions) are not batchable and
-#: keep the per-replication engines.
+#: Columnar-kernel encoding of the named policies: how the kernel
+#: turns one ``random()`` variate of the sim's own MT19937 stream (or
+#: none) into an execution time.  0 — ``bcet + int(u * span)``, one
+#: variate per job of a task with ``span > 1``; 1/2 — WCET/BCET, no
+#: variates; 3 — one variate per job, ``bcet if u < 0.5 else wcet``.
+#: Policies not listed here (arbitrary callables, per-task
+#: compositions) are not batchable and keep the per-replication
+#: engines.
 BATCH_POLICY_MODES: Dict[ExecTimePolicy, int] = {
     uniform_policy: 0,
     wcet_policy: 1,
     bcet_policy: 2,
     extremes_policy: 3,
 }
-
-
-def draw_batch(seeds: Sequence[int], count: int):
-    """Raw U[0,1) variates for a batch, one RNG stream per sim.
-
-    Returns a ``(len(seeds), count)`` float64 ndarray whose row ``i``
-    is **bit-for-bit** the stream ``random.Random(seeds[i]).random()``
-    would yield over ``count`` calls — the contract that keeps the
-    columnar batch engine byte-identical to the per-replication loops.
-
-    CPython and numpy both drive MT19937 but seed it differently
-    (``init_by_array`` vs ``init_genrand``), so seeding a
-    ``RandomState`` with the same integer diverges immediately.
-    Instead the CPython generator's key is injected as raw state:
-    ``random.Random(seed).getstate()`` exposes the 624-word vector and
-    position, ``RandomState.set_state`` accepts them verbatim, and
-    both sides then derive each double from two 32-bit draws the same
-    way (53-bit ``(a >> 5) * 2**26 + (b >> 6)) / 2**53``).
-    """
-    out = _np.empty((len(seeds), count), dtype=_np.float64)
-    state = _np.random.RandomState()
-    for i, seed in enumerate(seeds):
-        key = random.Random(seed).getstate()[1]
-        state.set_state(
-            ("MT19937", _np.asarray(key[:624], dtype=_np.uint32), key[624])
-        )
-        out[i] = state.random_sample(count)
-    return out
 
 
 _NAMED: Dict[str, ExecTimePolicy] = {

@@ -44,9 +44,16 @@ from repro.model.task import ModelError
 from repro.sim import ckernel, columnar
 from repro.sim.batch import CompiledScenario, run_batch
 from repro.sim.engine import Simulator
-from repro.sim.exec_time import named_policy, per_task_policy, wcet_policy
+from repro.sim.exec_time import (
+    extremes_policy,
+    named_policy,
+    per_task_policy,
+    uniform_policy,
+    wcet_policy,
+)
 from tests.tiers import (
     THREAD_COUNTS,
+    assert_provenance_matches,
     assert_split_invariant,
     assert_tiers_match,
     batch_draws,
@@ -54,6 +61,7 @@ from tests.tiers import (
     fused_tasks,
     kernel_bytes,
     kernel_threads,
+    random_system,
     simulator_disparities,
 )
 
@@ -223,7 +231,8 @@ def test_columnar_matches_simulator_buffered(
 def test_split_is_byte_identical_across_thread_counts(
     seed, n_tasks, sims, semantics, zero_bcet
 ):
-    """1, 2 and 3 threads write the same bytes, ``sims < threads`` too."""
+    """1, 2 and 3 threads write the same bytes — the disparity and
+    finish columns and the violation rows — ``sims < threads`` too."""
     system = buffered_system(seed, n_tasks)
     if zero_bcet:
         system = _zero_bcet(system)
@@ -236,6 +245,28 @@ def test_split_is_byte_identical_across_thread_counts(
         seed=seed,
         semantics=semantics,
     )
+
+
+@pytest.mark.parametrize("semantics", ["implicit", "let"])
+@pytest.mark.parametrize(
+    "policy", [uniform_policy, extremes_policy], ids=["uniform", "extremes"]
+)
+@pytest.mark.parametrize("seed", [2**32, 2**63 - 1, 2**100, -7])
+def test_kernel_rng_follows_multi_word_keys(seed, policy, semantics):
+    """Seeds past one 32-bit word, and a negative one, seed CPython's
+    MT19937 from a multi-word key; the kernel's in-place stream must
+    stay the simulator's, job by job and through
+    ``CompiledScenario.disparity``.  The system's sink column changes
+    with the implicit draws (a key cut to its low word changes it at
+    all eight seed and policy pairs); LET data flow ignores execution
+    times, so there the draws meet only the deadline checks."""
+    system = random_system(25, 10)
+    duration = 3 * max(task.period for task in system.graph.tasks)
+    for task in system.graph.sinks():
+        assert_provenance_matches(
+            system, task, seed=seed, duration=duration, policy=policy,
+            semantics=semantics,
+        )
 
 
 @needs_columnar
@@ -295,22 +326,26 @@ def _first_error(system, draws, duration, **kwargs):
 @needs_columnar
 def test_split_reports_the_lowest_let_violation():
     """Sims 3 and 5 of 6 miss deadlines at different instants; every
-    thread count reports sim 3's, as the sequential simulator does."""
+    thread count reports sim 3's, as the sequential simulator does.
+    A violating sim skips its derive without a kernel error (which the
+    replay would raise ahead of any LET violation); under ``uniform``
+    the sims also carry their MT19937 keys."""
     from repro.units import ms
 
     system = _blocked_reader()
     late = {0: 0, 3: ms(1) + ms(1) // 2, 5: ms(1)}
     draws = [(s, (0, 0, late.get(s, 0))) for s in range(6)]
     duration = ms(100)
-    expected = _first_error(
-        system, draws, duration, policy=wcet_policy, semantics="let"
-    )
-    assert "late#0" in expected
     compiled = CompiledScenario(system, "late", semantics="let")
-    for threads in THREAD_COUNTS:
-        with kernel_threads(threads), pytest.raises(ModelError) as err:
-            columnar.run_columnar(compiled, draws, duration, 0, wcet_policy)
-        assert str(err.value) == expected, threads
+    for policy in (wcet_policy, uniform_policy):
+        expected = _first_error(
+            system, draws, duration, policy=policy, semantics="let"
+        )
+        assert "late#0" in expected
+        for threads in THREAD_COUNTS:
+            with kernel_threads(threads), pytest.raises(ModelError) as err:
+                columnar.run_columnar(compiled, draws, duration, 0, policy)
+            assert str(err.value) == expected, (policy, threads)
 
 
 @needs_columnar
@@ -330,7 +365,7 @@ def test_split_reports_the_lowest_broken_sim():
         with kernel_threads(threads), pytest.raises(
             ModelError, match=r"failed in replication 3 \(internal invariant"
         ):
-            columnar._advance(compiled, plan, draws, offs, duration, wcet_policy)
+            columnar._replay(compiled, plan, draws, offs, duration, wcet_policy)
 
 
 @needs_columnar
@@ -344,11 +379,10 @@ def test_failed_scratch_allocation_is_reported_as_such():
     plan = columnar._Plan(compiled, duration)
     draws = [(1, (0, 0, 0)), (2, (0, 0, ms(5)))]
     offs = np.array([offsets for _seed, offsets in draws], dtype=np.int64)
-    adv = columnar._advance(compiled, plan, draws, offs, duration, wcet_policy)
     plan.arena = 2**62  # stamps per sim: no allocator can serve it
-    for threads in (1, 2):
+    for threads in THREAD_COUNTS:
         with kernel_threads(threads), pytest.raises(ModelError) as err:
-            columnar._disparity_column(compiled, plan, adv, offs, duration)
+            columnar._replay(compiled, plan, draws, offs, duration, wcet_policy)
         assert "could not allocate its scratch memory" in str(err.value)
         assert "replication" not in str(err.value)
 
@@ -543,7 +577,7 @@ def test_no_ckernel_falls_back_to_simulator(monkeypatch):
         policy="uniform",
     )
     assert result.engine == "simulator"
-    assert "advance kernel unavailable: cc missing" in (result.reason or "")
+    assert "replay kernel unavailable: cc missing" in (result.reason or "")
     assert result.disparities == reference
 
 

@@ -244,15 +244,16 @@ def columnar_job_disparities(
 ) -> List[int]:
     """The kernel's per-job disparity column of the monitored task.
 
-    One row, advanced and derived exactly as :func:`run_columnar` does
-    before its warmup fold: entry ``k`` is job ``k``'s disparity, or
-    ``-1`` when it read no source or did not complete in the horizon.
+    One row, replayed exactly as :func:`run_columnar` does before its
+    warmup fold: entry ``k`` is job ``k``'s disparity, or ``-1`` when
+    it read no source or did not complete in the horizon.
     """
     draws = [(seed, offsets)]
     offs = np.array([offsets], dtype=np.int64)
     plan = columnar._plan(compiled, duration)
-    adv = columnar._advance(compiled, plan, draws, offs, duration, policy)
-    disp = columnar._disparity_column(compiled, plan, adv, offs, duration)
+    disp, _fins, _viol, _tables = columnar._replay(
+        compiled, plan, draws, offs, duration, policy
+    )
     return disp[0].tolist()
 
 
@@ -364,21 +365,15 @@ def kernel_bytes(
 ) -> Tuple[bytes, ...]:
     """Every byte the kernel writes for ``draws``.
 
-    The written start/finish/cascade slots (a task's first ``rec``
-    slots), the dispatch counts and the monitored disparity column.
+    The monitored task's disparity and finish columns, and the
+    LET-violation rows (all ``-1`` when no sim missed a deadline).
     """
     offs = np.array([offsets for _seed, offsets in draws], dtype=np.int64)
     plan = columnar._plan(compiled, duration)
-    adv = columnar._advance(compiled, plan, draws, offs, duration, policy)
-    disp = columnar._disparity_column(compiled, plan, adv, offs, duration)
-    starts, fins, casc, rec, _tables = adv
-    tid_of = np.repeat(np.arange(compiled.n), plan.job_cap)
-    written = np.arange(plan.slots) - plan.job_base[tid_of] < rec[:, tid_of]
-    slots = tuple(
-        column[:, : plan.slots][written].tobytes()
-        for column in (starts, fins, casc)
+    disp, fins, viol, _tables = columnar._replay(
+        compiled, plan, draws, offs, duration, policy
     )
-    return slots + (rec.tobytes(), disp.tobytes())
+    return disp.tobytes(), fins.tobytes(), viol.tobytes()
 
 
 def assert_split_invariant(
