@@ -3,11 +3,13 @@
 The paper's full-fidelity setup (``PAPER_*``) simulates each graph ten
 times with random offsets for ten simulated minutes, ten graphs per
 point, with the number of tasks sweeping [5, 35] (a/b) and the tasks
-per chain sweeping [5, 30] (c/d).  That is hours of pure-Python event
-simulation, so the default configurations (``DEFAULT_*``) scale the
-horizon and the replication down while keeping every qualitative shape
-(see EXPERIMENTS.md for both); ``SMOKE_*`` are the few-second variants
-run inside the test and benchmark suites.
+per chain sweeping [5, 30] (c/d).  ``repro fig6 --preset paper --jobs
+2`` took 16 minutes on a 2-CPU VM (part ab 240 s, part cd 722 s, over
+99% of the busy time in simulation), so the default configurations
+(``DEFAULT_*``) scale the horizon and the replication down while
+keeping every qualitative shape (see EXPERIMENTS.md for both);
+``SMOKE_*`` are the few-second variants run inside the test and
+benchmark suites.
 """
 
 from __future__ import annotations

@@ -37,16 +37,22 @@ class System:
     ) -> "System":
         """Validate ``graph`` and pre-compute response times.
 
+        Validation's schedulability check already analyzes under NP-FP,
+        so a validated NP-FP build reuses that table.
         ``preemptive=True`` analyzes under preemptive FP instead (an
         extension; the paper's Lemma 4 is specific to non-preemptive
         scheduling, and the backward-time analysis rejects preemptive
         systems unless explicitly asked to use scheduler-agnostic
-        bounds).
+        bounds).  Validation still checks ``R <= T`` under NP-FP then,
+        the paper's standing assumption.
         """
+        table = None
         if validate:
             report = validate_system(graph)
             report.raise_if_failed()
-        table = analyze_all(graph.tasks, preemptive=preemptive)
+            table = report.response_times
+        if preemptive or table is None:
+            table = analyze_all(graph.tasks, preemptive=preemptive)
         return cls(graph=graph, response_times=table)
 
     # ------------------------------------------------------------------

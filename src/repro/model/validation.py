@@ -16,11 +16,15 @@ analysis:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 from repro.model.graph import CauseEffectGraph
 from repro.model.task import ModelError
-from repro.sched.response_time import SchedulabilityError, analyze_all
+from repro.sched.response_time import (
+    ResponseTimeTable,
+    SchedulabilityError,
+    analyze_all,
+)
 
 
 @dataclass
@@ -29,6 +33,9 @@ class ValidationReport:
 
     errors: List[str] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
+    #: The NP-FP response-time table the schedulability check computed
+    #: (``None`` when that check did not run or failed).
+    response_times: Optional[ResponseTimeTable] = None
 
     @property
     def ok(self) -> bool:
@@ -108,7 +115,7 @@ def validate_schedulability(graph: CauseEffectGraph) -> ValidationReport:
     """Check the paper's standing assumption ``R(tau) <= T(tau)``."""
     report = ValidationReport()
     try:
-        analyze_all(graph.tasks)
+        report.response_times = analyze_all(graph.tasks)
     except SchedulabilityError as exc:
         report.errors.append(str(exc))
     except ModelError as exc:
@@ -123,6 +130,7 @@ def validate_system(graph: CauseEffectGraph) -> ValidationReport:
         partial = stage(graph)
         combined.errors.extend(partial.errors)
         combined.warnings.extend(partial.warnings)
+        combined.response_times = partial.response_times
         if partial.errors and stage is not validate_schedulability:
             # Scheduling analysis requires a well-formed deployment;
             # stop early to avoid cascading errors.

@@ -14,12 +14,17 @@ repro.parallel.worker``; remote machines get the equivalent ready-to-run
 spec-file path to an idle worker's stdin, then watches the shard's
 append-only JSONL file for **liveness**: progress is new complete
 records, seen through a torn-tail-tolerant
-:class:`~repro.parallel.checkpoint.JsonlTail`.  A finished shard leaves
-its worker idle for the next one.  A shard whose file stops growing
-past ``heartbeat_timeout`` seconds — or whose workers exit without
-covering its ordinals — is declared dead, their process groups are
-killed, and it is **re-issued** with exponential backoff under a
-bounded retry budget.  The shard file doubles as its resume log, so a
+:class:`~repro.parallel.checkpoint.JsonlTail`.  The coordinator is
+event-driven: it sleeps in ``select`` on the busy workers' stdout
+pipes until one of them writes (a worker acks each finished spec with
+one line) or reaches EOF (the worker died), or until the next deadline
+(a heartbeat or a re-issue backoff), and never longer than ``poll_s``.
+A finished shard leaves its worker idle, and a pending shard goes to it
+in the same pass.  A shard whose file stops growing past
+``heartbeat_timeout`` seconds — or whose workers exit without covering
+its ordinals — is declared dead, their process groups are killed, and
+it is **re-issued** with exponential backoff under a bounded retry
+budget.  The shard file doubles as its resume log, so a
 re-issued worker skips every recorded graph: completed work is never
 recomputed, no matter how many times a worker dies.
 
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import signal
 import subprocess
 import sys
@@ -345,7 +351,7 @@ class ClusterReport:
 
 @dataclass
 class ClusterStatus:
-    """Live snapshot handed to the ``heartbeat`` hook every poll."""
+    """Live snapshot handed to the ``heartbeat`` hook every wake."""
 
     shard_count: int
     done: int
@@ -418,14 +424,17 @@ def run_cluster(
         max_retries: Re-issues allowed per shard after its first issue.
         backoff_s: Base of the exponential re-issue backoff
             (``backoff_s * 2**(deaths-1)`` seconds).
-        poll_s: Coordinator poll interval.
+        poll_s: Longest coordinator sleep.  The coordinator wakes at
+            once on a worker's ack or death, and at heartbeat and
+            backoff deadlines; ``poll_s`` only bounds how stale shard
+            progress, row lines and the ``heartbeat`` hook can get.
         allow_missing: On retry exhaustion, degrade to partial rows
             plus a coverage report instead of raising
             :class:`ClusterError`.
         progress: Optional line sink (row lines exactly like a serial
             campaign, plus lifecycle lines).
         heartbeat: Optional hook observing a :class:`ClusterStatus`
-            snapshot after every poll (feeds the CLI status line).
+            snapshot after every wake (feeds the CLI status line).
         faults: Optional fault plan per shard index (the test layer).
     """
     resolved = get_part(part)
@@ -467,8 +476,8 @@ def run_cluster(
                 [sys.executable, "-m", "repro.parallel.worker"],
                 stdin=subprocess.PIPE,
                 bufsize=0,  # a path is one write, never a buffered flush
-                stdout=log,
-                stderr=subprocess.STDOUT,
+                stdout=subprocess.PIPE,  # one ack line per finished spec
+                stderr=log,
                 # Own process group, so a kill reaches the worker's
                 # --jobs pool children too.
                 start_new_session=True,
@@ -562,19 +571,36 @@ def run_cluster(
             f"{state.deaths} in {delay:.1f}s"
         )
 
+    def wait() -> None:
+        # Sleep until a busy worker's stdout turns readable (an ack, or
+        # EOF when it dies) or the next heartbeat or backoff deadline
+        # falls due, and never longer than poll_s.
+        now = time.perf_counter()
+        deadline = now + poll_s
+        pipes = {}
+        for state in states:
+            if state.status == "running":
+                deadline = min(
+                    deadline, state.last_progress + heartbeat_timeout
+                )
+                for proc in state.procs:
+                    if proc.returncode is None:
+                        pipes[proc.stdout] = proc
+            elif state.status == "pending" and state.next_eligible > now:
+                deadline = min(deadline, state.next_eligible)
+        readable, _, _ = select.select(
+            list(pipes), [], [], max(0.0, deadline - now)
+        )
+        for pipe in readable:
+            if not os.read(pipe.fileno(), 4096):
+                kill([pipes[pipe]])  # EOF: the worker is gone, reap it
+
     started = time.perf_counter()
     try:
         while True:
             now = time.perf_counter()
-            running = sum(1 for s in states if s.status == "running")
-            for state in states:
-                if (
-                    state.status == "pending"
-                    and running < workers_n
-                    and now >= state.next_eligible
-                ):
-                    issue(state, now)
-                    running += 1
+            # Settle first, so a worker freed in this pass takes a
+            # pending shard in this pass too.
             for state in states:
                 if state.status != "running":
                     continue
@@ -607,6 +633,15 @@ def run_cluster(
                         f"no new records for {heartbeat_timeout:.1f}s",
                         now,
                     )
+            running = sum(1 for s in states if s.status == "running")
+            for state in states:
+                if (
+                    state.status == "pending"
+                    and running < workers_n
+                    and now >= state.next_eligible
+                ):
+                    issue(state, now)
+                    running += 1
             if heartbeat is not None:
                 heartbeat(
                     ClusterStatus(
@@ -632,9 +667,11 @@ def run_cluster(
                 state.status in ("pending", "running") for state in states
             ):
                 break  # only failed shards left (allow_missing path)
-            time.sleep(poll_s)
+            wait()
     finally:
         kill([proc for proc in pool if proc.returncode is None])
+        for proc in pool:
+            proc.stdout.close()
 
     partial_rows = 0
     if not merger.done:

@@ -9,6 +9,11 @@ module-level functions), the config, the shard spec, the output path,
 the per-worker ``jobs`` count, its kernel ``threads``, and an optional
 :class:`~repro.parallel.cluster.ClusterFault`.
 
+Once a spec's shard is done the worker acks it by writing the spec path
+as one line to stdout; its log is stderr.  The ack only wakes the
+coordinator, which still reads what was done from the shard file, and
+EOF on stdout tells the coordinator the worker died.
+
 A worker is deliberately nothing more than :func:`run_shard` plus the
 fault-injection layer: all coordination (liveness, retry, merge) lives
 on the coordinator side, reading the shard's append-only JSONL file.
@@ -88,13 +93,16 @@ def run_spec(path: str) -> int:
 
 
 def main(argv=None) -> int:
-    """Run every spec path read from stdin (one per line) until EOF."""
+    """Run every spec path read from stdin (one per line) until EOF,
+    acking each on stdout once its shard is done."""
     argv = sys.argv[1:] if argv is None else argv
     if argv:
         print("usage: python -m repro.parallel.worker < PATHS", file=sys.stderr)
         return 2
     for line in sys.stdin:
-        run_spec(line.strip())
+        path = line.strip()
+        run_spec(path)
+        print(path, flush=True)
     return 0
 
 

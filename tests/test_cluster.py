@@ -348,6 +348,63 @@ class TestFaultInjection:
         assert all(s.attempts == 1 for s in report.shards)
 
 
+class TestEventDrivenCoordinator:
+    """The coordinator wakes on worker acks, deaths and deadlines.
+
+    Each run sets ``poll_s`` far above what the run needs, so a
+    coordinator that slept ``poll_s`` between checks would fail the
+    time bound.
+    """
+
+    def test_hand_off_does_not_wait_for_poll(self, baselines, tmp_path):
+        # One worker serves four shards back to back: each ack wakes
+        # the coordinator, which hands the next shard over at once.
+        started = time.perf_counter()
+        rows, report = run_cluster(
+            AB_PART, CONFIGS["wide"], shards=4, workers=1,
+            out_dir=str(tmp_path), heartbeat_timeout=30.0, poll_s=5.0,
+        )
+        assert time.perf_counter() - started < 5.0
+        assert report.launches == 1
+        assert AB_PART.to_csv(rows) == baselines["wide"]["csv"]
+
+    def test_death_reissued_without_waiting_for_poll(
+        self, baselines, tmp_path
+    ):
+        # The dying worker's stdout reaches EOF; the coordinator sees it
+        # at once and re-issues after the 0.1 s backoff.
+        started = time.perf_counter()
+        rows, report = run_cluster(
+            AB_PART, CONFIGS["implicit"], shards=2, workers=2,
+            out_dir=str(tmp_path),
+            faults={0: ClusterFault(die_after_records=1)},
+            heartbeat_timeout=30.0, poll_s=10.0, backoff_s=0.1,
+        )
+        assert time.perf_counter() - started < 5.0
+        assert report.deaths == 1 and report.shards[0].attempts == 2
+        assert AB_PART.to_csv(rows) == baselines["implicit"]["csv"]
+
+    def test_stall_declared_dead_at_the_heartbeat_deadline(
+        self, baselines, tmp_path
+    ):
+        # The stalled worker neither acks nor exits: only the heartbeat
+        # deadline wakes the coordinator, about a second after the
+        # worker's last record, not after poll_s.
+        lines = []
+        rows, report = run_cluster(
+            AB_PART, CONFIGS["implicit"], shards=2, workers=2,
+            out_dir=str(tmp_path),
+            faults={0: ClusterFault(stall_after_records=1)},
+            heartbeat_timeout=1.0, poll_s=30.0, backoff_s=0.1,
+            progress=lambda line: lines.append((time.perf_counter(), line)),
+        )
+        issued = next(t for t, line in lines if "0/2: issued" in line)
+        dead = next(t for t, line in lines if "0/2: dead" in line)
+        assert 1.0 <= dead - issued < 5.0
+        assert report.deaths == 1 and report.complete
+        assert AB_PART.to_csv(rows) == baselines["implicit"]["csv"]
+
+
 class TestWorkerSpec:
     def test_spec_round_trip(self, tmp_path):
         spec = tmp_path / "w.spec.pkl"
@@ -412,10 +469,13 @@ class TestWorkerSpec:
         assert specs
         assert [load_spec(str(p))["threads"] for p in specs] == [2] * len(specs)
 
-    def test_main_runs_each_spec_line_until_eof(self, tmp_path, monkeypatch):
+    def test_main_runs_each_spec_line_until_eof(
+        self, tmp_path, monkeypatch, capsys
+    ):
         # One worker runs several specs; a fault plan is scoped to its
         # own spec (here it never fires: shard 0/2 has two records),
         # and JsonlLog.append is restored before the next spec runs.
+        # Each finished spec is acked as its path on stdout.
         lines = []
         for index in range(2):
             spec = tmp_path / f"w{index}.spec.pkl"
@@ -428,6 +488,7 @@ class TestWorkerSpec:
             lines.append(f"{spec}\n")
         monkeypatch.setattr(sys, "stdin", io.StringIO("".join(lines)))
         assert worker_main([]) == 0
+        assert capsys.readouterr().out == "".join(lines)
         assert JsonlLog.append is ORIGINAL_APPEND
         for index, owned in ((0, [0, 2]), (1, [1, 3])):
             text = (tmp_path / f"s{index}.jsonl").read_text()

@@ -1,6 +1,9 @@
 """Tests for the random graph generators."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -178,3 +181,21 @@ class TestNetworkxInterop:
         for name in graph.task_names:
             assert back.task(name).period == graph.task(name).period
             assert back.task(name).ecu == graph.task(name).ecu
+
+
+def test_runtime_imports_leave_networkx_out():
+    # networkx is imported only by the gnm generator and the interop
+    # helpers; campaigns, cluster workers and the replay never pay for
+    # it.  A fresh interpreter, since this one imported it already.
+    code = (
+        "import sys\n"
+        "import repro, repro.experiments.fig6, repro.parallel.cluster\n"
+        "import repro.parallel.worker, repro.sim.columnar\n"
+        "print([m for m in sys.modules if m.startswith('networkx')])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    ).stdout
+    assert out.strip() == "[]"

@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.model.system
+import repro.model.validation
 from repro.model.graph import CauseEffectGraph
 from repro.model.system import System
 from repro.model.task import ModelError, Task, source_task
@@ -139,3 +141,34 @@ class TestValidation:
         graph.add_task(Task("s", ms(10), us(1), us(1), ecu="e", priority=0))
         system = System.build(graph, validate=False)
         assert system.R("s") == us(1)
+
+
+class TestResponseTimeReuse:
+    @pytest.fixture
+    def analyze_calls(self, monkeypatch):
+        """Count ``analyze_all`` calls from validation and ``System``."""
+        calls = []
+        real = repro.model.system.analyze_all
+
+        def counted(tasks, *, preemptive=False):
+            calls.append(preemptive)
+            return real(tasks, preemptive=preemptive)
+
+        for module in (repro.model.system, repro.model.validation):
+            monkeypatch.setattr(module, "analyze_all", counted)
+        return calls
+
+    def test_np_build_analyzes_once(self, diamond_graph, analyze_calls):
+        # The schedulability check's NP-FP table is the system's table.
+        system = System.build(diamond_graph)
+        assert analyze_calls == [False]
+        assert system.response_times == validate_system(
+            diamond_graph
+        ).response_times
+
+    def test_preemptive_build_validates_under_np_fp(
+        self, diamond_graph, analyze_calls
+    ):
+        # Validation checks R <= T under NP-FP; the table is P-FP's.
+        System.build(diamond_graph, preemptive=True)
+        assert analyze_calls == [False, True]
