@@ -12,30 +12,61 @@
  * 53-bit double, so the stream is bit for bit ``rng.random()``'s.
  *
  * advance — ``run_sim`` is a C transliteration of the simulator's event
- * loop (``Simulator`` in ``repro/sim/engine.py``).  Each sim merges its
- * compute tasks' releases in place, with the simulator's ``(time,
- * seq)`` heap discipline: initial entries in task order, and a
- * successor entered (with a fresh sequence number) when its
- * predecessor pops.  Periodic tasks generate ``offset + k * T`` on the
- * fly; in table mode (jitter, sporadic or a fault plan) the caller
- * passes each sim's drawn release tables and kept masks, and
- * suppressed releases are filtered at pop.  The simulator's finish
- * *heap* becomes a per-unit ``(fin_time, fin_seq)`` pair plus a
- * sentinel-aware min scan (``rehead``): the heap never holds more than
- * one live entry per unit, so the scan is O(n_units) and reproduces
- * the heap's pop order exactly.  Recorded per kept job, into the
- * thread's start/finish/cascade rows (``slots`` long, reused from sim
- * to sim): start, finish and (zero-BCET implicit scenarios) the
- * same-instant cascade depth.
+ * loop (``Simulator`` in ``repro/sim/engine.py``).  It takes each
+ * release from the sim's release table, a ``(time, tid)`` list the
+ * thread fills once per sim (``rel_table``) by merging the compute
+ * tasks' releases with the simulator's ``(time, seq)`` heap discipline:
+ * initial entries in task order, and a successor entered (with a fresh
+ * sequence number) when its predecessor pops.  Periodic tasks generate
+ * ``offset + k * T`` on the fly; in table mode (jitter, sporadic or a
+ * fault plan) the caller passes each sim's drawn release tables and
+ * kept masks, and suppressed releases are filtered as the table fills.
+ * The simulator's finish *heap* becomes a per-unit ``(fin_time,
+ * fin_seq)`` pair plus a sentinel-aware min scan (``rehead``): the heap
+ * never holds more than one live entry per unit, so the scan is
+ * O(n_units) and reproduces the heap's pop order exactly.  Recorded
+ * per kept job, into the thread's start/finish/cascade rows (``slots``
+ * long, reused from sim to sim): start, finish and (zero-BCET implicit
+ * scenarios) the same-instant cascade depth.
+ *
+ * release table and wrap — with periodic releases the merge repeats
+ * once every task has been released (Leung and Merrill, IPL 1980).  Let
+ * ``t_s`` be the sim's largest compute-task offset and ``H`` the lcm of
+ * the compute tasks' periods (``hyper``, 0 in table mode and when ``H``
+ * reaches the horizon).  When ``t_s + H`` lies inside the horizon the
+ * table stops there, and a walk past its end wraps to its first entry
+ * later than ``t_s`` with every time ``H`` later; otherwise the table
+ * holds every release of the horizon and never wraps.  So the heap runs
+ * once per hyperperiod, not once per job.  The caller sizes the table
+ * (``rel_rows``) for ``2H`` of releases per task (offsets lie in
+ * ``[0, T]``, so ``t_s + H <= 2H``), or for the horizon without a wrap;
+ * a fill that would run past the rows is an invariant error.
+ *
+ * Why the wrap is exact.  Every release after ``t_s`` is a non-first
+ * job, and the heap's seq of a non-first job is the pop rank of the
+ * task's previous release.  Two releases at one instant ``t > t_s``
+ * therefore tie-break on their predecessors, popped at ``t - T``:
+ * - different periods: the longer period's predecessor is earlier, so
+ *   it pops first (and a first job, released at its offset, at most its
+ *   period, never ties a later job of a longer-period task, so the rule
+ *   holds from time 0 on);
+ * - one period: the predecessors coincide too, so the tie repeats the
+ *   predecessors' order at ``t - T``, down to the stream's cyclic
+ *   ``(offset, tid)`` order.
+ * Neither rule depends on ``t`` itself, so the merge over ``(t_s + kH,
+ * t_s + (k + 1)H]`` is the merge over ``(t_s, t_s + H]`` shifted by
+ * ``kH``.
  *
  * derive — ``derive_sim`` walks the monitored task's backward closure
  * in topological order over those hot rows and resolves every read
  * edge to the producer job it reads — the simulator's FIFO-head and
- * cascade visibility rules — folding the per-source ``(min, max)``
- * timestamp stamps of that job into the reader's.  Each task's ``(jobs
- * x sources)`` stamp block lives in the thread's arena at an offset the
- * caller planned, so a block's storage is reused once its last
- * consumer has folded it.
+ * cascade visibility rules — folding the ``(min, max)`` timestamp stamp
+ * of that job into the reader's.  One stamp per job, not one per
+ * source: the monitored task's disparity is the largest stamp minus the
+ * smallest, and min and max compose over edges and sources in either
+ * order.  A source's stamp is its release.  Each task's per-job stamp
+ * block lives in the thread's arena at an offset the caller planned, so
+ * a block's storage is reused once its last consumer has folded it.
  *
  * A call writes only, per sim: the monitored task's per-job disparity
  * column, its per-job finish column (the windowed probe's "completed
@@ -79,7 +110,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define REPRO_CKERNEL_ABI 6
+#define REPRO_CKERNEL_ABI 7
 
 /* Return code of a failed scratch allocation. */
 #define ERR_NOMEM 1
@@ -99,7 +130,13 @@ typedef struct {
     int64_t grp;  /* stream */
 } Rel;
 
-/* Per-source timestamp extremes of one job's token. */
+/* One entry of a sim's release table. */
+typedef struct {
+    int64_t time;
+    int32_t tid;
+} Release;
+
+/* Timestamp extremes of one job's token, over all its sources. */
 typedef struct {
     int64_t lo;
     int64_t hi;
@@ -125,6 +162,8 @@ typedef struct {
     const int64_t *job_base; /* first record slot per task, -1 if none */
     const int64_t *job_cap;  /* record slots per task */
     const int64_t *tab_base; /* first table column per task */
+    int64_t hyper;           /* lcm of compute periods; 0 = never wrap */
+    int64_t rel_rows;        /* release-table rows per thread */
     int64_t n_grp;           /* release streams */
     const int64_t *grp_ptr;  /* n_grp + 1: CSR over grp_tid */
     const int32_t *grp_tid;  /* compute tasks per stream, by tid */
@@ -147,6 +186,12 @@ typedef struct {
     int32_t *gmem;       /* stream members by (offset, tid) */
     int64_t *gpos;       /* n_grp: head member per stream */
     int64_t *grnd;       /* n_grp: head round (table index) per stream */
+    Release *rtab;       /* rel_rows: this sim's release table */
+    int64_t rt_len;      /* filled entries of rtab */
+    int64_t rt_wrap;     /* first entry past t_s, -1 = no wrap */
+    int64_t rt_pos;      /* next entry of the walk */
+    int64_t rt_shift;    /* hyperperiods wrapped so far, times hyper */
+    int64_t rel_at;      /* next release instant (or sentinel) */
     uint64_t *ready;     /* n_units: pending-task rank bitmask */
     int32_t *running;    /* n_units: running tid or -1 */
     int64_t *fin_time;   /* n_units: finish instant of running job */
@@ -196,7 +241,9 @@ static void compact_kept(int64_t n, const int64_t *tab_base,
  * emitted round by round.
  * The heap here holds one head per stream, keyed by the head task's
  * (release time, seq), and pops exactly the simulator's order.  In
- * table mode the caller makes every compute task its own stream. */
+ * table mode the caller makes every compute task its own stream.  The
+ * heap only fills the sim's release table (``rel_table``); the event
+ * loop walks the table (``rel_pop``). */
 
 /* Task at the head of stream g. */
 static int64_t rel_task(const Sim *s, int64_t g)
@@ -279,19 +326,6 @@ static void rel_settle(Sim *s)
     }
 }
 
-static int64_t rel_peek(const Sim *s)
-{
-    return s->h_n ? s->heap[0].time : s->tb->sentinel;
-}
-
-static int32_t rel_pop(Sim *s)
-{
-    int32_t tid = (int32_t)rel_task(s, s->heap[0].grp);
-    rel_step(s);
-    rel_settle(s);
-    return tid;
-}
-
 static void rel_init(Sim *s)
 {
     const Tables *tb = s->tb;
@@ -330,6 +364,65 @@ static void rel_init(Sim *s)
     rel_settle(s);
 }
 
+/* Point rel_at at the walk's next entry: the sentinel past the table's
+ * end or the horizon. */
+static void rel_load(Sim *s)
+{
+    const Tables *tb = s->tb;
+    int64_t at = tb->sentinel;
+    if (s->rt_pos < s->rt_len)
+        at = s->rtab[s->rt_pos].time + s->rt_shift;
+    s->rel_at = at > tb->duration ? tb->sentinel : at;
+}
+
+/* Fill this sim's release table from the merge heap, through t_s + hyper
+ * when the walk wraps, else through the horizon, and start the walk.
+ * Returns nonzero when the releases outrun the table's rows. */
+static int rel_table(Sim *s)
+{
+    const Tables *tb = s->tb;
+    int64_t limit = tb->duration, t_s = 0, n = 0, i;
+    int wrap = 0;
+    s->rt_wrap = -1;
+    if (tb->hyper > 0) {
+        for (i = 0; i < tb->grp_ptr[tb->n_grp]; i++)
+            if (s->offs[tb->grp_tid[i]] > t_s)
+                t_s = s->offs[tb->grp_tid[i]];
+        wrap = t_s + tb->hyper < tb->duration;
+        if (wrap)
+            limit = t_s + tb->hyper;
+    }
+    rel_init(s);
+    while (s->h_n && s->heap[0].time <= limit) {
+        if (n == tb->rel_rows)
+            return 1;
+        if (wrap && s->rt_wrap < 0 && s->heap[0].time > t_s)
+            s->rt_wrap = n;
+        s->rtab[n].time = s->heap[0].time;
+        s->rtab[n].tid = (int32_t)rel_task(s, s->heap[0].grp);
+        n += 1;
+        rel_step(s);
+        rel_settle(s);
+    }
+    s->rt_len = n;
+    s->rt_pos = 0;
+    s->rt_shift = 0;
+    rel_load(s);
+    return 0;
+}
+
+/* The next release's task; the walk wraps past the table's end. */
+static int32_t rel_pop(Sim *s)
+{
+    int32_t tid = s->rtab[s->rt_pos].tid;
+    if (++s->rt_pos == s->rt_len && s->rt_wrap >= 0) {
+        s->rt_pos = s->rt_wrap;
+        s->rt_shift += s->tb->hyper;
+    }
+    rel_load(s);
+    return tid;
+}
+
 /* ------------------------------------------------------------------ */
 /* advance                                                             */
 /* ------------------------------------------------------------------ */
@@ -356,6 +449,17 @@ static void rehead(Sim *s)
     }
     s->fin_head = best_t;
     s->fin_head_u = best_u;
+}
+
+/* rehead after a dispatch on unit u, idle until now: the new finish
+ * carries the newest dispatch seq, so it takes the head only with an
+ * earlier instant. */
+static void rehead_idle(Sim *s, int64_t u)
+{
+    if (s->fin_time[u] < s->fin_head) {
+        s->fin_head = s->fin_time[u];
+        s->fin_head_u = u;
+    }
 }
 
 /* Pop the highest-priority pending task of unit u (lowest set rank
@@ -505,10 +609,13 @@ static void run_sim(Sim *s, int32_t *touched, int32_t *fin2)
     s->err = 0;
     s->fin_head = tb->sentinel;
     s->fin_head_u = -1;
-    rel_init(s);
+    if (rel_table(s)) {
+        s->err = 2;
+        return;
+    }
 
     for (;;) {
-        int64_t now = rel_peek(s);
+        int64_t now = s->rel_at;
         if (now <= s->fin_head) {
             /* Release event (at equal times releases go first). */
             int32_t tid;
@@ -516,14 +623,14 @@ static void run_sim(Sim *s, int32_t *touched, int32_t *fin2)
                 break;
             tid = rel_pop(s);
             u = tb->unit_of[tid];
-            if (rel_peek(s) == now || s->fin_head == now) {
+            if (s->rel_at == now || s->fin_head == now) {
                 /* Multi-event instant: gather every same-instant
                  * release and finish, then dispatch idle units. */
                 int64_t tn = 0;
                 s->pend[tid] += 1;
                 s->ready[u] |= tb->bit_of[tid];
                 touched[tn++] = (int32_t)u;
-                while (rel_peek(s) == now) {
+                while (s->rel_at == now) {
                     int32_t t2 = rel_pop(s);
                     int64_t u2 = tb->unit_of[t2];
                     s->pend[t2] += 1;
@@ -544,14 +651,14 @@ static void run_sim(Sim *s, int32_t *touched, int32_t *fin2)
                         int32_t t2 = pop_ready(s, u2);
                         if (dispatch(s, u2, t2, now, 0))
                             return;
-                        rehead(s);
+                        rehead_idle(s, u2);
                     }
                 }
             } else if (s->running[u] < 0) {
                 /* Idle unit, single release: dispatch directly. */
                 if (dispatch(s, u, tid, now, 0))
                     return;
-                rehead(s);
+                rehead_idle(s, u);
             } else {
                 /* Busy unit: queue and move on. */
                 s->pend[tid] += 1;
@@ -599,7 +706,7 @@ static void run_sim(Sim *s, int32_t *touched, int32_t *fin2)
                         t2 = pop_ready(s, u2);
                         if (dispatch(s, u2, t2, now, nb2))
                             return;
-                        rehead(s);
+                        rehead_idle(s, u2);
                     }
                 }
             }
@@ -617,7 +724,6 @@ typedef struct {
     int64_t duration;
     int64_t let_mode;
     int64_t track;
-    int64_t n_src;
     const int64_t *periods;
     const uint8_t *inst;
     const uint8_t *is_source;
@@ -740,30 +846,20 @@ static int64_t job_rows(const Derive *d, int64_t t)
  * when a read would land past its producer's jobs. */
 static int derive_sim(const Derive *d, int64_t n_order, const int32_t *order,
                       const int64_t *edge_ptr, const int32_t *edge_src,
-                      const int64_t *edge_cap, const int64_t *src_col,
-                      const int64_t *block, Stamp *arena)
+                      const int64_t *edge_cap, const int64_t *block,
+                      Stamp *arena)
 {
-    const int64_t n_src = d->n_src;
-    int64_t p, k, e, j;
+    int64_t p, k, e;
     for (p = 0; p < n_order; p++) {
         int64_t g = order[p];
         int64_t rows = job_rows(d, g);
         Stamp *blk = arena + block[g];
         if (d->is_source[g]) {
-            int64_t col = src_col[g];
-            for (k = 0; k < rows; k++) {
-                Stamp *row = blk + k * n_src;
-                int64_t at = release_at(d, g, k);
-                for (j = 0; j < n_src; j++) {
-                    row[j].lo = STAMP_NONE;
-                    row[j].hi = -STAMP_NONE;
-                }
-                row[col].lo = at;
-                row[col].hi = at;
-            }
+            for (k = 0; k < rows; k++)
+                blk[k].lo = blk[k].hi = release_at(d, g, k);
             continue;
         }
-        for (k = 0; k < rows * n_src; k++) {
+        for (k = 0; k < rows; k++) {
             blk[k].lo = STAMP_NONE;
             blk[k].hi = -STAMP_NONE;
         }
@@ -776,7 +872,7 @@ static int derive_sim(const Derive *d, int64_t n_order, const int32_t *order,
             const Stamp *pblk = arena + block[pg];
             int64_t cursor = 0;
             for (k = 0; k < rows; k++) {
-                Stamp *row = blk + k * n_src;
+                Stamp *row = blk + k;
                 const Stamp *got;
                 int64_t at, rkey, mm, kk;
                 if (d->let_mode || d->inst[g]) {
@@ -794,13 +890,11 @@ static int derive_sim(const Derive *d, int64_t n_order, const int32_t *order,
                 kk = mm > cap ? mm - cap : 0;
                 if (kk >= prows)
                     return 1;
-                got = pblk + kk * n_src;
-                for (j = 0; j < n_src; j++) {
-                    if (got[j].lo < row[j].lo)
-                        row[j].lo = got[j].lo;
-                    if (got[j].hi > row[j].hi)
-                        row[j].hi = got[j].hi;
-                }
+                got = pblk + kk;
+                if (got->lo < row->lo)
+                    row->lo = got->lo;
+                if (got->hi > row->hi)
+                    row->hi = got->hi;
             }
         }
     }
@@ -827,7 +921,6 @@ typedef struct {
     const int64_t *edge_ptr;
     const int32_t *edge_src;
     const int64_t *edge_cap;
-    const int64_t *src_col;
     const int64_t *block;
     int64_t monitored;
     int64_t height;
@@ -895,8 +988,8 @@ static char *line_up(void *raw)
  * returns the block's size.  The start/finish/cascade and dispatch
  * rows are the thread's, reused from sim to sim. */
 static size_t scratch(Part *p, char *base, int64_t n, int64_t n_units,
-                      int64_t n_grp, int64_t n_krel, int64_t slots,
-                      int64_t arena_len)
+                      int64_t n_grp, int64_t n_krel, int64_t rel_rows,
+                      int64_t slots, int64_t arena_len)
 {
     Sim *s = &p->s;
     size_t top = 0;
@@ -913,6 +1006,7 @@ static size_t scratch(Part *p, char *base, int64_t n, int64_t n_units,
     s->gpos = carve(base, &top, n_grp + 1, sizeof(int64_t));
     s->grnd = carve(base, &top, n_grp + 1, sizeof(int64_t));
     s->krel = carve(base, &top, n_krel, sizeof(int64_t));
+    s->rtab = carve(base, &top, rel_rows, sizeof(Release));
     s->mt = carve(base, &top, MT_N, sizeof(uint32_t));
     s->starts = carve(base, &top, slots, sizeof(int64_t));
     s->fins = carve(base, &top, slots, sizeof(int64_t));
@@ -966,31 +1060,21 @@ static void write_rows(const Part *p, int64_t i, int derived)
 {
     const Rows *r = p->rows;
     const Derive *d = &p->d;
-    const int64_t height = r->height, n_src = d->n_src;
+    const int64_t height = r->height;
     const int64_t g = r->monitored;
     const Stamp *blk = p->arena + r->block[g];
     int64_t *disp = r->disp_out + i * height;
     int64_t *fin = r->fin_out + i * height;
-    int64_t count = 0, done, k, j;
+    int64_t count = 0, done, k;
     if (derived) {
         int64_t rows = job_rows(d, g);
         count = d->inst[g] ? released(d, g) : completed(d, g);
         if (count > rows)
             count = rows;
     }
-    for (k = 0; k < height; k++) {
-        int64_t lo = STAMP_NONE, hi = -STAMP_NONE;
-        if (k < count) {
-            const Stamp *row = blk + k * n_src;
-            for (j = 0; j < n_src; j++) {
-                if (row[j].lo < lo)
-                    lo = row[j].lo;
-                if (row[j].hi > hi)
-                    hi = row[j].hi;
-            }
-        }
-        disp[k] = lo < STAMP_NONE ? hi - lo : -1;
-    }
+    for (k = 0; k < height; k++)
+        disp[k] = k < count && blk[k].lo < STAMP_NONE ? blk[k].hi - blk[k].lo
+                                                      : -1;
     done = d->inst[g] ? released(d, g) : d->rec[g];
     for (k = 0; k < height; k++) {
         if (k >= done)
@@ -1034,7 +1118,7 @@ static void *replay_worker(void *arg)
         if (s->err == 2 ||
             (s->err == 0 &&
              derive_sim(d, r->n_order, r->order, r->edge_ptr, r->edge_src,
-                        r->edge_cap, r->src_col, r->block, p->arena))) {
+                        r->edge_cap, r->block, p->arena))) {
             p->rc = -(i + 1);
             break;
         }
@@ -1093,6 +1177,8 @@ int64_t columnar_replay(
     int64_t let_mode, int64_t track,
     const int64_t *tab_base,     /* n: first table column per task */
     int64_t tab_w,
+    int64_t hyper,               /* release-table wrap; 0 = none */
+    int64_t rel_rows,            /* release-table rows per thread */
     int64_t n_grp,               /* release streams */
     const int64_t *grp_ptr,      /* n_grp + 1 */
     const int32_t *grp_tid,      /* compute tasks per stream */
@@ -1104,8 +1190,6 @@ int64_t columnar_replay(
     const int64_t *edge_ptr,     /* n + 1: CSR in-edges per task */
     const int32_t *edge_src,     /* producer per in-edge */
     const int64_t *edge_cap,     /* capacity per in-edge */
-    const int64_t *src_col,      /* n: stamp column of a source */
-    int64_t n_src,
     const int64_t *block,        /* n: arena offset of a kept task */
     int64_t arena_len,           /* stamps per sim arena */
     int64_t monitored, int64_t height, /* output rows per sim */
@@ -1126,20 +1210,21 @@ int64_t columnar_replay(
         .bcet = bcet, .wcet = wcet, .span = span,
         .periods = periods, .unit_of = unit_of, .bit_of = bit_of,
         .rank_tid = rank_tid, .job_base = job_base, .job_cap = job_cap,
-        .tab_base = tab_base, .n_grp = n_grp, .grp_ptr = grp_ptr,
+        .tab_base = tab_base, .hyper = hyper, .rel_rows = rel_rows,
+        .n_grp = n_grp, .grp_ptr = grp_ptr,
         .grp_tid = grp_tid,
     };
     const Rows rows = {
         .tab_w = tab_w, .n_order = n_order, .order = order,
         .edge_ptr = edge_ptr, .edge_src = edge_src, .edge_cap = edge_cap,
-        .src_col = src_col, .block = block, .monitored = monitored,
+        .block = block, .monitored = monitored,
         .height = height, .keys = keys, .offsets = offsets, .tab = tab,
         .tab_keep = tab_keep, .tab_len = tab_len, .disp_out = disp_out,
         .fin_out = fin_out, .viol_out = viol_out,
     };
     const Derive shared = {
         .duration = duration, .let_mode = let_mode, .track = track,
-        .n_src = n_src, .periods = periods, .inst = inst,
+        .periods = periods, .inst = inst,
         .is_source = is_source, .job_base = job_base, .tab_base = tab_base,
     };
     int64_t k;
@@ -1147,7 +1232,7 @@ int64_t columnar_replay(
     const int64_t n_krel = tab ? tab_w : 1;
     Part probe;
     const size_t per = scratch(&probe, NULL, n, n_units, n_grp, n_krel,
-                               slots, arena_len);
+                               rel_rows, slots, arena_len);
     void *raw;
     Part *parts = alloc_parts(nt, per, &raw);
     int64_t rc = ERR_NOMEM;
@@ -1159,8 +1244,8 @@ int64_t columnar_replay(
         Sim *s = &p->s;
         p->rows = &rows;
         p->d = shared;
-        scratch(p, line_up(p->raw), n, n_units, n_grp, n_krel, slots,
-                arena_len);
+        scratch(p, line_up(p->raw), n, n_units, n_grp, n_krel, rel_rows,
+                slots, arena_len);
         s->tb = &tb;
         s->tab = NULL;
         s->keep = NULL;

@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 #: ABI stamp; must match ``REPRO_CKERNEL_ABI`` in ``_ckernel.c``.
-ABI_VERSION = 6
+ABI_VERSION = 7
 
 #: Compiler flags of the shared object (hashed into its cache name).
 CFLAGS = ("-O2", "-fPIC", "-shared", "-pthread")
@@ -78,12 +78,12 @@ _REPLAY_ARGTYPES = [
     _P_I32, _I64,              # rank_tid, max_ranks
     _I64, _I64,                # let_mode, track
     _P_I64, _I64,              # tab_base, tab_w
+    _I64, _I64,                # hyper, rel_rows
     _I64, _P_I64, _P_I32,      # n_grp, grp_ptr, grp_tid
     _P_I64, _P_I64, _I64,      # job_base, job_cap, slots
     _P_U8, _P_U8,              # inst, is_source
     _I64, _P_I32,              # n_order, order
     _P_I64, _P_I32, _P_I64,    # edge_ptr, edge_src, edge_cap
-    _P_I64, _I64,              # src_col, n_src
     _P_I64, _I64,              # block, arena_len
     _I64, _I64,                # monitored, height
     _P_U32,                    # keys

@@ -11,12 +11,17 @@ claims a sim and, in its own scratch rows, reused from sim to sim:
   seeded from the sim's key (:func:`_keys`:
   ``random.Random(seed).getstate()``), so the variates are bit for bit
   the stream ``random.Random(seed).random()`` would produce;
-* **advances** its NP-FP schedule, merging its own release stream:
-  arithmetic for periodic scenarios, else the per-task release tables
-  and fault masks drawn here (:func:`~repro.sim.release.release_table`,
-  :func:`~repro.sim.release.kept_mask`);
+* **advances** its NP-FP schedule from its own release table: the
+  merged release order, filled once per sim from arithmetic for
+  periodic scenarios, else from the per-task release tables and fault
+  masks drawn here (:func:`~repro.sim.release.release_table`,
+  :func:`~repro.sim.release.kept_mask`).  Periodic releases repeat
+  every hyperperiod once every task has been released, so a periodic
+  table holds one hyperperiod past the last first release and the
+  event loop wraps around it (:class:`_Plan`);
 * **derives** it: resolves every read edge of the monitored task's
-  backward closure and folds the per-source ``(min, max)`` stamps.
+  backward closure and folds one ``(min, max)`` timestamp stamp per
+  job, a source's being its release.
 
 The call writes only the monitored task's ``(sims, height)`` per-job
 disparity and finish columns and the ``(sims, 4)`` LET-violation rows.
@@ -62,7 +67,7 @@ from repro.sim import batch as _batch
 from repro.sim import ckernel
 from repro.sim.exec_time import BATCH_POLICY_MODES
 from repro.sim.release import kept_mask, max_jobs, release_table
-from repro.units import Time
+from repro.units import Time, lcm
 
 #: The C kernel's ready masks are one ``uint64`` per unit.
 MAX_RANKS = 64
@@ -70,12 +75,15 @@ MAX_RANKS = 64
 #: Smallest batch, in ``sims * slots``, whose kernel call splits its
 #: sims across threads (:func:`repro.sim.ckernel.thread_budget` of
 #: them).  Measured on a 2-CPU VM, kernel time per call split against
-#: one thread: a split costs about 0.05-0.1 ms, so 2-sim calls of
-#: 3,000-10,000 ran 10-18% slower split; fig6's own calls of
-#: 35,000-75,000 ran 0.78-0.85x and those over 200,000 0.76x while the
-#: second CPU was free.  The break-even lies between 10,000 and 35,000;
-#: 50,000 keeps a margin for a busy host and leaves every offset-search
-#: call (2 sims, at most 21,550) whole.
+#: one thread, medians of 20-60 alternating calls: a split costs about
+#: 0.01-0.03 ms, so calls under 1,200 ran 13-19% slower split.  With
+#: the second CPU free, calls of 59,000-74,000 ran 0.89-0.94x split and
+#: those of 176,000-1,280,000 0.55-0.66x; with it busy, every size from
+#: 12,000 to 118,000 ran 1.00-1.06x.  The release table cut the work
+#: per slot by 40-55%, which moves the break-even of 10,000-35,000
+#: measured before it to about 20,000-70,000: 50,000 stays inside that
+#: range and leaves every offset-search call (2 sims, at most 21,550)
+#: whole.
 SPLIT_MIN_WORK = 50_000
 
 _P_I64 = ctypes.POINTER(ctypes.c_int64)
@@ -329,7 +337,14 @@ class _Plan:
     :func:`repro.sim.release.max_jobs` (``duration // T + 1`` for
     periodic and jittered models, ``duration // min_gap + 1`` for
     sporadic ones) — the one bound the job slots, release-table
-    columns and stamp blocks all agree on.
+    columns and stamp blocks (one stamp per job) all agree on.
+
+    ``hyper`` is the lcm of the compute tasks' periods, the period of
+    the kernel's release-table walk; it is 0 (no wrap) in table mode
+    and when it reaches the horizon.  ``rel_rows`` sizes each thread's
+    release table: with a wrap, ``2 * hyper // T + 1`` per compute task
+    (offsets lie in ``[0, T]``, so the table ends by ``2 * hyper``, at
+    any horizon); without one, the job bound per compute task.
     """
 
     def __init__(self, compiled, duration: Time) -> None:
@@ -370,24 +385,29 @@ class _Plan:
         # Release streams the kernel merges: compute tasks grouped by
         # period (each group releases in a fixed cyclic order), or one
         # stream per task when releases come from drawn tables.
+        computes = [tid for tid in range(n) if not inst[tid]]
         streams: Dict[object, List[int]] = {}
-        for tid in range(n):
-            if not inst[tid]:
-                key = tid if compiled._needs_tables else compiled.periods[tid]
-                streams.setdefault(key, []).append(tid)
+        for tid in computes:
+            key = tid if compiled._needs_tables else compiled.periods[tid]
+            streams.setdefault(key, []).append(tid)
         self.n_grp = len(streams)
         self.grp_ptr, self.grp_tid = _csr(list(streams.values()), _np.int32)
+        # Release-table wrap and rows per thread (see above).
+        hyper = 0
+        if computes and not compiled._needs_tables:
+            hyper = lcm(*(compiled.periods[tid] for tid in computes))
+        self.hyper = hyper if hyper < duration else 0
+        self.rel_rows = sum(
+            2 * self.hyper // compiled.periods[tid] + 1 if self.hyper
+            else caps[tid]
+            for tid in computes
+        )
 
         # derive: topological order, CSR in-edges, stamp-block arena
         order = _topo_kept(compiled)
         self.order = _np.asarray(order, dtype=_np.int32)
         self.inst = _np.asarray(inst, dtype=_np.uint8)
         self.is_source = _np.asarray(compiled.is_source, dtype=_np.uint8)
-        self.src_col = _np.full(n, -1, dtype=_np.int64)
-        sources = [g for g in order if compiled.is_source[g]]
-        for col, g in enumerate(sources):
-            self.src_col[g] = col
-        self.n_src = len(sources)
         in_edges = compiled.in_edges
         self.edge_ptr, self.edge_src = _csr(
             [[pg for pg, _cap in edges] for edges in in_edges], _np.int32
@@ -397,7 +417,7 @@ class _Plan:
         )
         gid = compiled.m_gid
         blocks, self.arena = _arena(
-            order, in_edges, {g: caps[g] * self.n_src for g in order}, gid
+            order, in_edges, caps, gid
         )
         self.block = _np.full(n, -1, dtype=_np.int64)
         for g, at in blocks.items():
@@ -527,6 +547,8 @@ def _replay(compiled, plan: _Plan, draws, offs, duration: Time, policy):
         int(compiled._track),
         _p64(plan.tab_base),
         plan.tab_w,
+        plan.hyper,
+        plan.rel_rows,
         plan.n_grp,
         _p64(plan.grp_ptr),
         _p32(plan.grp_tid),
@@ -540,8 +562,6 @@ def _replay(compiled, plan: _Plan, draws, offs, duration: Time, policy):
         _p64(plan.edge_ptr),
         _p32(plan.edge_src),
         _p64(plan.edge_cap),
-        _p64(plan.src_col),
-        plan.n_src,
         _p64(plan.block),
         plan.arena,
         compiled.m_gid,

@@ -4,6 +4,14 @@ The fixtures build deployments whose response times and backward-time
 bounds are easy to compute by hand, so tests can assert exact values
 rather than "it ran".  All times use integer milliseconds via
 ``repro.units.ms`` to keep the arithmetic readable.
+
+``--sanitize-kernel`` builds the columnar C kernel with AddressSanitizer
+and UBSan for the whole session; the interpreter must then run with the
+sanitizer runtimes preloaded, e.g.::
+
+    LD_PRELOAD="$(gcc -print-file-name=libasan.so) \
+    $(gcc -print-file-name=libubsan.so)" ASAN_OPTIONS=detect_leaks=0 \
+    python -m pytest --sanitize-kernel tests/test_batch_columnar.py
 """
 
 from __future__ import annotations
@@ -15,7 +23,34 @@ import pytest
 from repro.model.graph import CauseEffectGraph
 from repro.model.system import System
 from repro.model.task import Task, source_task
+from repro.sim import ckernel
 from repro.units import ms
+
+#: Kernel build flags under ``--sanitize-kernel``: any out-of-bounds
+#: access or undefined behaviour aborts the run with a report.
+SANITIZE_CFLAGS = (
+    "-O1", "-g", "-fsanitize=address,undefined",
+    "-fno-sanitize-recover=undefined", "-fPIC", "-shared", "-pthread",
+)
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--sanitize-kernel", action="store_true", default=False,
+        help="build the columnar C kernel with ASan and UBSan (preload "
+        "libasan and libubsan)",
+    )
+
+
+def pytest_configure(config):
+    """Swap in the sanitized kernel before any test module loads one."""
+    if not config.getoption("--sanitize-kernel"):
+        return
+    ckernel.CFLAGS = SANITIZE_CFLAGS
+    ckernel.reset_kernel_state()
+    kernel, why = ckernel.load_kernel()
+    if kernel is None:
+        raise pytest.UsageError(f"sanitized kernel did not load: {why}")
 
 
 def build_diamond_graph() -> CauseEffectGraph:

@@ -51,8 +51,10 @@ from repro.sim.exec_time import (
     uniform_policy,
     wcet_policy,
 )
+from repro.units import lcm, ms
 from tests.tiers import (
     THREAD_COUNTS,
+    assert_finishes_match,
     assert_provenance_matches,
     assert_split_invariant,
     assert_tiers_match,
@@ -61,6 +63,7 @@ from tests.tiers import (
     fused_tasks,
     kernel_bytes,
     kernel_threads,
+    loaded_system,
     random_system,
     simulator_disparities,
 )
@@ -219,6 +222,86 @@ def test_columnar_matches_simulator_buffered(
     )
 
 
+def _hyperperiod(system) -> int:
+    """lcm of the compute tasks' periods: the release table's wrap."""
+    return lcm(
+        *(t.period for t in system.graph.tasks if not t.is_instantaneous)
+    )
+
+
+@needs_columnar
+@pytest.mark.parametrize("semantics", ["implicit", "let"])
+@pytest.mark.parametrize("policy", ["uniform", "extremes"])
+def test_finish_columns_follow_the_draw_order(policy, semantics):
+    """Loaded systems, first releases in lockstep, over 3.5
+    hyperperiods: the kernel's release table wraps three times, and
+    every job must still draw the variate the simulator hands it (its
+    finish moves otherwise, even where no read changes)."""
+    checked = 0
+    for seed in range(1, 26):
+        system = loaded_system(seed, 10)
+        if system is None:
+            continue
+        hyper = _hyperperiod(system)
+        first = min(t.period for t in system.graph.tasks)  # every offset
+        duration = first + 3 * hyper + hyper // 2
+        compiled = CompiledScenario(system, system.graph.sinks()[0])
+        assert columnar._plan(compiled, duration).hyper == hyper
+        assert_finishes_match(
+            system, seed=seed, duration=duration,
+            policy=named_policy(policy), semantics=semantics,
+        )
+        checked += 1
+    assert checked >= 10
+
+
+def _chain_system(periods):
+    """A source feeding a chain of compute tasks of ``periods`` on one
+    unit, every first release at the smallest period."""
+    from repro.model.graph import CauseEffectGraph
+    from repro.model.task import Task, source_task
+
+    first = min(periods)
+    graph = CauseEffectGraph()
+    graph.add_task(
+        source_task("src", periods[0], ecu="e", priority=0, offset=first)
+    )
+    producer = "src"
+    for rank, period in enumerate(periods, start=1):
+        name = f"t{rank}"
+        graph.add_task(Task(
+            name, period, period // 8, period // 32, ecu="e",
+            priority=rank, offset=first,
+        ))
+        graph.add_channel(producer, name)
+        producer = name
+    return System.build(graph)
+
+
+@needs_columnar
+@pytest.mark.parametrize("semantics", ["implicit", "let"])
+@pytest.mark.parametrize("policy", ["uniform", "extremes"])
+@pytest.mark.parametrize(
+    "periods, duration, floor",
+    [
+        ((ms(3), ms(7), ms(11), ms(13)), ms(600), ms(600)),
+        ((2_000_003, 3_000_017, 5_000_011, 7_000_003), ms(200), 2**63),
+    ],
+    ids=["lcm-past-horizon", "lcm-past-int64"],
+)
+def test_finish_columns_without_a_wrap(periods, duration, floor, policy,
+                                       semantics):
+    """Non-harmonic periods: the hyperperiod reaches the horizon (or
+    int64), so the table holds every release of the horizon."""
+    system = _chain_system(periods)
+    assert _hyperperiod(system) >= floor
+    assert columnar._plan(CompiledScenario(system, "t1"), duration).hyper == 0
+    assert_finishes_match(
+        system, seed=7, duration=duration, policy=named_policy(policy),
+        semantics=semantics,
+    )
+
+
 @needs_columnar
 @settings(max_examples=10, deadline=None)
 @given(
@@ -295,7 +378,6 @@ def _blocked_reader():
     """
     from repro.model.graph import CauseEffectGraph
     from repro.model.task import Task, source_task
-    from repro.units import ms
 
     graph = CauseEffectGraph()
     graph.add_task(source_task("src", ms(10), ecu="e", priority=0))
@@ -330,8 +412,6 @@ def test_split_reports_the_lowest_let_violation():
     A violating sim skips its derive without a kernel error (which the
     replay would raise ahead of any LET violation); under ``uniform``
     the sims also carry their MT19937 keys."""
-    from repro.units import ms
-
     system = _blocked_reader()
     late = {0: 0, 3: ms(1) + ms(1) // 2, 5: ms(1)}
     draws = [(s, (0, 0, late.get(s, 0))) for s in range(6)]
@@ -352,8 +432,6 @@ def test_split_reports_the_lowest_let_violation():
 def test_split_reports_the_lowest_broken_sim():
     """Job slots one short per task: the sims whose reader releases a
     job at the horizon (offset 0) overflow, and the lowest is named."""
-    from repro.units import ms
-
     system = _blocked_reader()
     duration = ms(100)
     compiled = CompiledScenario(system, "late")
@@ -369,10 +447,27 @@ def test_split_reports_the_lowest_broken_sim():
 
 
 @needs_columnar
+def test_release_table_overrun_is_reported():
+    """An offset far past its period (outside the kernel's domain)
+    would fill the release table past its rows: the sim breaks instead
+    of writing past them."""
+    system = _blocked_reader()
+    duration = ms(200)
+    compiled = CompiledScenario(system, "late")
+    plan = columnar._Plan(compiled, duration)
+    assert plan.hyper == ms(20)
+    draws = [(s, (0, 0, ms(150) if s == 2 else 0)) for s in range(4)]
+    offs = np.array([offsets for _seed, offsets in draws], dtype=np.int64)
+    for threads in THREAD_COUNTS:
+        with kernel_threads(threads), pytest.raises(
+            ModelError, match=r"failed in replication 2 \(internal invariant"
+        ):
+            columnar._replay(compiled, plan, draws, offs, duration, wcet_policy)
+
+
+@needs_columnar
 def test_failed_scratch_allocation_is_reported_as_such():
     """An allocation failure names no replication."""
-    from repro.units import ms
-
     system = _blocked_reader()
     duration = ms(100)
     compiled = CompiledScenario(system, "late")
@@ -485,7 +580,6 @@ def test_duplicate_priorities_fall_back_to_simulator():
     and the failed rule as the reason."""
     from repro.model.graph import CauseEffectGraph
     from repro.model.task import Task, source_task
-    from repro.units import ms
 
     graph = CauseEffectGraph()
     graph.add_task(source_task("src", ms(10), ecu="e", priority=0))
@@ -530,7 +624,6 @@ def test_let_violation_parity_across_engines():
     """Both tiers raise the identical LET-violation ModelError."""
     from repro.model.graph import CauseEffectGraph
     from repro.model.task import Task, source_task
-    from repro.units import ms
 
     graph = CauseEffectGraph()
     graph.add_task(source_task("src", ms(10), ecu="e", priority=0))

@@ -17,6 +17,11 @@ and the offset search's windowed probe must agree with it exactly:
   semantics, release model and fault plan; then the columnar
   disparity with the simulator's;
 * :func:`assert_equivalent` runs both, the latter for every sink;
+* :func:`assert_finishes_match` replays the system at its own offsets
+  and compares the kernel's per-job finish column of every compute
+  task, each in turn the monitored task, with the simulator's job
+  finishes: a release order that hands a job another job's variate
+  moves a finish even where no read changes;
 * :func:`assert_split_invariant` runs the kernel at every thread count
   of :data:`THREAD_COUNTS` (every batch split, however small): each
   count must write the same bytes, and ``run_batch`` must match
@@ -37,8 +42,9 @@ import numpy as np
 import pytest
 
 from repro.gen import generate_random_scenario
+from repro.gen.uunifast import scale_to_utilization
 from repro.model.system import System
-from repro.model.task import Task
+from repro.model.task import ModelError, Task
 from repro.sim import ckernel, columnar
 from repro.sim.batch import CompiledScenario, run_batch
 from repro.sim.columnar import run_columnar
@@ -89,6 +95,25 @@ def zero_bcet_system(seed: int, n_tasks: int) -> System:
             zeroed.replace_task(replace(task, bcet=0))
             hit = True
     return System(graph=zeroed, response_times=scenario.system.response_times)
+
+
+def loaded_system(seed: int, n_tasks: int) -> Optional[System]:
+    """A random system at 60% utilization per unit, releases in lockstep.
+
+    :func:`random_system`'s tasks with execution times scaled by
+    :func:`~repro.gen.uunifast.scale_to_utilization` and every offset
+    set to the smallest period: first releases coincide, queues build
+    up, and each job's finish depends on which variate it drew.  Returns
+    ``None`` when :meth:`System.build` rejects the scaled system.
+    """
+    graph = scale_to_utilization(random_system(seed, n_tasks).graph, 0.6)
+    first = min(task.period for task in graph.tasks)
+    for task in graph.tasks:
+        graph.replace_task(replace(task, offset=first))
+    try:
+        return System.build(graph)
+    except ModelError:
+        return None
 
 
 def buffered_system(seed: int, n_tasks: int) -> System:
@@ -304,6 +329,65 @@ def assert_provenance_matches(
     assert run_columnar(
         compiled, [(seed, offsets)], duration, warmup, policy
     ) == [expected]
+
+
+class _FinishLog(Observer):
+    """Finish instant of every completed job, by task and job index."""
+
+    def __init__(self) -> None:
+        self.finishes: Dict[str, Dict[int, Time]] = {}
+
+    def on_job_complete(self, job, token) -> None:
+        self.finishes.setdefault(job.task.name, {})[job.index] = job.finish
+
+
+def assert_finishes_match(
+    system: System,
+    *,
+    seed: int,
+    duration: Time,
+    policy: ExecTimePolicy = uniform_policy,
+    semantics: str = "implicit",
+) -> None:
+    """Kernel finish columns == simulator job finishes, task by task.
+
+    Both replay ``system`` at its own offsets under ``seed``.  For each
+    compute task as the monitored task, job ``k`` of the kernel's finish
+    column must be the simulator's finish of job ``k`` when that lies
+    within the horizon; past it, the job must not have completed in the
+    simulator.  A run that breaks a LET deadline must raise the
+    simulator's error in the kernel too.
+    """
+    require_columnar()
+    log = _FinishLog()
+    error = None
+    try:
+        Simulator(
+            system, duration, seed=seed, policy=policy, observers=[log],
+            semantics=semantics,
+        ).run()
+    except ModelError as exc:
+        error = str(exc)
+    offsets = tuple(t.offset for t in system.graph.tasks)
+    draws = [(seed, offsets)]
+    offs = np.array([offsets], dtype=np.int64)
+    for task in system.graph.tasks:
+        if task.is_instantaneous:
+            continue
+        compiled = CompiledScenario(system, task.name, semantics=semantics)
+        assert compiled.eligible, compiled.ineligible_reason
+        plan = columnar._plan(compiled, duration)
+        if error is not None:
+            with pytest.raises(ModelError) as err:
+                columnar._replay(compiled, plan, draws, offs, duration, policy)
+            assert str(err.value) == error, task.name
+            continue
+        _disp, fins, _viol, _tables = columnar._replay(
+            compiled, plan, draws, offs, duration, policy
+        )
+        want = log.finishes.get(task.name, {})
+        got = {k: f for k, f in enumerate(fins[0].tolist()) if f <= duration}
+        assert got == want, task.name
 
 
 def assert_equivalent(
